@@ -22,7 +22,6 @@ from anticipate.sampler import (
     SamplerConfig,
     generate_anticipatory,
     generate_autoregressive_infill,
-    strip_controls,
 )
 from anticipate.tokenizer import encode_arrival
 from anticipate.vocab import ArrivalVocab
@@ -54,7 +53,7 @@ melody = EventSequence(
 
 config = SamplerConfig(delta=5.0, top_p=0.95, max_tokens=400, seed=11)
 result = generate_anticipatory(model, melody, config)
-generated = strip_controls(result.sequence)
+generated = result.sequence.events()
 print(f"anticipatory run: {len(generated)} events sampled around "
       f"{len(melody)} melody notes (truncated={result.truncated})")
 
@@ -69,4 +68,4 @@ print(f"merged accompaniment written to {out}")
 
 baseline = generate_autoregressive_infill(model, melody, config)
 print(f"baseline run (controls only revealed after their time): "
-      f"{len(strip_controls(baseline.sequence))} events")
+      f"{len(baseline.sequence.events())} events")

@@ -30,7 +30,6 @@ from .events import (
     REST,
     Event,
     EventSequence,
-    ControlSequence,
     InterleavedSequence,
     TaggedEvent,
     decode_note,
@@ -46,7 +45,6 @@ from .predictor import (
     Predictor,
     ReplayPredictor,
     UniformPredictor,
-    replay_predictor,
     train_ngram,
 )
 from .sampler import (
@@ -55,7 +53,6 @@ from .sampler import (
     generate_anticipatory,
     generate_autoregressive_infill,
     nucleus_sample,
-    strip_controls,
 )
 from .stats import CorpusHistogram, corpus_histograms, format_histogram
 from .tokenizer import (

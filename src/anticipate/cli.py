@@ -24,13 +24,14 @@ from .anticipation import AnticipationConfig, densify, interleave, split_and_sor
 from .augment import AugmentationPolicy, augment_corpus
 from .corpus import preprocess_corpus
 from .eventio import read_events, write_events
-from .events import Event, EventSequence, InterleavedSequence
+from .events import EventSequence, InterleavedSequence
 from .metrics import CorpusStats, corpus_stats, cross_entropy, format_report, report_row
 from .midi import ChannelCapacityError, MidiParseError, write_midi
 from .predictor import NGramModel, train_ngram
 from .sampler import SamplerConfig, generate_anticipatory, generate_autoregressive_infill
 from .tokenizer import (
     TokenError,
+    _relativize_sequence,
     decode_arrival,
     decode_interarrival,
     encode_arrival,
@@ -39,8 +40,8 @@ from .tokenizer import (
     read_tokens,
     write_tokens,
 )
+from .vocab import CODEC_VOCABS
 from .vocab import ArrivalVocab as AV
-from .vocab import InterarrivalVocab as IV
 
 SEED_ENV = "ANTICIPATE_SEED"
 
@@ -78,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--jobs", type=int, default=None, help="worker cap (advisory)")
         return p
 
     p = add("ingest", "preprocess a directory of MIDI files into split event text")
@@ -218,19 +218,6 @@ def _open_out(path: str):
             yield f
 
 
-def _relativized(seq: InterleavedSequence) -> InterleavedSequence:
-    if not len(seq):
-        return seq
-    offset = min(item.event.time for item in seq)
-    if offset == 0:
-        return seq
-    return InterleavedSequence(
-        (type(item)(Event(item.event.time - offset, item.event.duration, item.event.note),
-                    item.control) for item in seq),
-        check=False,
-    )
-
-
 def _cmd_ingest(args) -> int:
     manifest = preprocess_corpus(args.input_dir, args.output_dir)
     accepted = len(manifest.accepted())
@@ -242,7 +229,7 @@ def _cmd_tokenize(args) -> int:
     with _open_in(args.input) as f:
         sequences = read_events(f)
     if args.relativize:
-        sequences = [_relativized(s) for s in sequences]
+        sequences = [_relativize_sequence(s) for s in sequences]
     if args.pack:
         if args.codec != "arrival":
             print("error: --pack requires the arrival codec", file=sys.stderr)
@@ -344,8 +331,7 @@ def _cmd_augment(args) -> int:
 def _cmd_train_ngram(args) -> int:
     with _open_in(args.input) as f:
         codec, rows = read_tokens(f)
-    vocab = AV.SIZE if codec == "arrival" else IV.SIZE
-    model = train_ngram(rows, args.order, args.alpha, vocab)
+    model = train_ngram(rows, args.order, args.alpha, CODEC_VOCABS[codec].SIZE)
     model.save(args.model)
     print(f"trained order-{args.order} model on {len(rows)} rows -> {args.model}")
     return 0
@@ -389,7 +375,7 @@ def _cmd_evaluate(args) -> int:
     with _open_in(args.input) as f:
         codec, rows = read_tokens(f)
     model = NGramModel.load(args.model)
-    vocab = AV.SIZE if codec == "arrival" else IV.SIZE
+    vocab = CODEC_VOCABS[codec].SIZE
     if model.vocab_size != vocab:
         raise TokenError(
             f"model vocabulary {model.vocab_size} does not match {codec} codec ({vocab})"

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
-from .events import UNITS_PER_SECOND, Event, EventSequence
+from .events import UNITS_PER_SECOND, EventSequence, InterleavedSequence
 from .eventio import write_events
 from .midi import MidiParseError, parse_midi
+from .tokenizer import _relativize_sequence
 
 log = logging.getLogger(__name__)
 
@@ -114,16 +115,6 @@ def check_sequence(seq: EventSequence, filters: CorpusFilters) -> str | None:
     return None
 
 
-def normalize_start(seq: EventSequence) -> EventSequence:
-    """Shift a sequence so its first event starts at time zero."""
-    if not len(seq):
-        return seq
-    offset = seq[0].time
-    if offset == 0:
-        return seq
-    return EventSequence(Event(e.time - offset, e.duration, e.note) for e in seq)
-
-
 def discover_midi_files(directory: Path) -> list[Path]:
     paths = [p for p in directory.rglob("*") if p.suffix.lower() in (".mid", ".midi")]
     return sorted(paths)
@@ -161,7 +152,8 @@ def preprocess_corpus(
         md5 = hashlib.md5(data).hexdigest()
         split = split_for_digest(md5)
         try:
-            seq = normalize_start(parse_midi(data))
+            parsed = InterleavedSequence.from_events(parse_midi(data))
+            seq = _relativize_sequence(parsed).events()
         except (MidiParseError, ValueError) as exc:
             log.info("failed to parse %s: %s", path, exc)
             manifest.entries.append(ManifestEntry(file_id, md5, split, 0, 0.0, 0, "unparseable"))

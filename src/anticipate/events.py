@@ -167,11 +167,6 @@ class EventSequence:
         return max((e.end for e in self.events), default=0)
 
 
-# Controls share the event representation; the distinction is positional
-# (tagging inside an InterleavedSequence).
-ControlSequence = EventSequence
-
-
 @dataclass(frozen=True)
 class TaggedEvent:
     """An event tagged as either a plain event or an anticipated control."""

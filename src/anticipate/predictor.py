@@ -151,10 +151,6 @@ class ReplayPredictor:
         return self._buffer
 
 
-def replay_predictor(tokens: Sequence[int], vocab_size: int, terminator: int) -> ReplayPredictor:
-    return ReplayPredictor(tokens, vocab_size, terminator)
-
-
 class UniformPredictor:
     """Maximum-entropy baseline: the uniform distribution at every step."""
 

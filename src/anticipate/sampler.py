@@ -1,22 +1,22 @@
-"""Generation loops: anticipatory sampling, the baseline autoregressive
-infilling loop, and nucleus (top-p) token sampling.
+"""Generation: one loop behind anticipatory sampling and the baseline
+autoregressive infilling loop, plus nucleus (top-p) token sampling.
 
-The anticipatory loop alternates two moves. After each completed event
-triple at time ``t`` it appends every pending control with time at most
-``t + delta`` (in the control vocabulary); otherwise it samples the next
-event triple token-by-token from the predictor. Because the control check
-looks only at what has already been generated, the loop reproduces the
-offline interleaving exactly when the predictor replays a known event
-stream. When generation terminates the unconsumed controls are appended so
-the result remains lossless for the split/sort inverse.
+The loop samples an event triple token-by-token from the predictor, then
+releases every pending control with time at most ``t + lookahead``, where
+``t`` is the time of the event just sampled. Anticipatory sampling looks
+``delta`` ahead and appends the released controls after the event in the
+control vocabulary. Because that check looks only at what has already been
+generated, the loop reproduces the offline interleaving exactly when the
+predictor replays a known event stream. The baseline cannot look ahead
+(lookahead 0): it inserts the controls the event's time has reached before
+the event, writing them into the history as ordinary events. When generation
+terminates the unconsumed controls are appended so the result remains
+lossless for the split/sort inverse.
 
-The baseline loop cannot look ahead: it samples an event first and only then
-inserts the controls its time has passed, writing them into the history as
-ordinary events.
-
-Generation works at event granularity with absolute times; the token context
-fed to the predictor is re-encoded each step from the most recent events,
-relativized so the window starts at time zero.
+Generation works at event granularity with absolute times. The token context
+fed to the predictor holds the most recent triples; once its window slides
+past the start of generation it is relativized by its minimum time, the rule
+the tokenizer applies to every model context.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .events import (
     TaggedEvent,
 )
 from .predictor import Predictor
+from .tokenizer import _context_offset, _event_triple
 from .vocab import ArrivalVocab as AV
 
 TIME_SLOT, DURATION_SLOT, NOTE_SLOT = 0, 1, 2
@@ -100,17 +101,6 @@ def _slot_ranges(slot: int, min_time: int) -> list[tuple[int, int]]:
     return [(AV.NOTE_BASE, AV.REST + 1)]
 
 
-def _item_triple(item: TaggedEvent, offset: int, plain_controls: bool) -> list[int]:
-    control = item.control and not plain_controls
-    t = max(item.event.time - offset, 0)
-    note = AV.REST if item.event.is_rest else AV.note_token(item.event.note, control=control)
-    return [
-        AV.time_token(t, control=control),
-        AV.duration_token(item.event.duration, control=control),
-        note,
-    ]
-
-
 class _Context:
     """Incrementally maintained token context over the recent history.
 
@@ -118,7 +108,7 @@ class _Context:
     ``context_length - 1`` tokens, preceded by a separator triple while the
     start of generation is still visible. While the start is visible the
     generated times are the coordinate system and ``offset`` is zero; once
-    the window slides, times are shifted so it starts at zero and sampled
+    the window slides, it is relativized by its minimum time and sampled
     times map back through ``offset``.
     """
 
@@ -131,16 +121,20 @@ class _Context:
         self.tokens: list[int] = [AV.SEP, AV.SEP, AV.SEP]
         self.offset = 0
 
+    def _triple(self, item: TaggedEvent, index: int) -> list[int]:
+        control = item.control and not self.plain_controls
+        return _event_triple(item.event, control, index, self.offset)
+
     def push(self, item: TaggedEvent) -> None:
         self.items.append(item)
         if len(self.items) < self.capacity:
-            self.tokens.extend(_item_triple(item, 0, self.plain_controls))
+            self.tokens.extend(self._triple(item, len(self.items) - 1))
             return
         window = self.items[-self.capacity:]
-        self.offset = window[0].event.time
+        self.offset = _context_offset(window)
         self.tokens = []
-        for it in window:
-            self.tokens.extend(_item_triple(it, self.offset, self.plain_controls))
+        for i, it in enumerate(window):
+            self.tokens.extend(self._triple(it, i))
 
 
 def _sample_slot(
@@ -221,6 +215,55 @@ def _checked_controls(controls: EventSequence) -> EventSequence:
     return controls
 
 
+def _generate(
+    predictor: Predictor,
+    controls: EventSequence,
+    config: SamplerConfig,
+    z: int,
+    anticipate: bool,
+) -> GenerationResult:
+    """The generation loop shared by both modes.
+
+    ``anticipate`` selects the anticipatory placement: controls are released
+    ``delta`` ahead of the sampled event, follow it, and keep the control
+    vocabulary. Otherwise controls are released once the event reaches their
+    time, precede it, and enter the history as plain events.
+    """
+    controls = _checked_controls(controls)
+    rng = np.random.default_rng(config.seed)
+    lookahead = config.delta_units if anticipate else 0
+
+    context = _Context(predictor.context_length, plain_controls=not anticipate)
+    items: list[TaggedEvent] = []
+    cursor = 0
+    last_time: int | None = None
+    truncated = False
+    sampled = 0
+    while True:
+        if 3 * (len(items) + 1) > config.max_tokens:
+            truncated = True
+            break
+        event = _sample_event(predictor, z, context, last_time, rng, config)
+        if event is None:
+            break
+        due, cursor = next_anticipated_controls(controls, cursor, event.time, lookahead)
+        placed = [TaggedEvent(c, control=True) for c in due]
+        if anticipate:
+            placed.insert(0, TaggedEvent(event))
+        else:
+            placed.append(TaggedEvent(event))
+        for item in placed:
+            items.append(item)
+            context.push(item)
+        sampled += 1
+        last_time = event.time
+    if not truncated:
+        # Terminated at a separator: append the never-released controls so
+        # the interleaving stays lossless.
+        items.extend(TaggedEvent(c, control=True) for c in controls[cursor:])
+    return GenerationResult(InterleavedSequence(items, check=False), truncated, sampled)
+
+
 def generate_anticipatory(
     predictor: Predictor,
     controls: EventSequence,
@@ -232,43 +275,11 @@ def generate_anticipatory(
 
     ``z`` defaults to AAR when controls are present and AR otherwise. The
     returned sequence interleaves sampled events with all the controls;
-    strip or split/sort it depending on the task.
+    take its ``events()`` or split/sort it depending on the task.
     """
-    controls = _checked_controls(controls)
     if z is None:
         z = AV.AAR if len(controls) else AV.AR
-    rng = np.random.default_rng(config.seed)
-    delta = config.delta_units
-
-    context = _Context(predictor.context_length, plain_controls=False)
-    items: list[TaggedEvent] = []
-    cursor = 0
-    last_time: int | None = None
-    truncated = False
-    sampled = 0
-    while True:
-        if last_time is not None:
-            due, cursor = next_anticipated_controls(controls, cursor, last_time, delta)
-            for c in due:
-                item = TaggedEvent(c, control=True)
-                items.append(item)
-                context.push(item)
-        if 3 * (len(items) + 1) > config.max_tokens:
-            truncated = True
-            break
-        event = _sample_event(predictor, z, context, last_time, rng, config)
-        if event is None:
-            break
-        item = TaggedEvent(event)
-        items.append(item)
-        context.push(item)
-        sampled += 1
-        last_time = event.time
-    if not truncated:
-        # Terminated at a separator: append the never-triggered controls so
-        # the interleaving stays lossless.
-        items.extend(TaggedEvent(c, control=True) for c in controls[cursor:])
-    return GenerationResult(InterleavedSequence(items, check=False), truncated, sampled)
+    return _generate(predictor, controls, config, z, anticipate=True)
 
 
 def generate_autoregressive_infill(
@@ -279,40 +290,7 @@ def generate_autoregressive_infill(
     """Baseline infilling without anticipation.
 
     Samples an event, then inserts every control whose time the event has
-    passed immediately before it; inserted controls enter the history in the
+    reached immediately before it; inserted controls enter the history in the
     plain event vocabulary. The model never sees a control before its time.
     """
-    controls = _checked_controls(controls)
-    rng = np.random.default_rng(config.seed)
-
-    context = _Context(predictor.context_length, plain_controls=True)
-    items: list[TaggedEvent] = []
-    cursor = 0
-    last_time: int | None = None
-    truncated = False
-    sampled = 0
-    while True:
-        if 3 * (len(items) + 1) > config.max_tokens:
-            truncated = True
-            break
-        event = _sample_event(predictor, AV.AR, context, last_time, rng, config)
-        if event is None:
-            break
-        while cursor < len(controls) and controls[cursor].time <= event.time:
-            item = TaggedEvent(controls[cursor], control=True)
-            items.append(item)
-            context.push(item)
-            cursor += 1
-        item = TaggedEvent(event)
-        items.append(item)
-        context.push(item)
-        sampled += 1
-        last_time = max(event.time, last_time or 0)
-    if not truncated:
-        items.extend(TaggedEvent(c, control=True) for c in controls[cursor:])
-    return GenerationResult(InterleavedSequence(items, check=False), truncated, sampled)
-
-
-def strip_controls(seq: InterleavedSequence) -> EventSequence:
-    """Drop control items, keeping plain events in order."""
-    return seq.events()
+    return _generate(predictor, controls, config, AV.AR, anticipate=False)

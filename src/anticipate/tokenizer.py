@@ -6,12 +6,14 @@ Controls use the shifted vocabulary ranges; a separator is a triple of SEP
 tokens. Interarrival codec: onset/offset tokens with gap tokens in between
 (zero gaps omitted, gaps over 10 s truncated); a separator is a single SEP.
 
-Packing slices the triple stream into windows of 341 triples, prepends the
-global control code, and relativizes the window's leading (possibly partial)
-sequence segment to start at time zero. Sequences that begin after an
-in-window separator keep their own times, which already start near zero for
-preprocessed corpora. Windows whose times cannot be represented in the
-100-second token range are discarded.
+Every model context is relativized by one rule: its times are shifted by the
+minimum time of its items, so the context starts at zero and distinct times
+stay distinct. Packing slices the triple stream into windows of 341 triples,
+prepends the global control code, and relativizes each window's leading
+(possibly partial) sequence segment by its minimum time; nothing is clamped.
+Sequences that begin after an in-window separator keep their own times, which
+already start at zero for preprocessed corpora. Windows whose times cannot be
+represented in the 100-second token range are discarded.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 from .events import MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence, TaggedEvent
+from .vocab import CODEC_VOCABS
 from .vocab import ArrivalVocab as AV
 from .vocab import InterarrivalVocab as IV
 
@@ -45,9 +48,29 @@ def _as_interleaved(seq: InterleavedSequence | EventSequence) -> InterleavedSequ
     return seq
 
 
-def _event_triple(event: Event, control: bool, index: int) -> list[int]:
-    if event.time >= AV.DUR_BASE:
-        raise TokenError(f"event time {event.time} exceeds the 100s token range", index)
+def _context_offset(items: Iterable[TaggedEvent]) -> int:
+    """The relativization rule: a context's offset is the minimum time of its
+    items (0 for an empty context)."""
+    return min((item.event.time for item in items), default=0)
+
+
+def _relativize_sequence(seq: InterleavedSequence) -> InterleavedSequence:
+    """Shift a whole sequence by its context offset so it starts at time zero."""
+    offset = _context_offset(seq)
+    if offset == 0:
+        return seq
+    return InterleavedSequence(
+        (TaggedEvent(Event(item.event.time - offset, item.event.duration, item.event.note),
+                     item.control) for item in seq),
+        check=False,
+    )
+
+
+def _event_triple(event: Event, control: bool, index: int, offset: int = 0) -> list[int]:
+    """The arrival triple of ``event``, its time relativized by ``offset``."""
+    t = event.time - offset
+    if t >= AV.DUR_BASE:
+        raise TokenError(f"event time {t} exceeds the 100s token range", index)
     if event.is_rest:
         if control:
             raise TokenError("rest events cannot be controls", index)
@@ -55,7 +78,7 @@ def _event_triple(event: Event, control: bool, index: int) -> list[int]:
     else:
         note = AV.note_token(event.note, control=control)
     return [
-        AV.time_token(event.time, control=control),
+        AV.time_token(t, control=control),
         AV.duration_token(event.duration, control=control),
         note,
     ]
@@ -243,7 +266,7 @@ class TrainingExample:
 class PackResult:
     examples: list[TrainingExample] = field(default_factory=list)
     n_discarded: int = 0  # windows whose time span exceeds the token range
-    n_clamped_times: int = 0  # negative relativized times clamped to zero
+    n_clamped_times: int = 0  # always 0: relativizing by the minimum time never goes negative
     n_tail_triples: int = 0  # trailing triples short of a full window
 
 
@@ -282,45 +305,24 @@ def pack_training_examples(
 
 
 def _encode_window(window: list, result: PackResult) -> TrainingExample | None:
-    z = AV.AR
-    for entry in window:
-        if entry is not None:
-            z = AV.AAR if entry[1] else AV.AR
-            break
-
-    # Relativize the segment holding the window's first event against that
-    # event's time; segments after a later separator keep their own
-    # sequence-local times (which start near zero for normalized corpora).
-    first_segment_over = False
-    offset = None
-    times: list[int | None] = []
-    for entry in window:
-        if entry is None:
-            times.append(None)
-            if offset is not None:
-                first_segment_over = True
-            continue
-        t = entry[0].event.time
-        if not first_segment_over:
-            if offset is None:
-                offset = t
-            t -= offset
-            if t < 0:
-                result.n_clamped_times += 1
-                t = 0
-        if t >= MAX_TIME_UNITS:
-            result.n_discarded += 1
-            return None
-        times.append(t)
+    # The leading segment runs from the first item to the next separator; it
+    # is relativized by its minimum time. Later segments keep their own times.
+    start = next((i for i, entry in enumerate(window) if entry is not None), len(window))
+    end = next((i for i in range(start, len(window)) if window[i] is None), len(window))
+    offset = _context_offset(entry[0] for entry in window[start:end])
+    z = AV.AAR if start < len(window) and window[start][1] else AV.AR
 
     tokens: list[int] = [z]
-    for i, (entry, t) in enumerate(zip(window, times)):
+    for i, entry in enumerate(window):
         if entry is None:
             tokens.extend([AV.SEP] * 3)
-        else:
-            item = entry[0]
-            event = Event(t, item.event.duration, item.event.note)
-            tokens.extend(_event_triple(event, item.control, i))
+            continue
+        item = entry[0]
+        shift = offset if i < end else 0
+        if item.event.time - shift >= MAX_TIME_UNITS:
+            result.n_discarded += 1
+            return None
+        tokens.extend(_event_triple(item.event, item.control, i, shift))
     return TrainingExample(tuple(tokens))
 
 
@@ -329,7 +331,7 @@ _HEADER_RE = re.compile(r"#codec=(arrival|interarrival)\s+vocab=(\d+)")
 
 def write_tokens(f: IO[str], rows: Iterable[Sequence[int]], codec: str) -> None:
     """Write token rows (one sequence or example per line) with a codec header."""
-    size = {"arrival": AV.SIZE, "interarrival": IV.SIZE}[codec]
+    size = CODEC_VOCABS[codec].SIZE
     f.write(f"#codec={codec} vocab={size}\n")
     for row in rows:
         f.write(" ".join(str(t) for t in row) + "\n")
@@ -342,7 +344,7 @@ def read_tokens(f: IO[str]) -> tuple[str, list[list[int]]]:
     if not match:
         raise TokenError(f"missing or malformed token file header: {header!r}")
     codec = match.group(1)
-    size = {"arrival": AV.SIZE, "interarrival": IV.SIZE}[codec]
+    size = CODEC_VOCABS[codec].SIZE
     if int(match.group(2)) != size:
         raise TokenError(f"vocab size {match.group(2)} does not match codec {codec}")
     rows = []

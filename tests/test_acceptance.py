@@ -36,11 +36,10 @@ from anticipate.eventio import read_events
 from anticipate.events import Event, EventSequence, InterleavedSequence, TaggedEvent, encode_note
 from anticipate.metrics import CorpusStats, bits_per_second, corpus_stats, cross_entropy
 from anticipate.midi import parse_midi, write_midi
-from anticipate.predictor import replay_predictor, train_ngram
+from anticipate.predictor import ReplayPredictor, train_ngram
 from anticipate.sampler import (
     SamplerConfig,
     generate_anticipatory,
-    strip_controls,
 )
 from anticipate.tokenizer import (
     decode_arrival,
@@ -115,7 +114,7 @@ def test_criterion_4_stopping_time_equivalence():
         events = uniform_time_events(rng, n)
         controls = uniform_time_events(rng, k)
         delta_units = int(rng.choice([50, 100, 200, 500]))  # 0.5/1/2/5 seconds
-        replay = replay_predictor(encode_arrival(events), AV.SIZE, AV.SEP)
+        replay = ReplayPredictor(encode_arrival(events), AV.SIZE, AV.SEP)
         config = SamplerConfig(delta=delta_units / 100.0, seed=0)
         generated = generate_anticipatory(replay, controls, config)
         offline = interleave(events, controls, delta_units)
@@ -285,7 +284,7 @@ def test_criterion_9_end_to_end_desk_scale(tmp_path: Path):
             assert 0 <= item.event.note < 16512
             assert 0 <= item.event.duration < 1000
 
-    stripped = strip_controls(result.sequence)
+    stripped = result.sequence.events()
     assert len(stripped) + len(controls) == len(result.sequence)
     merged = split_and_sort(result.sequence)
     assert sorted(merged, key=event_sort_key) == sorted(

@@ -17,7 +17,7 @@ from anticipate.metrics import (
     format_report,
     report_row,
 )
-from anticipate.predictor import UniformPredictor, replay_predictor
+from anticipate.predictor import ReplayPredictor, UniformPredictor
 from anticipate.tokenizer import encode_arrival, encode_interarrival
 from anticipate.vocab import ArrivalVocab as AV
 from anticipate.vocab import InterarrivalVocab as IV
@@ -26,7 +26,7 @@ from anticipate.vocab import InterarrivalVocab as IV
 class TestCrossEntropy:
     def test_perfect_replay_zero_nats(self):
         row = encode_arrival(golden.twinkle_events())
-        replay = replay_predictor(row, AV.SIZE, AV.SEP)
+        replay = ReplayPredictor(row, AV.SIZE, AV.SEP)
         report = cross_entropy(replay, [row], "arrival")
         assert report.nats_event == 0.0
         assert report.n_events == 14
@@ -65,7 +65,7 @@ class TestCrossEntropy:
         row = encode_arrival(golden.twinkle_events())
         wrong = list(row)
         wrong[3] = row[3] + 1  # replay emits row, we score a different token
-        replay = replay_predictor(row, AV.SIZE, AV.SEP)
+        replay = ReplayPredictor(row, AV.SIZE, AV.SEP)
         report = cross_entropy(replay, [wrong], "arrival")
         assert report.infinite_positions == [(0, 3)]
         assert math.isinf(report.nats_event)

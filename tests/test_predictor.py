@@ -12,7 +12,6 @@ from anticipate.predictor import (
     NGramModel,
     ReplayPredictor,
     UniformPredictor,
-    replay_predictor,
     train_ngram,
 )
 from anticipate.vocab import ArrivalVocab as AV
@@ -125,17 +124,17 @@ class TestContract:
 
 class TestReplay:
     def test_point_masses_then_terminator(self):
-        replay = replay_predictor([5, 6, 7], vocab_size=10, terminator=9)
+        replay = ReplayPredictor([5, 6, 7], vocab_size=10, terminator=9)
         for expected in (5, 6, 7, 9, 9):
             dist = replay.next_distribution(None, [])
             assert dist[expected] == 1.0 and dist.sum() == 1.0
 
     def test_ignores_context(self):
-        replay = replay_predictor([5], vocab_size=10, terminator=9)
+        replay = ReplayPredictor([5], vocab_size=10, terminator=9)
         assert replay.next_distribution(AV.AR, [1, 2, 3])[5] == 1.0
 
     def test_reset(self):
-        replay = replay_predictor([5], vocab_size=10, terminator=9)
+        replay = ReplayPredictor([5], vocab_size=10, terminator=9)
         replay.next_distribution(None, [])
         replay.reset()
         assert replay.next_distribution(None, [])[5] == 1.0
@@ -149,8 +148,8 @@ SERVE_UNIFORM = (
 
 SERVE_REPLAY = (
     "import sys; from anticipate.bridge import serve; "
-    "from anticipate.predictor import replay_predictor; "
-    "serve(replay_predictor([3, 1], vocab_size=8, terminator=0), sys.stdin, sys.stdout)"
+    "from anticipate.predictor import ReplayPredictor; "
+    "serve(ReplayPredictor([3, 1], vocab_size=8, terminator=0), sys.stdin, sys.stdout)"
 )
 
 
@@ -208,11 +207,11 @@ class TestBridge:
         events = twinkle_events()
         script = (
             "import sys; from anticipate.bridge import serve; "
-            "from anticipate.predictor import replay_predictor; "
+            "from anticipate.predictor import ReplayPredictor; "
             "from anticipate.tokenizer import encode_arrival; "
             "from anticipate.golden import twinkle_events; "
             "from anticipate.vocab import ArrivalVocab as AV; "
-            "serve(replay_predictor(encode_arrival(twinkle_events()), AV.SIZE, AV.SEP), "
+            "serve(ReplayPredictor(encode_arrival(twinkle_events()), AV.SIZE, AV.SEP), "
             "sys.stdin, sys.stdout)"
         )
         controls = EventSequence([Event(700, 10, 72)])

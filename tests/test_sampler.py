@@ -9,13 +9,12 @@ import pytest
 from anticipate import golden
 from anticipate.anticipation import interleave
 from anticipate.events import Event, EventSequence, encode_note
-from anticipate.predictor import UniformPredictor, replay_predictor, train_ngram
+from anticipate.predictor import ReplayPredictor, UniformPredictor, train_ngram
 from anticipate.sampler import (
     SamplerConfig,
     generate_anticipatory,
     generate_autoregressive_infill,
     nucleus_sample,
-    strip_controls,
 )
 from anticipate.tokenizer import encode_arrival
 from anticipate.vocab import ArrivalVocab as AV
@@ -25,7 +24,7 @@ from conftest import random_controls, random_events
 
 def replay_for(events: EventSequence):
     """A predictor that replays the plain-event triples, then a separator."""
-    return replay_predictor(encode_arrival(events), AV.SIZE, AV.SEP)
+    return ReplayPredictor(encode_arrival(events), AV.SIZE, AV.SEP)
 
 
 def run_replay(events, controls, delta_units, **kwargs):
@@ -75,7 +74,7 @@ class TestAnticipatoryReplay:
     def test_no_controls_pure_autoregressive(self, rng):
         events = random_events(rng, 30)
         result = run_replay(events, EventSequence(), 500)
-        assert strip_controls(result.sequence) == events
+        assert result.sequence.events() == events
         assert not result.sequence.has_controls
 
     def test_equivalence_random_instances(self, rng):
@@ -141,7 +140,7 @@ class TestBaselineInfill:
                 else:
                     seen.append(item.event.time)
             # lossless: all events and controls present
-            assert strip_controls(result.sequence) == events
+            assert result.sequence.events() == events
             assert result.sequence.controls() == controls
 
     def test_matches_anticipatory_without_controls(self, rng):
@@ -204,16 +203,57 @@ class TestGrammarMask:
         assert generate_anticipatory(model, controls, config).sequence.controls() == controls
 
 
+class _ScriptedPredictor:
+    """Returns the scripted token weights for each call and records every context."""
+
+    vocab_size = AV.SIZE
+
+    def __init__(self, steps: list[dict[int, float]], context_length: int):
+        self.steps = steps
+        self.context_length = context_length
+        self.contexts: list[list[int]] = []
+
+    def next_distribution(self, z, context):
+        dist = np.zeros(self.vocab_size)
+        for token, weight in self.steps[len(self.contexts)].items():
+            dist[token] = weight
+        self.contexts.append(list(context))
+        return dist
+
+
+class TestSlidingContext:
+    def test_window_led_by_control_keeps_event_times_distinct(self):
+        # context_length 16 holds 5 triples. After e@0, C@400 (released
+        # 5 s ahead), e@10..e@40 the window reads [C@400, e@10, e@20, e@30,
+        # e@40]; relativized by its minimum time (10) the events stay at
+        # 0/10/20/30 and the next event may land at absolute time 40.
+        def triple(time_token):
+            return [{time_token: 1.0}, {AV.DUR_BASE + 1: 1.0}, {AV.NOTE_BASE + 60: 1.0}]
+
+        steps = [step for t in (0, 10, 20, 30, 40) for step in triple(t)]
+        # relative 29 is absolute 39, before the last event: the mask drops it
+        steps += [{29: 0.5, 30: 0.5}] + triple(0)[1:] + [{AV.SEP: 1.0}]
+        predictor = _ScriptedPredictor(steps, context_length=16)
+        controls = EventSequence([Event(400, 1, 72)])
+        config = SamplerConfig(delta=5.0, top_p=1.0, seed=0)
+        result = generate_anticipatory(predictor, controls, config)
+
+        context = predictor.contexts[15]  # time slot after e@40
+        assert context[0::3] == [AV.ANT_TIME_BASE + 390, 0, 10, 20, 30]
+        times = [item.event.time for item in result.sequence if not item.control]
+        assert times == [0, 10, 20, 30, 40, 40]
+
+
 class TestStripControls:
     def test_identity_without_controls(self, rng):
         events = random_events(rng, 20)
         s = interleave(events, EventSequence(), 500)
-        assert strip_controls(s) == events
+        assert s.events() == events
 
     def test_reference_case(self):
         s = golden.SCENARIO_A
         interleaved = interleave(s["events"], s["controls"], s["delta"])
-        assert strip_controls(interleaved) == s["events"]
+        assert interleaved.events() == s["events"]
 
     def test_consistent_with_split_and_sort(self, rng):
         from anticipate.anticipation import event_sort_key, split_and_sort
@@ -222,7 +262,7 @@ class TestStripControls:
         controls = random_controls(rng, 10, max_time=int(events.end_time))
         interleaved = interleave(events, controls, 500)
         merged = split_and_sort(interleaved)
-        stripped = sorted(strip_controls(interleaved), key=event_sort_key)
+        stripped = sorted(interleaved.events(), key=event_sort_key)
         leftover = list(merged)
         for e in sorted(controls, key=event_sort_key):
             leftover.remove(e)

@@ -334,6 +334,7 @@ class TestPacking:
                 owner_flags.extend([seq.has_controls] * len(seq))
             result = pack_training_examples(sequences)
             assert result.n_discarded == 0  # spans bounded well under 100s
+            assert result.n_clamped_times == 0
             assert len(result.examples) == len(owner_flags) // 341
             for w, example in enumerate(result.examples):
                 assert len(example) == 1024
@@ -346,10 +347,10 @@ class TestPacking:
                 expected_z = AV.AAR if expected_flag else AV.AR
                 assert example.z == expected_z
 
-    def test_window_leading_control_clamps_earlier_events(self):
+    def test_window_leading_control_relativized_by_min_time(self):
         # A sequence may open with a control whose time is ahead of the
-        # events that follow it; relativizing by the control's time pushes
-        # those events negative, which clamps to zero and is counted.
+        # events that follow it; the window is relativized by its minimum
+        # time, so nothing goes negative and event times stay distinct.
         head = _triples(340)
         tail = InterleavedSequence(
             [TaggedEvent(Event(500, 1, 60), control=True)]
@@ -358,11 +359,12 @@ class TestPacking:
         )
         result = pack_training_examples([head, tail])
         assert len(result.examples) == 2
-        assert result.n_clamped_times > 0
+        assert result.n_clamped_times == 0
         second = result.examples[1].tokens
         assert second[1:4] == (AV.SEP,) * 3
-        assert second[4] == AV.ANT_TIME_BASE  # control relativized to zero
-        assert second[7] == 0  # following event clamped to zero
+        assert second[4] == AV.ANT_TIME_BASE + 200  # control: 500 - min time 300
+        event_times = list(second[7::3])
+        assert event_times == [10 * i for i in range(len(event_times))]
 
 
 class TestTokenFile:
