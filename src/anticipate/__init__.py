@@ -41,6 +41,7 @@ from .events import (
 from .metrics import CorpusStats, LossReport, bits_per_second, corpus_stats, cross_entropy
 from .midi import ChannelCapacityError, MidiParseError, parse_midi, write_midi
 from .predictor import (
+    ModelFileError,
     NGramModel,
     Predictor,
     ReplayPredictor,

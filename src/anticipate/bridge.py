@@ -7,7 +7,8 @@ probabilities must sum to one. Responses must arrive within the configured
 timeout.
 
 ``serve`` runs the other side of the protocol, exposing any in-process
-predictor on stdio so it can back a subprocess bridge.
+predictor on stdio so it can back a subprocess bridge. It answers an unknown
+or malformed request with an ``ERR <reason>`` line and keeps serving.
 """
 
 from __future__ import annotations
@@ -115,13 +116,16 @@ def serve(predictor: Predictor, in_stream: IO[str], out_stream: IO[str]) -> None
             continue
         fields = line.split()
         if fields[0] != "CTX":
-            out_stream.write("ERR unknown request\n")
-            out_stream.flush()
-            continue
-        z = None if fields[1] == "-" else int(fields[1])
-        context = [int(t) for t in fields[2:]]
-        dist = predictor.next_distribution(z, context)
-        nonzero = np.flatnonzero(dist)
-        pairs = " ".join(f"{int(i)}:{float(dist[i])!r}" for i in nonzero)
-        out_stream.write(f"DIST {pairs}\n")
+            reply = "ERR unknown request"
+        else:
+            try:
+                z = None if fields[1] == "-" else int(fields[1])
+                context = [int(t) for t in fields[2:]]
+            except (IndexError, ValueError):
+                reply = "ERR malformed request"
+            else:
+                dist = predictor.next_distribution(z, context)
+                nonzero = np.flatnonzero(dist)
+                reply = "DIST " + " ".join(f"{int(i)}:{float(dist[i])!r}" for i in nonzero)
+        out_stream.write(reply + "\n")
         out_stream.flush()

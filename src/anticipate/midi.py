@@ -185,6 +185,10 @@ def parse_midi(data: bytes) -> EventSequence:
                 kind = status & 0xF0
                 channel = status & 0x0F
                 payload = reader.take(_CHANNEL_MESSAGE_LENGTH[kind])
+                for i, byte in enumerate(payload):
+                    if byte > 0x7F:
+                        raise MidiParseError(f"data byte 0x{byte:02x} has its top bit set",
+                                             reader.pos - len(payload) + i)
                 if kind in (0x80, 0x90):
                     pitch, velocity = payload[0], payload[1]
                     on = kind == 0x90 and velocity > 0

@@ -6,19 +6,36 @@ The trainable reference model is a count-based n-gram with add-alpha
 smoothing, interpolated toward lower orders with a fixed backoff weight; it
 stands in for a neural sequence model at desk scale, and anything satisfying
 the contract can be plugged into the samplers and metrics unchanged.
+
+The n-gram keeps its counts in arrays. For each context length it holds the
+sorted mixed-radix (base ``vocab_size``) int64 keys of the contexts seen and,
+per context, one row of successor tokens with their counts. A model file is
+a versioned ``.npz`` of those arrays, read with ``allow_pickle=False``, so
+loading one never executes code. Model files pickled by earlier versions are
+rejected with ``ModelFileError`` and must be retrained.
 """
 
 from __future__ import annotations
 
-import pickle
+import itertools
+import math
+import zipfile
 from collections import Counter
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from collections.abc import Mapping
+from typing import Iterable, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from .tokenizer import CONTEXT_LENGTH
 
 BACKOFF_WEIGHT = 0.4  # mass given to the next-lower order at each level
+MODEL_FORMAT_VERSION = 1
+KEY_LIMIT = 2**63  # n-gram keys are int64, so vocab_size ** order may not exceed this
+_STORED = ("keys", "offsets", "tokens", "counts")  # per-level arrays in a model file
+
+
+class ModelFileError(ValueError):
+    """A model file that is not a valid n-gram ``.npz`` of this format version."""
 
 
 @runtime_checkable
@@ -37,84 +54,255 @@ class Predictor(Protocol):
     def next_distribution(self, z: int | None, context: Sequence[int]) -> np.ndarray: ...
 
 
+class _Level(NamedTuple):
+    """The counts after contexts of one length.
+
+    Context ``keys[i]`` (ascending) was followed by the ascending tokens
+    ``tokens[offsets[i]:offsets[i + 1]]``, each ``counts`` times, and by
+    ``totals[i]`` tokens in all.
+    """
+
+    keys: np.ndarray
+    offsets: np.ndarray
+    tokens: np.ndarray
+    counts: np.ndarray
+    totals: np.ndarray
+
+    @classmethod
+    def of(cls, keys, offsets, tokens, counts) -> "_Level":
+        cumulative = np.concatenate(([0], np.cumsum(counts)))
+        return cls(keys, offsets, tokens, counts, cumulative[offsets[1:]] - cumulative[offsets[:-1]])
+
+    def find(self, key: int) -> int:
+        """Row of context ``key``, or -1 if it was never seen."""
+        row = int(self.keys.searchsorted(key))
+        return row if row < len(self.keys) and self.keys[row] == key else -1
+
+
+class _ContextTable(Mapping):
+    """Read-only view of one level keyed by context tuple: a ``Counter`` of
+    successors (``successors=True``) or their total."""
+
+    def __init__(self, level: _Level, length: int, vocab_size: int, successors: bool):
+        self._level = level
+        self._length = length
+        self._vocab_size = vocab_size
+        self._successors = successors
+
+    def __getitem__(self, context):
+        key = 0
+        for token in context:
+            if not 0 <= token < self._vocab_size:
+                raise KeyError(context)
+            key = key * self._vocab_size + int(token)
+        row = self._level.find(key) if len(context) == self._length else -1
+        if row < 0:
+            raise KeyError(context)
+        if not self._successors:
+            return int(self._level.totals[row])
+        span = slice(self._level.offsets[row], self._level.offsets[row + 1])
+        return Counter(dict(zip(self._level.tokens[span].tolist(),
+                                self._level.counts[span].tolist())))
+
+    def __iter__(self):
+        for key in self._level.keys.tolist():
+            context = []
+            for _ in range(self._length):
+                key, token = divmod(key, self._vocab_size)
+                context.append(token)
+            yield tuple(reversed(context))
+
+    def __len__(self) -> int:
+        return len(self._level.keys)
+
+
 class NGramModel:
-    """Add-alpha smoothed n-gram with fixed-weight interpolation to lower orders."""
+    """Add-alpha smoothed n-gram with fixed-weight interpolation to lower orders.
+
+    ``counts[k]`` and ``totals[k]`` are read-only mappings from a length-k
+    context tuple to a ``Counter`` of the tokens that followed it and to
+    their number; ``totals[0][()]`` is the number of tokens trained on.
+    """
 
     def __init__(self, order: int, alpha: float, vocab_size: int,
                  context_length: int = CONTEXT_LENGTH):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if vocab_size < 1:
+            raise ValueError("vocab_size must be >= 1")
+        if vocab_size ** order > KEY_LIMIT:
+            raise ValueError(
+                f"vocab_size ** order must not exceed 2**63 (int64 n-gram keys); "
+                f"got {vocab_size} ** {order}"
+            )
         self.order = order
         self.alpha = alpha
         self.vocab_size = vocab_size
         self.context_length = context_length
-        # counts[k] maps a length-k context tuple to a Counter of next tokens.
-        self.counts: list[dict[tuple[int, ...], Counter]] = [dict() for _ in range(order)]
-        self.totals: list[dict[tuple[int, ...], int]] = [dict() for _ in range(order)]
-        self._unigram: np.ndarray | None = None
+        self._buffer = np.empty(vocab_size, dtype=np.float64)
+        empty = np.zeros(0, dtype=np.int64)
+        self._set_levels([_Level.of(empty, np.zeros(1, dtype=np.int64), empty, empty)] * order)
 
-    def add_sequence(self, tokens: Sequence[int]) -> None:
-        for i, token in enumerate(tokens):
-            if not 0 <= token < self.vocab_size:
-                raise ValueError(f"token {token} outside vocabulary of size {self.vocab_size}")
-            for k in range(min(self.order - 1, i) + 1):
-                ctx = tuple(tokens[i - k : i])
-                self.counts[k].setdefault(ctx, Counter())[token] += 1
-                self.totals[k][ctx] = self.totals[k].get(ctx, 0) + 1
-        self._unigram = None
-
-    def _unigram_distribution(self) -> np.ndarray:
-        if self._unigram is None:
-            dist = np.full(self.vocab_size, self.alpha, dtype=np.float64)
-            counter = self.counts[0].get((), Counter())
-            if counter:
-                dist[list(counter.keys())] += np.fromiter(counter.values(), dtype=np.float64)
-            dist /= self.totals[0].get((), 0) + self.alpha * self.vocab_size
-            self._unigram = dist
-        return self._unigram
+    def _set_levels(self, levels: list[_Level]) -> None:
+        self._levels = levels
+        self.counts = [_ContextTable(lv, k, self.vocab_size, True) for k, lv in enumerate(levels)]
+        self.totals = [_ContextTable(lv, k, self.vocab_size, False) for k, lv in enumerate(levels)]
+        unigram = np.full(self.vocab_size, self.alpha, dtype=np.float64)
+        unigram[levels[0].tokens] += levels[0].counts
+        unigram /= int(levels[0].totals.sum()) + self.alpha * self.vocab_size
+        self._unigram = unigram
 
     def next_distribution(self, z: int | None, context: Sequence[int]) -> np.ndarray:
-        full = list(context if z is None else [z, *context])
-        full = full[-(self.context_length - 1):]
-        dist = self._unigram_distribution().copy()
-        for k in range(1, min(self.order, len(full) + 1)):
-            ctx = tuple(full[len(full) - k:])
-            counter = self.counts[k].get(ctx)
-            total = self.totals[k].get(ctx, 0)
-            level = np.full(self.vocab_size, self.alpha, dtype=np.float64)
-            if counter:
-                level[list(counter.keys())] += np.fromiter(counter.values(), dtype=np.float64)
-            level /= total + self.alpha * self.vocab_size
-            dist *= BACKOFF_WEIGHT
-            dist += (1.0 - BACKOFF_WEIGHT) * level
-        return dist
+        """Interpolated distribution after ``[z, *context]``; reuses one buffer.
+
+        Each level scales the lower orders by ``BACKOFF_WEIGHT`` and adds its
+        own smoothed estimate: a constant for the tokens its context never
+        preceded, then the counted successors overwritten in place.
+        """
+        n = len(context)
+        depth = min(self.order - 1, n + (z is not None), self.context_length - 1)
+        out = self._buffer
+        if depth <= 0:
+            np.copyto(out, self._unigram)
+            return out
+        alpha, vocab_size = self.alpha, self.vocab_size
+        source = self._unigram
+        key: int | None = 0  # key of the last k tokens; None once one is outside the vocabulary
+        radix = 1
+        for k in range(1, depth + 1):
+            token = context[n - k] if k <= n else z
+            if key is not None and 0 <= token < vocab_size:
+                key += int(token) * radix
+                radix *= vocab_size
+            else:
+                key = None
+            level = self._levels[k]
+            row = -1 if key is None else level.find(key)
+            denom = (0 if row < 0 else int(level.totals[row])) + alpha * vocab_size
+            if row >= 0:
+                span = slice(level.offsets[row], level.offsets[row + 1])
+                successors = level.tokens[span]
+                previous = source[successors]
+            np.multiply(source, BACKOFF_WEIGHT, out=out)
+            out += (1.0 - BACKOFF_WEIGHT) * (alpha / denom)
+            if row >= 0:
+                out[successors] = (BACKOFF_WEIGHT * previous
+                                   + (1.0 - BACKOFF_WEIGHT) * ((alpha + level.counts[span]) / denom))
+            source = out
+        return out
 
     def save(self, path) -> None:
+        """Write the model to exactly ``path`` as a versioned ``.npz``."""
+        arrays = {
+            "version": np.int64(MODEL_FORMAT_VERSION),
+            "order": np.int64(self.order),
+            "alpha": np.float64(self.alpha),
+            "vocab_size": np.int64(self.vocab_size),
+            "context_length": np.int64(self.context_length),
+        }
+        for k, level in enumerate(self._levels):
+            for name in _STORED:
+                arrays[f"{name}{k}"] = getattr(level, name)
         with open(path, "wb") as f:
-            pickle.dump(self, f)
+            np.savez(f, **arrays)
 
     @staticmethod
     def load(path) -> "NGramModel":
+        """Read a model written by ``save``; never unpickles.
+
+        Anything else, including a pickled model from an earlier version,
+        raises ``ModelFileError``.
+        """
         with open(path, "rb") as f:
-            model = pickle.load(f)
-        if not isinstance(model, NGramModel):
-            raise ValueError(f"{path} does not contain an n-gram model")
-        return model
+            try:
+                data = np.load(f, allow_pickle=False)
+                arrays = dict(data.items()) if isinstance(data, np.lib.npyio.NpzFile) else None
+            except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+                raise ModelFileError(f"{path}: not a readable .npz model file ({exc})") from exc
+        if arrays is None:
+            raise ModelFileError(f"{path}: not an .npz model file")
+        return _model_from_arrays(arrays, path)
+
+
+def _model_from_arrays(arrays: dict[str, np.ndarray], path) -> NGramModel:
+    def field(name: str, dtype, ndim: int) -> np.ndarray:
+        value = arrays.get(name)
+        if value is None or value.dtype != dtype or value.ndim != ndim:
+            raise ModelFileError(f"{path}: missing or malformed array {name!r}")
+        return value
+
+    version = int(field("version", np.int64, 0))
+    if version != MODEL_FORMAT_VERSION:
+        raise ModelFileError(
+            f"{path}: model format version {version}, expected {MODEL_FORMAT_VERSION}"
+        )
+    order = int(field("order", np.int64, 0))
+    if len(arrays) != 5 + len(_STORED) * order:
+        raise ModelFileError(f"{path}: {len(arrays)} arrays do not fit order {order}")
+    try:
+        model = NGramModel(order, float(field("alpha", np.float64, 0)),
+                           int(field("vocab_size", np.int64, 0)),
+                           int(field("context_length", np.int64, 0)))
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from exc
+    vocab_size = model.vocab_size
+    levels = []
+    for k in range(order):
+        keys, offsets, tokens, counts = (field(f"{name}{k}", np.int64, 1) for name in _STORED)
+        sizes = np.diff(offsets)
+        valid = (
+            len(offsets) == len(keys) + 1 and offsets[0] == 0
+            and offsets[-1] == len(tokens) == len(counts) and (sizes > 0).all()
+            and ((keys >= 0) & (keys < vocab_size ** k)).all()
+            and ((tokens >= 0) & (tokens < vocab_size)).all() and (counts > 0).all()
+            # rows and the tokens within each row strictly ascending
+            and (np.diff(np.repeat(keys, sizes) * vocab_size + tokens) > 0).all()
+        )
+        if not valid:
+            raise ModelFileError(f"{path}: inconsistent counts for context length {k}")
+        levels.append(_Level.of(keys, offsets, tokens, counts))
+    model._set_levels(levels)
+    return model
 
 
 def train_ngram(
     corpus: Iterable[Sequence[int]], order: int, alpha: float, vocab_size: int
 ) -> NGramModel:
-    """Count-train an n-gram model over token rows; deterministic."""
+    """Count-train an n-gram model over token rows; deterministic.
+
+    Every n-gram of every order is counted at once: ``np.unique`` over the
+    mixed-radix keys of (context, token), contexts never crossing a row.
+    """
     model = NGramModel(order, alpha, vocab_size)
-    n_tokens = 0
-    for row in corpus:
-        model.add_sequence(row)
-        n_tokens += len(row)
+    rows = list(corpus)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    n_tokens = int(lengths.sum())
     if n_tokens == 0:
         raise ValueError("cannot train on an empty corpus")
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=n_tokens)
+    except OverflowError as exc:
+        raise ValueError(f"token outside vocabulary of size {vocab_size}") from exc
+    outside = (flat < 0) | (flat >= vocab_size)
+    if outside.any():
+        raise ValueError(
+            f"token {flat[outside.argmax()]} outside vocabulary of size {vocab_size}"
+        )
+    position = np.arange(n_tokens) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    context = np.zeros(n_tokens, dtype=np.int64)  # key of the k tokens before each position
+    levels = []
+    for k in range(order):
+        if k:
+            context[1:] = context[:-1] * vocab_size + flat[:-1]
+        counted = position >= k
+        grams, counts = np.unique(context[counted] * vocab_size + flat[counted],
+                                  return_counts=True)
+        contexts, tokens = np.divmod(grams, vocab_size)
+        starts = np.flatnonzero(np.diff(contexts, prepend=-1))
+        levels.append(_Level.of(contexts[starts], np.append(starts, len(grams)), tokens, counts))
+    model._set_levels(levels)
     return model
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,14 @@ class TestExitCodes:
 
     def test_help_is_success(self):
         assert run("--help") == 0
+
+    def test_pickled_model_is_a_data_error(self, tmp_path, twinkle_file, capsys):
+        tokens = tmp_path / "twinkle.tok"
+        assert run("tokenize", "--codec", "arrival", str(twinkle_file), str(tokens)) == 0
+        model = tmp_path / "model.pkl"
+        model.write_bytes(pickle.dumps({"order": 3}))
+        assert run("evaluate", "--model", str(model), str(tokens)) == 2
+        assert "not a readable .npz model file" in capsys.readouterr().err
 
 
 class TestTokenizeDetokenize:

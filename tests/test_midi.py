@@ -173,6 +173,15 @@ class TestParseErrors:
         with pytest.raises(MidiParseError):
             parse_midi(data)
 
+    def test_data_byte_with_top_bit_set(self):
+        # a corrupted note-on pitch byte (182) once escaped as a bare ValueError
+        data = bytearray(write_midi(golden.twinkle_events()))
+        pitch = data.index(bytes([0x90, 60])) + 1
+        data[pitch] = 182
+        with pytest.raises(MidiParseError) as err:
+            parse_midi(bytes(data))
+        assert err.value.offset == pitch
+
 
 class TestWrite:
     def test_empty_sequence_is_valid_file(self):

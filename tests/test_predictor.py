@@ -2,19 +2,86 @@
 
 from __future__ import annotations
 
+import io
+import pickle
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from anticipate.bridge import ExternalPredictor, PredictorProtocolError, parse_response
+from anticipate.bridge import ExternalPredictor, PredictorProtocolError, parse_response, serve
 from anticipate.predictor import (
+    BACKOFF_WEIGHT,
+    ModelFileError,
     NGramModel,
     ReplayPredictor,
     UniformPredictor,
     train_ngram,
 )
 from anticipate.vocab import ArrivalVocab as AV
+
+
+class DictNGram:
+    """The dict-of-Counters n-gram the array model replaced, kept as the
+    reference for exact counts and bit-identical distributions."""
+
+    def __init__(self, order, alpha, vocab_size, context_length):
+        self.order = order
+        self.alpha = alpha
+        self.vocab_size = vocab_size
+        self.context_length = context_length
+        self.counts = [dict() for _ in range(order)]
+        self.totals = [dict() for _ in range(order)]
+
+    def add_sequence(self, tokens):
+        for i, token in enumerate(tokens):
+            for k in range(min(self.order - 1, i) + 1):
+                ctx = tuple(tokens[i - k : i])
+                self.counts[k].setdefault(ctx, Counter())[token] += 1
+                self.totals[k][ctx] = self.totals[k].get(ctx, 0) + 1
+
+    def _unigram_distribution(self):
+        dist = np.full(self.vocab_size, self.alpha, dtype=np.float64)
+        counter = self.counts[0].get((), Counter())
+        if counter:
+            dist[list(counter.keys())] += np.fromiter(counter.values(), dtype=np.float64)
+        dist /= self.totals[0].get((), 0) + self.alpha * self.vocab_size
+        return dist
+
+    def next_distribution(self, z, context):
+        full = list(context if z is None else [z, *context])
+        full = full[-(self.context_length - 1):]
+        dist = self._unigram_distribution()
+        for k in range(1, min(self.order, len(full) + 1)):
+            ctx = tuple(full[len(full) - k:])
+            counter = self.counts[k].get(ctx)
+            total = self.totals[k].get(ctx, 0)
+            level = np.full(self.vocab_size, self.alpha, dtype=np.float64)
+            if counter:
+                level[list(counter.keys())] += np.fromiter(counter.values(), dtype=np.float64)
+            level /= total + self.alpha * self.vocab_size
+            dist *= BACKOFF_WEIGHT
+            dist += (1.0 - BACKOFF_WEIGHT) * level
+        return dist
+
+
+def reference_pair(rows, order, alpha, vocab_size, context_length=1024):
+    model = train_ngram(rows, order, alpha, vocab_size)
+    model.context_length = context_length
+    reference = DictNGram(order, alpha, vocab_size, context_length)
+    for row in rows:
+        reference.add_sequence(row)
+    return model, reference
+
+
+def assert_same_counts(model, reference):
+    for k in range(model.order):
+        assert dict(model.totals[k]) == reference.totals[k]
+        assert {ctx: dict(c) for ctx, c in model.counts[k].items()} == {
+            ctx: dict(c) for ctx, c in reference.counts[k].items()
+        }
 
 
 def markov_corpus(rng, vocab, n_rows, row_len, stay=0.9):
@@ -91,6 +158,182 @@ class TestNGram:
             NGramModel(order=0, alpha=0.1, vocab_size=10)
         with pytest.raises(ValueError):
             NGramModel(order=2, alpha=0.0, vocab_size=10)
+
+    def test_token_outside_vocabulary_rejected(self):
+        with pytest.raises(ValueError, match="token 10 outside"):
+            train_ngram([[1, 2], [3, 10, 4]], order=2, alpha=0.1, vocab_size=10)
+        with pytest.raises(ValueError, match="token -1 outside"):
+            train_ngram([[1, -1]], order=2, alpha=0.1, vocab_size=10)
+        with pytest.raises(ValueError, match="outside vocabulary"):
+            train_ngram([[1, 2**70]], order=2, alpha=0.1, vocab_size=10)
+
+    def test_total_token_count(self):
+        model = train_ngram([[1, 2, 3], [4, 5]], order=3, alpha=0.1, vocab_size=10)
+        assert model.totals[0].get((), 0) == 5
+        assert model.totals[2].get((1, 2), 0) == 1
+        assert model.totals[2].get((3, 4), 0) == 0  # contexts never cross rows
+        assert NGramModel(order=2, alpha=0.1, vocab_size=10).totals[0].get((), 0) == 0
+
+
+class TestNGramReference:
+    """The array model against the dict-of-Counters reference: equal counts,
+    bit-identical distributions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        vocab_size=st.integers(1, 12),
+        order=st.integers(1, 4),
+        alpha=st.sampled_from([1e-3, 0.01, 0.5, 3.0]),
+        context_length=st.integers(2, 7),
+    )
+    def test_matches_dict_reference(self, data, vocab_size, order, alpha, context_length):
+        token = st.integers(0, vocab_size - 1)
+        rows = data.draw(st.lists(st.lists(token, max_size=25), min_size=1, max_size=6)
+                         .filter(lambda rows: any(rows)))
+        model, reference = reference_pair(rows, order, alpha, vocab_size, context_length)
+        assert_same_counts(model, reference)
+        # contexts run past context_length and may hold tokens outside the vocabulary
+        loose = st.integers(-1, vocab_size + 1)
+        for _ in range(4):
+            z = data.draw(st.none() | loose)
+            context = data.draw(st.lists(loose, max_size=10) | st.sampled_from(rows))
+            expected = reference.next_distribution(z, context)
+            assert np.array_equal(model.next_distribution(z, context), expected)
+
+    def test_matches_dict_reference_on_markov_corpus(self, rng):
+        rows = markov_corpus(rng, 40, 30, 60)
+        model, reference = reference_pair(rows, 3, 0.01, 40)
+        assert_same_counts(model, reference)
+        for row in rows[:3]:
+            for i in range(len(row)):
+                for z in (None, 39):
+                    expected = reference.next_distribution(z, row[:i])
+                    assert np.array_equal(model.next_distribution(z, row[:i]), expected)
+
+    def test_order_4_at_full_arrival_vocabulary(self):
+        top = AV.SIZE - 1  # keys near 55 028 ** 4, just below 2 ** 63
+        rows = [[top, top - 1, top, top - 2, top, top - 1, 0, top]]
+        model, reference = reference_pair(rows, 4, 0.01, AV.SIZE)
+        assert_same_counts(model, reference)
+        for i in range(len(rows[0]) + 1):
+            expected = reference.next_distribution(AV.AR, rows[0][:i])
+            assert np.array_equal(model.next_distribution(AV.AR, rows[0][:i]), expected)
+
+    def test_order_past_int64_keys_rejected(self):
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            NGramModel(order=5, alpha=0.01, vocab_size=AV.SIZE)
+
+
+class _CreatesMarker:
+    """Unpickling this calls ``open(path, "w")``, creating the marker file."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+class TestModelFile:
+    @pytest.fixture
+    def saved(self, tmp_path, rng):
+        model = train_ngram(markov_corpus(rng, 20, 10, 30), order=3, alpha=0.01, vocab_size=20)
+        path = tmp_path / "model.npz"
+        model.save(path)
+        return model, path
+
+    def rewrite(self, path, **changes):
+        with np.load(path) as data:
+            arrays = dict(data.items())
+        arrays.update(changes)
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+
+    def test_save_writes_exactly_the_path(self, tmp_path, saved):
+        model, _ = saved
+        model.save(tmp_path / "model.pkl")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz", "model.pkl"]
+
+    def test_roundtrip_keeps_counts_and_settings(self, saved):
+        model, path = saved
+        model.context_length = 9
+        model.save(path)
+        loaded = NGramModel.load(path)
+        assert (loaded.order, loaded.alpha, loaded.vocab_size, loaded.context_length) == (
+            3, 0.01, 20, 9)
+        for k in range(3):
+            assert dict(loaded.totals[k]) == dict(model.totals[k])
+            assert dict(loaded.counts[k]) == dict(model.counts[k])
+
+    def test_pickle_rejected_without_running_it(self, tmp_path):
+        marker = tmp_path / "marker"
+        path = tmp_path / "model.pkl"
+        path.write_bytes(pickle.dumps(_CreatesMarker(marker)))
+        with pytest.raises(ModelFileError):
+            NGramModel.load(path)
+        assert not marker.exists()
+
+    def test_truncated_file(self, saved):
+        _, path = saved
+        data = path.read_bytes()
+        for cut in (len(data) // 2, len(data) - 30, 10):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ModelFileError):
+                NGramModel.load(path)
+
+    def test_wrong_version(self, saved):
+        _, path = saved
+        self.rewrite(path, version=np.int64(2))
+        with pytest.raises(ModelFileError, match="version 2"):
+            NGramModel.load(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("counts1", np.ones(5)),  # float counts
+        ("alpha", np.float32(0.01)),
+        ("order", np.int32(3)),
+        ("tokens0", np.array(["a"])),
+    ])
+    def test_wrong_dtype(self, saved, name, value):
+        _, path = saved
+        self.rewrite(path, **{name: value})
+        with pytest.raises(ModelFileError):
+            NGramModel.load(path)
+
+    @pytest.mark.parametrize("name, corrupt", [
+        ("tokens1", lambda a: a + 20),  # successor outside the vocabulary
+        ("counts2", lambda a: -a),
+        ("keys1", lambda a: a[::-1].copy()),
+        ("offsets2", lambda a: a[:-1].copy()),
+    ])
+    def test_inconsistent_arrays(self, saved, name, corrupt):
+        _, path = saved
+        with np.load(path) as data:
+            value = corrupt(data[name])
+        self.rewrite(path, **{name: value})
+        with pytest.raises(ModelFileError):
+            NGramModel.load(path)
+
+    def test_missing_and_extra_arrays(self, saved):
+        _, path = saved
+        with np.load(path) as data:
+            arrays = dict(data.items())
+        for drop in ("keys2", "vocab_size"):
+            partial = {k: v for k, v in arrays.items() if k != drop}
+            with open(path, "wb") as f:
+                np.savez(f, **partial)
+            with pytest.raises(ModelFileError):
+                NGramModel.load(path)
+        with open(path, "wb") as f:
+            np.savez(f, extra=np.int64(0), **arrays)
+        with pytest.raises(ModelFileError):
+            NGramModel.load(path)
+
+    def test_npy_file_rejected(self, tmp_path):
+        path = tmp_path / "model.npy"
+        np.save(path, np.zeros(3))
+        with pytest.raises(ModelFileError):
+            NGramModel.load(path)
 
 
 class TestContract:
@@ -189,6 +432,17 @@ class TestBridge:
             parse_response("DIST 3:-1.0 4:2.0", vocab_size=8)
         dist = parse_response("DIST 3:0.5 4:0.5", vocab_size=8)
         assert dist[3] == dist[4] == 0.5
+
+    def test_serve_survives_malformed_requests(self):
+        requests = io.StringIO("CTX\nCTX 5 x\nHELLO\nCTX - 1 2\n")
+        replies = io.StringIO()
+        serve(UniformPredictor(4), requests, replies)
+        lines = replies.getvalue().splitlines()
+        assert lines[:3] == ["ERR malformed request", "ERR malformed request",
+                             "ERR unknown request"]
+        assert parse_response(lines[3], vocab_size=4) == pytest.approx(np.full(4, 0.25))
+        with pytest.raises(PredictorProtocolError):
+            parse_response(lines[0], vocab_size=4)
 
     def test_request_format(self):
         from anticipate.bridge import format_request
