@@ -1,10 +1,11 @@
 """Bridge to an out-of-process predictor over a line protocol.
 
 Request:  ``CTX <control-code> <t1> ... <tk>\\n`` where the control code is a
-token integer or ``-`` when absent. Response: ``DIST <token>:<prob> ...\\n``
-with sparse pairs; omitted tokens have probability zero and the listed
-probabilities must sum to one. Responses must arrive within the configured
-timeout.
+token integer or ``-`` when absent. Response: ``DIST <payload>\\n``, the
+base64 of all ``vocab_size`` probabilities as little-endian float64: dense
+because a smoothed model gives every token some mass, and float64 so that a
+bridged predictor samples exactly as it would in process. The probabilities
+must be finite, non-negative and sum to one, and arrive within the timeout.
 
 ``serve`` runs the other side of the protocol, exposing any in-process
 predictor on stdio so it can back a subprocess bridge. It answers an unknown
@@ -13,6 +14,7 @@ or malformed request with an ``ERR <reason>`` line and keeps serving.
 
 from __future__ import annotations
 
+import base64
 import select
 import subprocess
 from typing import IO, Sequence
@@ -35,25 +37,21 @@ def format_request(z: int | None, context: Sequence[int]) -> str:
 
 
 def parse_response(line: str, vocab_size: int) -> np.ndarray:
-    fields = line.split()
-    if not fields or fields[0] != "DIST":
-        raise PredictorProtocolError(f"expected DIST response, got {line!r}")
-    dist = np.zeros(vocab_size, dtype=np.float64)
-    for pair in fields[1:]:
-        token_str, _, prob_str = pair.partition(":")
-        try:
-            token, prob = int(token_str), float(prob_str)
-        except ValueError as exc:
-            raise PredictorProtocolError(f"malformed pair {pair!r}") from exc
-        if not 0 <= token < vocab_size:
-            raise PredictorProtocolError(f"token {token} outside vocabulary")
-        if prob < 0 or not np.isfinite(prob):
-            raise PredictorProtocolError(f"invalid probability {prob!r}")
-        dist[token] += prob
+    verb, _, payload = line.partition(" ")
+    if verb != "DIST":
+        raise PredictorProtocolError(f"expected DIST response, got {line[:80]!r}")
+    try:
+        dist = np.frombuffer(base64.b64decode(payload, validate=True), dtype="<f8")
+    except ValueError as exc:
+        raise PredictorProtocolError(f"malformed DIST payload ({exc})") from exc
+    if len(dist) != vocab_size:
+        raise PredictorProtocolError(f"{len(dist)} probabilities, expected {vocab_size}")
+    if not (np.isfinite(dist).all() and (dist >= 0).all()):
+        raise PredictorProtocolError("negative or non-finite probability")
     total = dist.sum()
     if abs(total - 1.0) > PROB_TOLERANCE:
         raise PredictorProtocolError(f"probabilities sum to {total!r}, expected 1")
-    return dist
+    return dist.astype(np.float64)
 
 
 class ExternalPredictor:
@@ -81,7 +79,7 @@ class ExternalPredictor:
         proc = self._proc
         if proc.poll() is not None:
             raise PredictorProtocolError("predictor subprocess has exited")
-        context = list(context)[-(self.context_length - 1):]
+        context = context[max(0, len(context) - (self.context_length - 1)):]
         proc.stdin.write(format_request(z, context) + "\n")
         proc.stdin.flush()
         ready, _, _ = select.select([proc.stdout], [], [], self.timeout)
@@ -124,8 +122,7 @@ def serve(predictor: Predictor, in_stream: IO[str], out_stream: IO[str]) -> None
             except (IndexError, ValueError):
                 reply = "ERR malformed request"
             else:
-                dist = predictor.next_distribution(z, context)
-                nonzero = np.flatnonzero(dist)
-                reply = "DIST " + " ".join(f"{int(i)}:{float(dist[i])!r}" for i in nonzero)
+                dist = np.asarray(predictor.next_distribution(z, context), dtype="<f8")
+                reply = "DIST " + base64.b64encode(dist.tobytes()).decode("ascii")
         out_stream.write(reply + "\n")
         out_stream.flush()

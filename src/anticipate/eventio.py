@@ -7,9 +7,11 @@ grid units, with ``R`` in the note column for rests. Lines starting with
 
 from __future__ import annotations
 
+import itertools
 from typing import IO, Iterable
 
 from .events import REST, Event, EventSequence, InterleavedSequence, TaggedEvent
+from .tokenizer import TokenError
 
 
 def format_item(item: TaggedEvent) -> str:
@@ -49,18 +51,24 @@ def read_events(f: IO[str], *, check: bool = True) -> list[InterleavedSequence]:
     """Read blank-line separated sequences from the event text format.
 
     Runs of blank lines collapse to a single separator, so empty sequences
-    are not representable.
+    are not representable. A malformed line or an out-of-range field raises
+    ``TokenError`` naming the 1-based line.
     """
     sequences: list[InterleavedSequence] = []
     current: list[TaggedEvent] = []
-    for raw in f:
+    # a blank line after the input closes the last sequence
+    for lineno, raw in enumerate(itertools.chain(f, [""]), start=1):
         line = raw.strip()
-        if not line:
-            if current:
+        if line:
+            try:
+                current.append(parse_line(line))
+            except ValueError as exc:
+                raise TokenError(f"line {lineno}: {exc}") from exc
+        elif current:
+            try:
                 sequences.append(InterleavedSequence(current, check=check))
-                current = []
-            continue
-        current.append(parse_line(line))
-    if current:
-        sequences.append(InterleavedSequence(current, check=check))
+            except ValueError as exc:
+                first = lineno - len(current)
+                raise TokenError(f"sequence on lines {first}-{lineno - 1}: {exc}") from exc
+            current = []
     return sequences

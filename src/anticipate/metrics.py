@@ -164,8 +164,10 @@ def cross_entropy(
             tokens = tokens[1:]
         if codec == "arrival" and len(tokens) % 3:
             raise ValueError(f"row {row_index}: arrival rows must be whole triples")
+        context: list[int] = []
         for position, token in enumerate(tokens):
-            dist = predictor.next_distribution(row_z, tokens[:position])
+            dist = predictor.next_distribution(row_z, context)
+            context.append(token)
             p = float(dist[token])
             if p <= 0.0:
                 report.infinite_positions.append((row_index, position))

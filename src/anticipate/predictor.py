@@ -42,10 +42,12 @@ class ModelFileError(ValueError):
 class Predictor(Protocol):
     """The next-token-distribution contract.
 
-    ``next_distribution`` returns a vector of ``vocab_size`` probabilities
-    (non-negative, summing to one) that may depend only on ``z`` and the last
-    ``context_length - 1`` context tokens. Implementations may reuse the
-    returned buffer between calls; callers must copy if they keep it.
+    Callers pass the whole history as one ``context`` list and may extend it
+    after the call returns. ``next_distribution`` reads at most its last
+    ``context_length - 1`` tokens, copies whatever it keeps, and returns
+    ``vocab_size`` probabilities (non-negative, summing to one) that depend
+    only on ``z`` and those tokens. Implementations may reuse the returned
+    buffer between calls; callers must copy if they keep it.
     """
 
     vocab_size: int

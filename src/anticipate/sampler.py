@@ -21,6 +21,7 @@ the tokenizer applies to every model context.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +105,7 @@ def _slot_ranges(slot: int, min_time: int) -> list[tuple[int, int]]:
 class _Context:
     """Incrementally maintained token context over the recent history.
 
-    The window holds the most recent whole triples that fit in
+    The window ``items`` holds only the most recent whole triples that fit in
     ``context_length - 1`` tokens, preceded by a separator triple while the
     start of generation is still visible. While the start is visible the
     generated times are the coordinate system and ``offset`` is zero; once
@@ -117,7 +118,7 @@ class _Context:
     def __init__(self, context_length: int, plain_controls: bool):
         self.capacity = (context_length - 1) // 3
         self.plain_controls = plain_controls
-        self.items: list[TaggedEvent] = []
+        self.items: deque[TaggedEvent] = deque(maxlen=self.capacity)
         self.tokens: list[int] = [AV.SEP, AV.SEP, AV.SEP]
         self.offset = 0
 
@@ -130,10 +131,9 @@ class _Context:
         if len(self.items) < self.capacity:
             self.tokens.extend(self._triple(item, len(self.items) - 1))
             return
-        window = self.items[-self.capacity:]
-        self.offset = _context_offset(window)
+        self.offset = _context_offset(self.items)
         self.tokens = []
-        for i, it in enumerate(window):
+        for i, it in enumerate(self.items):
             self.tokens.extend(self._triple(it, i))
 
 
@@ -146,9 +146,6 @@ def _sample_slot(
     rng: np.random.Generator,
     config: SamplerConfig,
 ) -> int:
-    limit = predictor.context_length - 1
-    if len(context) > limit:
-        context = context[-limit:]
     dist = predictor.next_distribution(z, context)
     if not config.grammar_mask:
         return nucleus_sample(dist, config.top_p, rng)

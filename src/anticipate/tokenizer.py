@@ -338,7 +338,11 @@ def write_tokens(f: IO[str], rows: Iterable[Sequence[int]], codec: str) -> None:
 
 
 def read_tokens(f: IO[str]) -> tuple[str, list[list[int]]]:
-    """Read a token file; returns (codec, rows)."""
+    """Read a token file; returns (codec, rows).
+
+    A non-integer field or a token outside the header codec's vocabulary
+    raises ``TokenError`` naming the 1-based line.
+    """
     header = f.readline()
     match = _HEADER_RE.match(header.strip())
     if not match:
@@ -348,8 +352,17 @@ def read_tokens(f: IO[str]) -> tuple[str, list[list[int]]]:
     if int(match.group(2)) != size:
         raise TokenError(f"vocab size {match.group(2)} does not match codec {codec}")
     rows = []
-    for line in f:
-        line = line.strip()
-        if line:
-            rows.append([int(t) for t in line.split()])
+    for lineno, line in enumerate(f, start=2):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            row = list(map(int, fields))
+        except ValueError as exc:
+            raise TokenError(f"line {lineno}: {exc}") from exc
+        low, high = min(row), max(row)
+        if low < 0 or high >= size:
+            raise TokenError(f"line {lineno}: token {low if low < 0 else high} "
+                             f"outside the {codec} vocabulary of size {size}")
+        rows.append(row)
     return codec, rows

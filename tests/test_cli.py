@@ -58,6 +58,18 @@ class TestExitCodes:
         bad.write_text("#codec=arrival vocab=55028\n1 2\n")
         assert run("detokenize", str(bad), str(tmp_path / "out.txt")) == 2
 
+    def test_token_outside_vocabulary_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tok"
+        bad.write_text("#codec=arrival vocab=55028\n0 10048 99999999999999999999\n")
+        assert run("detokenize", str(bad), str(tmp_path / "out.txt")) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_malformed_event_file_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1 60\n0 2000 60\n")
+        assert run("tokenize", "--codec", "arrival", str(bad), str(tmp_path / "out.tok")) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_help_is_success(self):
         assert run("--help") == 0
 

@@ -23,6 +23,7 @@ from anticipate.events import (
     seconds_to_units,
 )
 from anticipate.eventio import read_events, write_events
+from anticipate.tokenizer import TokenError
 
 
 class TestQuantizeTime:
@@ -179,5 +180,17 @@ class TestEventText:
         assert buf.getvalue() == "0 0 R\nC 5 2 60\n"
 
     def test_malformed_line(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TokenError, match="line 1: malformed event line"):
             read_events(io.StringIO("1 2\n"))
+        with pytest.raises(TokenError, match="line 3: malformed event line"):
+            read_events(io.StringIO("0 1 60\n\n1 2\n"))
+
+    def test_out_of_range_field_names_its_line(self):
+        with pytest.raises(TokenError, match="line 2: duration must be in"):
+            read_events(io.StringIO("0 1 60\n0 2000 60\n"))
+        with pytest.raises(TokenError, match="line 1: note code"):
+            read_events(io.StringIO("0 1 99999\n"))
+
+    def test_unordered_sequence_names_its_lines(self):
+        with pytest.raises(TokenError, match="sequence on lines 3-4"):
+            read_events(io.StringIO("0 1 60\n\n10 1 60\n5 1 60\n"))

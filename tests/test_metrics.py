@@ -99,6 +99,32 @@ class TestCrossEntropy:
         assert total_scored == len(example) - 1
 
 
+class _Recorder(UniformPredictor):
+    """Records a copy of every (z, context) it receives."""
+
+    def __init__(self):
+        super().__init__(AV.SIZE)
+        self.calls: list[tuple[int | None, list[int]]] = []
+        self.lists: list[list[int]] = []
+
+    def next_distribution(self, z, context):
+        self.calls.append((z, list(context)))
+        self.lists.append(context)
+        return super().next_distribution(z, context)
+
+
+def test_cross_entropy_passes_each_row_as_one_growing_context():
+    plain = encode_arrival(golden.twinkle_events())
+    rows = [[AV.AAR, *plain[:9]], plain[:6]]
+    recorder = _Recorder()
+    cross_entropy(recorder, rows, "arrival")
+    expected = [(AV.AAR, plain[:i]) for i in range(9)] + [(AV.AR, plain[:i]) for i in range(6)]
+    assert recorder.calls == expected
+    # one list per row, extended in place rather than copied per position
+    assert all(c is recorder.lists[0] for c in recorder.lists[:9])
+    assert all(c is recorder.lists[9] for c in recorder.lists[9:])
+
+
 class TestPerplexities:
     def test_reference_decomposition(self):
         # slot perplexities 1.59 / 3.90 / 2.40 multiply to the event value

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import io
 import pickle
 import sys
@@ -11,7 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anticipate.bridge import ExternalPredictor, PredictorProtocolError, parse_response, serve
+from anticipate.bridge import (
+    ExternalPredictor,
+    PredictorProtocolError,
+    format_request,
+    parse_response,
+    serve,
+)
 from anticipate.predictor import (
     BACKOFF_WEIGHT,
     ModelFileError,
@@ -395,6 +402,15 @@ SERVE_REPLAY = (
     "serve(ReplayPredictor([3, 1], vocab_size=8, terminator=0), sys.stdin, sys.stdout)"
 )
 
+SERVE_COUNT = (
+    "import sys; import numpy as np; from anticipate.bridge import serve\n"
+    "class Count:\n"
+    "    vocab_size, context_length = 16, 1024\n"
+    "    def next_distribution(self, z, context):\n"
+    "        return np.eye(16)[len(context)]\n"
+    "serve(Count(), sys.stdin, sys.stdout)"
+)
+
 
 class TestBridge:
     def test_uniform_server(self):
@@ -424,14 +440,53 @@ class TestBridge:
             model._proc.kill()
 
     def test_parse_response_validation(self):
-        with pytest.raises(PredictorProtocolError):
-            parse_response("DIST 3:0.5", vocab_size=8)  # mass missing
-        with pytest.raises(PredictorProtocolError):
-            parse_response("DIST 9:1.0", vocab_size=8)  # token out of range
-        with pytest.raises(PredictorProtocolError):
-            parse_response("DIST 3:-1.0 4:2.0", vocab_size=8)
-        dist = parse_response("DIST 3:0.5 4:0.5", vocab_size=8)
-        assert dist[3] == dist[4] == 0.5
+        def reply(values) -> str:
+            payload = np.asarray(values, dtype="<f8").tobytes()
+            return "DIST " + base64.b64encode(payload).decode("ascii")
+
+        bad = [
+            reply([0.25] * 7),  # wrong length
+            reply([0.125] * 9),
+            reply([0.125] * 8)[:-4],  # truncated payload
+            "DIST !!notbase64!!",
+            "DIST 3:0.5",  # the earlier sparse text format
+            "DIST 3:0.5 4:0.5",
+            reply([-0.25, 0.5, 0.75, 0, 0, 0, 0, 0]),  # negative value
+            reply([np.nan] + [0.125] * 7),
+            reply([np.inf] + [0.0] * 7),
+            reply([0.125] * 7 + [0.125 + 2e-6]),  # mass off by more than 1e-6
+            reply([0.0] * 8),
+            "ERR malformed request",
+            "",
+        ]
+        for line in bad:
+            with pytest.raises(PredictorProtocolError):
+                parse_response(line, vocab_size=8)
+        dist = parse_response(reply([0, 0, 0, 0.5, 0.5, 0, 0, 0]), vocab_size=8)
+        assert dist.tolist() == [0, 0, 0, 0.5, 0.5, 0, 0, 0]
+        dist[0] = 1.0  # the caller owns a writable copy
+
+    def test_ngram_distribution_round_trips_bit_exact(self, rng):
+        model = train_ngram(markov_corpus(rng, 30, 20, 40), order=3, alpha=0.01, vocab_size=30)
+        contexts = [rng.integers(0, 30, size=int(rng.integers(0, 6))).tolist() for _ in range(20)]
+        requests = io.StringIO("".join(format_request(z, c) + "\n"
+                                       for c in contexts for z in (None, 7)))
+        replies = io.StringIO()
+        serve(model, requests, replies)
+        lines = replies.getvalue().splitlines()
+        assert len(lines) == 2 * len(contexts)
+        for i, context in enumerate(contexts):
+            for j, z in enumerate((None, 7)):
+                expected = model.next_distribution(z, context)
+                assert np.array_equal(parse_response(lines[2 * i + j], vocab_size=30), expected)
+
+    def test_client_sends_only_the_look_back_window(self):
+        # the child answers a point mass at the number of context tokens it got
+        for context_length, expected in ((1, 0), (4, 3), (64, 5)):
+            with ExternalPredictor([sys.executable, "-c", SERVE_COUNT], vocab_size=16,
+                                   context_length=context_length) as model:
+                assert int(np.argmax(model.next_distribution(None, [1, 2, 3, 4, 5]))) == expected
+                assert int(np.argmax(model.next_distribution(AV.AR, []))) == 0
 
     def test_serve_survives_malformed_requests(self):
         requests = io.StringIO("CTX\nCTX 5 x\nHELLO\nCTX - 1 2\n")
@@ -445,8 +500,6 @@ class TestBridge:
             parse_response(lines[0], vocab_size=4)
 
     def test_request_format(self):
-        from anticipate.bridge import format_request
-
         assert format_request(55_026, [1, 2, 3]) == "CTX 55026 1 2 3"
         assert format_request(None, []) == "CTX -"
 

@@ -8,10 +8,11 @@ import pytest
 
 from anticipate import golden
 from anticipate.anticipation import interleave
-from anticipate.events import Event, EventSequence, encode_note
+from anticipate.events import Event, EventSequence, TaggedEvent, encode_note
 from anticipate.predictor import ReplayPredictor, UniformPredictor, train_ngram
 from anticipate.sampler import (
     SamplerConfig,
+    _Context,
     generate_anticipatory,
     generate_autoregressive_infill,
     nucleus_sample,
@@ -242,6 +243,19 @@ class TestSlidingContext:
         assert context[0::3] == [AV.ANT_TIME_BASE + 390, 0, 10, 20, 30]
         times = [item.event.time for item in result.sequence if not item.control]
         assert times == [0, 10, 20, 30, 40, 40]
+
+
+class TestContextWindow:
+    def test_holds_at_most_its_capacity(self):
+        items = [TaggedEvent(Event(10 * i, 1, 60)) for i in range(8)]
+        empty = _Context(1, plain_controls=False)  # looks 0 tokens back
+        window = _Context(16, plain_controls=False)  # 5 triples
+        for item in items:
+            empty.push(item)
+            window.push(item)
+        assert len(empty.items) == 0 and empty.tokens == []
+        assert list(window.items) == items[-5:]
+        assert window.tokens[0::3] == [AV.TIME_BASE + 10 * i for i in range(5)]
 
 
 class TestStripControls:

@@ -381,3 +381,18 @@ class TestTokenFile:
     def test_missing_header(self):
         with pytest.raises(TokenError):
             read_tokens(io.StringIO("1 2 3\n"))
+
+    def test_non_integer_field_names_its_line(self):
+        with pytest.raises(TokenError, match="line 3"):
+            read_tokens(io.StringIO("#codec=arrival vocab=55028\n1 2 3\n4 x 6\n"))
+
+    @pytest.mark.parametrize("token", ["99999999999999999999", "55028", "-1"])
+    def test_token_outside_vocabulary_names_its_line(self, token):
+        text = f"#codec=arrival vocab=55028\n1 2 3\n\n4 {token} 6\n"
+        with pytest.raises(TokenError, match=f"line 4: token {token} outside"):
+            read_tokens(io.StringIO(text))
+
+    def test_interarrival_vocabulary_bounds_its_tokens(self):
+        with pytest.raises(TokenError, match="line 2"):
+            read_tokens(io.StringIO("#codec=interarrival vocab=34025\n34025\n"))
+        assert read_tokens(io.StringIO("#codec=interarrival vocab=34025\n34024 0\n"))[1] == [[34024, 0]]
