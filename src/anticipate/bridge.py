@@ -15,8 +15,10 @@ or malformed request with an ``ERR <reason>`` line and keeps serving.
 from __future__ import annotations
 
 import base64
+import os
 import select
 import subprocess
+import time
 from typing import IO, Sequence
 
 import numpy as np
@@ -67,37 +69,56 @@ class ExternalPredictor:
         self.vocab_size = vocab_size
         self.context_length = context_length
         self.timeout = timeout
-        self._proc = subprocess.Popen(
-            list(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+        self._proc = subprocess.Popen(list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self._pending = bytearray()  # reply bytes read past the last newline
 
     def next_distribution(self, z: int | None, context: Sequence[int]) -> np.ndarray:
         proc = self._proc
         if proc.poll() is not None:
             raise PredictorProtocolError("predictor subprocess has exited")
         context = context[max(0, len(context) - (self.context_length - 1)):]
-        proc.stdin.write(format_request(z, context) + "\n")
+        proc.stdin.write((format_request(z, context) + "\n").encode("ascii"))
         proc.stdin.flush()
-        ready, _, _ = select.select([proc.stdout], [], [], self.timeout)
-        if not ready:
-            raise TimeoutError(f"no response within {self.timeout}s")
-        line = proc.stdout.readline()
-        if not line:
-            raise PredictorProtocolError("predictor closed its output stream")
-        return parse_response(line.rstrip("\n"), self.vocab_size)
+        return parse_response(self._read_line(), self.vocab_size)
+
+    def _read_line(self) -> str:
+        """Read one reply line, all of it within ``timeout`` seconds.
+
+        Reads the pipe directly: ``select`` only says that some bytes are
+        readable, so a buffered ``readline`` could wait past the deadline for
+        the rest of the line.
+        """
+        deadline = time.monotonic() + self.timeout
+        fd = self._proc.stdout.fileno()
+        pending = self._pending
+        searched = 0
+        while (end := pending.find(b"\n", searched)) < 0:
+            searched = len(pending)
+            ready, _, _ = select.select([fd], [], [], max(deadline - time.monotonic(), 0))
+            if not ready:
+                raise TimeoutError(f"no complete response within {self.timeout}s")
+            chunk = os.read(fd, 1 << 20)
+            if not chunk:
+                raise PredictorProtocolError("predictor closed its output stream")
+            pending += chunk
+        line = pending[:end].decode("utf-8", errors="replace")
+        del pending[: end + 1]
+        return line
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            self._proc.stdin.close()
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        """Stop the child and close both of its pipes, whether or not it is
+        still running."""
+        proc = self._proc
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:
+            pass  # the child is gone; the pipe is closed regardless
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
     def __enter__(self) -> "ExternalPredictor":
         return self

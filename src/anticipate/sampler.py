@@ -37,7 +37,7 @@ from .events import (
     TaggedEvent,
 )
 from .predictor import Predictor
-from .tokenizer import _context_offset, _event_triple
+from .tokenizer import _arrival_triples, _columns, _event_triple
 from .vocab import ArrivalVocab as AV
 
 TIME_SLOT, DURATION_SLOT, NOTE_SLOT = 0, 1, 2
@@ -108,33 +108,42 @@ class _Context:
     The window ``items`` holds only the most recent whole triples that fit in
     ``context_length - 1`` tokens, preceded by a separator triple while the
     start of generation is still visible. While the start is visible the
-    generated times are the coordinate system and ``offset`` is zero; once
-    the window slides, it is relativized by its minimum time and sampled
-    times map back through ``offset``.
+    generated times are the coordinate system and ``offset`` is zero, and
+    each push appends one triple. Once the window slides, ``columns`` keeps
+    its items' absolute times, durations, notes and control flags; each push
+    shifts them by one item, and the window is relativized by its minimum
+    time and re-encoded as a whole. Sampled times map back through ``offset``.
     """
 
-    __slots__ = ("capacity", "plain_controls", "items", "tokens", "offset")
+    __slots__ = ("capacity", "plain_controls", "items", "columns", "tokens", "offset")
 
     def __init__(self, context_length: int, plain_controls: bool):
         self.capacity = (context_length - 1) // 3
         self.plain_controls = plain_controls
         self.items: deque[TaggedEvent] = deque(maxlen=self.capacity)
+        self.columns: np.ndarray | None = None
         self.tokens: list[int] = [AV.SEP, AV.SEP, AV.SEP]
         self.offset = 0
 
-    def _triple(self, item: TaggedEvent, index: int) -> list[int]:
-        control = item.control and not self.plain_controls
-        return _event_triple(item.event, control, index, self.offset)
-
     def push(self, item: TaggedEvent) -> None:
         self.items.append(item)
+        control = item.control and not self.plain_controls
         if len(self.items) < self.capacity:
-            self.tokens.extend(self._triple(item, len(self.items) - 1))
+            self.tokens.extend(_event_triple(item.event, control, len(self.items) - 1))
             return
-        self.offset = _context_offset(self.items)
-        self.tokens = []
-        for i, it in enumerate(self.items):
-            self.tokens.extend(self._triple(it, i))
+        if not self.capacity:  # context_length 1 looks no tokens back
+            self.tokens = []
+            return
+        if self.columns is None:
+            self.columns = _columns(self.items)
+            if self.plain_controls:
+                self.columns[3] = 0
+        else:
+            self.columns[:, :-1] = self.columns[:, 1:]
+            event = item.event
+            self.columns[:, -1] = (event.time, event.duration, event.note, control)
+        self.offset = int(self.columns[0].min())
+        self.tokens = _arrival_triples(self.columns, self.offset).ravel().tolist()
 
 
 def _sample_slot(

@@ -6,6 +6,12 @@ Controls use the shifted vocabulary ranges; a separator is a triple of SEP
 tokens. Interarrival codec: onset/offset tokens with gap tokens in between
 (zero gaps omitted, gaps over 10 s truncated); a separator is a single SEP.
 
+Arrival encoding is columnar: a whole sequence, or the whole packed stream,
+is read once into int64 columns (time, duration, note, control) and its
+triples are built and checked with array operations. An invalid item fails
+with the error the scalar triple encoder gives for it, at the same index;
+the scalar form remains for callers that encode one item at a time.
+
 Every model context is relativized by one rule: its times are shifted by the
 minimum time of its items, so the context starts at zero and distinct times
 stay distinct. Packing slices the triple stream into windows of 341 triples,
@@ -23,6 +29,8 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
+
+import numpy as np
 
 from .events import MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence, TaggedEvent
 from .vocab import CODEC_VOCABS
@@ -84,6 +92,40 @@ def _event_triple(event: Event, control: bool, index: int, offset: int = 0) -> l
     ]
 
 
+def _columns(items: Sequence[TaggedEvent]) -> np.ndarray:
+    """The items as a (4, n) int64 array of time, duration, note and control."""
+    events = [item.event for item in items]
+    return np.array(
+        [[e.time for e in events], [e.duration for e in events], [e.note for e in events],
+         [item.control for item in items]],
+        dtype=np.int64,
+    )
+
+
+def _arrival_triples(columns: np.ndarray, offset: int | np.ndarray = 0) -> np.ndarray:
+    """The (n, 3) arrival triples of ``columns``, times relativized by ``offset``
+    (a scalar or one offset per item).
+
+    The whole array is checked at once; the first invalid item raises the
+    error `_event_triple` raises for it, with its index in ``columns``.
+    """
+    time, duration, note, control = columns
+    times = time - offset
+    control = control.astype(bool)
+    rest = note == REST
+    invalid = (times < 0) | (times >= AV.DUR_BASE) | (rest & control)
+    if invalid.any():
+        i = int(invalid.argmax())
+        event = Event(int(time[i]), int(duration[i]), int(note[i]))
+        _event_triple(event, bool(control[i]), i, int(time[i] - times[i]))  # raises
+    shift = control * AV.CONTROL_OFFSET
+    triples = np.empty((len(times), 3), dtype=np.int64)
+    triples[:, 0] = times + (AV.TIME_BASE + shift)
+    triples[:, 1] = duration + (AV.DUR_BASE + shift)
+    triples[:, 2] = np.where(rest, AV.REST, note + (AV.NOTE_BASE + shift))
+    return triples
+
+
 def encode_arrival(
     seq: InterleavedSequence | EventSequence,
     *,
@@ -95,7 +137,6 @@ def encode_arrival(
     ``z`` (AR or AAR) and ``leading_sep`` prepend the training-example
     preamble; by default the raw 3-per-item token list is returned.
     """
-    items = _as_interleaved(seq)
     tokens: list[int] = []
     if z is not None:
         if z not in (AV.AR, AV.AAR):
@@ -103,8 +144,7 @@ def encode_arrival(
         tokens.append(z)
     if leading_sep:
         tokens.extend([AV.SEP] * 3)
-    for i, item in enumerate(items):
-        tokens.extend(_event_triple(item.event, item.control, i))
+    tokens.extend(_arrival_triples(_columns(_as_interleaved(seq))).ravel().tolist())
     return tokens
 
 
@@ -285,45 +325,61 @@ def pack_training_examples(
     """
     if context_length < 4 or (context_length - 1) % 3:
         raise ValueError("context_length must be 1 + a multiple of 3")
-    triples_per_window = (context_length - 1) // 3
+    width = (context_length - 1) // 3
 
-    stream: list = []
+    items: list[TaggedEvent] = []
+    lengths: list[int] = []
     for seq in sequences:
-        stream.append(None)
-        flag = seq.has_controls
-        for item in seq:
-            stream.append((item, flag))
+        items.extend(seq)
+        lengths.append(len(seq))
+    # The stream as columns: every sequence is preceded by a separator row
+    # (all zeros, marked in ``is_sep``); ``owner`` is each row's sequence.
+    rows = np.asarray(lengths, dtype=np.int64) + 1
+    owner = np.repeat(np.arange(len(lengths)), rows)
+    is_sep = np.zeros(len(owner), dtype=bool)
+    is_sep[np.cumsum(rows) - rows] = True
+    stream = np.zeros((4, len(owner)), dtype=np.int64)
+    stream[:, ~is_sep] = _columns(items)
+    has_controls = np.bincount(owner, weights=stream[3], minlength=len(lengths)) > 0
 
     result = PackResult()
-    result.n_tail_triples = len(stream) % triples_per_window
-    for start in range(0, len(stream) - triples_per_window + 1, triples_per_window):
-        window = stream[start : start + triples_per_window]
-        example = _encode_window(window, result)
-        if example is not None:
-            result.examples.append(example)
-    return result
+    n_windows, result.n_tail_triples = divmod(len(owner), width)
+    used = n_windows * width
+    windows = stream[:, :used].reshape(4, n_windows, width)
+    time, _, note, control = windows
+    sep = is_sep[:used].reshape(n_windows, width)
+    position = np.arange(width)
 
-
-def _encode_window(window: list, result: PackResult) -> TrainingExample | None:
     # The leading segment runs from the first item to the next separator; it
     # is relativized by its minimum time. Later segments keep their own times.
-    start = next((i for i, entry in enumerate(window) if entry is not None), len(window))
-    end = next((i for i in range(start, len(window)) if window[i] is None), len(window))
-    offset = _context_offset(entry[0] for entry in window[start:end])
-    z = AV.AAR if start < len(window) and window[start][1] else AV.AR
+    start = (~sep).argmax(axis=1)[:, None]
+    sep_after = sep & (position >= start)
+    end = np.where(sep_after.any(axis=1), sep_after.argmax(axis=1), width)[:, None]
+    leading = (position >= start) & (position < end)
+    offset = np.where(leading, time, np.iinfo(np.int64).max).min(axis=1)
+    shift = np.where(leading, offset[:, None], 0)
+    flag = has_controls[owner[:used]].reshape(n_windows, width)
+    z = np.where((leading & flag).any(axis=1), AV.AAR, AV.AR)
 
-    tokens: list[int] = [z]
-    for i, entry in enumerate(window):
-        if entry is None:
-            tokens.extend([AV.SEP] * 3)
-            continue
-        item = entry[0]
-        shift = offset if i < end else 0
-        if item.event.time - shift >= MAX_TIME_UNITS:
-            result.n_discarded += 1
-            return None
-        tokens.extend(_event_triple(item.event, item.control, i, shift))
-    return TrainingExample(tuple(tokens))
+    # A window is discarded when its first invalid item has a time past the
+    # token range, and rejected when that item is a rest marked as a control.
+    too_late = time - shift >= MAX_TIME_UNITS
+    rest_control = (note == REST) & (control != 0)
+    invalid = too_late | rest_control
+    bad = invalid.any(axis=1)
+    first = invalid.argmax(axis=1)
+    rejected = bad & ~too_late[np.arange(n_windows), first]
+    if rejected.any():
+        w = int(rejected.argmax())
+        _arrival_triples(windows[:, w], shift[w])  # raises for item ``first[w]``
+    result.n_discarded = int(bad.sum())
+
+    kept = np.flatnonzero(~bad)
+    triples = _arrival_triples(windows[:, kept].reshape(4, -1), shift[kept].ravel())
+    triples[sep[kept].ravel()] = AV.SEP
+    tokens = np.column_stack([z[kept], triples.reshape(len(kept), 3 * width)])
+    result.examples = [TrainingExample(tuple(row)) for row in tokens.tolist()]
+    return result
 
 
 _HEADER_RE = re.compile(r"#codec=(arrival|interarrival)\s+vocab=(\d+)")

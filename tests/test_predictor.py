@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import base64
+import gc
 import io
 import pickle
 import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -438,6 +440,50 @@ class TestBridge:
                 model.next_distribution(None, [])
         finally:
             model._proc.kill()
+            model.close()
+
+    def test_timeout_covers_the_whole_line(self):
+        # the child starts a reply and never ends the line
+        script = ("import sys, time; sys.stdin.readline(); "
+                  "sys.stdout.write('DIST AAAA'); sys.stdout.flush(); time.sleep(10)")
+        model = ExternalPredictor([sys.executable, "-c", script], vocab_size=8, timeout=0.5)
+        try:
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                model.next_distribution(None, [])
+            assert time.monotonic() - started < 5
+        finally:
+            model._proc.kill()
+            model.close()
+
+    def test_reply_split_across_writes(self):
+        # one line written in pieces, then a second line in the same write
+        script = ("import sys, time; from anticipate.bridge import serve; "
+                  "from anticipate.predictor import UniformPredictor; "
+                  "import io; out = io.StringIO(); "
+                  "serve(UniformPredictor(4), io.StringIO('CTX -\\nCTX -\\n'), out); "
+                  "first, second = out.getvalue().splitlines(); sys.stdin.readline(); "
+                  "sys.stdout.write(first[:5]); sys.stdout.flush(); time.sleep(0.2); "
+                  "sys.stdout.write(first[5:] + '\\n' + second + '\\n'); sys.stdout.flush(); "
+                  "sys.stdin.read()")
+        with ExternalPredictor([sys.executable, "-c", script], vocab_size=4, timeout=5) as model:
+            assert model.next_distribution(None, []) == pytest.approx(np.full(4, 0.25))
+            assert model.next_distribution(None, []) == pytest.approx(np.full(4, 0.25))
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    def test_close_releases_both_pipes(self):
+        live = ExternalPredictor([sys.executable, "-c", SERVE_UNIFORM], vocab_size=8)
+        live.next_distribution(None, [])
+        exited = ExternalPredictor([sys.executable, "-c", "pass"], vocab_size=8)
+        exited._proc.wait(timeout=10)
+        with pytest.raises(PredictorProtocolError):
+            exited.next_distribution(None, [])
+        for model in (live, exited):
+            model.close()
+            assert model._proc.stdin.closed and model._proc.stdout.closed
+            assert model._proc.returncode is not None
+        del live, exited, model
+        gc.collect()
 
     def test_parse_response_validation(self):
         def reply(values) -> str:

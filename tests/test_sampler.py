@@ -8,7 +8,7 @@ import pytest
 
 from anticipate import golden
 from anticipate.anticipation import interleave
-from anticipate.events import Event, EventSequence, TaggedEvent, encode_note
+from anticipate.events import Event, EventSequence, InterleavedSequence, TaggedEvent, encode_note
 from anticipate.predictor import ReplayPredictor, UniformPredictor, train_ngram
 from anticipate.sampler import (
     SamplerConfig,
@@ -17,7 +17,7 @@ from anticipate.sampler import (
     generate_autoregressive_infill,
     nucleus_sample,
 )
-from anticipate.tokenizer import encode_arrival
+from anticipate.tokenizer import TokenError, encode_arrival
 from anticipate.vocab import ArrivalVocab as AV
 
 from conftest import random_controls, random_events
@@ -256,6 +256,33 @@ class TestContextWindow:
         assert len(empty.items) == 0 and empty.tokens == []
         assert list(window.items) == items[-5:]
         assert window.tokens[0::3] == [AV.TIME_BASE + 10 * i for i in range(5)]
+
+    @pytest.mark.parametrize("plain_controls", [False, True])
+    def test_long_session_context_is_the_relativized_window(self, rng, plain_controls):
+        # 600 events and their controls: the 341-triple window slides after
+        # 340 pushes; every context must equal encode_arrival of the window
+        # (led by a separator until it slides, then shifted by its minimum time)
+        events = random_events(rng, 600, max_gap=30, max_duration=100)
+        controls = random_controls(rng, 120, max_time=events.end_time, max_duration=100)
+        items = [TaggedEvent(item.event, item.control and not plain_controls)
+                 for item in interleave(events, controls, 500)]
+        context = _Context(1024, plain_controls)
+        for n, item in enumerate(items, start=1):
+            context.push(item)
+            window = items[max(0, n - 341) : n]
+            if n < 341:
+                expected = [AV.SEP] * 3 + encode_arrival(InterleavedSequence(window, check=False))
+            else:
+                offset = min(it.event.time for it in window)
+                shifted = [TaggedEvent(Event(it.event.time - offset, it.event.duration, it.event.note),
+                                       it.control) for it in window]
+                expected = encode_arrival(InterleavedSequence(shifted, check=False))
+            assert context.tokens == expected, n
+            assert context.offset == (0 if n < 341 else offset)
+        # a window spanning the 100-second token range still fails as before
+        late = TaggedEvent(Event(min(it.event.time for it in items[-340:]) + 10_000, 1, 60))
+        with pytest.raises(TokenError, match=r"exceeds the 100s token range \(index 340\)"):
+            context.push(late)
 
 
 class TestStripControls:

@@ -4,14 +4,27 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from anticipate import golden
-from anticipate.events import REST, Event, EventSequence, InterleavedSequence, TaggedEvent
+from anticipate.events import (
+    MAX_TIME_UNITS,
+    REST,
+    Event,
+    EventSequence,
+    InterleavedSequence,
+    TaggedEvent,
+)
 from anticipate.tokenizer import (
+    PackResult,
     TokenError,
     TrainingExample,
+    _arrival_triples,
+    _columns,
+    _context_offset,
+    _event_triple,
     decode_arrival,
     decode_arrival_single,
     decode_interarrival,
@@ -396,3 +409,157 @@ class TestTokenFile:
         with pytest.raises(TokenError, match="line 2"):
             read_tokens(io.StringIO("#codec=interarrival vocab=34025\n34025\n"))
         assert read_tokens(io.StringIO("#codec=interarrival vocab=34025\n34024 0\n"))[1] == [[34024, 0]]
+
+
+# -- columnar encoder against the per-event reference -----------------------
+
+
+def _reference_encode_arrival(seq, *, z=None, leading_sep=False):
+    """The per-event arrival encoder the columnar one replaced."""
+    items = InterleavedSequence.from_events(seq) if isinstance(seq, EventSequence) else seq
+    tokens = []
+    if z is not None:
+        if z not in (AV.AR, AV.AAR):
+            raise TokenError(f"control code must be AR or AAR, got {z}")
+        tokens.append(z)
+    if leading_sep:
+        tokens.extend([AV.SEP] * 3)
+    for i, item in enumerate(items):
+        tokens.extend(_event_triple(item.event, item.control, i))
+    return tokens
+
+
+def _reference_pack(sequences, *, context_length=1024):
+    """The per-event packer the columnar one replaced: a stream of
+    ``(item, flag)`` entries with ``None`` separators, encoded window by window."""
+    triples_per_window = (context_length - 1) // 3
+    stream = []
+    for seq in sequences:
+        stream.append(None)
+        flag = seq.has_controls
+        for item in seq:
+            stream.append((item, flag))
+    result = PackResult()
+    result.n_tail_triples = len(stream) % triples_per_window
+    for start in range(0, len(stream) - triples_per_window + 1, triples_per_window):
+        window = stream[start : start + triples_per_window]
+        first = next((i for i, entry in enumerate(window) if entry is not None), len(window))
+        end = next((i for i in range(first, len(window)) if window[i] is None), len(window))
+        offset = _context_offset(entry[0] for entry in window[first:end])
+        z = AV.AAR if first < len(window) and window[first][1] else AV.AR
+        tokens = [z]
+        for i, entry in enumerate(window):
+            if entry is None:
+                tokens.extend([AV.SEP] * 3)
+                continue
+            item = entry[0]
+            shift = offset if i < end else 0
+            if item.event.time - shift >= MAX_TIME_UNITS:
+                result.n_discarded += 1
+                break
+            tokens.extend(_event_triple(item.event, item.control, i, shift))
+        else:
+            result.examples.append(TrainingExample(tuple(tokens)))
+    return result
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result of a call, or the type, message and index of its error."""
+    try:
+        result = fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    if isinstance(result, PackResult):
+        return ([e.tokens for e in result.examples], result.n_discarded,
+                result.n_clamped_times, result.n_tail_triples)
+    return result
+
+
+@st.composite
+def packing_streams(draw):
+    """Interleaved streams with empty sequences, controls ahead of their
+    events, rests, times near and past 10 000, and at most one rest marked
+    as a control."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.integers(0, 400), max_size=5))
+    p_control = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    p_rest = draw(st.sampled_from([0.0, 0.1]))
+    max_gap = draw(st.sampled_from([0, 30, 300, 12_000]))
+    start = draw(st.sampled_from([0, 9_990, 20_000]))
+    bad_rest = draw(st.none() | st.integers(0, sum(lengths)))
+    sequences, index = [], 0
+    for n in lengths:
+        times = start + np.cumsum(rng.integers(0, max_gap + 1, size=n))
+        items = []
+        for t in times.tolist():
+            control = bool(rng.random() < p_control)
+            if index == bad_rest:
+                items.append(TaggedEvent(Event(t, 0, REST), control=True))
+            elif not control and rng.random() < p_rest:
+                items.append(TaggedEvent(Event(t, 0, REST)))
+            else:
+                lead = int(rng.integers(0, 600)) if control else 0
+                event = Event(t + lead, int(rng.integers(0, 1000)), int(rng.integers(0, 16512)))
+                items.append(TaggedEvent(event, control=control))
+            index += 1
+        sequences.append(InterleavedSequence(items, check=False))
+    return sequences
+
+
+_tagged_items = st.builds(
+    lambda time, duration, note, control: TaggedEvent(
+        Event(time, 0 if note == REST else duration, note), control),
+    st.one_of(st.integers(0, 300), st.integers(9_950, 10_050), st.integers(0, 30_000)),
+    st.integers(0, 999),
+    st.one_of(st.integers(0, 16_511), st.just(REST)),
+    st.booleans(),
+)
+
+
+class TestColumnarEncoder:
+    @settings(max_examples=150, deadline=None)
+    @given(packing_streams(), st.sampled_from([4, 7, 1024]))
+    def test_pack_matches_per_event_reference(self, sequences, context_length):
+        expected = _outcome(_reference_pack, sequences, context_length=context_length)
+        actual = _outcome(pack_training_examples, iter(sequences), context_length=context_length)
+        assert actual == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(packing_streams())
+    def test_encode_matches_per_event_reference(self, sequences):
+        for seq in sequences:
+            for kwargs in ({}, {"z": AV.AAR, "leading_sep": True}):
+                expected = _outcome(_reference_encode_arrival, seq, **kwargs)
+                assert _outcome(encode_arrival, seq, **kwargs) == expected
+        assert _outcome(encode_arrival, EventSequence(), z=AV.SEP) == _outcome(
+            _reference_encode_arrival, EventSequence(), z=AV.SEP)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_tagged_items, max_size=30), st.integers(-100, 20_000))
+    def test_scalar_and_array_forms_agree_item_by_item(self, items, offset):
+        def scalar():
+            return [_event_triple(item.event, item.control, i, offset)
+                    for i, item in enumerate(items)]
+
+        def array():
+            return _arrival_triples(_columns(items), offset).tolist()
+
+        assert _outcome(array) == _outcome(scalar)
+        for item in items:
+            expected = _outcome(lambda: [_event_triple(item.event, item.control, 0, offset)])
+            assert _outcome(lambda: _arrival_triples(_columns([item]), offset).tolist()) == expected
+
+    def test_first_invalid_item_decides_discard_or_error(self):
+        # [SEP, e@0, e@10000, rest-control@5000]: the time comes first, so the
+        # window is discarded; swapping the last two items makes it an error.
+        plain, late = TaggedEvent(Event(0, 1, 60)), TaggedEvent(Event(10_000, 1, 60))
+        rest_control = TaggedEvent(Event(5_000, 0, REST), control=True)
+        discarded = [InterleavedSequence([plain, late, rest_control], check=False)]
+        rejected = [InterleavedSequence([plain, rest_control, late], check=False)]
+        result = pack_training_examples(discarded, context_length=13)
+        assert (result.examples, result.n_discarded) == ([], 1)
+        with pytest.raises(TokenError, match=r"rest events cannot be controls \(index 2\)"):
+            pack_training_examples(rejected, context_length=13)
+        for sequences in (discarded, rejected):
+            expected = _outcome(_reference_pack, sequences, context_length=13)
+            assert _outcome(pack_training_examples, sequences, context_length=13) == expected
