@@ -1,12 +1,15 @@
 """The interleaving engine: offline placement of controls among events, the
 online emission rule that reproduces it, rest densification for sparse
-sequences, and the split/sort inverse for infilling.
+sequences, and the split/sort inverse.
 
 A control on time ``s`` is placed immediately after the first event whose
-time reaches ``s - delta`` (and after any earlier-queued controls).  The
-placement rule depends only on the prefix already emitted, so exactly the
-same interleaving falls out of an online loop that alternates "emit next
-event" with "emit every pending control within delta of it".  Controls whose
+time reaches ``s - delta`` (and after any earlier-queued controls).  That
+event is a stopping time of the event sequence: on the time row it is
+``searchsorted(event_time + delta, s, "left")``, and because both streams are
+sorted the offline interleave is one stable merge of the two.  The placement
+rule depends only on the prefix already emitted, so exactly the same
+interleaving falls out of an online loop that alternates "emit next event"
+with "emit every pending control within delta of it".  Controls whose
 condition is never met (the event stream ends too early) are appended at the
 tail so the interleaving stays lossless.
 
@@ -19,14 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .events import (
-    REST,
-    UNITS_PER_SECOND,
-    Event,
-    EventSequence,
-    InterleavedSequence,
-    TaggedEvent,
-)
+import numpy as np
+
+from .events import REST, UNITS_PER_SECOND, Event, EventSequence, InterleavedSequence, _tagged
 
 
 @dataclass(frozen=True)
@@ -63,15 +61,15 @@ def densify(seq: EventSequence, target: int) -> EventSequence:
     """
     if target <= 0:
         raise ValueError("target density must be positive")
-    out: list[Event] = []
-    for event in seq:
-        if out:
-            gap = event.time - out[-1].time
-            base = out[-1].time
-            n = (gap - 1) // target if gap > 0 else 0
-            out.extend(Event(base + m * target, 0, REST) for m in range(1, n + 1))
-        out.append(event)
-    return EventSequence(out)
+    columns = seq.columns
+    # each event is followed by the rests that fill the gap to the next one
+    reps = np.ones(len(seq), dtype=np.int64)
+    reps[:-1] += np.maximum(np.diff(columns[0]) - 1, 0) // target
+    out = np.repeat(columns, reps, axis=1)
+    m = np.arange(out.shape[1]) - np.repeat(np.cumsum(reps) - reps, reps)
+    out[0] += m * target
+    out[1:, m > 0] = [[0], [REST]]
+    return EventSequence._of(out)
 
 
 def interleave(
@@ -85,17 +83,12 @@ def interleave(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    out: list[TaggedEvent] = []
-    k = 0
-    for event in events:
-        out.append(TaggedEvent(event))
-        while k < len(controls) and controls[k].time <= event.time + delta:
-            out.append(TaggedEvent(controls[k], control=True))
-            k += 1
-    while k < len(controls):
-        out.append(TaggedEvent(controls[k], control=True))
-        k += 1
-    return InterleavedSequence(out)
+    # Event i sorts at (i, 0); a control at (index of its stopping event, 1),
+    # which is (len(events), 1), the tail, when no event reaches it.
+    due = np.searchsorted(events.columns[0] + delta, controls.columns[0], side="left")
+    slot = np.concatenate([np.arange(len(events)), due])
+    columns = np.concatenate([_tagged(events, False), _tagged(controls, True)], axis=1)
+    return InterleavedSequence._of(columns[:, np.lexsort((columns[3], slot))])
 
 
 def next_anticipated_controls(
@@ -124,14 +117,11 @@ def sort_order_interleave(
     cannot be produced by an online sampler; it exists as the contrast case
     for tests and demos.
     """
-    entries = [(e.time, 1, i, TaggedEvent(e)) for i, e in enumerate(events)]
-    entries += [
-        (c.time - delta, 0, i, TaggedEvent(c, control=True)) for i, c in enumerate(controls)
-    ]
+    columns = np.concatenate([_tagged(events, False), _tagged(controls, True)], axis=1)
+    adjusted = np.concatenate([events.columns[0], controls.columns[0] - delta])
     # Adjusted-time ties put the control before the event, matching a merge
     # where the shifted control arrives first.
-    entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
-    return InterleavedSequence((entry[3] for entry in entries), check=False)
+    return InterleavedSequence._of(columns[:, np.lexsort((1 - columns[3], adjusted))])
 
 
 def event_sort_key(event: Event):
@@ -146,6 +136,5 @@ def event_sort_key(event: Event):
 
 def split_and_sort(seq: InterleavedSequence) -> EventSequence:
     """Undo an infilling interleave: drop tags, merge, sort canonically."""
-    return EventSequence(
-        sorted((item.event for item in seq), key=event_sort_key)
-    )
+    time, duration, note = seq.columns[:3]
+    return EventSequence._of(seq.columns[:3, np.lexsort((duration, note, time))])

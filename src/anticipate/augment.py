@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .anticipation import AnticipationConfig, densify, interleave
-from .events import UNITS_PER_SECOND, EventSequence, InterleavedSequence
+from .events import NUM_PITCHES, REST, UNITS_PER_SECOND, EventSequence, InterleavedSequence
 
 PATTERNS = ("none", "span", "instrument", "random")
 RANDOM_RATES = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -79,7 +79,7 @@ def draw_span_starts(
 def span_mask(seq: EventSequence, starts: list[float], length: float) -> np.ndarray:
     """Mark every event whose time (seconds) falls in [start, start + length]."""
     mask = np.zeros(len(seq), dtype=bool)
-    times = np.asarray(seq.times(), dtype=np.float64) / UNITS_PER_SECOND
+    times = seq.columns[0] / UNITS_PER_SECOND
     for start in starts:
         lo = np.searchsorted(times, start, side="left")
         hi = np.searchsorted(times, start + length, side="right")
@@ -97,7 +97,7 @@ def sample_span_controls(
     """Mark consecutive runs of events covered by sampled time spans."""
     if not len(seq):
         return np.zeros(0, dtype=bool)
-    total = seq[len(seq) - 1].time / UNITS_PER_SECOND
+    total = int(seq.columns[0, -1]) / UNITS_PER_SECOND
     return span_mask(seq, draw_span_starts(total, rate, length, rng), length)
 
 
@@ -113,10 +113,9 @@ def sample_instrument_controls(
     if len(parts) < 2:
         return None
     j = int(rng.integers(1, len(parts)))
-    chosen = set(rng.choice(parts, size=j, replace=False).tolist())
-    return np.array(
-        [(not e.is_rest) and e.instrument in chosen for e in seq], dtype=bool
-    )
+    chosen = rng.choice(parts, size=j, replace=False)
+    notes = seq.columns[2]
+    return (notes != REST) & np.isin(notes // NUM_PITCHES, chosen)
 
 
 def sample_random_controls(
@@ -130,17 +129,15 @@ def sample_random_controls(
         return np.zeros(0, dtype=bool)
     rate = rates[int(rng.integers(len(rates)))]
     mask = rng.random(len(seq)) < rate
-    rests = np.array([e.is_rest for e in seq], dtype=bool)
-    return mask & ~rests
+    return mask & (seq.columns[2] != REST)
 
 
 def split_by_mask(seq: EventSequence, mask: np.ndarray) -> tuple[EventSequence, EventSequence]:
     """Partition a sequence into (unmarked events, marked controls)."""
     if len(mask) != len(seq):
         raise ValueError("mask length must match sequence length")
-    events = EventSequence(e for e, m in zip(seq, mask) if not m)
-    controls = EventSequence(e for e, m in zip(seq, mask) if m)
-    return events, controls
+    mask = np.asarray(mask, dtype=bool)
+    return EventSequence._of(seq.columns[:, ~mask]), EventSequence._of(seq.columns[:, mask])
 
 
 @dataclass

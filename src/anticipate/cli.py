@@ -24,7 +24,7 @@ from .anticipation import AnticipationConfig, densify, interleave, split_and_sor
 from .augment import AugmentationPolicy, augment_corpus
 from .corpus import preprocess_corpus
 from .eventio import read_events, write_events
-from .events import EventSequence, InterleavedSequence
+from .events import REST, EventSequence, InterleavedSequence
 from .metrics import CorpusStats, corpus_stats, cross_entropy, format_report, report_row
 from .midi import ChannelCapacityError, MidiParseError, write_midi
 from .predictor import NGramModel, train_ngram
@@ -317,9 +317,7 @@ def _cmd_augment(args) -> int:
             with _open_out(labels_path) as f:
                 for c in copies:
                     f.write(f"{c.sequence_index}\t{c.copy_index}\t{c.pattern}\n")
-    n_rest = sum(
-        1 for c in copies for item in c.interleaved if item.event.is_rest
-    )
+    n_rest = sum(int((c.interleaved.columns[2] == REST).sum()) for c in copies)
     print(
         f"emitted {len(copies)} copies of {len(sequences)} sequences; "
         f"{n_rest} rest events inserted",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
-from .events import UNITS_PER_SECOND, EventSequence, InterleavedSequence
+from .events import UNITS_PER_SECOND, EventSequence
 from .eventio import write_events
 from .midi import MidiParseError, parse_midi
 from .tokenizer import _relativize_sequence
@@ -152,8 +152,7 @@ def preprocess_corpus(
         md5 = hashlib.md5(data).hexdigest()
         split = split_for_digest(md5)
         try:
-            parsed = InterleavedSequence.from_events(parse_midi(data))
-            seq = _relativize_sequence(parsed).events()
+            seq = _relativize_sequence(parse_midi(data))
         except (MidiParseError, ValueError) as exc:
             log.info("failed to parse %s: %s", path, exc)
             manifest.entries.append(ManifestEntry(file_id, md5, split, 0, 0.0, 0, "unparseable"))

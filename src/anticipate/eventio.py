@@ -14,11 +14,10 @@ from .events import REST, Event, EventSequence, InterleavedSequence, TaggedEvent
 from .tokenizer import TokenError
 
 
-def format_item(item: TaggedEvent) -> str:
-    e = item.event
-    note = "R" if e.is_rest else str(e.note)
-    line = f"{e.time} {e.duration} {note}"
-    return f"C {line}" if item.control else line
+def format_item(time: int, duration: int, note: int, control: int = 0) -> str:
+    """One line of the format for an item's column (``control`` 0 or 1)."""
+    line = f"{time} {duration} {'R' if note == REST else note}"
+    return f"C {line}" if control else line
 
 
 def parse_line(line: str) -> TaggedEvent:
@@ -41,13 +40,11 @@ def write_events(f: IO[str], sequences: Iterable[InterleavedSequence | EventSequ
         if not first:
             f.write("\n")
         first = False
-        if isinstance(seq, EventSequence):
-            seq = InterleavedSequence.from_events(seq)
-        for item in seq:
-            f.write(format_item(item) + "\n")
+        for column in seq.columns.T.tolist():
+            f.write(format_item(*column) + "\n")
 
 
-def read_events(f: IO[str], *, check: bool = True) -> list[InterleavedSequence]:
+def read_events(f: IO[str]) -> list[InterleavedSequence]:
     """Read blank-line separated sequences from the event text format.
 
     Runs of blank lines collapse to a single separator, so empty sequences
@@ -66,7 +63,7 @@ def read_events(f: IO[str], *, check: bool = True) -> list[InterleavedSequence]:
                 raise TokenError(f"line {lineno}: {exc}") from exc
         elif current:
             try:
-                sequences.append(InterleavedSequence(current, check=check))
+                sequences.append(InterleavedSequence(current))
             except ValueError as exc:
                 first = lineno - len(current)
                 raise TokenError(f"sequence on lines {first}-{lineno - 1}: {exc}") from exc

@@ -7,6 +7,12 @@ is the drum kit. Durations are capped at 10 seconds (999 grid units). Raw
 event times are unbounded non-negative grid indices; the 100-second (9999
 unit) ceiling applies in token space, where times are relativized to the
 start of a model context (see :mod:`anticipate.tokenizer`).
+
+A sequence is stored as one read-only int64 array ``columns`` with a column
+per item: rows time, duration and note for an :class:`EventSequence`, plus a
+0/1 control flag for an :class:`InterleavedSequence`. The pipeline works on
+these rows; iterating or indexing a sequence builds the :class:`Event` and
+:class:`TaggedEvent` objects on demand.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 UNITS_PER_SECOND = 100  # 10ms grid
 MAX_TIME_UNITS = 10_000  # token-space cap: 100 seconds
@@ -67,7 +75,7 @@ def decode_note(code: int) -> tuple[int, int]:
     return code // NUM_PITCHES, code % NUM_PITCHES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One quantized event: onset time, duration (both 10ms units), note code.
 
@@ -111,63 +119,7 @@ class Event:
         return self.time + self.duration
 
 
-class EventSequence:
-    """An immutable, time-ordered sequence of events.
-
-    By default out-of-order input is rejected; pass ``sort=True`` to re-sort
-    (stable, so equal-time events keep their given order).
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Iterable[Event] = (), *, sort: bool = False):
-        items = tuple(events)
-        if sort:
-            items = tuple(sorted(items, key=lambda e: e.time))
-        else:
-            for i in range(1, len(items)):
-                if items[i].time < items[i - 1].time:
-                    raise ValueError(
-                        f"event times must be non-decreasing (index {i}: "
-                        f"{items[i].time} < {items[i - 1].time}); pass sort=True to re-sort"
-                    )
-        object.__setattr__(self, "events", items)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
-
-    def __getitem__(self, i):
-        return self.events[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EventSequence) and self.events == other.events
-
-    def __hash__(self) -> int:
-        return hash(self.events)
-
-    def __repr__(self) -> str:
-        return f"EventSequence({list(self.events)!r})"
-
-    def times(self) -> list[int]:
-        return [e.time for e in self.events]
-
-    def instruments(self) -> set[int]:
-        """Distinct instrument codes present (rests carry no instrument)."""
-        return {e.instrument for e in self.events if not e.is_rest}
-
-    def without_rests(self) -> "EventSequence":
-        return EventSequence(e for e in self.events if not e.is_rest)
-
-    @property
-    def end_time(self) -> int:
-        """Last note offset (onset + duration) in grid units; 0 when empty."""
-        return max((e.end for e in self.events), default=0)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedEvent:
     """An event tagged as either a plain event or an anticipated control."""
 
@@ -175,7 +127,107 @@ class TaggedEvent:
     control: bool = False
 
 
-class InterleavedSequence:
+def _array(rows: list[tuple], width: int) -> np.ndarray:
+    """Per-item field tuples as a (width, n) int64 array."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, width).T.copy()
+    except OverflowError as exc:
+        raise ValueError(f"event fields must fit in 64 bits: {exc}") from None
+
+
+class _Sequence:
+    """What both sequence types share: the ``columns`` array, equality and
+    hashing by value, and item access that builds item objects on demand."""
+
+    __slots__ = ("columns",)
+
+    def _store(self, columns: np.ndarray) -> None:
+        columns.flags.writeable = False
+        self.columns = columns
+
+    @classmethod
+    def _of(cls, columns: np.ndarray):
+        """A sequence over ``columns`` derived from valid ones; not re-checked."""
+        seq = object.__new__(cls)
+        seq._store(columns)
+        return seq
+
+    def __len__(self) -> int:
+        return self.columns.shape[1]
+
+    def __iter__(self) -> Iterator:
+        return map(self._item, *self.columns.tolist())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            columns = self.columns[:, i]
+            if (i.step or 1) < 0:  # a reversed sequence may break the time order
+                self._check(columns)
+            return self._of(columns)
+        return self._item(*self.columns[:, i].tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and np.array_equal(self.columns, other.columns)
+
+    def __hash__(self) -> int:
+        return hash(self.columns.tobytes())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+    def times(self) -> list[int]:
+        return self.columns[0].tolist()
+
+    @property
+    def end_time(self) -> int:
+        """Last note offset (onset + duration) in grid units; 0 when empty."""
+        return int((self.columns[0] + self.columns[1]).max(initial=0))
+
+
+class EventSequence(_Sequence):
+    """An immutable, time-ordered sequence of events.
+
+    By default out-of-order input is rejected; pass ``sort=True`` to re-sort
+    (stable, so equal-time events keep their given order).
+    """
+
+    __slots__ = ()
+    _item = Event
+
+    def __init__(self, events: Iterable[Event] = (), *, sort: bool = False):
+        columns = _array([(e.time, e.duration, e.note) for e in events], 3)
+        if sort:
+            columns = columns[:, np.argsort(columns[0], kind="stable")]
+        else:
+            self._check(columns)
+        self._store(columns)
+
+    @staticmethod
+    def _check(columns: np.ndarray) -> None:
+        time = columns[0]
+        drops = np.flatnonzero(time[1:] < time[:-1])
+        if drops.size:
+            i = int(drops[0]) + 1
+            raise ValueError(
+                f"event times must be non-decreasing (index {i}: "
+                f"{time[i]} < {time[i - 1]}); pass sort=True to re-sort"
+            )
+
+    def instruments(self) -> set[int]:
+        """Distinct instrument codes present (rests carry no instrument)."""
+        notes = self.columns[2]
+        return set((notes[notes != REST] // NUM_PITCHES).tolist())
+
+    def without_rests(self) -> "EventSequence":
+        return self._of(self.columns[:, self.columns[2] != REST])
+
+
+def _tagged(seq: EventSequence, control: bool) -> np.ndarray:
+    """The (4, n) columns of ``seq`` with every control flag set to ``control``."""
+    return np.vstack([seq.columns, np.full(len(seq), int(control), dtype=np.int64)])
+
+
+class InterleavedSequence(_Sequence):
     """An ordered mix of plain events and anticipated controls.
 
     Plain-event times are non-decreasing among themselves, and control times
@@ -183,53 +235,50 @@ class InterleavedSequence:
     Set ``check=False`` to skip validation (e.g. for unmasked model output).
     """
 
-    __slots__ = ("items",)
+    __slots__ = ()
+
+    @staticmethod
+    def _item(time: int, duration: int, note: int, control: int) -> TaggedEvent:
+        return TaggedEvent(Event(time, duration, note), control != 0)
 
     def __init__(self, items: Iterable[TaggedEvent] = (), *, check: bool = True):
-        tagged = tuple(items)
+        columns = _array(
+            [(x.event.time, x.event.duration, x.event.note, x.control) for x in items], 4
+        )
         if check:
-            last_plain = last_control = -1
-            for i, item in enumerate(tagged):
-                prev = last_control if item.control else last_plain
-                if item.event.time < prev:
-                    kind = "control" if item.control else "plain event"
-                    raise ValueError(f"{kind} times must be non-decreasing (index {i})")
-                if item.control:
-                    last_control = item.event.time
-                else:
-                    last_plain = item.event.time
-        object.__setattr__(self, "items", tagged)
+            self._check(columns)
+        self._store(columns)
+
+    @staticmethod
+    def _check(columns: np.ndarray) -> None:
+        """Raise for the first item, in sequence order, that is earlier than
+        the item before it in its own stream."""
+        time, control = columns[0], columns[3]
+        order = np.argsort(control, kind="stable")  # each stream in sequence order
+        time, stream = time[order], control[order]
+        drops = order[1:][(time[1:] < time[:-1]) & (stream[1:] == stream[:-1])]
+        if drops.size:
+            i = int(drops.min())
+            kind = "control" if columns[3, i] else "plain event"
+            raise ValueError(f"{kind} times must be non-decreasing (index {i})")
 
     @classmethod
     def from_events(cls, seq: EventSequence) -> "InterleavedSequence":
-        return cls(TaggedEvent(e) for e in seq)
+        return cls._of(_tagged(seq, False))
 
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[TaggedEvent]:
-        return iter(self.items)
-
-    def __getitem__(self, i):
-        return self.items[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, InterleavedSequence) and self.items == other.items
-
-    def __hash__(self) -> int:
-        return hash(self.items)
-
-    def __repr__(self) -> str:
-        return f"InterleavedSequence({list(self.items)!r})"
+    def _stream(self, control: bool) -> EventSequence:
+        columns = self.columns[:3, self.columns[3] == control]
+        EventSequence._check(columns)  # an unchecked sequence may be out of order
+        return EventSequence._of(columns)
 
     def events(self) -> EventSequence:
         """The plain-event stream, order preserved."""
-        return EventSequence(item.event for item in self.items if not item.control)
+        return self._stream(False)
 
     def controls(self) -> EventSequence:
         """The control stream, order preserved."""
-        return EventSequence(item.event for item in self.items if item.control)
+        return self._stream(True)
 
     @property
     def has_controls(self) -> bool:
-        return any(item.control for item in self.items)
+        return bool(self.columns[3].any())

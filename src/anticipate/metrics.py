@@ -48,15 +48,13 @@ def corpus_stats(
     tokens = 0
     seconds = 0.0
     for seq in sequences:
-        if isinstance(seq, EventSequence):
-            seq = InterleavedSequence.from_events(seq)
         if codec == "arrival":
             tokens += 3 * len(seq) + (4 if include_specials else 0)
         elif codec == "interarrival":
             tokens += len(encode_interarrival(seq)) + (1 if include_specials else 0)
         else:
             raise ValueError(f"unknown codec {codec!r}")
-        seconds += max((item.event.end for item in seq), default=0) / UNITS_PER_SECOND
+        seconds += seq.end_time / UNITS_PER_SECOND
     return CorpusStats(tokens, seconds, codec)
 
 

@@ -37,7 +37,7 @@ from .events import (
     TaggedEvent,
 )
 from .predictor import Predictor
-from .tokenizer import _arrival_triples, _columns, _event_triple
+from .tokenizer import _arrival_triples, _event_triple
 from .vocab import ArrivalVocab as AV
 
 TIME_SLOT, DURATION_SLOT, NOTE_SLOT = 0, 1, 2
@@ -135,7 +135,7 @@ class _Context:
             self.tokens = []
             return
         if self.columns is None:
-            self.columns = _columns(self.items)
+            self.columns = InterleavedSequence(self.items, check=False).columns.copy()
             if self.plain_controls:
                 self.columns[3] = 0
         else:
@@ -212,13 +212,17 @@ def _sample_event(
     return Event(time, duration, note_tok - AV.NOTE_BASE)
 
 
-def _checked_controls(controls: EventSequence) -> EventSequence:
-    for i, control in enumerate(controls):
-        if control.time >= MAX_TIME_UNITS:
-            raise ValueError(f"control {i} at time {control.time} exceeds the token range")
-        if control.is_rest:
-            raise ValueError("rest events cannot be controls")
-    return controls
+def _checked_controls(controls: EventSequence) -> list[Event]:
+    """The controls as events, once their times and notes are checked."""
+    time, _, note = controls.columns
+    late = time >= MAX_TIME_UNITS
+    invalid = late | (note == REST)
+    if invalid.any():
+        i = int(invalid.argmax())
+        if late[i]:
+            raise ValueError(f"control {i} at time {time[i]} exceeds the token range")
+        raise ValueError("rest events cannot be controls")
+    return list(controls)
 
 
 def _generate(

@@ -38,28 +38,18 @@ def _histogram(values: list[float], metric: str, bins: int = 30) -> CorpusHistog
     return CorpusHistogram(metric, edges, counts, float(arr.mean()), float(arr.std()), len(arr))
 
 
-def _token_times(seq: InterleavedSequence, codec: str) -> list[int]:
-    """One timestamp per token the sequence would produce under the codec."""
+def _token_times(seq: InterleavedSequence | EventSequence, codec: str) -> np.ndarray:
+    """One timestamp per token the sequence would produce under the codec, sorted."""
+    time, duration = seq.columns[:2]
     if codec == "arrival":
-        times: list[int] = []
-        for item in seq:
-            times.extend([item.event.time] * 3)
-        return sorted(times)
+        return np.sort(np.repeat(time, 3))
     # Interarrival: onset and offset items at their own times, plus a gap
     # token at the earlier item of each nonzero gap.
-    items: list[int] = []
-    for item in seq:
-        items.append(item.event.time)
-        items.append(item.event.end)
-    items.sort()
-    times = list(items)
-    times.extend(items[i] for i in range(len(items) - 1) if items[i + 1] - items[i] > 0)
-    return sorted(times)
+    items = np.sort(np.concatenate([time, time + duration]))
+    return np.sort(np.concatenate([items, items[:-1][np.diff(items) > 0]]))
 
 
 def sequence_token_length(seq: InterleavedSequence | EventSequence, codec: str) -> int:
-    if isinstance(seq, EventSequence):
-        seq = InterleavedSequence.from_events(seq)
     return len(_token_times(seq, codec))
 
 
@@ -70,13 +60,10 @@ def corpus_histograms(
     lengths: list[float] = []
     rates: list[float] = []
     for seq in sequences:
-        if isinstance(seq, EventSequence):
-            seq = InterleavedSequence.from_events(seq)
-        times = _token_times(seq, codec)
-        lengths.append(len(times))
-        if not times:
+        arr = _token_times(seq, codec)
+        lengths.append(len(arr))
+        if not len(arr):
             continue
-        arr = np.asarray(times)
         end = max(int(arr.max()), 0)
         for start in range(0, max(end - RATE_WINDOW_UNITS, 0) + 1, RATE_HOP_UNITS):
             lo = np.searchsorted(arr, start, side="left")

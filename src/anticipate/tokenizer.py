@@ -6,11 +6,11 @@ Controls use the shifted vocabulary ranges; a separator is a triple of SEP
 tokens. Interarrival codec: onset/offset tokens with gap tokens in between
 (zero gaps omitted, gaps over 10 s truncated); a separator is a single SEP.
 
-Arrival encoding is columnar: a whole sequence, or the whole packed stream,
-is read once into int64 columns (time, duration, note, control) and its
-triples are built and checked with array operations. An invalid item fails
-with the error the scalar triple encoder gives for it, at the same index;
-the scalar form remains for callers that encode one item at a time.
+Arrival encoding is columnar: the triples of a whole sequence, or of the
+whole packed stream, are built from the sequence's time, duration, note and
+control rows and checked with array operations. An invalid item fails with
+the error the scalar triple encoder gives for it, at the same index; the
+scalar form remains for callers that encode one item at a time.
 
 Every model context is relativized by one rule: its times are shifted by the
 minimum time of its items, so the context starts at zero and distinct times
@@ -56,22 +56,15 @@ def _as_interleaved(seq: InterleavedSequence | EventSequence) -> InterleavedSequ
     return seq
 
 
-def _context_offset(items: Iterable[TaggedEvent]) -> int:
-    """The relativization rule: a context's offset is the minimum time of its
-    items (0 for an empty context)."""
-    return min((item.event.time for item in items), default=0)
-
-
-def _relativize_sequence(seq: InterleavedSequence) -> InterleavedSequence:
-    """Shift a whole sequence by its context offset so it starts at time zero."""
-    offset = _context_offset(seq)
-    if offset == 0:
+def _relativize_sequence(
+    seq: InterleavedSequence | EventSequence,
+) -> InterleavedSequence | EventSequence:
+    """Shift a whole sequence by its minimum time so it starts at time zero."""
+    if not len(seq) or (offset := seq.columns[0].min()) == 0:
         return seq
-    return InterleavedSequence(
-        (TaggedEvent(Event(item.event.time - offset, item.event.duration, item.event.note),
-                     item.control) for item in seq),
-        check=False,
-    )
+    columns = seq.columns.copy()
+    columns[0] -= offset
+    return seq._of(columns)
 
 
 def _event_triple(event: Event, control: bool, index: int, offset: int = 0) -> list[int]:
@@ -90,16 +83,6 @@ def _event_triple(event: Event, control: bool, index: int, offset: int = 0) -> l
         AV.duration_token(event.duration, control=control),
         note,
     ]
-
-
-def _columns(items: Sequence[TaggedEvent]) -> np.ndarray:
-    """The items as a (4, n) int64 array of time, duration, note and control."""
-    events = [item.event for item in items]
-    return np.array(
-        [[e.time for e in events], [e.duration for e in events], [e.note for e in events],
-         [item.control for item in items]],
-        dtype=np.int64,
-    )
 
 
 def _arrival_triples(columns: np.ndarray, offset: int | np.ndarray = 0) -> np.ndarray:
@@ -144,7 +127,7 @@ def encode_arrival(
         tokens.append(z)
     if leading_sep:
         tokens.extend([AV.SEP] * 3)
-    tokens.extend(_arrival_triples(_columns(_as_interleaved(seq))).ravel().tolist())
+    tokens.extend(_arrival_triples(_as_interleaved(seq).columns).ravel().tolist())
     return tokens
 
 
@@ -217,25 +200,23 @@ def encode_interarrival(
         if seq.has_controls:
             raise TokenError("interarrival codec does not support control events")
         seq = seq.events()
-    # Rank 0 sorts offsets of earlier-started notes before items at the same
-    # instant; a zero-duration note keeps its own offset just after its
-    # onset. Ties are otherwise stable in event order.
-    items: list[tuple[int, int, bool, int]] = []
-    for i, event in enumerate(seq):
-        if event.is_rest:
-            raise TokenError("interarrival codec does not support rest events", i)
-        items.append((event.time, 1, True, event.note))
-        items.append((event.end, 0 if event.duration else 1, False, event.note))
-    items.sort(key=lambda it: (it[0], it[1]))
-
-    tokens: list[int] = [IV.SEP] if leading_sep else []
-    for i, (time, _, is_onset, note) in enumerate(items):
-        tokens.append((IV.ONSET_BASE if is_onset else IV.OFFSET_BASE) + note)
-        if i + 1 < len(items):
-            gap = items[i + 1][0] - time
-            if gap:
-                tokens.append(min(gap, IV.ONSET_BASE - 1))
-    return tokens
+    time, duration, note = seq.columns
+    rests = np.flatnonzero(note == REST)
+    if rests.size:
+        raise TokenError("interarrival codec does not support rest events", int(rests[0]))
+    # Each event's onset is followed by its offset. Rank 0 sorts offsets of
+    # earlier-started notes before items at the same instant; a zero-duration
+    # note keeps its own offset just after its onset. Ties are otherwise
+    # stable in event order.
+    item_time = np.column_stack([time, time + duration]).ravel()
+    rank = np.column_stack([np.ones_like(duration), duration == 0]).ravel()
+    order = np.lexsort((rank, item_time))
+    codes = np.column_stack([note + IV.ONSET_BASE, note + IV.OFFSET_BASE]).ravel()[order]
+    item_time = item_time[order]
+    gaps = np.minimum(np.diff(item_time, append=item_time[-1:]), IV.ONSET_BASE - 1)
+    # every item's token, then the gap to the next item unless it is zero
+    tokens = np.column_stack([codes, gaps]).ravel()
+    return ([IV.SEP] if leading_sep else []) + tokens[tokens != 0].tolist()
 
 
 def decode_interarrival(tokens: Sequence[int]) -> EventSequence:
@@ -327,11 +308,8 @@ def pack_training_examples(
         raise ValueError("context_length must be 1 + a multiple of 3")
     width = (context_length - 1) // 3
 
-    items: list[TaggedEvent] = []
-    lengths: list[int] = []
-    for seq in sequences:
-        items.extend(seq)
-        lengths.append(len(seq))
+    columns = [seq.columns for seq in sequences]
+    lengths = [c.shape[1] for c in columns]
     # The stream as columns: every sequence is preceded by a separator row
     # (all zeros, marked in ``is_sep``); ``owner`` is each row's sequence.
     rows = np.asarray(lengths, dtype=np.int64) + 1
@@ -339,7 +317,7 @@ def pack_training_examples(
     is_sep = np.zeros(len(owner), dtype=bool)
     is_sep[np.cumsum(rows) - rows] = True
     stream = np.zeros((4, len(owner)), dtype=np.int64)
-    stream[:, ~is_sep] = _columns(items)
+    stream[:, ~is_sep] = np.concatenate([np.empty((4, 0), dtype=np.int64), *columns], axis=1)
     has_controls = np.bincount(owner, weights=stream[3], minlength=len(lengths)) > 0
 
     result = PackResult()

@@ -230,3 +230,100 @@ def test_rest_events_never_marked_as_controls(rng):
     seq = densify(random_events(rng, 10, max_gap=700), 100)
     result = interleave(seq, EventSequence(), 500)
     assert all(not item.control for item in result if item.event.note == REST)
+
+
+# -- array operations against the per-item reference ------------------------
+
+
+def _reference_densify(seq, target):
+    """The per-event densify the array one replaced."""
+    if target <= 0:
+        raise ValueError("target density must be positive")
+    out = []
+    for event in seq:
+        if out:
+            gap = event.time - out[-1].time
+            base = out[-1].time
+            n = (gap - 1) // target if gap > 0 else 0
+            out.extend(Event(base + m * target, 0, REST) for m in range(1, n + 1))
+        out.append(event)
+    return out
+
+
+def _reference_interleave(events, controls, delta):
+    """The per-event merge the searchsorted one replaced."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    out = []
+    k = 0
+    for event in events:
+        out.append(TaggedEvent(event))
+        while k < len(controls) and controls[k].time <= event.time + delta:
+            out.append(TaggedEvent(controls[k], control=True))
+            k += 1
+    while k < len(controls):
+        out.append(TaggedEvent(controls[k], control=True))
+        k += 1
+    return out
+
+
+def _reference_sort_order_interleave(events, controls, delta):
+    entries = [(e.time, 1, i, TaggedEvent(e)) for i, e in enumerate(events)]
+    entries += [
+        (c.time - delta, 0, i, TaggedEvent(c, control=True)) for i, c in enumerate(controls)
+    ]
+    entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
+    return [entry[3] for entry in entries]
+
+
+def _reference_split_and_sort(seq):
+    return sorted((item.event for item in seq), key=event_sort_key)
+
+
+def _outcome(fn, *args):
+    try:
+        return list(fn(*args))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _event_streams(draw, max_size=40):
+    """A time-sorted stream with repeated times, rests and repeated notes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, max_size))
+    max_gap = draw(st.sampled_from([0, 3, 150, 1_000]))
+    times = draw(st.integers(0, 50)) + np.cumsum(rng.integers(0, max_gap + 1, size=n))
+    events = []
+    for t in times.tolist():
+        if rng.random() < 0.1:
+            events.append(Event(t, 0, REST))
+        else:
+            events.append(Event(t, int(rng.integers(0, 3)), int(rng.integers(58, 62))))
+    return EventSequence(events)
+
+
+class TestArrayOperationsMatchReference:
+    @settings(max_examples=100, deadline=None)
+    @given(_event_streams(), st.sampled_from([-1, 0, 1, 7, 100, 333]))
+    def test_densify(self, seq, target):
+        assert _outcome(densify, seq, target) == _outcome(_reference_densify, seq, target)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_event_streams(), _event_streams(max_size=15),
+           st.sampled_from([-5, 0, 1, 50, 500, 37.5]))
+    def test_interleave_and_sort_order_interleave(self, events, controls, delta):
+        # controls exactly delta after an event sit on the stopping-time boundary
+        tied = EventSequence(Event(e.time + max(int(delta), 0), e.duration, e.note) for e in events)
+        for stream in (controls, tied):
+            for new, reference in ((interleave, _reference_interleave),
+                                   (sort_order_interleave, _reference_sort_order_interleave)):
+                assert (_outcome(new, events, stream, delta)
+                        == _outcome(reference, events, stream, delta))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_event_streams(), _event_streams(max_size=15), st.sampled_from([1, 50, 500]))
+    def test_split_and_sort(self, events, controls, delta):
+        for merged in (interleave(events, controls, delta),
+                       sort_order_interleave(events, controls, delta)):
+            assert list(split_and_sort(merged)) == _reference_split_and_sort(merged)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from anticipate.anticipation import AnticipationConfig, event_sort_key, split_and_sort
+from anticipate.anticipation import AnticipationConfig, densify, event_sort_key, split_and_sort
 from anticipate.augment import (
     PATTERNS,
     AugmentationPolicy,
@@ -261,3 +262,76 @@ class TestAugmentSequence:
         assert sorted(list(events) + list(controls), key=event_sort_key) == sorted(
             seq, key=event_sort_key
         )
+
+
+# -- column masks against the per-event reference ---------------------------
+
+
+def _reference_span_controls(seq, rng, *, rate=0.05, length=5.0):
+    """The per-event span sampler the columnar one replaced."""
+    if not len(seq):
+        return np.zeros(0, dtype=bool)
+    total = seq[len(seq) - 1].time / 100
+    starts = draw_span_starts(total, rate, length, rng)
+    mask = np.zeros(len(seq), dtype=bool)
+    times = np.asarray(seq.times(), dtype=np.float64) / 100
+    for start in starts:
+        lo = np.searchsorted(times, start, side="left")
+        hi = np.searchsorted(times, start + length, side="right")
+        mask[lo:hi] = True
+    return mask
+
+
+def _reference_instrument_controls(seq, rng):
+    parts = sorted({e.instrument for e in seq if not e.is_rest})
+    if len(parts) < 2:
+        return None
+    j = int(rng.integers(1, len(parts)))
+    chosen = set(rng.choice(parts, size=j, replace=False).tolist())
+    return np.array([(not e.is_rest) and e.instrument in chosen for e in seq], dtype=bool)
+
+
+def _reference_random_controls(seq, rng, *, rates=AugmentationPolicy().random_rates):
+    if not len(seq):
+        return np.zeros(0, dtype=bool)
+    rate = rates[int(rng.integers(len(rates)))]
+    mask = rng.random(len(seq)) < rate
+    rests = np.array([e.is_rest for e in seq], dtype=bool)
+    return mask & ~rests
+
+
+def _reference_split_by_mask(seq, mask):
+    if len(mask) != len(seq):
+        raise ValueError("mask length must match sequence length")
+    return [e for e, m in zip(seq, mask) if not m], [e for e, m in zip(seq, mask) if m]
+
+
+class TestColumnMasksMatchReference:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 120), st.integers(1, 4))
+    def test_samplers_make_the_same_draws(self, seed, n, parts):
+        rng = np.random.default_rng(seed)
+        seq = densify(random_events(rng, n, max_gap=400, n_instruments=parts), 100)
+        for new, reference in ((sample_span_controls, _reference_span_controls),
+                               (sample_instrument_controls, _reference_instrument_controls),
+                               (sample_random_controls, _reference_random_controls)):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected, actual = reference(seq, a), new(seq, b)
+            assert (actual is None) == (expected is None)
+            if expected is not None:
+                assert actual.dtype == bool and actual.tolist() == expected.tolist()
+            assert a.integers(2**62) == b.integers(2**62)  # the same draws were made
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 60), st.sampled_from([0, 1, 2]))
+    def test_split_by_mask(self, seed, n, width):
+        rng = np.random.default_rng(seed)
+        seq = densify(random_events(rng, n, max_gap=400), 100)
+        mask = rng.integers(0, width + 1, size=len(seq) + (width == 2))
+        try:
+            expected = _reference_split_by_mask(seq, mask)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                split_by_mask(seq, mask)
+            return
+        assert tuple(list(part) for part in split_by_mask(seq, mask)) == expected

@@ -195,7 +195,7 @@ class TestPipeline:
             == 0
         )
         with open(sample_out) as f:
-            generated = read_events(f, check=False)
+            generated = read_events(f)
         assert len(generated) == 1
         assert len(generated[0].controls()) == 4
 

@@ -6,7 +6,7 @@ import io
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from anticipate.events import (
     DRUM_INSTRUMENT,
@@ -112,6 +112,10 @@ class TestEvent:
     def test_end(self):
         assert Event(10, 5, 60).end == 15
 
+    @pytest.mark.parametrize("item", [Event(0, 1, 60), TaggedEvent(Event(0, 1, 60), True)])
+    def test_slotted(self, item):
+        assert not hasattr(item, "__dict__")
+
 
 class TestEventSequence:
     def test_rejects_out_of_order(self):
@@ -191,6 +195,191 @@ class TestEventText:
         with pytest.raises(TokenError, match="line 1: note code"):
             read_events(io.StringIO("0 1 99999\n"))
 
+    def test_time_past_int64_names_its_lines(self):
+        with pytest.raises(TokenError, match="sequence on lines 1-2: event fields must fit in 64 bits"):
+            read_events(io.StringIO("0 1 60\n99999999999999999999 1 60\n"))
+
     def test_unordered_sequence_names_its_lines(self):
         with pytest.raises(TokenError, match="sequence on lines 3-4"):
             read_events(io.StringIO("0 1 60\n\n10 1 60\n5 1 60\n"))
+
+
+# -- columnar sequences against the tuple-backed reference -------------------
+
+
+class _ReferenceEventSequence:
+    """The tuple-backed event sequence the columnar one replaced."""
+
+    def __init__(self, events=(), *, sort=False):
+        items = tuple(events)
+        if sort:
+            items = tuple(sorted(items, key=lambda e: e.time))
+        else:
+            for i in range(1, len(items)):
+                if items[i].time < items[i - 1].time:
+                    raise ValueError(
+                        f"event times must be non-decreasing (index {i}: "
+                        f"{items[i].time} < {items[i - 1].time}); pass sort=True to re-sort"
+                    )
+        self.events = items
+
+    def __eq__(self, other):
+        return isinstance(other, _ReferenceEventSequence) and self.events == other.events
+
+    def __hash__(self):
+        return hash(self.events)
+
+    def times(self):
+        return [e.time for e in self.events]
+
+    def instruments(self):
+        return {e.instrument for e in self.events if not e.is_rest}
+
+    def without_rests(self):
+        return [e for e in self.events if not e.is_rest]
+
+    @property
+    def end_time(self):
+        return max((e.end for e in self.events), default=0)
+
+
+class _ReferenceInterleavedSequence:
+    """The tuple-backed interleaved sequence the columnar one replaced."""
+
+    def __init__(self, items=(), *, check=True):
+        tagged = tuple(items)
+        if check:
+            last_plain = last_control = -1
+            for i, item in enumerate(tagged):
+                prev = last_control if item.control else last_plain
+                if item.event.time < prev:
+                    kind = "control" if item.control else "plain event"
+                    raise ValueError(f"{kind} times must be non-decreasing (index {i})")
+                if item.control:
+                    last_control = item.event.time
+                else:
+                    last_plain = item.event.time
+        self.items = tagged
+
+    def __eq__(self, other):
+        return isinstance(other, _ReferenceInterleavedSequence) and self.items == other.items
+
+    def __hash__(self):
+        return hash(self.items)
+
+    def events(self):
+        return _ReferenceEventSequence(item.event for item in self.items if not item.control)
+
+    def controls(self):
+        return _ReferenceEventSequence(item.event for item in self.items if item.control)
+
+    @property
+    def has_controls(self):
+        return any(item.control for item in self.items)
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of its error (the type
+    alone for an index out of range, whose message the container words)."""
+    try:
+        return fn(*args, **kwargs)
+    except IndexError:
+        return IndexError
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Few distinct fields, so that equal items, equal times and order breaks are common.
+_events = st.builds(
+    lambda time, duration, note: Event(time, 0 if note == REST else duration, note),
+    st.integers(0, 6),
+    st.sampled_from([0, 1, 999]),
+    st.sampled_from([REST, 0, 60, 300, 16_511]),
+)
+_tagged = st.builds(TaggedEvent, _events, st.booleans())
+_slices = st.builds(
+    slice, st.none() | st.integers(-8, 8), st.none() | st.integers(-8, 8),
+    st.none() | st.integers(1, 3),
+)
+
+
+def _same_items(new, reference_items):
+    assert list(new) == list(reference_items)
+    assert len(new) == len(reference_items)
+    for i in range(-len(new) - 1, len(new) + 1):
+        assert _outcome(lambda: new[i]) == _outcome(lambda: reference_items[i])
+
+
+class TestColumnarSequences:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_events, max_size=12), st.booleans(), st.lists(_slices, max_size=3))
+    def test_event_sequence_matches_reference(self, events, sort, slices):
+        reference = _outcome(_ReferenceEventSequence, events, sort=sort)
+        new = _outcome(EventSequence, events, sort=sort)
+        if not isinstance(reference, _ReferenceEventSequence):
+            assert new == reference
+            return
+        _same_items(new, reference.events)
+        for s in slices:
+            assert type(new[s]) is EventSequence and list(new[s]) == list(reference.events[s])
+        assert new.times() == reference.times()
+        assert new.end_time == reference.end_time
+        assert new.instruments() == reference.instruments()
+        assert list(new.without_rests()) == reference.without_rests()
+        assert repr(new) == f"EventSequence({list(reference.events)!r})"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_tagged, max_size=12), st.booleans(), st.lists(_slices, max_size=3))
+    def test_interleaved_sequence_matches_reference(self, items, check, slices):
+        reference = _outcome(_ReferenceInterleavedSequence, items, check=check)
+        new = _outcome(InterleavedSequence, items, check=check)
+        if not isinstance(reference, _ReferenceInterleavedSequence):
+            assert new == reference
+            return
+        _same_items(new, reference.items)
+        for s in slices:
+            sliced = new[s]
+            assert type(sliced) is InterleavedSequence and list(sliced) == list(reference.items[s])
+        for stream in ("events", "controls"):
+            expected = _outcome(getattr(reference, stream))
+            actual = _outcome(getattr(new, stream))
+            if isinstance(expected, _ReferenceEventSequence):
+                assert list(actual) == list(expected.events)
+            else:
+                assert actual == expected
+        assert new.has_controls == reference.has_controls
+        assert new.end_time == max((item.event.end for item in items), default=0)
+        assert repr(new) == f"InterleavedSequence({list(reference.items)!r})"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_events, max_size=4), st.lists(_events, max_size=4))
+    def test_equality_and_hash_match_reference(self, a, b):
+        a, b = sorted(a, key=lambda e: e.time), sorted(b, key=lambda e: e.time)
+        for make_new, make_reference in (
+            (EventSequence, _ReferenceEventSequence),
+            (lambda xs: InterleavedSequence.from_events(EventSequence(xs)),
+             lambda xs: _ReferenceInterleavedSequence(TaggedEvent(e) for e in xs)),
+        ):
+            new_a, new_b = make_new(a), make_new(b)
+            assert (new_a == new_b) == (make_reference(a) == make_reference(b))
+            if new_a == new_b:
+                assert hash(new_a) == hash(new_b)
+        assert EventSequence(a) != InterleavedSequence.from_events(EventSequence(a))
+
+    @pytest.mark.parametrize("items,message", [
+        # the control stream breaks first, at index 2, before the plain one at 3
+        ([(5, False), (10, True), (3, True), (1, False)], "control times must be non-decreasing (index 2)"),
+        ([(5, False), (10, True), (1, False), (3, True)], "plain event times must be non-decreasing (index 2)"),
+    ])
+    def test_mixed_stream_order_error_names_the_first_offender(self, items, message):
+        tagged = [TaggedEvent(Event(t, 1, 60), control) for t, control in items]
+        with pytest.raises(ValueError) as new:
+            InterleavedSequence(tagged)
+        with pytest.raises(ValueError) as reference:
+            _ReferenceInterleavedSequence(tagged)
+        assert str(new.value) == str(reference.value) == message
+
+    def test_columns_are_read_only(self):
+        seq = EventSequence([Event(0, 1, 60)])
+        with pytest.raises(ValueError):
+            seq.columns[0, 0] = 5

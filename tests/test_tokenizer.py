@@ -22,9 +22,8 @@ from anticipate.tokenizer import (
     TokenError,
     TrainingExample,
     _arrival_triples,
-    _columns,
-    _context_offset,
     _event_triple,
+    _relativize_sequence,
     decode_arrival,
     decode_arrival_single,
     decode_interarrival,
@@ -429,6 +428,21 @@ def _reference_encode_arrival(seq, *, z=None, leading_sep=False):
     return tokens
 
 
+def _columns(items):
+    """The items as a (4, n) int64 array of time, duration, note and control."""
+    events = [item.event for item in items]
+    return np.array(
+        [[e.time for e in events], [e.duration for e in events], [e.note for e in events],
+         [item.control for item in items]],
+        dtype=np.int64,
+    )
+
+
+def _context_offset(items):
+    """A context's offset: the minimum time of its items (0 for an empty context)."""
+    return min((item.event.time for item in items), default=0)
+
+
 def _reference_pack(sequences, *, context_length=1024):
     """The per-event packer the columnar one replaced: a stream of
     ``(item, flag)`` entries with ``None`` separators, encoded window by window."""
@@ -563,3 +577,60 @@ class TestColumnarEncoder:
         for sequences in (discarded, rejected):
             expected = _outcome(_reference_pack, sequences, context_length=13)
             assert _outcome(pack_training_examples, sequences, context_length=13) == expected
+
+
+def _reference_relativize(seq):
+    """The per-item relativization the columnar one replaced."""
+    offset = _context_offset(seq)
+    if offset == 0:
+        return seq
+    return InterleavedSequence(
+        (TaggedEvent(Event(item.event.time - offset, item.event.duration, item.event.note),
+                     item.control) for item in seq),
+        check=False,
+    )
+
+
+class TestRelativizeSequence:
+    @settings(max_examples=50, deadline=None)
+    @given(packing_streams())
+    def test_matches_per_item_reference(self, sequences):
+        for seq in sequences:
+            expected = list(_reference_relativize(seq))
+            assert list(_relativize_sequence(seq)) == expected
+            plain = seq.events()
+            assert list(_relativize_sequence(plain)) == [
+                item.event for item in _reference_relativize(InterleavedSequence.from_events(plain))]
+
+
+def _reference_encode_interarrival(seq, *, leading_sep=False):
+    """The per-event interarrival encoder the columnar one replaced."""
+    if isinstance(seq, InterleavedSequence):
+        if seq.has_controls:
+            raise TokenError("interarrival codec does not support control events")
+        seq = seq.events()
+    items = []
+    for i, event in enumerate(seq):
+        if event.is_rest:
+            raise TokenError("interarrival codec does not support rest events", i)
+        items.append((event.time, 1, True, event.note))
+        items.append((event.end, 0 if event.duration else 1, False, event.note))
+    items.sort(key=lambda it: (it[0], it[1]))
+    tokens = [IV.SEP] if leading_sep else []
+    for i, (time, _, is_onset, note) in enumerate(items):
+        tokens.append((IV.ONSET_BASE if is_onset else IV.OFFSET_BASE) + note)
+        if i + 1 < len(items):
+            gap = items[i + 1][0] - time
+            if gap:
+                tokens.append(min(gap, IV.ONSET_BASE - 1))
+    return tokens
+
+
+class TestColumnarInterarrivalEncoder:
+    @settings(max_examples=60, deadline=None)
+    @given(packing_streams(), st.booleans())
+    def test_matches_per_event_reference(self, sequences, leading_sep):
+        for seq in sequences:
+            for form in (seq, seq.events(), InterleavedSequence.from_events(seq.events())):
+                expected = _outcome(_reference_encode_interarrival, form, leading_sep=leading_sep)
+                assert _outcome(encode_interarrival, form, leading_sep=leading_sep) == expected
