@@ -9,7 +9,9 @@ event is a stopping time of the event sequence: on the time row it is
 sorted the offline interleave is one stable merge of the two.  The placement
 rule depends only on the prefix already emitted, so exactly the same
 interleaving falls out of an online loop that alternates "emit next event"
-with "emit every pending control within delta of it".  Controls whose
+with "emit every pending control within delta of it".  That online rule is
+the dual ``searchsorted``: after an event at ``t`` the pending controls run
+up to ``searchsorted(control_time, t + delta, "right")``.  Controls whose
 condition is never met (the event stream ends too early) are appended at the
 tail so the interleaving stays lossless.
 
@@ -19,12 +21,21 @@ quantized 10ms grid is the default throughout the toolkit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .events import REST, UNITS_PER_SECOND, Event, EventSequence, InterleavedSequence, _tagged
+
+
+def _check_seconds(name: str, seconds: float) -> None:
+    """Reject a config interval that is not positive, not finite, or too long
+    for int64 grid arithmetic (2**62 units or more)."""
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"{name} must be positive and finite, got {seconds!r}")
+    if round(seconds * UNITS_PER_SECOND) >= 2**62:
+        raise ValueError(f"{name} must be under 2**62 grid units, got {seconds!r} s")
 
 
 @dataclass(frozen=True)
@@ -39,10 +50,8 @@ class AnticipationConfig:
     target_density: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.target_density <= 0:
-            raise ValueError("target_density must be positive")
+        _check_seconds("delta", self.delta)
+        _check_seconds("target_density", self.target_density)
 
     @property
     def delta_units(self) -> int:
@@ -92,19 +101,17 @@ def interleave(
 
 
 def next_anticipated_controls(
-    controls: Sequence[Event], cursor: int, last_event_time: float, delta: float
-) -> tuple[list[Event], int]:
+    controls: EventSequence, cursor: int, last_event_time: float, delta: float
+) -> tuple[EventSequence, int]:
     """Online emission rule: controls due after an event at ``last_event_time``.
 
-    Returns the maximal prefix of unconsumed controls with time at most
-    ``last_event_time + delta`` and the advanced cursor.  The decision uses
-    only the event just emitted and the cursor, never future events.
+    Returns the maximal run of unconsumed controls with time at most
+    ``last_event_time + delta``, as a slice of ``controls``, and the advanced
+    cursor.  The decision uses only the event just emitted and the cursor,
+    never future events.
     """
-    due: list[Event] = []
-    while cursor < len(controls) and controls[cursor].time <= last_event_time + delta:
-        due.append(controls[cursor])
-        cursor += 1
-    return due, cursor
+    end = max(cursor, int(controls.columns[0].searchsorted(last_event_time + delta, "right")))
+    return controls[cursor:end], end
 
 
 def sort_order_interleave(

@@ -13,28 +13,25 @@ the event, writing them into the history as ordinary events. When generation
 terminates the unconsumed controls are appended so the result remains
 lossless for the split/sort inverse.
 
-Generation works at event granularity with absolute times. The token context
-fed to the predictor holds the most recent triples; once its window slides
-past the start of generation it is relativized by its minimum time, the rule
-the tokenizer applies to every model context.
+Generation works at event granularity with absolute times. Every placed
+item is written once, in placement order, into one int64 buffer with rows
+time, duration, note and control flag, doubled in width when full; the
+result is a copy of its filled columns. The token context fed to the
+predictor is read from that buffer after each placed item: the most recent
+whole triples that fit, led by a separator while the start of generation is
+visible. Once the window slides past the start it is relativized by its
+minimum time, the rule the tokenizer applies to every model context.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .anticipation import next_anticipated_controls
+from .anticipation import _check_seconds, next_anticipated_controls
 from .events import (
-    MAX_TIME_UNITS,
-    REST,
-    UNITS_PER_SECOND,
-    Event,
-    EventSequence,
-    InterleavedSequence,
-    TaggedEvent,
+    MAX_TIME_UNITS, REST, UNITS_PER_SECOND, EventSequence, InterleavedSequence, _tagged,
 )
 from .predictor import Predictor
 from .tokenizer import _arrival_triples, _event_triple
@@ -54,8 +51,9 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if not 0 < self.top_p <= 1:
             raise ValueError("top_p must be in (0, 1]")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        _check_seconds("delta", self.delta)
+        if self.max_tokens < 0:
+            raise ValueError(f"max_tokens must be non-negative, got {self.max_tokens}")
 
     @property
     def delta_units(self) -> int:
@@ -102,48 +100,28 @@ def _slot_ranges(slot: int, min_time: int) -> list[tuple[int, int]]:
     return [(AV.NOTE_BASE, AV.REST + 1)]
 
 
-class _Context:
-    """Incrementally maintained token context over the recent history.
+def _context_after(
+    tokens: list[int], buffer: np.ndarray, n: int, capacity: int, plain_controls: bool
+) -> tuple[list[int], int]:
+    """The predictor context once ``n`` items are placed, and its time offset.
 
-    The window ``items`` holds only the most recent whole triples that fit in
-    ``context_length - 1`` tokens, preceded by a separator triple while the
-    start of generation is still visible. While the start is visible the
-    generated times are the coordinate system and ``offset`` is zero, and
-    each push appends one triple. Once the window slides, ``columns`` keeps
-    its items' absolute times, durations, notes and control flags; each push
-    shifts them by one item, and the window is relativized by its minimum
-    time and re-encoded as a whole. Sampled times map back through ``offset``.
+    Before the window of ``capacity`` triples slides, the ``n``-th item's
+    triple is appended to ``tokens`` and the offset is zero; after, the window
+    ``buffer[:, n - capacity:n]`` is relativized by its minimum time and
+    re-encoded. With ``plain_controls`` controls enter it as plain events.
     """
-
-    __slots__ = ("capacity", "plain_controls", "items", "columns", "tokens", "offset")
-
-    def __init__(self, context_length: int, plain_controls: bool):
-        self.capacity = (context_length - 1) // 3
-        self.plain_controls = plain_controls
-        self.items: deque[TaggedEvent] = deque(maxlen=self.capacity)
-        self.columns: np.ndarray | None = None
-        self.tokens: list[int] = [AV.SEP, AV.SEP, AV.SEP]
-        self.offset = 0
-
-    def push(self, item: TaggedEvent) -> None:
-        self.items.append(item)
-        control = item.control and not self.plain_controls
-        if len(self.items) < self.capacity:
-            self.tokens.extend(_event_triple(item.event, control, len(self.items) - 1))
-            return
-        if not self.capacity:  # context_length 1 looks no tokens back
-            self.tokens = []
-            return
-        if self.columns is None:
-            self.columns = InterleavedSequence(self.items, check=False).columns.copy()
-            if self.plain_controls:
-                self.columns[3] = 0
-        else:
-            self.columns[:, :-1] = self.columns[:, 1:]
-            event = item.event
-            self.columns[:, -1] = (event.time, event.duration, event.note, control)
-        self.offset = int(self.columns[0].min())
-        self.tokens = _arrival_triples(self.columns, self.offset).ravel().tolist()
+    if n < capacity:
+        time, duration, note, control = buffer[:, n - 1].tolist()
+        tokens.extend(_event_triple(time, duration, note, control and not plain_controls, n - 1))
+        return tokens, 0
+    if not capacity:  # context_length 1 looks no tokens back
+        return [], 0
+    window = buffer[:, n - capacity : n]
+    if plain_controls:
+        window = window.copy()
+        window[3] = 0
+    offset = int(window[0].min())
+    return _arrival_triples(window, offset).ravel().tolist(), offset
 
 
 def _sample_slot(
@@ -174,16 +152,17 @@ def _sample_slot(
 def _sample_event(
     predictor: Predictor,
     z: int,
-    context: _Context,
+    tokens: list[int],
+    offset: int,
     last_time: int | None,
     rng: np.random.Generator,
     config: SamplerConfig,
-) -> Event | None:
-    """Sample one event triple; None means the separator was sampled."""
-    offset = context.offset
+) -> tuple[int, int, int] | None:
+    """Sample one event's (time, duration, note); None means the separator
+    was sampled. ``tokens`` is the context, whose times are shifted by
+    ``offset``."""
     min_time = 0 if last_time is None else max(last_time - offset, 0)
 
-    tokens = context.tokens
     time_tok = _sample_slot(predictor, z, tokens, TIME_SLOT, min_time, rng, config)
     if time_tok == AV.SEP:
         return None
@@ -204,16 +183,15 @@ def _sample_event(
             "enable grammar_mask for models that do not respect the slot ranges"
         )
     time = time_tok - AV.TIME_BASE + offset
-    duration = duration_tok - AV.DUR_BASE
     if note_tok == AV.REST:
         # Rests carry no duration; a model may still pair REST with a
         # nonzero duration token, which we coerce to zero.
-        return Event(time, 0, REST)
-    return Event(time, duration, note_tok - AV.NOTE_BASE)
+        return time, 0, REST
+    return time, duration_tok - AV.DUR_BASE, note_tok - AV.NOTE_BASE
 
 
-def _checked_controls(controls: EventSequence) -> list[Event]:
-    """The controls as events, once their times and notes are checked."""
+def _check_controls(controls: EventSequence) -> None:
+    """Reject controls outside the token range and rest controls."""
     time, _, note = controls.columns
     late = time >= MAX_TIME_UNITS
     invalid = late | (note == REST)
@@ -222,7 +200,6 @@ def _checked_controls(controls: EventSequence) -> list[Event]:
         if late[i]:
             raise ValueError(f"control {i} at time {time[i]} exceeds the token range")
         raise ValueError("rest events cannot be controls")
-    return list(controls)
 
 
 def _generate(
@@ -239,39 +216,45 @@ def _generate(
     vocabulary. Otherwise controls are released once the event reaches their
     time, precede it, and enter the history as plain events.
     """
-    controls = _checked_controls(controls)
+    _check_controls(controls)
     rng = np.random.default_rng(config.seed)
     lookahead = config.delta_units if anticipate else 0
+    capacity = (predictor.context_length - 1) // 3
 
-    context = _Context(predictor.context_length, plain_controls=not anticipate)
-    items: list[TaggedEvent] = []
+    buffer = np.empty((4, 64), dtype=np.int64)  # time, duration, note, control flag
+    n = 0
+    tokens, offset = [AV.SEP, AV.SEP, AV.SEP], 0
     cursor = 0
     last_time: int | None = None
     truncated = False
     sampled = 0
     while True:
-        if 3 * (len(items) + 1) > config.max_tokens:
+        if 3 * (n + 1) > config.max_tokens:
             truncated = True
             break
-        event = _sample_event(predictor, z, context, last_time, rng, config)
+        event = _sample_event(predictor, z, tokens, offset, last_time, rng, config)
         if event is None:
             break
-        due, cursor = next_anticipated_controls(controls, cursor, event.time, lookahead)
-        placed = [TaggedEvent(c, control=True) for c in due]
-        if anticipate:
-            placed.insert(0, TaggedEvent(event))
-        else:
-            placed.append(TaggedEvent(event))
-        for item in placed:
-            items.append(item)
-            context.push(item)
+        due, cursor = next_anticipated_controls(controls, cursor, event[0], lookahead)
+        k = len(due)
+        while n + k + 1 > buffer.shape[1]:
+            buffer = np.hstack([buffer, np.empty_like(buffer)])
+        event_at, controls_at = (n, n + 1) if anticipate else (n + k, n)
+        buffer[:, event_at] = (*event, 0)
+        if k:
+            buffer[:3, controls_at : controls_at + k] = due.columns
+            buffer[3, controls_at : controls_at + k] = 1
+        for placed in range(n + 1, n + k + 2):
+            tokens, offset = _context_after(tokens, buffer, placed, capacity, not anticipate)
+        n += k + 1
         sampled += 1
-        last_time = event.time
+        last_time = event[0]
+    columns = buffer[:, :n]
     if not truncated:
         # Terminated at a separator: append the never-released controls so
         # the interleaving stays lossless.
-        items.extend(TaggedEvent(c, control=True) for c in controls[cursor:])
-    return GenerationResult(InterleavedSequence(items, check=False), truncated, sampled)
+        columns = np.hstack([columns, _tagged(controls[cursor:], True)])
+    return GenerationResult(InterleavedSequence._of(columns.copy()), truncated, sampled)
 
 
 def generate_anticipatory(

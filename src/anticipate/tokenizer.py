@@ -67,21 +67,23 @@ def _relativize_sequence(
     return seq._of(columns)
 
 
-def _event_triple(event: Event, control: bool, index: int, offset: int = 0) -> list[int]:
-    """The arrival triple of ``event``, its time relativized by ``offset``."""
-    t = event.time - offset
+def _event_triple(
+    time: int, duration: int, note: int, control: bool, index: int, offset: int = 0
+) -> list[int]:
+    """The arrival triple of one item, its time relativized by ``offset``."""
+    t = time - offset
     if t >= AV.DUR_BASE:
         raise TokenError(f"event time {t} exceeds the 100s token range", index)
-    if event.is_rest:
+    if note == REST:
         if control:
             raise TokenError("rest events cannot be controls", index)
-        note = AV.REST
+        note_token = AV.REST
     else:
-        note = AV.note_token(event.note, control=control)
+        note_token = AV.note_token(note, control=control)
     return [
         AV.time_token(t, control=control),
-        AV.duration_token(event.duration, control=control),
-        note,
+        AV.duration_token(duration, control=control),
+        note_token,
     ]
 
 
@@ -99,8 +101,8 @@ def _arrival_triples(columns: np.ndarray, offset: int | np.ndarray = 0) -> np.nd
     invalid = (times < 0) | (times >= AV.DUR_BASE) | (rest & control)
     if invalid.any():
         i = int(invalid.argmax())
-        event = Event(int(time[i]), int(duration[i]), int(note[i]))
-        _event_triple(event, bool(control[i]), i, int(time[i] - times[i]))  # raises
+        _event_triple(int(time[i]), int(duration[i]), int(note[i]), bool(control[i]), i,
+                      int(time[i] - times[i]))  # raises
     shift = control * AV.CONTROL_OFFSET
     triples = np.empty((len(times), 3), dtype=np.int64)
     triples[:, 0] = times + (AV.TIME_BASE + shift)

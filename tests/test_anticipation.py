@@ -4,6 +4,8 @@ inverse."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,12 +138,12 @@ class TestNextAnticipatedControls:
 
     def test_no_controls_remaining(self):
         due, cursor = next_anticipated_controls(EventSequence(), 0, 100, 500)
-        assert due == [] and cursor == 0
+        assert len(due) == 0 and cursor == 0
 
     def test_not_yet_due(self):
         controls = EventSequence([Event(450, 1, 60), Event(500, 1, 60)])
         due, cursor = next_anticipated_controls(controls, 0, 100, 200)
-        assert due == [] and cursor == 0
+        assert len(due) == 0 and cursor == 0
 
     def test_decision_uses_only_cursor_and_time(self):
         # same cursor and time, different histories: same answer
@@ -224,6 +226,12 @@ class TestConfig:
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValueError):
             AnticipationConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["delta", "target_density"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 1e17])
+    def test_rejects_nonfinite_and_huge(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            AnticipationConfig(**{field: value})
 
 
 def test_rest_events_never_marked_as_controls(rng):

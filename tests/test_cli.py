@@ -12,7 +12,9 @@ from anticipate.cli import cli_dispatch
 from anticipate.eventio import read_events, write_events
 from anticipate.events import EventSequence
 from anticipate.midi import parse_midi, write_midi
-from anticipate.tokenizer import read_tokens
+from anticipate.predictor import train_ngram
+from anticipate.tokenizer import encode_arrival, read_tokens
+from anticipate.vocab import ArrivalVocab as AV
 
 from conftest import random_events
 
@@ -146,6 +148,35 @@ class TestDensifyInterleave:
         assert run("interleave", "--delta", "5.0", str(path), "-") == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["100 10 60", "300 10 60", "C 700 10 48", "500 10 60"]
+
+
+class TestConfigValues:
+    @pytest.fixture
+    def mix_file(self, tmp_path) -> Path:
+        path = tmp_path / "mix.txt"
+        path.write_text("100 10 60\n300 10 60\nC 700 10 48\n")
+        return path
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e17"])
+    def test_interleave_rejects_delta(self, mix_file, capsys, value):
+        assert run("interleave", "--delta", value, str(mix_file), "-") == 2
+        assert "error: delta must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e17"])
+    def test_densify_rejects_target_density(self, twinkle_file, capsys, value):
+        assert run("densify", "--target-density", value, str(twinkle_file), "-") == 2
+        assert "error: target_density must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--delta", "inf"), ("--delta", "nan"), ("--delta", "1e17"), ("--max-tokens", "-5"),
+    ])
+    def test_sample_rejects_config(self, tmp_path, rng, capsys, option, value):
+        model = tmp_path / "model.npz"
+        rows = [encode_arrival(random_events(rng, 20), z=AV.AR, leading_sep=True)]
+        train_ngram(rows, order=2, alpha=0.01, vocab_size=AV.SIZE).save(model)
+        assert run("sample", "--model", str(model), option, value, "-") == 2
+        field = option[2:].replace("-", "_")
+        assert f"error: {field} must be" in capsys.readouterr().err
 
 
 class TestPipeline:

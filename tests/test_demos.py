@@ -21,8 +21,12 @@ def test_demos_found():
 def test_demo_runs(demo, tmp_path):
     # TMPDIR keeps the files the demos write inside the test's own directory
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
+    # Dev mode, with unclosed resources as errors, as the suite itself runs.
+    # A ResourceWarning raised in a destructor is only printed, so stderr
+    # must be empty as well as the exit code zero.
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", str(demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -3,21 +3,31 @@ the baseline infilling loop, grammar masking, and determinism."""
 
 from __future__ import annotations
 
+import copy
+import functools
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anticipate import golden
 from anticipate.anticipation import interleave
-from anticipate.events import Event, EventSequence, InterleavedSequence, TaggedEvent, encode_note
+from anticipate.events import (
+    MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence, TaggedEvent, encode_note,
+)
 from anticipate.predictor import ReplayPredictor, UniformPredictor, train_ngram
 from anticipate.sampler import (
+    GenerationResult,
     SamplerConfig,
-    _Context,
+    _context_after,
+    _generate,
+    _sample_event,
     generate_anticipatory,
     generate_autoregressive_infill,
     nucleus_sample,
 )
-from anticipate.tokenizer import TokenError, encode_arrival
+from anticipate.tokenizer import TokenError, _arrival_triples, _event_triple, encode_arrival
 from anticipate.vocab import ArrivalVocab as AV
 
 from conftest import random_controls, random_events
@@ -245,17 +255,25 @@ class TestSlidingContext:
         assert times == [0, 10, 20, 30, 40, 40]
 
 
+def _contexts(items, context_length, plain_controls=False):
+    """The context and its offset after each of ``items`` is placed in a buffer."""
+    buffer = np.array([(it.event.time, it.event.duration, it.event.note, it.control)
+                       for it in items], dtype=np.int64).T.reshape(4, -1)
+    tokens = [AV.SEP] * 3
+    capacity = (context_length - 1) // 3
+    for n in range(1, len(items) + 1):
+        tokens, offset = _context_after(tokens, buffer, n, capacity, plain_controls)
+        yield tokens, offset
+
+
 class TestContextWindow:
     def test_holds_at_most_its_capacity(self):
         items = [TaggedEvent(Event(10 * i, 1, 60)) for i in range(8)]
-        empty = _Context(1, plain_controls=False)  # looks 0 tokens back
-        window = _Context(16, plain_controls=False)  # 5 triples
-        for item in items:
-            empty.push(item)
-            window.push(item)
-        assert len(empty.items) == 0 and empty.tokens == []
-        assert list(window.items) == items[-5:]
-        assert window.tokens[0::3] == [AV.TIME_BASE + 10 * i for i in range(5)]
+        *_, (empty, _) = _contexts(items, 1)  # looks 0 tokens back
+        *_, (window, offset) = _contexts(items, 16)  # 5 triples
+        assert empty == []
+        assert offset == 30  # the window is the last five items
+        assert window[0::3] == [AV.TIME_BASE + 10 * i for i in range(5)]
 
     @pytest.mark.parametrize("plain_controls", [False, True])
     def test_long_session_context_is_the_relativized_window(self, rng, plain_controls):
@@ -264,11 +282,12 @@ class TestContextWindow:
         # (led by a separator until it slides, then shifted by its minimum time)
         events = random_events(rng, 600, max_gap=30, max_duration=100)
         controls = random_controls(rng, 120, max_time=events.end_time, max_duration=100)
-        items = [TaggedEvent(item.event, item.control and not plain_controls)
-                 for item in interleave(events, controls, 500)]
-        context = _Context(1024, plain_controls)
-        for n, item in enumerate(items, start=1):
-            context.push(item)
+        placed = list(interleave(events, controls, 500))
+        items = [TaggedEvent(item.event, item.control and not plain_controls) for item in placed]
+        # a window spanning the 100-second token range still fails as before
+        late = TaggedEvent(Event(min(it.event.time for it in items[-340:]) + 10_000, 1, 60))
+        contexts = _contexts(placed + [late], 1024, plain_controls)
+        for n, (tokens, context_offset) in enumerate(contexts, start=1):
             window = items[max(0, n - 341) : n]
             if n < 341:
                 expected = [AV.SEP] * 3 + encode_arrival(InterleavedSequence(window, check=False))
@@ -277,12 +296,12 @@ class TestContextWindow:
                 shifted = [TaggedEvent(Event(it.event.time - offset, it.event.duration, it.event.note),
                                        it.control) for it in window]
                 expected = encode_arrival(InterleavedSequence(shifted, check=False))
-            assert context.tokens == expected, n
-            assert context.offset == (0 if n < 341 else offset)
-        # a window spanning the 100-second token range still fails as before
-        late = TaggedEvent(Event(min(it.event.time for it in items[-340:]) + 10_000, 1, 60))
+            assert tokens == expected, n
+            assert context_offset == (0 if n < 341 else offset)
+            if n == len(items):
+                break
         with pytest.raises(TokenError, match=r"exceeds the 100s token range \(index 340\)"):
-            context.push(late)
+            next(contexts)
 
 
 class TestStripControls:
@@ -310,6 +329,15 @@ class TestStripControls:
         assert sorted(leftover, key=event_sort_key) == stripped
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"delta": float("inf")}, "delta"), ({"delta": float("nan")}, "delta"),
+    ({"delta": 1e17}, "delta"), ({"max_tokens": -5}, "max_tokens"),
+])
+def test_config_rejects_nonfinite_huge_and_negative(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SamplerConfig(**kwargs)
+
+
 def test_uniform_predictor_generates_valid_triples(rng):
     # even a content-free model produces grammatical output under the mask
     config = SamplerConfig(delta=5.0, top_p=1.0, seed=5, max_tokens=30)
@@ -324,3 +352,200 @@ def test_unmasked_ungrammatical_model_fails_loudly():
     config = SamplerConfig(delta=5.0, top_p=1.0, seed=5, max_tokens=300, grammar_mask=False)
     with pytest.raises(ValueError, match="ungrammatical|all-zero"):
         generate_anticipatory(UniformPredictor(AV.SIZE), EventSequence(), config)
+
+
+# -- the object loop the column buffer replaced -------------------------------
+
+
+class _ReferenceContext:
+    """The deque-backed context window the column buffer replaced."""
+
+    def __init__(self, context_length: int, plain_controls: bool):
+        self.capacity = (context_length - 1) // 3
+        self.plain_controls = plain_controls
+        self.items: deque[TaggedEvent] = deque(maxlen=self.capacity)
+        self.columns: np.ndarray | None = None
+        self.tokens: list[int] = [AV.SEP, AV.SEP, AV.SEP]
+        self.offset = 0
+
+    def push(self, item: TaggedEvent) -> None:
+        self.items.append(item)
+        control = item.control and not self.plain_controls
+        if len(self.items) < self.capacity:
+            event = item.event
+            self.tokens.extend(_event_triple(event.time, event.duration, event.note, control,
+                                             len(self.items) - 1))
+            return
+        if not self.capacity:
+            self.tokens = []
+            return
+        if self.columns is None:
+            self.columns = InterleavedSequence(self.items, check=False).columns.copy()
+            if self.plain_controls:
+                self.columns[3] = 0
+        else:
+            self.columns[:, :-1] = self.columns[:, 1:]
+            event = item.event
+            self.columns[:, -1] = (event.time, event.duration, event.note, control)
+        self.offset = int(self.columns[0].min())
+        self.tokens = _arrival_triples(self.columns, self.offset).ravel().tolist()
+
+
+def _reference_checked_controls(controls: EventSequence) -> list[Event]:
+    time, _, note = controls.columns
+    late = time >= MAX_TIME_UNITS
+    invalid = late | (note == REST)
+    if invalid.any():
+        i = int(invalid.argmax())
+        if late[i]:
+            raise ValueError(f"control {i} at time {time[i]} exceeds the token range")
+        raise ValueError("rest events cannot be controls")
+    return list(controls)
+
+
+def _reference_next_anticipated_controls(controls, cursor, last_event_time, delta):
+    due: list[Event] = []
+    while cursor < len(controls) and controls[cursor].time <= last_event_time + delta:
+        due.append(controls[cursor])
+        cursor += 1
+    return due, cursor
+
+
+def _reference_generate(predictor, controls, config, z, anticipate) -> GenerationResult:
+    controls = _reference_checked_controls(controls)
+    rng = np.random.default_rng(config.seed)
+    lookahead = config.delta_units if anticipate else 0
+    context = _ReferenceContext(predictor.context_length, plain_controls=not anticipate)
+    items: list[TaggedEvent] = []
+    cursor = 0
+    last_time = None
+    truncated = False
+    sampled = 0
+    while True:
+        if 3 * (len(items) + 1) > config.max_tokens:
+            truncated = True
+            break
+        fields = _sample_event(predictor, z, context.tokens, context.offset, last_time, rng,
+                               config)
+        if fields is None:
+            break
+        event = Event(*fields)
+        due, cursor = _reference_next_anticipated_controls(controls, cursor, event.time,
+                                                           lookahead)
+        placed = [TaggedEvent(c, control=True) for c in due]
+        if anticipate:
+            placed.insert(0, TaggedEvent(event))
+        else:
+            placed.append(TaggedEvent(event))
+        for item in placed:
+            items.append(item)
+            context.push(item)
+        sampled += 1
+        last_time = event.time
+    if not truncated:
+        items.extend(TaggedEvent(c, control=True) for c in controls[cursor:])
+    return GenerationResult(InterleavedSequence(items, check=False), truncated, sampled)
+
+
+def _outcome(generate, predictor, controls, config, anticipate):
+    """The result's items and counts, or the type and message of its error."""
+    z = AV.AAR if anticipate and len(controls) else AV.AR
+    try:
+        result = generate(predictor, controls, config, z, anticipate)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(result.sequence), result.truncated, result.sampled_events
+
+
+@functools.cache
+def _small_ngram():
+    rng = np.random.default_rng(7)
+    rows = [encode_arrival(random_events(rng, 60, max_gap=80, start_at_zero=True),
+                           z=AV.AR, leading_sep=True) + [AV.SEP] * 3 for _ in range(30)]
+    return train_ngram(rows, order=3, alpha=0.01, vocab_size=AV.SIZE)
+
+
+class _LongSessions:
+    """The small n-gram read through a given context length, its separator
+    mass scaled down so that sessions run long enough for windows to slide."""
+
+    vocab_size = AV.SIZE
+
+    def __init__(self, context_length: int, sep_weight: float):
+        self.model = copy.copy(_small_ngram())
+        self.model.context_length = self.context_length = context_length
+        self.sep_weight = sep_weight
+
+    def next_distribution(self, z, context):
+        dist = self.model.next_distribution(z, context)
+        dist[AV.SEP] *= self.sep_weight
+        return dist
+
+
+_control_fields = st.tuples(st.integers(0, 4_000), st.integers(0, 999), st.integers(0, 300))
+
+
+class TestMatchesObjectLoop:
+    @pytest.mark.parametrize("context_length", [1, 4, 16, 64, 1024])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        anticipate=st.booleans(),
+        grammar_mask=st.sampled_from([True, False]),
+        fields=st.lists(_control_fields, max_size=30),
+        invalid=st.sampled_from([None] * 8 + [(MAX_TIME_UNITS, 1, 60), (2_000, 0, REST)]),
+        max_tokens=st.sampled_from([300, 30, 2, 0]),
+        sep_weight=st.sampled_from([1e-4, 1e-2, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_ngram_sessions(self, context_length, anticipate, grammar_mask, fields, invalid,
+                            max_tokens, sep_weight, seed):
+        if invalid:  # a control the sampler rejects
+            fields = fields + [invalid]
+        controls = EventSequence([Event(*f) for f in fields], sort=True)
+        config = SamplerConfig(delta=2.0, top_p=0.9, max_tokens=max_tokens,
+                               grammar_mask=grammar_mask, seed=seed)
+        expected = _outcome(_reference_generate, _LongSessions(context_length, sep_weight),
+                            controls, config, anticipate)
+        actual = _outcome(_generate, _LongSessions(context_length, sep_weight), controls, config,
+                          anticipate)
+        assert actual == expected
+
+    def test_slid_window_spanning_the_token_range(self):
+        # context_length 16 holds 5 triples. Each event lands 99.99 s after
+        # the window's minimum, the farthest a sampled time can reach, so the
+        # slid windows span the whole token range; both loops must see the
+        # same contexts and place the same items.
+        steps = []
+        for _ in range(12):
+            steps += [{AV.TIME_BASE + MAX_TIME_UNITS - 1: 1.0}, {AV.DUR_BASE + 1: 1.0},
+                      {AV.NOTE_BASE + 60: 1.0}]
+        steps.append({AV.SEP: 1.0})
+        controls = EventSequence([Event(9_700, 1, 72), Event(9_999, 1, 74)])
+        config = SamplerConfig(delta=5.0, top_p=1.0, seed=0)
+        for anticipate in (True, False):
+            predictors = [_ScriptedPredictor(steps, context_length=16) for _ in range(2)]
+            expected = _outcome(_reference_generate, predictors[0], controls, config, anticipate)
+            assert _outcome(_generate, predictors[1], controls, config, anticipate) == expected
+            assert predictors[1].contexts == predictors[0].contexts
+        # a window that does span 100 s fails at the same item in both
+        late = [TaggedEvent(Event(10 * i, 1, 60)) for i in range(5)]
+        late.append(TaggedEvent(Event(10 + MAX_TIME_UNITS, 1, 60)))
+        reference = _ReferenceContext(16, plain_controls=False)
+        for item in late[:-1]:
+            reference.push(item)
+        with pytest.raises(TokenError) as expected_error:
+            reference.push(late[-1])
+        with pytest.raises(TokenError) as actual_error:
+            list(_contexts(late, 16))
+        assert str(actual_error.value) == str(expected_error.value)
+
+    def test_unbounded_token_budget_ends_at_a_separator(self, rng):
+        events = random_events(rng, 40, max_gap=150)
+        controls = random_controls(rng, 12, max_time=int(events.end_time + 600))
+        config = SamplerConfig(delta=5.0, top_p=0.95, max_tokens=10**12, seed=0)
+        for anticipate in (True, False):
+            expected = _outcome(_reference_generate, replay_for(events), controls, config,
+                                anticipate)
+            actual = _outcome(_generate, replay_for(events), controls, config, anticipate)
+            assert actual == expected
+            assert actual[1:] == (False, 40)

@@ -413,6 +413,11 @@ class TestTokenFile:
 # -- columnar encoder against the per-event reference -----------------------
 
 
+def _fields(item):
+    """An item's time, duration, note and control flag."""
+    return item.event.time, item.event.duration, item.event.note, item.control
+
+
 def _reference_encode_arrival(seq, *, z=None, leading_sep=False):
     """The per-event arrival encoder the columnar one replaced."""
     items = InterleavedSequence.from_events(seq) if isinstance(seq, EventSequence) else seq
@@ -424,7 +429,7 @@ def _reference_encode_arrival(seq, *, z=None, leading_sep=False):
     if leading_sep:
         tokens.extend([AV.SEP] * 3)
     for i, item in enumerate(items):
-        tokens.extend(_event_triple(item.event, item.control, i))
+        tokens.extend(_event_triple(*_fields(item), i))
     return tokens
 
 
@@ -471,7 +476,7 @@ def _reference_pack(sequences, *, context_length=1024):
             if item.event.time - shift >= MAX_TIME_UNITS:
                 result.n_discarded += 1
                 break
-            tokens.extend(_event_triple(item.event, item.control, i, shift))
+            tokens.extend(_event_triple(*_fields(item), i, shift))
         else:
             result.examples.append(TrainingExample(tuple(tokens)))
     return result
@@ -552,15 +557,14 @@ class TestColumnarEncoder:
     @given(st.lists(_tagged_items, max_size=30), st.integers(-100, 20_000))
     def test_scalar_and_array_forms_agree_item_by_item(self, items, offset):
         def scalar():
-            return [_event_triple(item.event, item.control, i, offset)
-                    for i, item in enumerate(items)]
+            return [_event_triple(*_fields(item), i, offset) for i, item in enumerate(items)]
 
         def array():
             return _arrival_triples(_columns(items), offset).tolist()
 
         assert _outcome(array) == _outcome(scalar)
         for item in items:
-            expected = _outcome(lambda: [_event_triple(item.event, item.control, 0, offset)])
+            expected = _outcome(lambda: [_event_triple(*_fields(item), 0, offset)])
             assert _outcome(lambda: _arrival_triples(_columns([item]), offset).tolist()) == expected
 
     def test_first_invalid_item_decides_discard_or_error(self):
