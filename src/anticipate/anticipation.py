@@ -30,11 +30,15 @@ from .events import REST, UNITS_PER_SECOND, Event, EventSequence, InterleavedSeq
 
 
 def _check_seconds(name: str, seconds: float) -> None:
-    """Reject a config interval that is not positive, not finite, or too long
-    for int64 grid arithmetic (2**62 units or more)."""
+    """Reject a config interval that is not positive, not finite, rounds to
+    no grid unit, or is too long for int64 grid arithmetic (2**62 units or
+    more)."""
     if not (math.isfinite(seconds) and seconds > 0):
         raise ValueError(f"{name} must be positive and finite, got {seconds!r}")
-    if round(seconds * UNITS_PER_SECOND) >= 2**62:
+    units = round(seconds * UNITS_PER_SECOND)
+    if units == 0:
+        raise ValueError(f"{name} must be at least one 10 ms grid unit, got {seconds!r} s")
+    if units >= 2**62:
         raise ValueError(f"{name} must be under 2**62 grid units, got {seconds!r} s")
 
 

@@ -17,10 +17,12 @@ Generation works at event granularity with absolute times. Every placed
 item is written once, in placement order, into one int64 buffer with rows
 time, duration, note and control flag, doubled in width when full; the
 result is a copy of its filled columns. The token context fed to the
-predictor is read from that buffer after each placed item: the most recent
-whole triples that fit, led by a separator while the start of generation is
-visible. Once the window slides past the start it is relativized by its
-minimum time, the rule the tokenizer applies to every model context.
+predictor is read from that buffer once per sampled event, after the event
+and the controls it releases are placed: the most recent whole triples that
+fit, led by a separator while the start of generation is visible. Until then
+the new items' triples are appended; once the window slides past the start
+it is re-encoded, relativized by its minimum time, the rule the tokenizer
+applies to every model context.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .events import (
     MAX_TIME_UNITS, REST, UNITS_PER_SECOND, EventSequence, InterleavedSequence, _tagged,
 )
 from .predictor import Predictor
-from .tokenizer import _arrival_triples, _event_triple
+from .tokenizer import _arrival_triples
 from .vocab import ArrivalVocab as AV
 
 TIME_SLOT, DURATION_SLOT, NOTE_SLOT = 0, 1, 2
@@ -101,25 +103,27 @@ def _slot_ranges(slot: int, min_time: int) -> list[tuple[int, int]]:
 
 
 def _context_after(
-    tokens: list[int], buffer: np.ndarray, n: int, capacity: int, plain_controls: bool
+    tokens: list[int], buffer: np.ndarray, n: int, placed: int, capacity: int,
+    plain_controls: bool,
 ) -> tuple[list[int], int]:
-    """The predictor context once ``n`` items are placed, and its time offset.
+    """The predictor context once ``n`` items are placed, the last ``placed``
+    of them new, and its time offset.
 
-    Before the window of ``capacity`` triples slides, the ``n``-th item's
-    triple is appended to ``tokens`` and the offset is zero; after, the window
+    Before the window of ``capacity`` triples slides, the new items' triples
+    are appended to ``tokens`` and the offset is zero; after, the window
     ``buffer[:, n - capacity:n]`` is relativized by its minimum time and
     re-encoded. With ``plain_controls`` controls enter it as plain events.
     """
-    if n < capacity:
-        time, duration, note, control = buffer[:, n - 1].tolist()
-        tokens.extend(_event_triple(time, duration, note, control and not plain_controls, n - 1))
-        return tokens, 0
     if not capacity:  # context_length 1 looks no tokens back
         return [], 0
-    window = buffer[:, n - capacity : n]
+    slid = n >= capacity
+    window = buffer[:, n - (capacity if slid else placed) : n]
     if plain_controls:
         window = window.copy()
         window[3] = 0
+    if not slid:
+        tokens.extend(_arrival_triples(window).ravel().tolist())
+        return tokens, 0
     offset = int(window[0].min())
     return _arrival_triples(window, offset).ravel().tolist(), offset
 
@@ -244,9 +248,8 @@ def _generate(
         if k:
             buffer[:3, controls_at : controls_at + k] = due.columns
             buffer[3, controls_at : controls_at + k] = 1
-        for placed in range(n + 1, n + k + 2):
-            tokens, offset = _context_after(tokens, buffer, placed, capacity, not anticipate)
         n += k + 1
+        tokens, offset = _context_after(tokens, buffer, n, k + 1, capacity, not anticipate)
         sampled += 1
         last_time = event[0]
     columns = buffer[:, :n]

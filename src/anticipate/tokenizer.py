@@ -6,11 +6,13 @@ Controls use the shifted vocabulary ranges; a separator is a triple of SEP
 tokens. Interarrival codec: onset/offset tokens with gap tokens in between
 (zero gaps omitted, gaps over 10 s truncated); a separator is a single SEP.
 
-Arrival encoding is columnar: the triples of a whole sequence, or of the
-whole packed stream, are built from the sequence's time, duration, note and
-control rows and checked with array operations. An invalid item fails with
-the error the scalar triple encoder gives for it, at the same index; the
-scalar form remains for callers that encode one item at a time.
+This module is the only one that knows the arrival token layout, through
+one array encoder and its array inverse. Encoding builds the triples of a
+sequence, a packed stream or a sampler context from the time, duration, note
+and control rows and checks them with array operations; the first invalid
+item fails with its index. Decoding classifies every triple with range
+masks, fails at the first malformed one, and splits the decoded columns at
+the separator triples; no event object is built.
 
 Every model context is relativized by one rule: its times are shifted by the
 minimum time of its items, so the context starts at zero and distinct times
@@ -32,7 +34,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .events import MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence, TaggedEvent
+from .events import MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence
 from .vocab import CODEC_VOCABS
 from .vocab import ArrivalVocab as AV
 from .vocab import InterarrivalVocab as IV
@@ -67,42 +69,27 @@ def _relativize_sequence(
     return seq._of(columns)
 
 
-def _event_triple(
-    time: int, duration: int, note: int, control: bool, index: int, offset: int = 0
-) -> list[int]:
-    """The arrival triple of one item, its time relativized by ``offset``."""
-    t = time - offset
-    if t >= AV.DUR_BASE:
-        raise TokenError(f"event time {t} exceeds the 100s token range", index)
-    if note == REST:
-        if control:
-            raise TokenError("rest events cannot be controls", index)
-        note_token = AV.REST
-    else:
-        note_token = AV.note_token(note, control=control)
-    return [
-        AV.time_token(t, control=control),
-        AV.duration_token(duration, control=control),
-        note_token,
-    ]
-
-
 def _arrival_triples(columns: np.ndarray, offset: int | np.ndarray = 0) -> np.ndarray:
     """The (n, 3) arrival triples of ``columns``, times relativized by ``offset``
     (a scalar or one offset per item).
 
-    The whole array is checked at once; the first invalid item raises the
-    error `_event_triple` raises for it, with its index in ``columns``.
+    The whole array is checked at once. The first invalid item raises, with
+    its index in ``columns``: a time past the token range, then a rest marked
+    as a control, then a negative time (a bare ``ValueError``).
     """
     time, duration, note, control = columns
     times = time - offset
     control = control.astype(bool)
     rest = note == REST
-    invalid = (times < 0) | (times >= AV.DUR_BASE) | (rest & control)
+    late = times >= AV.DUR_BASE
+    invalid = (times < 0) | late | (rest & control)
     if invalid.any():
         i = int(invalid.argmax())
-        _event_triple(int(time[i]), int(duration[i]), int(note[i]), bool(control[i]), i,
-                      int(time[i] - times[i]))  # raises
+        if late[i]:
+            raise TokenError(f"event time {times[i]} exceeds the 100s token range", i)
+        if rest[i] and control[i]:
+            raise TokenError("rest events cannot be controls", i)
+        raise ValueError(f"time {times[i]} outside [0, {MAX_TIME_UNITS - 1}]")
     shift = control * AV.CONTROL_OFFSET
     triples = np.empty((len(times), 3), dtype=np.int64)
     triples[:, 0] = times + (AV.TIME_BASE + shift)
@@ -138,47 +125,45 @@ def decode_arrival(tokens: Sequence[int]) -> list[InterleavedSequence]:
 
     An optional leading control code (AR/AAR) is skipped. SEP triples are
     segment boundaries; a boundary at the very start marks a fresh sequence
-    rather than producing an empty leading segment.
+    rather than producing an empty leading segment. The first malformed
+    triple raises ``TokenError`` with its triple index.
     """
     toks = list(tokens)
     if toks and toks[0] in (AV.AR, AV.AAR):
         toks = toks[1:]
     if len(toks) % 3:
         raise TokenError(f"token count {len(toks)} is not a multiple of 3")
+    try:
+        array = np.asarray(toks, dtype=np.int64)
+    except OverflowError:  # a token past int64 is outside the vocabulary: read it as -1
+        objects = np.asarray(toks, dtype=object)
+        array = np.where((objects >= 0) & (objects < AV.SIZE), objects, -1).astype(np.int64)
+    a, b, c = array.reshape(-1, 3).T
 
-    segments: list[InterleavedSequence] = []
-    current: list[TaggedEvent] = []
-    seen_content = False
-    for idx in range(0, len(toks), 3):
-        a, b, c = toks[idx], toks[idx + 1], toks[idx + 2]
-        triple_index = idx // 3
-        if a == AV.SEP or b == AV.SEP or c == AV.SEP:
-            if not (a == b == c == AV.SEP):
-                raise TokenError("partial SEP triple", triple_index)
-            if not seen_content and not segments and not current:
-                seen_content = True  # leading boundary: fresh sequence start
-                continue
-            segments.append(InterleavedSequence(current, check=False))
-            current = []
-            continue
-        seen_content = True
-        if AV.is_plain_time(a) and AV.is_plain_duration(b):
-            if c == AV.REST:
-                if b != AV.DUR_BASE:
-                    raise TokenError("rest triple with nonzero duration", triple_index)
-                event = Event(a - AV.TIME_BASE, 0, REST)
-            elif AV.is_plain_note(c):
-                event = Event(a - AV.TIME_BASE, b - AV.DUR_BASE, c - AV.NOTE_BASE)
-            else:
-                raise TokenError(f"token {c} is not a note token", triple_index)
-            current.append(TaggedEvent(event, control=False))
-        elif AV.is_control_time(a) and AV.is_control_duration(b) and AV.is_control_note(c):
-            event = Event(a - AV.ANT_TIME_BASE, b - AV.ANT_DUR_BASE, c - AV.ANT_NOTE_BASE)
-            current.append(TaggedEvent(event, control=True))
-        else:
-            raise TokenError(f"mixed-range triple ({a}, {b}, {c})", triple_index)
-    segments.append(InterleavedSequence(current, check=False))
-    return segments
+    sep = (a == AV.SEP) & (b == AV.SEP) & (c == AV.SEP)
+    rest = c == AV.REST
+    plain = AV.is_plain_time(a) & AV.is_plain_duration(b)
+    control = AV.is_control_time(a) & AV.is_control_duration(b) & AV.is_control_note(c)
+    valid = sep | control | plain & np.where(rest, b == AV.DUR_BASE, AV.is_plain_note(c))
+    if not valid.all():
+        i = int(valid.argmin())
+        first, second, third = triple = toks[3 * i : 3 * i + 3]  # the caller's values
+        if AV.SEP in triple:
+            raise TokenError("partial SEP triple", i)
+        if plain[i] and rest[i]:
+            raise TokenError("rest triple with nonzero duration", i)
+        if plain[i]:
+            raise TokenError(f"token {third} is not a note token", i)
+        raise TokenError(f"mixed-range triple ({first}, {second}, {third})", i)
+
+    shift = control * AV.CONTROL_OFFSET
+    columns = np.stack([a - shift - AV.TIME_BASE, b - shift - AV.DUR_BASE,
+                        np.where(rest, REST, c - shift - AV.NOTE_BASE), control])[:, ~sep]
+    # a separator splits before the items that follow it; one at the very
+    # start opens the first segment instead
+    seps = np.flatnonzero(sep)
+    bounds = (seps - np.arange(len(seps)))[seps > 0]
+    return [InterleavedSequence._of(part) for part in np.split(columns, bounds, axis=1)]
 
 
 def decode_arrival_single(tokens: Sequence[int]) -> InterleavedSequence:

@@ -16,7 +16,10 @@ from .events import MAX_DURATION_UNITS, MAX_TIME_UNITS, NUM_NOTE_CODES
 
 
 class ArrivalVocab:
-    """Token layout for the arrival-time codec (size 55028)."""
+    """Token layout for the arrival-time codec (size 55028).
+
+    The range tests take a token or an integer array of tokens.
+    """
 
     TIME_BASE = 0
     DUR_BASE = MAX_TIME_UNITS  # 10000
@@ -35,46 +38,32 @@ class ArrivalVocab:
     SIZE = AAR + 1  # 55028
 
     @classmethod
-    def time_token(cls, t: int, *, control: bool = False) -> int:
-        if not 0 <= t < MAX_TIME_UNITS:
-            raise ValueError(f"time {t} outside [0, {MAX_TIME_UNITS - 1}]")
-        return t + (cls.ANT_TIME_BASE if control else cls.TIME_BASE)
-
-    @classmethod
-    def duration_token(cls, d: int, *, control: bool = False) -> int:
-        return d + (cls.ANT_DUR_BASE if control else cls.DUR_BASE)
-
-    @classmethod
-    def note_token(cls, n: int, *, control: bool = False) -> int:
-        return n + (cls.ANT_NOTE_BASE if control else cls.NOTE_BASE)
-
-    @classmethod
     def is_plain_time(cls, tok: int) -> bool:
-        return cls.TIME_BASE <= tok < cls.DUR_BASE
+        return (cls.TIME_BASE <= tok) & (tok < cls.DUR_BASE)
 
     @classmethod
     def is_plain_duration(cls, tok: int) -> bool:
-        return cls.DUR_BASE <= tok < cls.NOTE_BASE
+        return (cls.DUR_BASE <= tok) & (tok < cls.NOTE_BASE)
 
     @classmethod
     def is_plain_note(cls, tok: int) -> bool:
-        return cls.NOTE_BASE <= tok < cls.REST
+        return (cls.NOTE_BASE <= tok) & (tok < cls.REST)
 
     @classmethod
     def is_control_time(cls, tok: int) -> bool:
-        return cls.ANT_TIME_BASE <= tok < cls.ANT_DUR_BASE
+        return (cls.ANT_TIME_BASE <= tok) & (tok < cls.ANT_DUR_BASE)
 
     @classmethod
     def is_control_duration(cls, tok: int) -> bool:
-        return cls.ANT_DUR_BASE <= tok < cls.ANT_NOTE_BASE
+        return (cls.ANT_DUR_BASE <= tok) & (tok < cls.ANT_NOTE_BASE)
 
     @classmethod
     def is_control_note(cls, tok: int) -> bool:
-        return cls.ANT_NOTE_BASE <= tok < cls.SEP
+        return (cls.ANT_NOTE_BASE <= tok) & (tok < cls.SEP)
 
     @classmethod
     def is_control_range(cls, tok: int) -> bool:
-        return cls.ANT_TIME_BASE <= tok < cls.SEP
+        return (cls.ANT_TIME_BASE <= tok) & (tok < cls.SEP)
 
 
 class InterarrivalVocab:

@@ -9,7 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from anticipate.events import Event, EventSequence, encode_note
+from anticipate.events import MAX_TIME_UNITS, REST, Event, EventSequence, encode_note
+from anticipate.tokenizer import TokenError
+from anticipate.vocab import ArrivalVocab as AV
 
 
 def random_events(
@@ -61,6 +63,33 @@ def random_controls(
         Event(int(t), int(rng.integers(0, max_duration + 1)), encode_note(0, int(rng.integers(128))))
         for t in times
     )
+
+
+def reference_event_triple(
+    time: int, duration: int, note: int, control: bool, index: int, offset: int = 0
+) -> list[int]:
+    """The arrival triple of one item, its time relativized by ``offset``.
+
+    The scalar encoder that `tokenizer._arrival_triples` replaced, kept as
+    the reference it is tested against; the vocabulary's per-token helpers
+    it called are inlined.
+    """
+    t = time - offset
+    if t >= AV.DUR_BASE:
+        raise TokenError(f"event time {t} exceeds the 100s token range", index)
+    if note == REST:
+        if control:
+            raise TokenError("rest events cannot be controls", index)
+        note_token = AV.REST
+    else:
+        note_token = note + (AV.ANT_NOTE_BASE if control else AV.NOTE_BASE)
+    if not 0 <= t < MAX_TIME_UNITS:
+        raise ValueError(f"time {t} outside [0, {MAX_TIME_UNITS - 1}]")
+    return [
+        t + (AV.ANT_TIME_BASE if control else AV.TIME_BASE),
+        duration + (AV.ANT_DUR_BASE if control else AV.DUR_BASE),
+        note_token,
+    ]
 
 
 @pytest.fixture

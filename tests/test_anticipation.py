@@ -233,6 +233,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             AnticipationConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["delta", "target_density"])
+    def test_rejects_interval_below_one_grid_unit(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be at least one 10 ms grid unit"):
+            AnticipationConfig(**{field: 0.004})
+        config = AnticipationConfig(**{field: 0.01})
+        assert (config.delta_units if field == "delta" else config.density_units) == 1
+
 
 def test_rest_events_never_marked_as_controls(rng):
     seq = densify(random_events(rng, 10, max_gap=700), 100)

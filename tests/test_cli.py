@@ -167,6 +167,17 @@ class TestConfigValues:
         assert run("densify", "--target-density", value, str(twinkle_file), "-") == 2
         assert "error: target_density must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, option, field, file", [
+        ("interleave", "--delta", "delta", "mix_file"),
+        ("densify", "--target-density", "target_density", "twinkle_file"),
+    ])
+    def test_interval_below_one_grid_unit_is_rejected(self, request, capsys, command, option,
+                                                       field, file):
+        path = str(request.getfixturevalue(file))
+        assert run(command, option, "0.004", path, "-") == 2
+        assert f"error: {field} must be at least one 10 ms grid unit" in capsys.readouterr().err
+        assert run(command, option, "0.01", path, "-") == 0
+
     @pytest.mark.parametrize("option, value", [
         ("--delta", "inf"), ("--delta", "nan"), ("--delta", "1e17"), ("--max-tokens", "-5"),
     ])

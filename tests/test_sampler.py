@@ -27,10 +27,10 @@ from anticipate.sampler import (
     generate_autoregressive_infill,
     nucleus_sample,
 )
-from anticipate.tokenizer import TokenError, _arrival_triples, _event_triple, encode_arrival
+from anticipate.tokenizer import TokenError, _arrival_triples, encode_arrival
 from anticipate.vocab import ArrivalVocab as AV
 
-from conftest import random_controls, random_events
+from conftest import random_controls, random_events, reference_event_triple
 
 
 def replay_for(events: EventSequence):
@@ -262,7 +262,7 @@ def _contexts(items, context_length, plain_controls=False):
     tokens = [AV.SEP] * 3
     capacity = (context_length - 1) // 3
     for n in range(1, len(items) + 1):
-        tokens, offset = _context_after(tokens, buffer, n, capacity, plain_controls)
+        tokens, offset = _context_after(tokens, buffer, n, 1, capacity, plain_controls)
         yield tokens, offset
 
 
@@ -338,6 +338,12 @@ def test_config_rejects_nonfinite_huge_and_negative(kwargs, field):
         SamplerConfig(**kwargs)
 
 
+def test_config_rejects_delta_below_one_grid_unit():
+    with pytest.raises(ValueError, match="^delta must be at least one 10 ms grid unit"):
+        SamplerConfig(delta=0.004)
+    assert SamplerConfig(delta=0.01).delta_units == 1
+
+
 def test_uniform_predictor_generates_valid_triples(rng):
     # even a content-free model produces grammatical output under the mask
     config = SamplerConfig(delta=5.0, top_p=1.0, seed=5, max_tokens=30)
@@ -373,8 +379,8 @@ class _ReferenceContext:
         control = item.control and not self.plain_controls
         if len(self.items) < self.capacity:
             event = item.event
-            self.tokens.extend(_event_triple(event.time, event.duration, event.note, control,
-                                             len(self.items) - 1))
+            self.tokens.extend(reference_event_triple(event.time, event.duration, event.note,
+                                                      control, len(self.items) - 1))
             return
         if not self.capacity:
             self.tokens = []

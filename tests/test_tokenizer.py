@@ -22,7 +22,6 @@ from anticipate.tokenizer import (
     TokenError,
     TrainingExample,
     _arrival_triples,
-    _event_triple,
     _relativize_sequence,
     decode_arrival,
     decode_arrival_single,
@@ -36,7 +35,7 @@ from anticipate.tokenizer import (
 from anticipate.vocab import ArrivalVocab as AV
 from anticipate.vocab import InterarrivalVocab as IV
 
-from conftest import random_events
+from conftest import random_events, reference_event_triple
 
 
 class TestVocabLayout:
@@ -429,7 +428,7 @@ def _reference_encode_arrival(seq, *, z=None, leading_sep=False):
     if leading_sep:
         tokens.extend([AV.SEP] * 3)
     for i, item in enumerate(items):
-        tokens.extend(_event_triple(*_fields(item), i))
+        tokens.extend(reference_event_triple(*_fields(item), i))
     return tokens
 
 
@@ -476,7 +475,7 @@ def _reference_pack(sequences, *, context_length=1024):
             if item.event.time - shift >= MAX_TIME_UNITS:
                 result.n_discarded += 1
                 break
-            tokens.extend(_event_triple(*_fields(item), i, shift))
+            tokens.extend(reference_event_triple(*_fields(item), i, shift))
         else:
             result.examples.append(TrainingExample(tuple(tokens)))
     return result
@@ -557,14 +556,14 @@ class TestColumnarEncoder:
     @given(st.lists(_tagged_items, max_size=30), st.integers(-100, 20_000))
     def test_scalar_and_array_forms_agree_item_by_item(self, items, offset):
         def scalar():
-            return [_event_triple(*_fields(item), i, offset) for i, item in enumerate(items)]
+            return [reference_event_triple(*_fields(item), i, offset) for i, item in enumerate(items)]
 
         def array():
             return _arrival_triples(_columns(items), offset).tolist()
 
         assert _outcome(array) == _outcome(scalar)
         for item in items:
-            expected = _outcome(lambda: [_event_triple(*_fields(item), 0, offset)])
+            expected = _outcome(lambda: [reference_event_triple(*_fields(item), 0, offset)])
             assert _outcome(lambda: _arrival_triples(_columns([item]), offset).tolist()) == expected
 
     def test_first_invalid_item_decides_discard_or_error(self):
@@ -638,3 +637,132 @@ class TestColumnarInterarrivalEncoder:
             for form in (seq, seq.events(), InterleavedSequence.from_events(seq.events())):
                 expected = _outcome(_reference_encode_interarrival, form, leading_sep=leading_sep)
                 assert _outcome(encode_interarrival, form, leading_sep=leading_sep) == expected
+
+
+# -- array decoder against the per-triple reference -------------------------
+
+
+def _reference_decode_arrival(tokens):
+    """The per-triple arrival decoder the array one replaced."""
+    toks = list(tokens)
+    if toks and toks[0] in (AV.AR, AV.AAR):
+        toks = toks[1:]
+    if len(toks) % 3:
+        raise TokenError(f"token count {len(toks)} is not a multiple of 3")
+
+    segments = []
+    current = []
+    seen_content = False
+    for idx in range(0, len(toks), 3):
+        a, b, c = toks[idx], toks[idx + 1], toks[idx + 2]
+        triple_index = idx // 3
+        if a == AV.SEP or b == AV.SEP or c == AV.SEP:
+            if not (a == b == c == AV.SEP):
+                raise TokenError("partial SEP triple", triple_index)
+            if not seen_content and not segments and not current:
+                seen_content = True  # leading boundary: fresh sequence start
+                continue
+            segments.append(InterleavedSequence(current, check=False))
+            current = []
+            continue
+        seen_content = True
+        if AV.is_plain_time(a) and AV.is_plain_duration(b):
+            if c == AV.REST:
+                if b != AV.DUR_BASE:
+                    raise TokenError("rest triple with nonzero duration", triple_index)
+                event = Event(a - AV.TIME_BASE, 0, REST)
+            elif AV.is_plain_note(c):
+                event = Event(a - AV.TIME_BASE, b - AV.DUR_BASE, c - AV.NOTE_BASE)
+            else:
+                raise TokenError(f"token {c} is not a note token", triple_index)
+            current.append(TaggedEvent(event, control=False))
+        elif AV.is_control_time(a) and AV.is_control_duration(b) and AV.is_control_note(c):
+            event = Event(a - AV.ANT_TIME_BASE, b - AV.ANT_DUR_BASE, c - AV.ANT_NOTE_BASE)
+            current.append(TaggedEvent(event, control=True))
+        else:
+            raise TokenError(f"mixed-range triple ({a}, {b}, {c})", triple_index)
+    segments.append(InterleavedSequence(current, check=False))
+    return segments
+
+
+def _span(low, high):
+    return st.integers(low, high - 1)
+
+
+# any integer a caller may pass: in range, negative, at SIZE, past int64
+_wild_tokens = st.one_of(
+    _span(0, AV.SIZE),
+    st.sampled_from([AV.SEP, AV.REST, AV.AR, AV.AAR, AV.SIZE, -1, 2**63 - 1, 2**63, 2**64]),
+    st.integers(-(2**70), -1),
+    st.integers(AV.SIZE, 2**70),
+)
+_plain_time = _span(AV.TIME_BASE, AV.DUR_BASE)
+_valid_triples = st.one_of(
+    st.tuples(_plain_time, _span(AV.DUR_BASE, AV.NOTE_BASE), _span(AV.NOTE_BASE, AV.REST)),
+    st.tuples(_plain_time, st.just(AV.DUR_BASE), st.just(AV.REST)),
+    st.tuples(_span(AV.ANT_TIME_BASE, AV.ANT_DUR_BASE), _span(AV.ANT_DUR_BASE, AV.ANT_NOTE_BASE),
+              _span(AV.ANT_NOTE_BASE, AV.SEP)),
+    st.just((AV.SEP,) * 3),
+)
+_invalid_triples = st.one_of(
+    st.tuples(st.sampled_from([(1, 0, 0), (0, 1, 1), (1, 1, 0), (0, 0, 1)]),
+              st.tuples(_wild_tokens, _wild_tokens, _wild_tokens)).map(
+        lambda pair: tuple(AV.SEP if sep else tok for sep, tok in zip(*pair))),  # partial SEP
+    st.tuples(_plain_time, _span(AV.DUR_BASE + 1, AV.NOTE_BASE), st.just(AV.REST)),
+    st.tuples(_plain_time, _span(AV.DUR_BASE, AV.NOTE_BASE), _wild_tokens),  # non-note third
+    st.tuples(_wild_tokens, _wild_tokens, _wild_tokens),  # mixed ranges
+)
+
+
+@st.composite
+def arrival_token_lists(draw):
+    """Token lists with an optional AR/AAR prefix, valid and malformed
+    triples (leading, consecutive and trailing SEP triples among them), and
+    sometimes a count that is not a multiple of 3."""
+    triples = draw(st.lists(_valid_triples, max_size=12)
+                   | st.lists(_valid_triples | _invalid_triples, max_size=12))
+    prefix = draw(st.sampled_from([[], [AV.AR], [AV.AAR]]))
+    ragged = draw(st.sampled_from([False] * 9 + [True]))
+    tail = draw(st.lists(_wild_tokens, min_size=1, max_size=2)) if ragged else []
+    return prefix + [tok for triple in triples for tok in triple] + tail
+
+
+class TestArrayDecoder:
+    @settings(max_examples=300, deadline=None)
+    @given(arrival_token_lists())
+    def test_matches_per_triple_reference(self, tokens):
+        expected = _outcome(_reference_decode_arrival, tokens)
+        assert _outcome(decode_arrival, tokens) == expected
+
+    def test_tokens_past_int64_name_the_callers_values(self):
+        with pytest.raises(TokenError, match=rf"mixed-range triple \(0, {2**64}, -1\) \(index 1\)"):
+            decode_arrival([AV.AR, 0, AV.DUR_BASE, AV.NOTE_BASE, 0, 2**64, -1])
+        with pytest.raises(TokenError, match=rf"token {2**63} is not a note token \(index 0\)"):
+            decode_arrival([0, AV.DUR_BASE, 2**63])
+
+
+_fuzz_tokens = st.lists(
+    st.one_of(st.integers(-(2**70), 2**70), _span(-2, AV.SIZE + 2), _span(-2, IV.SIZE + 2),
+              st.sampled_from([2**63, 2**64])),
+    max_size=40,
+)
+
+
+class TestDecoderFuzz:
+    # arbitrary integers either decode or raise TokenError, never another error
+
+    @settings(max_examples=300, deadline=None)
+    @given(_fuzz_tokens)
+    def test_decode_arrival(self, tokens):
+        try:
+            decode_arrival(tokens)
+        except TokenError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(_fuzz_tokens)
+    def test_decode_interarrival(self, tokens):
+        try:
+            decode_interarrival(tokens)
+        except TokenError:
+            pass
