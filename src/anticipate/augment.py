@@ -40,6 +40,10 @@ class AugmentationPolicy:
     factor: int = 30
 
     def __post_init__(self) -> None:
+        if self.factor < 1:
+            raise ValueError(f"factor must be at least 1, got {self.factor}")
+        if min(self.weights) < 0:
+            raise ValueError(f"weights must be non-negative, got {self.weights}")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("mixture weights must sum to 1")
         for pattern, weight in zip(PATTERNS, self.weights):

@@ -5,10 +5,14 @@ One command with subcommands: ``ingest`` a MIDI directory, ``tokenize`` /
 ``augment`` a corpus, ``train-ngram`` a reference predictor, ``sample`` from
 it, ``evaluate`` log-loss, and ``golden`` for the built-in reference checks.
 
-Flags may also come from a flat ``key=value`` config file (``--config``);
-explicit flags win, unknown keys are rejected. The sampling seed falls back
-to the ``ANTICIPATE_SEED`` environment variable. Exit codes: 0 success, 1
-usage error, 2 data error.
+Each option is declared, defaulted and checked once, in argparse. A flat
+``key=value`` config file (``--config``) may set any optional flag of its
+subcommand but ``--config`` and the required ``--model``: the key is the
+flag's name (``top_p`` or ``top-p``), an on/off flag takes a boolean word, and
+each value is checked as the flag would be. An explicit flag beats the config
+file, which beats the ``ANTICIPATE_SEED`` environment variable (the default of
+``--seed``), which beats the built-in default. Exit codes: 0 success, 1 usage
+error (including a bad config or environment value), 2 data error.
 """
 
 from __future__ import annotations
@@ -44,40 +48,21 @@ from .vocab import CODEC_VOCABS
 from .vocab import ArrivalVocab as AV
 
 SEED_ENV = "ANTICIPATE_SEED"
-
-# Defaults applied after merging config-file values; argparse flags use
-# default=None so an absent flag is distinguishable from an explicit one.
-DEFAULTS: dict[str, dict[str, object]] = {
-    "ingest": {},
-    "tokenize": {"codec": "arrival", "relativize": False, "pack": False, "raw": False},
-    "detokenize": {"codec": None},
-    "densify": {"target_density": 1.0},
-    "interleave": {"delta": 5.0},
-    "augment": {"factor": 30, "seed": 0, "delta": 5.0, "target_density": 1.0, "pack": False},
-    "train-ngram": {"order": 3, "alpha": 0.01},
-    "sample": {
-        "mode": "anticipatory",
-        "top_p": 0.95,
-        "delta": 5.0,
-        "max_tokens": 3069,
-        "seed": 0,
-        "out": "events",
-        "grammar_mask": True,
-    },
-    "evaluate": {},
-    "golden": {},
-}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command parser and the parser of each subcommand, by name."""
     parser = argparse.ArgumentParser(
         prog="anticipate",
         description="Event/control interleaving toolkit for symbolic music.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
     def add(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
+        p = commands[name] = sub.add_parser(name, help=help_)
         p.add_argument("--config", default=None, help="flat key=value config file")
         return p
 
@@ -88,12 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tokenize", "encode event text as tokens")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("output", nargs="?", default="-")
-    p.add_argument("--codec", choices=["arrival", "interarrival"], default=None)
-    p.add_argument("--relativize", action="store_true", default=None,
+    p.add_argument("--codec", choices=["arrival", "interarrival"], default="arrival")
+    p.add_argument("--relativize", action="store_true",
                    help="shift each sequence to start at time zero")
-    p.add_argument("--pack", action="store_true", default=None,
+    p.add_argument("--pack", action="store_true",
                    help="emit fixed-length training examples (arrival only)")
-    p.add_argument("--raw", action="store_true", default=None,
+    p.add_argument("--raw", action="store_true",
                    help="omit the per-sequence control code and separator preamble")
 
     p = add("detokenize", "decode a token file back to event text")
@@ -105,42 +90,43 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("densify", "insert rests so no inter-event gap exceeds the target")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("output", nargs="?", default="-")
-    p.add_argument("--target-density", dest="target_density", type=float, default=None,
+    p.add_argument("--target-density", type=float, default=AnticipationConfig.target_density,
                    help="maximum gap in seconds")
 
     p = add("interleave", "anticipate C-tagged controls among plain events")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("output", nargs="?", default="-")
-    p.add_argument("--delta", type=float, default=None, help="anticipation interval in seconds")
+    p.add_argument("--delta", type=float, default=AnticipationConfig.delta,
+                   help="anticipation interval in seconds")
 
     p = add("augment", "emit interleaved training copies of an event corpus")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("output", nargs="?", default="-")
-    p.add_argument("--factor", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--target-density", dest="target_density", type=float, default=None)
+    p.add_argument("--factor", type=int, default=AugmentationPolicy.factor)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--delta", type=float, default=AnticipationConfig.delta)
+    p.add_argument("--target-density", type=float, default=AnticipationConfig.target_density)
     p.add_argument("--labels", default=None, help="sidecar label file (default OUTPUT.labels)")
-    p.add_argument("--pack", action="store_true", default=None,
+    p.add_argument("--pack", action="store_true",
                    help="emit packed training examples instead of sequence lines")
 
     p = add("train-ngram", "count-train the reference n-gram on a token file")
     p.add_argument("input")
     p.add_argument("model")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--order", type=int, default=3)
+    p.add_argument("--alpha", type=float, default=0.01)
 
     p = add("sample", "generate events, optionally conditioned on controls")
     p.add_argument("output", nargs="?", default="-")
     p.add_argument("--model", required=True)
-    p.add_argument("--mode", choices=["anticipatory", "baseline"], default=None)
+    p.add_argument("--mode", choices=["anticipatory", "baseline"], default="anticipatory")
     p.add_argument("--controls", default=None, help="event text file of control events")
-    p.add_argument("--top-p", dest="top_p", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--max-tokens", dest="max_tokens", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", choices=["events", "midi"], default=None)
-    p.add_argument("--no-grammar-mask", dest="grammar_mask", action="store_false", default=None)
+    p.add_argument("--top-p", type=float, default=SamplerConfig.top_p)
+    p.add_argument("--delta", type=float, default=SamplerConfig.delta)
+    p.add_argument("--max-tokens", type=int, default=SamplerConfig.max_tokens)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", choices=["events", "midi"], default="events")
+    p.add_argument("--no-grammar-mask", dest="grammar_mask", action="store_false")
 
     p = add("evaluate", "cross-entropy of a model over a token file")
     p.add_argument("input")
@@ -148,56 +134,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="also write the report to this path")
 
     add("golden", "run the built-in reference checks")
-    return parser
+    return parser, commands
 
 
-def _parse_config_value(raw: str, default: object):
-    if isinstance(default, bool):
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
-
-
-def _resolve_options(args: argparse.Namespace) -> argparse.Namespace | str:
-    """Merge config-file values and defaults; returns an error string on bad keys."""
-    defaults = DEFAULTS.get(args.command, {})
-    config: dict[str, str] = {}
-    if getattr(args, "config", None):
-        try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
-            return f"cannot read config file: {exc}"
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                return f"{args.config}:{lineno}: expected key=value"
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in defaults:
-                return f"{args.config}:{lineno}: unknown key {key!r}"
-            config[key] = value.strip()
-    for key, default in defaults.items():
-        if getattr(args, key, None) is not None:
+def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The flags of ``parser`` that a key=value config file stands for; an
+    on/off flag is emitted when its boolean word asks for the flag's effect."""
+    options = {a.dest: a for a in parser._actions
+               if a.option_strings and not a.required and a.dest not in ("config", "help")}
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read config file: {exc}")
+    flags: list[str] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
-        if key in config:
-            try:
-                setattr(args, key, _parse_config_value(config[key], default))
-            except ValueError as exc:
-                return f"config key {key}: {exc}"
-        elif key == "seed" and os.environ.get(SEED_ENV):
-            setattr(args, key, int(os.environ[SEED_ENV]))
-        else:
-            setattr(args, key, default)
-    return args
+        if "=" not in line:
+            parser.error(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key, value = key.strip().replace("-", "_"), value.strip()
+        action = options.get(key)
+        if action is None:
+            parser.error(f"{path}:{lineno}: unknown key {key!r}")
+        flag = action.option_strings[0]
+        if action.nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif value.lower() not in _BOOL_WORDS:
+            parser.error(f"config key {key}: expected a boolean, got {value!r}")
+        elif _BOOL_WORDS[value.lower()] == action.const:
+            flags.append(flag)
+    return flags
 
 
 @contextmanager
@@ -307,16 +275,14 @@ def _cmd_augment(args) -> int:
     if args.pack:
         result = pack_training_examples(c.interleaved for c in copies)
         rows = [list(ex.tokens) for ex in result.examples]
-        with _open_out(args.output) as f:
-            write_tokens(f, rows, "arrival")
     else:
         rows = [encode_arrival(c.interleaved) for c in copies]
-        with _open_out(args.output) as f:
-            write_tokens(f, rows, "arrival")
-        if labels_path != args.output:
-            with _open_out(labels_path) as f:
-                for c in copies:
-                    f.write(f"{c.sequence_index}\t{c.copy_index}\t{c.pattern}\n")
+    with _open_out(args.output) as f:
+        write_tokens(f, rows, "arrival")
+    if not args.pack and labels_path != args.output:
+        with _open_out(labels_path) as f:
+            for c in copies:
+                f.write(f"{c.sequence_index}\t{c.copy_index}\t{c.pattern}\n")
     n_rest = sum(int((c.interleaved.columns[2] == REST).sum()) for c in copies)
     print(
         f"emitted {len(copies)} copies of {len(sequences)} sequences; "
@@ -348,7 +314,7 @@ def _cmd_sample(args) -> int:
         delta=args.delta,
         top_p=args.top_p,
         max_tokens=args.max_tokens,
-        grammar_mask=bool(args.grammar_mask),
+        grammar_mask=args.grammar_mask,
         seed=args.seed,
     )
     if args.mode == "anticipatory":
@@ -424,17 +390,21 @@ _COMMANDS = {
 
 
 def cli_dispatch(argv: list[str]) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
+        # The first pass finds the subcommand and its config file. The second
+        # puts the config's flags ahead of the user's, with the seed's default
+        # read from the environment: a seed flag or key beats a bad variable.
         args = parser.parse_args(argv)
+        command = commands[args.command]
+        flags = _config_flags(args.config, command) if args.config else []
+        if hasattr(args, "seed") and os.environ.get(SEED_ENV):
+            command.set_defaults(seed=os.environ[SEED_ENV])
+        args = parser.parse_args([args.command, *flags, *argv[argv.index(args.command) + 1:]])
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    resolved = _resolve_options(args)
-    if isinstance(resolved, str):
-        print(f"error: {resolved}", file=sys.stderr)
-        return 1
     try:
-        return _COMMANDS[args.command](resolved)
+        return _COMMANDS[args.command](args)
     except (ValueError, TokenError, MidiParseError, ChannelCapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,9 @@ import logging
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .events import DRUM_INSTRUMENT, Event, EventSequence, encode_note, seconds_to_units
+from .events import (
+    DRUM_INSTRUMENT, Event, EventSequence, encode_note, quantize_duration, seconds_to_units,
+)
 
 log = logging.getLogger(__name__)
 
@@ -262,7 +264,7 @@ def _make_event(clock, on_tick, off_tick, channel, pitch, instrument_at) -> Even
     on_seconds = clock.to_seconds(on_tick)
     off_seconds = clock.to_seconds(max(off_tick, on_tick))
     time = seconds_to_units(on_seconds)
-    duration = min(seconds_to_units(off_seconds - on_seconds), 999)
+    duration = quantize_duration(off_seconds - on_seconds)
     return Event(time, duration, encode_note(instrument_at(channel, on_tick), pitch))
 
 

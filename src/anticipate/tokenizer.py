@@ -34,7 +34,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .events import MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence
+from .events import MAX_DURATION_UNITS, MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence
 from .vocab import CODEC_VOCABS
 from .vocab import ArrivalVocab as AV
 from .vocab import InterarrivalVocab as IV
@@ -234,7 +234,7 @@ def decode_interarrival(tokens: Sequence[int]) -> EventSequence:
             if not queue:
                 raise TokenError(f"offset for note {note} without an open onset", i)
             start, order = queue.popleft()
-            decoded.append((order, Event(start, min(now - start, 999), note)))
+            decoded.append((order, Event(start, min(now - start, MAX_DURATION_UNITS - 1), note)))
         elif tok == IV.SEP:
             raise TokenError("unexpected SEP inside a sequence", i)
         else:
@@ -245,7 +245,7 @@ def decode_interarrival(tokens: Sequence[int]) -> EventSequence:
         log.warning("closing %d unclosed onsets at sequence end", unclosed)
         for note, queue in open_onsets.items():
             for start, order in queue:
-                decoded.append((order, Event(start, min(now - start, 999), note)))
+                decoded.append((order, Event(start, min(now - start, MAX_DURATION_UNITS - 1), note)))
     decoded.sort(key=lambda pair: pair[0])
     return EventSequence(e for _, e in decoded)
 

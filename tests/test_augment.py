@@ -20,7 +20,7 @@ from anticipate.augment import (
     span_mask,
     split_by_mask,
 )
-from anticipate.events import Event, EventSequence, encode_note
+from anticipate.events import NUM_PITCHES, Event, EventSequence, encode_note
 from anticipate.tokenizer import encode_arrival
 
 from conftest import random_events
@@ -45,6 +45,15 @@ class TestPolicy:
             AugmentationPolicy(weights=(0.5, 0.5, 0.5, 0.0))
         with pytest.raises(ValueError):
             AugmentationPolicy(factor=7)  # 0.1 * 7 is not integral
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"factor": 0}, "factor"),
+        ({"factor": -10}, "factor"),
+        ({"weights": (1.2, -0.2, 0.0, 0.0), "factor": 10}, "weights"),
+    ])
+    def test_rejects_negative_counts(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            AugmentationPolicy(**kwargs)
 
 
 class TestSpanControls:
@@ -114,7 +123,7 @@ class TestInstrumentControls:
         draws = []
         for _ in range(10_000):
             mask = sample_instrument_controls(seq, rng)
-            draws.append(len({e.instrument for e, m in zip(seq, mask) if m}))
+            draws.append(len(np.unique(seq.columns[2][mask] // NUM_PITCHES)))
         counts = np.bincount(draws, minlength=5)[1:5]
         assert counts.sum() == 10_000
         assert scipy_stats.chisquare(counts).pvalue > 0.01

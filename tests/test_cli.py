@@ -313,3 +313,104 @@ class TestTokenizePack:
             codec, rows = read_tokens(f)
         assert codec == "arrival"
         assert rows and all(len(row) == 1024 for row in rows)
+
+
+class TestConfigChecks:
+    """Config values and the seed variable are parsed as the flags they stand for."""
+
+    @pytest.fixture
+    def model_file(self, tmp_path, rng) -> Path:
+        model = tmp_path / "model.npz"
+        rows = [encode_arrival(random_events(rng, 60), z=AV.AR, leading_sep=True)]
+        train_ngram(rows, order=2, alpha=0.01, vocab_size=AV.SIZE).save(model)
+        return model
+
+    @staticmethod
+    def conf(tmp_path, text: str) -> str:
+        path = tmp_path / "run.conf"
+        path.write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("tokenize", "codec=bogus", "argument --codec: invalid choice: 'bogus'"),
+        ("sample", "out=wav", "argument --out: invalid choice: 'wav'"),
+        ("sample", "mode=anticipatry", "argument --mode: invalid choice: 'anticipatry'"),
+        ("augment", "factor=x", "argument --factor: invalid int value: 'x'"),
+        ("augment", "pack=maybe", "config key pack: expected a boolean, got 'maybe'"),
+    ])
+    def test_bad_value_is_a_usage_error(self, tmp_path, twinkle_file, model_file, capsys,
+                                        command, text, message):
+        args = ["--model", str(model_file)] if command == "sample" else [str(twinkle_file)]
+        out = tmp_path / "out"
+        assert run(command, "--config", self.conf(tmp_path, text), *args, str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, flag", [
+        ("tokenize", "relativize=true", "--relativize"),
+        ("sample", "grammar_mask=false", "--no-grammar-mask"),
+    ])
+    def test_on_off_key_matches_flag(self, tmp_path, model_file, capsys, command, text, flag):
+        # Late times fail without --relativize; this small model samples an
+        # ungrammatical triple without the mask. Each flag thus flips the exit code.
+        late = tmp_path / "late.txt"
+        late.write_text("20000 10 60\n20010 10 61\n")
+        args = {"tokenize": [str(late)],
+                "sample": ["--model", str(model_file), "--seed", "3", "--max-tokens", "60"]}
+        results = []
+        for extra in (["--config", self.conf(tmp_path, text)], [flag], []):
+            out = tmp_path / f"out{len(results)}"
+            code = run(command, *extra, *args[command], str(out))
+            results.append((code, capsys.readouterr().err, out.exists() and out.read_bytes()))
+        assert results[0] == results[1]
+        assert results[2][0] != results[0][0]
+
+    def test_undecodable_config_is_a_usage_error(self, tmp_path, twinkle_file, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"factor=\xff\n")
+        assert run("augment", "--config", str(config), str(twinkle_file), "-") == 1
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_bad_seed_variable_is_a_usage_error(self, twinkle_file, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.setenv("ANTICIPATE_SEED", "abc")
+        assert run("augment", "--factor", "10", str(twinkle_file), str(tmp_path / "a.tok")) == 1
+        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_seed_flag_and_config_beat_bad_seed_variable(self, twinkle_file, tmp_path,
+                                                         monkeypatch):
+        a, b, c = tmp_path / "a.tok", tmp_path / "b.tok", tmp_path / "c.tok"
+        assert run("augment", "--factor", "10", "--seed", "5", str(twinkle_file), str(a)) == 0
+        monkeypatch.setenv("ANTICIPATE_SEED", "abc")
+        assert run("augment", "--factor", "10", "--seed", "5", str(twinkle_file), str(b)) == 0
+        config = self.conf(tmp_path, "seed=5\n")
+        assert run("augment", "--factor", "10", "--config", config, str(twinkle_file),
+                   str(c)) == 0
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+    def test_negative_factor_is_a_data_error(self, twinkle_file, tmp_path, capsys):
+        assert run("augment", "--factor", "-10", str(twinkle_file), str(tmp_path / "a.tok")) == 2
+        assert "error: factor must be at least 1" in capsys.readouterr().err
+
+    def test_path_keys(self, tmp_path, twinkle_file, model_file):
+        labels = tmp_path / "copies.labels"
+        tokens = tmp_path / "aug.tok"
+        config = self.conf(tmp_path, f"factor=10\nlabels={labels}\n")
+        assert run("augment", "--config", config, str(twinkle_file), str(tokens)) == 0
+        assert len(labels.read_text().splitlines()) == 10
+        assert not Path(str(tokens) + ".labels").exists()
+
+        controls = tmp_path / "controls.txt"
+        with open(controls, "w") as f:
+            write_events(f, [EventSequence(list(golden.twinkle_events())[:4])])
+        generated = tmp_path / "gen.txt"
+        config = self.conf(tmp_path, f"controls={controls}\nmax_tokens=60\nseed=3\n")
+        assert run("sample", "--model", str(model_file), "--config", config,
+                   str(generated)) == 0
+        with open(generated) as f:
+            assert len(read_events(f)[0].controls()) == 4
+
+        report = tmp_path / "report.txt"
+        config = self.conf(tmp_path, f"report={report}\n")
+        assert run("evaluate", "--model", str(model_file), "--config", config, str(tokens)) == 0
+        assert "bits_per_second=" in report.read_text()
