@@ -18,6 +18,7 @@ these rows; iterating or indexing a sequence builds the :class:`Event` and
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -220,6 +221,29 @@ class EventSequence(_Sequence):
 
     def without_rests(self) -> "EventSequence":
         return self._of(self.columns[:, self.columns[2] != REST])
+
+
+def _pair_notes(keys: np.ndarray, onsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair a stream of note-ons and note-offs, FIFO per key.
+
+    The one pairing rule of MIDI parsing and interarrival decoding: an off
+    closes the earliest open on of its key. Returns the stream index of
+    every on (in stream order), the index of the off that closes it (-1 if
+    none does, for the caller to close at the end of the stream), and the
+    indices of the offs that close nothing.
+    """
+    open_ons: dict[int, deque[int]] = {}
+    closer = [-1] * len(keys)
+    strays = []
+    for i, (key, on) in enumerate(zip(keys.tolist(), onsets.tolist())):
+        if on:
+            open_ons.setdefault(key, deque()).append(i)
+        elif queue := open_ons.get(key):
+            closer[queue.popleft()] = i
+        else:
+            strays.append(i)
+    ons = np.flatnonzero(onsets)
+    return ons, np.array(closer, dtype=np.int64)[ons], np.array(strays, dtype=np.int64)
 
 
 def _tagged(seq: EventSequence, control: bool) -> np.ndarray:

@@ -4,8 +4,9 @@ The parser handles format 0/1 files: note-on/off pairs become quantized
 events with absolute seconds computed through a piecewise tempo map.
 Note-ons with velocity zero are note-offs; channel 10 (0-indexed 9) is the
 drum kit (instrument 128); other channels take the most recent program
-change, defaulting to program 0. Overlapping same-pitch notes on one channel
-pair FIFO: a note-off closes the earliest open note of that pitch.
+change, defaulting to program 0. Notes pair by the one note-pairing rule,
+shared with the interarrival decoder (:func:`anticipate.events._pair_notes`):
+a note-off closes the earliest open note of its channel and pitch.
 
 The writer emits format-1 files at a fixed 500000 us/quarter and 480
 ticks/quarter. At that resolution one 10ms grid unit is 9.6 ticks; the
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_right
-from dataclasses import dataclass
+
+import numpy as np
 
 from .events import (
-    DRUM_INSTRUMENT, Event, EventSequence, encode_note, quantize_duration, seconds_to_units,
+    DRUM_INSTRUMENT, EventSequence, _pair_notes, encode_note, quantize_duration, seconds_to_units,
 )
 
 log = logging.getLogger(__name__)
@@ -118,21 +120,15 @@ class _SmpteMap:
         return tick / self.ticks_per_second
 
 
-@dataclass
-class _Note:
-    tick: int
-    order: int
-    channel: int
-    pitch: int
-    on: bool
-
-
 def parse_midi(data: bytes) -> EventSequence:
     """Parse a format-0/1 Standard MIDI File into a quantized event sequence.
 
+    Note-ons and note-offs of all tracks, ordered by tick with file order
+    breaking ties, pair by the one note-pairing rule
+    (:func:`anticipate.events._pair_notes`) keyed by channel and pitch.
     Events are sorted by time with the original file order breaking ties.
     Unpaired note-ons are closed at the end of the file (duration capped at
-    10 s) and counted as warnings.
+    10 s) and counted as warnings, as are note-offs that close nothing.
     """
     reader = _Reader(data)
     if reader.take(4) != b"MThd":
@@ -147,10 +143,9 @@ def parse_midi(data: bytes) -> EventSequence:
     if fmt not in (0, 1):
         raise MidiParseError(f"unsupported MIDI format {fmt}", 8)
 
-    notes: list[_Note] = []
+    notes: list[tuple[int, int, bool]] = []  # (tick, channel << 7 | pitch, on), file order
     tempo_changes: list[tuple[int, int]] = []
-    programs: list[tuple[int, int, int, int]] = []  # (tick, order, channel, program)
-    order = 0
+    programs: list[tuple[int, int, int]] = []  # (tick, channel, program), file order
     max_tick = 0
 
     for _ in range(ntrks):
@@ -193,12 +188,9 @@ def parse_midi(data: bytes) -> EventSequence:
                                              reader.pos - len(payload) + i)
                 if kind in (0x80, 0x90):
                     pitch, velocity = payload[0], payload[1]
-                    on = kind == 0x90 and velocity > 0
-                    notes.append(_Note(tick, order, channel, pitch, on))
-                    order += 1
+                    notes.append((tick, channel << 7 | pitch, kind == 0x90 and velocity > 0))
                 elif kind == 0xC0:
-                    programs.append((tick, order, channel, payload[0]))
-                    order += 1
+                    programs.append((tick, channel, payload[0]))
             max_tick = max(max_tick, tick)
         reader.pos = end
 
@@ -214,58 +206,35 @@ def parse_midi(data: bytes) -> EventSequence:
         clock = _TempoMap(division, sorted(tempo_changes, key=lambda c: c[0]))
 
     # Per-channel program timelines for instrument lookup at note onset.
-    program_map: dict[int, list[tuple[int, int, int]]] = {}
-    for tick, ord_, channel, program in sorted(programs, key=lambda p: (p[0], p[1])):
-        program_map.setdefault(channel, []).append((tick, ord_, program))
+    timelines: dict[int, list[tuple[int, int]]] = {}  # channel -> [(tick, program)]
+    for tick, channel, program in sorted(programs, key=lambda p: p[0]):
+        timelines.setdefault(channel, []).append((tick, program))
 
     def instrument_at(channel: int, tick: int) -> int:
         if channel == 9:
             return DRUM_INSTRUMENT
-        timeline = program_map.get(channel)
-        if not timeline:
-            return 0
-        i = bisect_right(timeline, (tick, float("inf"), 0)) - 1
-        return timeline[i][2] if i >= 0 else 0
+        timeline = timelines.get(channel, [])
+        i = bisect_right(timeline, tick, key=lambda change: change[0])
+        return timeline[i - 1][1] if i else 0
 
-    notes.sort(key=lambda n: (n.tick, n.order))
-    open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    finished: list[tuple[int, int, Event]] = []  # (onset order, ...) for tie-breaks
-    stray_offs = 0
-    for note in notes:
-        key = (note.channel, note.pitch)
-        if note.on:
-            open_notes.setdefault(key, []).append((note.tick, note.order))
-        else:
-            queue = open_notes.get(key)
-            if not queue:
-                stray_offs += 1
-                continue
-            on_tick, on_order = queue.pop(0)
-            finished.append(
-                (on_order, on_tick, _make_event(clock, on_tick, note.tick, note.channel, note.pitch, instrument_at))
-            )
-
-    unpaired = sum(len(q) for q in open_notes.values())
-    if unpaired:
+    table = np.array(notes, dtype=np.int64).reshape(-1, 3)
+    order = np.argsort(table[:, 0], kind="stable")  # by tick, file order breaking ties
+    ticks, keys, on = table[order].T
+    ons, closers, strays = _pair_notes(keys, on.astype(bool))
+    if unpaired := int((closers < 0).sum()):
         log.warning("closing %d unpaired note-ons at end of file", unpaired)
-        for (channel, pitch), queue in open_notes.items():
-            for on_tick, on_order in queue:
-                finished.append(
-                    (on_order, on_tick, _make_event(clock, on_tick, max_tick, channel, pitch, instrument_at))
-                )
-    if stray_offs:
-        log.warning("ignored %d note-offs without a matching note-on", stray_offs)
+    if strays.size:
+        log.warning("ignored %d note-offs without a matching note-on", strays.size)
 
-    finished.sort(key=lambda item: (item[2].time, item[0]))
-    return EventSequence(e for _, _, e in finished)
-
-
-def _make_event(clock, on_tick, off_tick, channel, pitch, instrument_at) -> Event:
-    on_seconds = clock.to_seconds(on_tick)
-    off_seconds = clock.to_seconds(max(off_tick, on_tick))
-    time = seconds_to_units(on_seconds)
-    duration = quantize_duration(off_seconds - on_seconds)
-    return Event(time, duration, encode_note(instrument_at(channel, on_tick), pitch))
+    fields = []
+    off_ticks = np.where(closers < 0, max_tick, ticks[closers])
+    for on_tick, off_tick, key in zip(ticks[ons].tolist(), off_ticks.tolist(), keys[ons].tolist()):
+        on_seconds = clock.to_seconds(on_tick)
+        fields.append((seconds_to_units(on_seconds),
+                       quantize_duration(clock.to_seconds(off_tick) - on_seconds),
+                       encode_note(instrument_at(key >> 7, on_tick), key & 0x7F)))
+    columns = np.array(fields, dtype=np.int64).reshape(-1, 3).T
+    return EventSequence._of(columns[:, np.lexsort((order[ons], columns[0]))])
 
 
 def _varint(value: int) -> bytes:

@@ -134,7 +134,8 @@ class NGramModel:
             raise ValueError("alpha must be positive and finite")
         if vocab_size < 1:
             raise ValueError("vocab_size must be >= 1")
-        if vocab_size ** order > KEY_LIMIT:
+        # any vocab_size >= 2 passes 2**63 by order 64: never build a larger power
+        if vocab_size > 1 and (order >= 64 or vocab_size ** order > KEY_LIMIT):
             raise ValueError(
                 f"vocab_size ** order must not exceed 2**63 (int64 n-gram keys); "
                 f"got {vocab_size} ** {order}"

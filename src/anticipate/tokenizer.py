@@ -5,6 +5,8 @@ Arrival codec: one (time, duration, note) triple per event, absolute times.
 Controls use the shifted vocabulary ranges; a separator is a triple of SEP
 tokens. Interarrival codec: onset/offset tokens with gap tokens in between
 (zero gaps omitted, gaps over 10 s truncated); a separator is a single SEP.
+Its decoder pairs offsets with onsets by the note-pairing rule MIDI parsing
+uses (:func:`anticipate.events._pair_notes`).
 
 This module is the only one that knows the arrival token layout, through
 one array encoder and its array inverse. Encoding builds the triples of a
@@ -28,13 +30,14 @@ from __future__ import annotations
 
 import logging
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .events import MAX_DURATION_UNITS, MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence
+from .events import (
+    MAX_DURATION_UNITS, MAX_TIME_UNITS, REST, EventSequence, InterleavedSequence, _pair_notes,
+)
 from .vocab import CODEC_VOCABS
 from .vocab import ArrivalVocab as AV
 from .vocab import InterarrivalVocab as IV
@@ -120,6 +123,15 @@ def encode_arrival(
     return tokens
 
 
+def _token_array(toks: list[int], size: int) -> np.ndarray:
+    """``toks`` as int64; a token past int64 is outside the vocabulary and reads as -1."""
+    try:
+        return np.asarray(toks, dtype=np.int64)
+    except OverflowError:
+        objects = np.asarray(toks, dtype=object)
+        return np.where((objects >= 0) & (objects < size), objects, -1).astype(np.int64)
+
+
 def decode_arrival(tokens: Sequence[int]) -> list[InterleavedSequence]:
     """Decode arrival-codec tokens into sequence segments.
 
@@ -133,12 +145,7 @@ def decode_arrival(tokens: Sequence[int]) -> list[InterleavedSequence]:
         toks = toks[1:]
     if len(toks) % 3:
         raise TokenError(f"token count {len(toks)} is not a multiple of 3")
-    try:
-        array = np.asarray(toks, dtype=np.int64)
-    except OverflowError:  # a token past int64 is outside the vocabulary: read it as -1
-        objects = np.asarray(toks, dtype=object)
-        array = np.where((objects >= 0) & (objects < AV.SIZE), objects, -1).astype(np.int64)
-    a, b, c = array.reshape(-1, 3).T
+    a, b, c = _token_array(toks, AV.SIZE).reshape(-1, 3).T
 
     sep = (a == AV.SEP) & (b == AV.SEP) & (c == AV.SEP)
     rest = c == AV.REST
@@ -209,45 +216,40 @@ def encode_interarrival(
 def decode_interarrival(tokens: Sequence[int]) -> EventSequence:
     """Decode interarrival-codec tokens back to events.
 
-    Offsets pair with the earliest open onset of the same note (FIFO).
-    Leading or trailing SEP tokens are skipped; an interior SEP is an error.
+    Offsets pair with onsets by the one note-pairing rule
+    (:func:`anticipate.events._pair_notes`): an offset closes the earliest
+    open onset of its note, and onsets still open at the end close there.
+    Leading or trailing SEP tokens are skipped. The first interior SEP,
+    out-of-vocabulary token or offset without an open onset raises
+    ``TokenError`` with its index in ``tokens``.
     """
     toks = list(tokens)
-    while toks and toks[0] == IV.SEP:
-        toks = toks[1:]
-    while toks and toks[-1] == IV.SEP:
-        toks = toks[:-1]
-
-    now = 0
-    open_onsets: dict[int, deque[tuple[int, int]]] = {}
-    decoded: list[tuple[int, Event]] = []
-    ordinal = 0
-    for i, tok in enumerate(toks):
-        if IV.is_gap(tok):
-            now += tok
-        elif IV.is_onset(tok):
-            open_onsets.setdefault(tok - IV.ONSET_BASE, deque()).append((now, ordinal))
-            ordinal += 1
-        elif IV.is_offset(tok):
-            note = tok - IV.OFFSET_BASE
-            queue = open_onsets.get(note)
-            if not queue:
-                raise TokenError(f"offset for note {note} without an open onset", i)
-            start, order = queue.popleft()
-            decoded.append((order, Event(start, min(now - start, MAX_DURATION_UNITS - 1), note)))
-        elif tok == IV.SEP:
+    array = _token_array(toks, IV.SIZE)
+    sep = array == IV.SEP
+    edge = np.logical_and.accumulate(sep) | np.logical_and.accumulate(sep[::-1])[::-1]
+    gap, note = IV.is_gap(array), IV.is_onset(array) | IV.is_offset(array)
+    at = np.flatnonzero(note)
+    onset = IV.is_onset(array[at])
+    notes = array[at] - np.where(onset, IV.ONSET_BASE, IV.OFFSET_BASE)
+    ons, closers, strays = _pair_notes(notes, onset)
+    bad = np.flatnonzero(~(gap | note | edge))
+    if bad.size or strays.size:
+        i = min(bad[:1].tolist() + at[strays[:1]].tolist())
+        if note[i]:
+            raise TokenError(f"offset for note {toks[i] - IV.OFFSET_BASE} without an open onset", i)
+        if toks[i] == IV.SEP:
             raise TokenError("unexpected SEP inside a sequence", i)
-        else:
-            raise TokenError(f"token {tok} outside the interarrival vocabulary", i)
+        raise TokenError(f"token {toks[i]} outside the interarrival vocabulary", i)
 
-    unclosed = sum(len(q) for q in open_onsets.values())
-    if unclosed:
-        log.warning("closing %d unclosed onsets at sequence end", unclosed)
-        for note, queue in open_onsets.items():
-            for start, order in queue:
-                decoded.append((order, Event(start, min(now - start, MAX_DURATION_UNITS - 1), note)))
-    decoded.sort(key=lambda pair: pair[0])
-    return EventSequence(e for _, e in decoded)
+    now = np.cumsum(np.where(gap, array, 0))  # the time at each token
+    unclosed = closers < 0
+    if unclosed.any():
+        log.warning("closing %d unclosed onsets at sequence end", int(unclosed.sum()))
+    start = now[at[ons]]
+    end = np.where(unclosed, now[-1:], now[at[closers]])  # unclosed onsets close at the end
+    return EventSequence._of(
+        np.stack([start, np.minimum(end - start, MAX_DURATION_UNITS - 1), notes[ons]])
+    )
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,10 @@ class ArrivalVocab:
 
 
 class InterarrivalVocab:
-    """Token layout for the interarrival-time codec (size 34025)."""
+    """Token layout for the interarrival-time codec (size 34025).
+
+    The range tests take a token or an integer array of tokens.
+    """
 
     GAP_BASE = 0
     ONSET_BASE = MAX_DURATION_UNITS  # 1000
@@ -77,15 +80,15 @@ class InterarrivalVocab:
 
     @classmethod
     def is_gap(cls, tok: int) -> bool:
-        return cls.GAP_BASE <= tok < cls.ONSET_BASE
+        return (cls.GAP_BASE <= tok) & (tok < cls.ONSET_BASE)
 
     @classmethod
     def is_onset(cls, tok: int) -> bool:
-        return cls.ONSET_BASE <= tok < cls.OFFSET_BASE
+        return (cls.ONSET_BASE <= tok) & (tok < cls.OFFSET_BASE)
 
     @classmethod
     def is_offset(cls, tok: int) -> bool:
-        return cls.OFFSET_BASE <= tok < cls.SEP
+        return (cls.OFFSET_BASE <= tok) & (tok < cls.SEP)
 
 
 CODEC_VOCABS = {"arrival": ArrivalVocab, "interarrival": InterarrivalVocab}

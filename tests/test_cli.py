@@ -75,6 +75,14 @@ class TestExitCodes:
     def test_help_is_success(self):
         assert run("--help") == 0
 
+    def test_huge_order_is_a_data_error(self, tmp_path, capsys):
+        tokens = tmp_path / "t.tok"
+        tokens.write_text("#codec=arrival vocab=55028\n0 10048 11060 50 10048 11062\n")
+        model = tmp_path / "model.npz"
+        assert run("train-ngram", "--order", "100000000", str(tokens), str(model)) == 2
+        assert "must not exceed 2**63" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_pickled_model_is_a_data_error(self, tmp_path, twinkle_file, capsys):
         tokens = tmp_path / "twinkle.tok"
         assert run("tokenize", "--codec", "arrival", str(twinkle_file), str(tokens)) == 0

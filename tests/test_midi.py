@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anticipate import golden
 from anticipate.corpus import (
@@ -15,8 +19,13 @@ from anticipate.corpus import (
     split_for_digest,
 )
 from anticipate.eventio import read_events
-from anticipate.events import DRUM_INSTRUMENT, Event, EventSequence, encode_note
-from anticipate.midi import ChannelCapacityError, MidiParseError, parse_midi, write_midi
+from anticipate.events import (
+    DRUM_INSTRUMENT, Event, EventSequence, encode_note, quantize_duration, seconds_to_units,
+)
+from anticipate.midi import (
+    _CHANNEL_MESSAGE_LENGTH, ChannelCapacityError, MidiParseError, _Reader, _SmpteMap, _TempoMap,
+    parse_midi, write_midi,
+)
 
 from conftest import random_events
 
@@ -142,6 +151,12 @@ class TestParse:
         data = smf([track(msgs)])
         assert [e.note for e in parse_midi(data)] == [64, 60]
 
+    def test_same_time_ties_keep_file_order_across_tracks(self):
+        # ticks 4 and 3 both quantize to time 0; the first track's note stays first
+        first = track([TEMPO_120, (4, note_on(0, 64)), (480, note_off(0, 64))])
+        second = track([(3, note_on(0, 60)), (480, note_off(0, 60))])
+        assert [e.note for e in parse_midi(smf([first, second]))] == [64, 60]
+
     def test_smpte_division(self):
         # 30 fps x 80 ticks/frame = 2400 ticks/second
         division = ((256 - 30) << 8) | 80
@@ -181,6 +196,208 @@ class TestParseErrors:
         with pytest.raises(MidiParseError) as err:
             parse_midi(bytes(data))
         assert err.value.offset == pitch
+
+
+# -- the pairing rule against the per-note reference --------------------------
+
+
+@dataclass
+class _Note:
+    tick: int
+    order: int
+    channel: int
+    pitch: int
+    on: bool
+
+
+def _reference_parse_midi(data: bytes) -> EventSequence:
+    """The per-note parser that the shared pairing function replaced: a
+    ``_Note`` per message, a list of open notes per (channel, pitch) drained
+    from the front, and an ``Event`` per note."""
+    reader = _Reader(data)
+    if reader.take(4) != b"MThd":
+        raise MidiParseError("not a MIDI file (missing MThd)", 0)
+    header_length = reader.u32()
+    if header_length < 6:
+        raise MidiParseError(f"bad header length {header_length}", reader.pos - 4)
+    fmt = reader.u16()
+    ntrks = reader.u16()
+    division = reader.u16()
+    reader.take(header_length - 6)
+    if fmt not in (0, 1):
+        raise MidiParseError(f"unsupported MIDI format {fmt}", 8)
+
+    notes, tempo_changes, programs = [], [], []
+    order = 0
+    max_tick = 0
+    for _ in range(ntrks):
+        chunk_start = reader.pos
+        if reader.take(4) != b"MTrk":
+            raise MidiParseError("expected MTrk chunk", chunk_start)
+        length = reader.u32()
+        end = reader.pos + length
+        if end > len(data):
+            raise MidiParseError("track length overruns file", chunk_start + 4)
+        tick = 0
+        running_status = None
+        while reader.pos < end:
+            tick += reader.varint()
+            status = reader.u8()
+            if status < 0x80:
+                if running_status is None:
+                    raise MidiParseError("data byte without running status", reader.pos - 1)
+                reader.pos -= 1
+                status = running_status
+            if status == 0xFF:
+                running_status = None
+                meta_type = reader.u8()
+                meta = reader.take(reader.varint())
+                if meta_type == 0x51 and len(meta) == 3:
+                    tempo_changes.append((tick, int.from_bytes(meta, "big")))
+            elif status in (0xF0, 0xF7):
+                running_status = None
+                reader.take(reader.varint())
+            elif status >= 0xF0:
+                raise MidiParseError(f"unsupported status byte 0x{status:02x}", reader.pos - 1)
+            else:
+                running_status = status
+                kind = status & 0xF0
+                channel = status & 0x0F
+                payload = reader.take(_CHANNEL_MESSAGE_LENGTH[kind])
+                for i, byte in enumerate(payload):
+                    if byte > 0x7F:
+                        raise MidiParseError(f"data byte 0x{byte:02x} has its top bit set",
+                                             reader.pos - len(payload) + i)
+                if kind in (0x80, 0x90):
+                    pitch, velocity = payload[0], payload[1]
+                    notes.append(_Note(tick, order, channel, pitch, kind == 0x90 and velocity > 0))
+                    order += 1
+                elif kind == 0xC0:
+                    programs.append((tick, order, channel, payload[0]))
+                    order += 1
+            max_tick = max(max_tick, tick)
+        reader.pos = end
+
+    if division & 0x8000:
+        frames = 256 - ((division >> 8) & 0xFF)
+        ticks_per_frame = division & 0xFF
+        if frames == 0 or ticks_per_frame == 0:
+            raise MidiParseError("invalid SMPTE division", 12)
+        clock = _SmpteMap(frames * ticks_per_frame)
+    else:
+        if division == 0:
+            raise MidiParseError("zero ticks per quarter note", 12)
+        clock = _TempoMap(division, sorted(tempo_changes, key=lambda c: c[0]))
+
+    program_map = {}
+    for tick, ord_, channel, program in sorted(programs, key=lambda p: (p[0], p[1])):
+        program_map.setdefault(channel, []).append((tick, ord_, program))
+
+    def instrument_at(channel, tick):
+        if channel == 9:
+            return DRUM_INSTRUMENT
+        timeline = program_map.get(channel)
+        if not timeline:
+            return 0
+        i = bisect_right(timeline, (tick, float("inf"), 0)) - 1
+        return timeline[i][2] if i >= 0 else 0
+
+    def make_event(on_tick, off_tick, channel, pitch):
+        on_seconds = clock.to_seconds(on_tick)
+        off_seconds = clock.to_seconds(max(off_tick, on_tick))
+        return Event(seconds_to_units(on_seconds), quantize_duration(off_seconds - on_seconds),
+                     encode_note(instrument_at(channel, on_tick), pitch))
+
+    notes.sort(key=lambda n: (n.tick, n.order))
+    open_notes = {}
+    finished = []
+    for note in notes:
+        key = (note.channel, note.pitch)
+        if note.on:
+            open_notes.setdefault(key, []).append((note.tick, note.order))
+        elif queue := open_notes.get(key):
+            on_tick, on_order = queue.pop(0)
+            finished.append((on_order, make_event(on_tick, note.tick, note.channel, note.pitch)))
+    for (channel, pitch), queue in open_notes.items():
+        for on_tick, on_order in queue:
+            finished.append((on_order, make_event(on_tick, max_tick, channel, pitch)))
+    finished.sort(key=lambda item: (item[1].time, item[0]))
+    return EventSequence(e for _, e in finished)
+
+
+def _outcome(data: bytes):
+    """Each parser's result, or the type and message of its error; only a
+    ``MidiParseError`` may escape."""
+    outcomes = []
+    for parse in (parse_midi, _reference_parse_midi):
+        try:
+            outcomes.append(parse(data))
+        except MidiParseError as exc:
+            outcomes.append((type(exc), str(exc), exc.offset))
+    return outcomes
+
+
+_channels = st.sampled_from([0, 1, 9])
+_pitches = st.sampled_from([60, 61]) | st.integers(0, 127)
+_messages = st.one_of(
+    st.builds(note_on, _channels, _pitches),
+    st.builds(note_on, _channels, _pitches),
+    st.builds(note_on, _channels, _pitches, st.just(0)),  # velocity 0: an off
+    st.builds(note_off, _channels, _pitches),
+    st.builds(lambda ch, program: bytes([0xC0 | ch, program]), _channels, st.integers(0, 127)),
+    st.integers(1, 2**24 - 1).map(lambda tempo: bytes.fromhex("ff5103") + tempo.to_bytes(3, "big")),
+    st.just(bytes.fromhex("b00740")),  # a control change
+)
+_deltas = st.sampled_from([0, 0, 1, 3, 240, 480]) | st.integers(0, 20_000)
+_divisions = st.sampled_from([480, 96, 1]) | st.builds(
+    lambda fps, ticks: (256 - fps) << 8 | ticks, st.sampled_from([24, 25, 29, 30]),
+    st.sampled_from([4, 40, 80]))  # SMPTE
+
+
+@st.composite
+def midi_files(draw):
+    """Files of one to three tracks: same-tick events across tracks,
+    overlapping same-pitch notes, tempo and program changes, SMPTE
+    divisions, stray note-offs and unpaired note-ons."""
+    tracks = []
+    for _ in range(draw(st.integers(1, 3))):
+        messages, tick = [], 0
+        for delta, message in draw(st.lists(st.tuples(_deltas, _messages), max_size=25)):
+            tick += delta
+            messages.append((tick, message))
+        tracks.append(track(messages))
+    return smf(tracks, fmt=draw(st.sampled_from([0, 1])), division=draw(_divisions))
+
+
+@st.composite
+def damaged_midi_files(draw):
+    """Valid files truncated, with bytes flipped, or with a bad chunk length."""
+    data = bytearray(draw(midi_files()))
+    damage = draw(st.sampled_from(["truncate", "flip", "length"]))
+    if damage == "truncate":
+        return bytes(data[: draw(st.integers(0, len(data) - 1))])
+    if damage == "flip":
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(data)
+    lengths = [4] + [m.start() + 4 for m in re.finditer(b"MTrk", data)]
+    at = draw(st.sampled_from(lengths))
+    data[at : at + 4] = draw(st.integers(0, 64) | st.integers(0, 2**32 - 1)).to_bytes(4, "big")
+    return bytes(data)
+
+
+class TestPairingReference:
+    @settings(max_examples=300, deadline=None)
+    @given(midi_files())
+    def test_matches_per_note_reference(self, data):
+        ours, reference = _outcome(data)
+        assert ours == reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(damaged_midi_files())
+    def test_damaged_files_parse_or_raise_midi_parse_error(self, data):
+        ours, reference = _outcome(data)
+        assert ours == reference
 
 
 class TestWrite:

@@ -168,6 +168,16 @@ class TestNGram:
         with pytest.raises(ValueError):
             NGramModel(order=2, alpha=0.0, vocab_size=10)
 
+    def test_huge_order_rejected_without_building_the_power(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"not exceed 2\*\*63 .* got 55028 \*\* 100000000$"):
+            NGramModel(order=10**8, alpha=0.01, vocab_size=55_028)
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(ValueError, match=r"got 2 \*\* 64$"):
+            NGramModel(order=64, alpha=0.01, vocab_size=2)
+        assert NGramModel(order=63, alpha=0.01, vocab_size=2).order == 63
+        assert NGramModel(order=4, alpha=0.01, vocab_size=55_028).order == 4
+
     def test_token_outside_vocabulary_rejected(self):
         with pytest.raises(ValueError, match="token 10 outside"):
             train_ngram([[1, 2], [3, 10, 4]], order=2, alpha=0.1, vocab_size=10)

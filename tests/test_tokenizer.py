@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import logging
+from collections import deque
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from anticipate import golden
 from anticipate.events import (
+    MAX_DURATION_UNITS,
     MAX_TIME_UNITS,
     REST,
     Event,
@@ -36,6 +39,8 @@ from anticipate.vocab import ArrivalVocab as AV
 from anticipate.vocab import InterarrivalVocab as IV
 
 from conftest import random_events, reference_event_triple
+
+log = logging.getLogger("anticipate.tokenizer")
 
 
 class TestVocabLayout:
@@ -637,6 +642,101 @@ class TestColumnarInterarrivalEncoder:
             for form in (seq, seq.events(), InterleavedSequence.from_events(seq.events())):
                 expected = _outcome(_reference_encode_interarrival, form, leading_sep=leading_sep)
                 assert _outcome(encode_interarrival, form, leading_sep=leading_sep) == expected
+
+
+def _reference_decode_interarrival(tokens):
+    """The per-token interarrival decoder the array one replaced, with a
+    deque per note; its error index counts the leading SEPs it strips, so
+    that it is the position in the caller's ``tokens``."""
+    toks = list(tokens)
+    lead = 0
+    while toks and toks[0] == IV.SEP:
+        toks = toks[1:]
+        lead += 1
+    while toks and toks[-1] == IV.SEP:
+        toks = toks[:-1]
+
+    now = 0
+    open_onsets = {}
+    decoded = []
+    ordinal = 0
+    for i, tok in enumerate(toks, start=lead):
+        if IV.GAP_BASE <= tok < IV.ONSET_BASE:
+            now += tok
+        elif IV.ONSET_BASE <= tok < IV.OFFSET_BASE:
+            open_onsets.setdefault(tok - IV.ONSET_BASE, deque()).append((now, ordinal))
+            ordinal += 1
+        elif IV.OFFSET_BASE <= tok < IV.SEP:
+            note = tok - IV.OFFSET_BASE
+            queue = open_onsets.get(note)
+            if not queue:
+                raise TokenError(f"offset for note {note} without an open onset", i)
+            start, order = queue.popleft()
+            decoded.append((order, Event(start, min(now - start, MAX_DURATION_UNITS - 1), note)))
+        elif tok == IV.SEP:
+            raise TokenError("unexpected SEP inside a sequence", i)
+        else:
+            raise TokenError(f"token {tok} outside the interarrival vocabulary", i)
+
+    unclosed = sum(len(q) for q in open_onsets.values())
+    if unclosed:
+        log.warning("closing %d unclosed onsets at sequence end", unclosed)
+        for note, queue in open_onsets.items():
+            for start, order in queue:
+                decoded.append((order, Event(start, min(now - start, MAX_DURATION_UNITS - 1), note)))
+    decoded.sort(key=lambda pair: pair[0])
+    return EventSequence(e for _, e in decoded)
+
+
+# a few notes, so that offsets often find an open onset and notes overlap
+_ia_notes = st.sampled_from([60, 61, 62]) | st.integers(0, 16511)
+_ia_valid = st.one_of(
+    st.integers(0, IV.ONSET_BASE - 1),  # gaps
+    _ia_notes.map(lambda n: IV.ONSET_BASE + n),
+    _ia_notes.map(lambda n: IV.ONSET_BASE + n),
+    _ia_notes.map(lambda n: IV.OFFSET_BASE + n),
+)
+_ia_invalid = st.one_of(
+    st.just(IV.SEP),
+    st.sampled_from([-1, IV.SIZE, 2**63 - 1, 2**63, 2**64, -(2**64)]),
+    st.integers(-(2**70), -1),
+    st.integers(IV.SIZE, 2**70),
+)
+
+
+@st.composite
+def interarrival_token_lists(draw):
+    """Onsets and offsets of a few notes between gaps, with leading,
+    interior and trailing SEPs, stray offsets, unclosed onsets, negative
+    tokens and tokens past int64."""
+    body = draw(st.lists(_ia_valid, max_size=30) | st.lists(_ia_valid | _ia_invalid, max_size=30))
+    leading = draw(st.integers(0, 2))
+    trailing = draw(st.integers(0, 2))
+    return [IV.SEP] * leading + body + [IV.SEP] * trailing
+
+
+class TestArrayInterarrivalDecoder:
+    @settings(max_examples=400, deadline=None)
+    @given(interarrival_token_lists())
+    def test_matches_per_token_reference(self, tokens):
+        expected = _outcome(_reference_decode_interarrival, tokens)
+        assert _outcome(decode_interarrival, tokens) == expected
+
+    def test_round_trip_matches_reference(self, rng):
+        for _ in range(20):
+            tokens = encode_interarrival(random_events(rng, 60, max_duration=999), leading_sep=True)
+            assert decode_interarrival(tokens) == _reference_decode_interarrival(tokens)
+
+    def test_error_index_is_the_callers_position(self):
+        with pytest.raises(TokenError) as err:
+            decode_interarrival([IV.SEP, 17572])
+        assert err.value.index == 1
+        with pytest.raises(TokenError, match="unexpected SEP") as err:
+            decode_interarrival([IV.SEP, IV.SEP, 1060, IV.SEP, 1060, IV.SEP])
+        assert err.value.index == 3
+        with pytest.raises(TokenError, match=rf"token {2**64} outside") as err:
+            decode_interarrival([IV.SEP, 1060, 5, 2**64])
+        assert err.value.index == 3
 
 
 # -- array decoder against the per-triple reference -------------------------
