@@ -32,10 +32,8 @@ from .events import (
     EventSequence,
     InterleavedSequence,
     TaggedEvent,
-    decode_note,
     encode_note,
     quantize_duration,
-    quantize_time,
     seconds_to_units,
 )
 from .metrics import CorpusStats, LossReport, bits_per_second, corpus_stats, cross_entropy
@@ -55,13 +53,11 @@ from .sampler import (
     generate_autoregressive_infill,
     nucleus_sample,
 )
-from .stats import CorpusHistogram, corpus_histograms, format_histogram
 from .tokenizer import (
     PackResult,
     TokenError,
     TrainingExample,
     decode_arrival,
-    decode_arrival_single,
     decode_interarrival,
     encode_arrival,
     encode_interarrival,

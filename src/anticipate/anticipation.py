@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import REST, UNITS_PER_SECOND, Event, EventSequence, InterleavedSequence, _tagged
+from .events import REST, UNITS_PER_SECOND, EventSequence, InterleavedSequence, _tagged
 
 
 def _check_seconds(name: str, seconds: float) -> None:
@@ -135,17 +135,13 @@ def sort_order_interleave(
     return InterleavedSequence._of(columns[:, np.lexsort((1 - columns[3], adjusted))])
 
 
-def event_sort_key(event: Event):
-    """Canonical total order on events: time, then note, then duration.
+def split_and_sort(seq: InterleavedSequence) -> EventSequence:
+    """Undo an infilling interleave: drop tags, merge, and sort canonically
+    by time, then note, then duration.
 
     Interleaving discards the original relative order of equal-time events,
     so the inverse sorts them canonically; sequences already in canonical
     order round-trip exactly.
     """
-    return (event.time, event.note, event.duration)
-
-
-def split_and_sort(seq: InterleavedSequence) -> EventSequence:
-    """Undo an infilling interleave: drop tags, merge, sort canonically."""
     time, duration, note = seq.columns[:3]
     return EventSequence._of(seq.columns[:3, np.lexsort((duration, note, time))])

@@ -19,12 +19,13 @@ sequence index), so output is deterministic under any execution order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .anticipation import AnticipationConfig, densify, interleave
+from .anticipation import AnticipationConfig, _check_seconds, densify, interleave
 from .events import NUM_PITCHES, REST, UNITS_PER_SECOND, EventSequence, InterleavedSequence
 
 PATTERNS = ("none", "span", "instrument", "random")
@@ -40,6 +41,12 @@ class AugmentationPolicy:
     factor: int = 30
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.span_rate) and self.span_rate > 0):
+            raise ValueError(f"span_rate must be positive and finite, got {self.span_rate!r}")
+        _check_seconds("span_length", self.span_length)
+        rates = self.random_rates
+        if not rates or not all(0 <= rate <= 1 for rate in rates):
+            raise ValueError(f"random_rates must be non-empty, each in [0, 1], got {rates!r}")
         if self.factor < 1:
             raise ValueError(f"factor must be at least 1, got {self.factor}")
         if min(self.weights) < 0:

@@ -23,6 +23,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from . import golden as golden_mod
 from .anticipation import AnticipationConfig, densify, interleave, split_and_sort
 from .augment import AugmentationPolicy, augment_corpus
@@ -263,8 +265,8 @@ def _cmd_interleave(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    policy = AugmentationPolicy(factor=args.factor, span_length=args.delta)
     config = AnticipationConfig(delta=args.delta, target_density=args.target_density)
+    policy = AugmentationPolicy(factor=args.factor, span_length=args.delta)
     with _open_in(args.input) as f:
         sequences = [s.events() for s in read_events(f)]
     copies = list(augment_corpus(sequences, policy, args.seed, config))
@@ -306,10 +308,9 @@ def _cmd_sample(args) -> int:
     controls = EventSequence()
     if args.controls:
         with _open_in(args.controls) as f:
-            control_seqs = read_events(f)
-        controls = EventSequence(
-            sorted((item.event for s in control_seqs for item in s), key=lambda e: e.time)
-        )
+            # every item of every sequence, flags dropped, stably sorted by time
+            columns = np.hstack([controls.columns, *(s.columns[:3] for s in read_events(f))])
+        controls = EventSequence._of(columns[:, np.argsort(columns[0], kind="stable")])
     config = SamplerConfig(
         delta=args.delta,
         top_p=args.top_p,

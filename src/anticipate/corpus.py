@@ -64,19 +64,6 @@ class ManifestEntry:
             [self.file_id, self.md5, self.split, str(self.events), f"{self.seconds:.2f}", str(self.parts), reason]
         )
 
-    @classmethod
-    def from_row(cls, row: str) -> "ManifestEntry":
-        file_id, md5, split, events, seconds, parts, reason = row.rstrip("\n").split("\t")
-        return cls(
-            file_id,
-            md5,
-            split,
-            int(events),
-            float(seconds),
-            int(parts),
-            None if reason == "-" else reason,
-        )
-
 
 @dataclass
 class CorpusManifest:
@@ -92,13 +79,6 @@ class CorpusManifest:
         f.write(MANIFEST_HEADER + "\n")
         for entry in self.entries:
             f.write(entry.to_row() + "\n")
-
-    @classmethod
-    def read(cls, f: IO[str]) -> "CorpusManifest":
-        header = f.readline().strip()
-        if header != MANIFEST_HEADER:
-            raise ValueError(f"unexpected manifest header: {header!r}")
-        return cls([ManifestEntry.from_row(line) for line in f if line.strip()])
 
 
 def check_sequence(seq: EventSequence, filters: CorpusFilters) -> str | None:

@@ -3,6 +3,11 @@
 One event per line as three space-separated decimal integers ``t d n`` in
 grid units, with ``R`` in the note column for rests. Lines starting with
 ``C `` mark control events. A blank line separates sequences.
+
+Both directions work on a sequence's columns: the writer formats each column,
+and the reader parses each line into a row of fields, checks it by the one
+event field rule (:func:`anticipate.events._check_event`) and stacks a
+sequence's rows into its columns. No item object is built.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import IO, Iterable
 
-from .events import REST, Event, EventSequence, InterleavedSequence, TaggedEvent
+from .events import REST, EventSequence, InterleavedSequence, _array, _check_event
 from .tokenizer import TokenError
 
 
@@ -20,26 +25,11 @@ def format_item(time: int, duration: int, note: int, control: int = 0) -> str:
     return f"C {line}" if control else line
 
 
-def parse_line(line: str) -> TaggedEvent:
-    fields = line.split()
-    control = False
-    if fields and fields[0] == "C":
-        control = True
-        fields = fields[1:]
-    if len(fields) != 3:
-        raise ValueError(f"malformed event line: {line!r}")
-    time, duration = int(fields[0]), int(fields[1])
-    note = REST if fields[2] == "R" else int(fields[2])
-    return TaggedEvent(Event(time, duration, note), control=control)
-
-
 def write_events(f: IO[str], sequences: Iterable[InterleavedSequence | EventSequence]) -> None:
     """Write sequences in the event text format, blank-line separated."""
-    first = True
-    for seq in sequences:
-        if not first:
+    for i, seq in enumerate(sequences):
+        if i:
             f.write("\n")
-        first = False
         for column in seq.columns.T.tolist():
             f.write(format_item(*column) + "\n")
 
@@ -49,23 +39,33 @@ def read_events(f: IO[str]) -> list[InterleavedSequence]:
 
     Runs of blank lines collapse to a single separator, so empty sequences
     are not representable. A malformed line or an out-of-range field raises
-    ``TokenError`` naming the 1-based line.
+    ``TokenError`` naming the 1-based line as soon as the line is read; an
+    out-of-order stream or a time past int64 raises it naming the lines of
+    the sequence once the sequence ends.
     """
     sequences: list[InterleavedSequence] = []
-    current: list[TaggedEvent] = []
+    rows: list[tuple[int, int, int, bool]] = []
     # a blank line after the input closes the last sequence
-    for lineno, raw in enumerate(itertools.chain(f, [""]), start=1):
-        line = raw.strip()
-        if line:
+    for lineno, line in enumerate(itertools.chain(f, [""]), start=1):
+        if fields := line.split():
+            control = fields[0] == "C"
             try:
-                current.append(parse_line(line))
+                if len(fields) != 3 + control:
+                    raise ValueError(f"malformed event line: {line.strip()!r}")
+                time, duration, note = fields[control:]
+                time, duration = int(time), int(duration)
+                note = REST if note == "R" else int(note)
+                _check_event(time, duration, note)
             except ValueError as exc:
                 raise TokenError(f"line {lineno}: {exc}") from exc
-        elif current:
+            rows.append((time, duration, note, control))
+        elif rows:
             try:
-                sequences.append(InterleavedSequence(current))
+                columns = _array(rows, 4)
+                InterleavedSequence._check(columns)
             except ValueError as exc:
-                first = lineno - len(current)
+                first = lineno - len(rows)
                 raise TokenError(f"sequence on lines {first}-{lineno - 1}: {exc}") from exc
-            current = []
+            sequences.append(InterleavedSequence._of(columns))
+            rows = []
     return sequences

@@ -10,9 +10,12 @@ start of a model context (see :mod:`anticipate.tokenizer`).
 
 A sequence is stored as one read-only int64 array ``columns`` with a column
 per item: rows time, duration and note for an :class:`EventSequence`, plus a
-0/1 control flag for an :class:`InterleavedSequence`. The pipeline works on
-these rows; iterating or indexing a sequence builds the :class:`Event` and
-:class:`TaggedEvent` objects on demand.
+0/1 control flag for an :class:`InterleavedSequence`. The pipeline, its file
+readers and writers included, works on these rows. :class:`Event` and
+:class:`TaggedEvent` objects are built only where a caller asks for items: by
+iterating or indexing a sequence, and by constructing a sequence from items.
+One scalar field rule (:func:`_check_event`) checks an event whether it
+arrives as an object or as a parsed text line.
 """
 
 from __future__ import annotations
@@ -39,17 +42,12 @@ REST = -1
 def seconds_to_units(seconds: float) -> int:
     """Convert seconds to 10ms grid units, rounding half away from zero.
 
-    Unlike :func:`quantize_time` the result is unbounded; use this for raw
-    corpus times that may exceed the 100-second token-space cap.
+    The result is unbounded: raw corpus times may exceed the 100-second
+    token-space cap.
     """
     if not math.isfinite(seconds) or seconds < 0:
         raise ValueError(f"time must be finite and non-negative, got {seconds!r}")
     return int(math.floor(seconds * UNITS_PER_SECOND + 0.5))
-
-
-def quantize_time(seconds: float) -> int:
-    """Quantize a time in seconds to a 10ms index, clamped to [0, 9999]."""
-    return min(seconds_to_units(seconds), MAX_TIME_UNITS - 1)
 
 
 def quantize_duration(seconds: float) -> int:
@@ -69,11 +67,17 @@ def encode_note(instrument: int, pitch: int) -> int:
     return NUM_PITCHES * instrument + pitch
 
 
-def decode_note(code: int) -> tuple[int, int]:
-    """Split a note code into (instrument, pitch); inverse of :func:`encode_note`."""
-    if not 0 <= code < NUM_NOTE_CODES:
-        raise ValueError(f"note code must be in [0, 16511], got {code}")
-    return code // NUM_PITCHES, code % NUM_PITCHES
+def _check_event(time: int, duration: int, note: int) -> None:
+    """Raise ``ValueError`` for the first invalid field of one event."""
+    if time < 0:
+        raise ValueError(f"event time must be >= 0, got {time}")
+    if not 0 <= duration < MAX_DURATION_UNITS:
+        raise ValueError(f"duration must be in [0, 999], got {duration}")
+    if note == REST:
+        if duration != 0:
+            raise ValueError("rest events must have duration 0")
+    elif not 0 <= note < NUM_NOTE_CODES:
+        raise ValueError(f"note code must be REST or in [0, 16511], got {note}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,15 +92,7 @@ class Event:
     note: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"event time must be >= 0, got {self.time}")
-        if not 0 <= self.duration < MAX_DURATION_UNITS:
-            raise ValueError(f"duration must be in [0, 999], got {self.duration}")
-        if self.note == REST:
-            if self.duration != 0:
-                raise ValueError("rest events must have duration 0")
-        elif not 0 <= self.note < NUM_NOTE_CODES:
-            raise ValueError(f"note code must be REST or in [0, 16511], got {self.note}")
+        _check_event(self.time, self.duration, self.note)
 
     @property
     def is_rest(self) -> bool:
@@ -186,21 +182,15 @@ class _Sequence:
 
 
 class EventSequence(_Sequence):
-    """An immutable, time-ordered sequence of events.
-
-    By default out-of-order input is rejected; pass ``sort=True`` to re-sort
-    (stable, so equal-time events keep their given order).
-    """
+    """An immutable, time-ordered sequence of events; out-of-order input is
+    rejected."""
 
     __slots__ = ()
     _item = Event
 
-    def __init__(self, events: Iterable[Event] = (), *, sort: bool = False):
+    def __init__(self, events: Iterable[Event] = ()):
         columns = _array([(e.time, e.duration, e.note) for e in events], 3)
-        if sort:
-            columns = columns[:, np.argsort(columns[0], kind="stable")]
-        else:
-            self._check(columns)
+        self._check(columns)
         self._store(columns)
 
     @staticmethod
@@ -211,7 +201,7 @@ class EventSequence(_Sequence):
             i = int(drops[0]) + 1
             raise ValueError(
                 f"event times must be non-decreasing (index {i}: "
-                f"{time[i]} < {time[i - 1]}); pass sort=True to re-sort"
+                f"{time[i]} < {time[i - 1]})"
             )
 
     def instruments(self) -> set[int]:

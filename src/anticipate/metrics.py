@@ -34,24 +34,19 @@ class CorpusStats:
 
 
 def corpus_stats(
-    sequences: Iterable[InterleavedSequence | EventSequence],
-    codec: str,
-    *,
-    include_specials: bool = False,
+    sequences: Iterable[InterleavedSequence | EventSequence], codec: str
 ) -> CorpusStats:
     """Count tokens under a codec and sum sequence durations in seconds.
 
-    ``include_specials`` adds the per-sequence preamble: control code plus a
-    separator triple for the arrival codec, one separator for interarrival.
     Duration is measured to the last note offset.
     """
     tokens = 0
     seconds = 0.0
     for seq in sequences:
         if codec == "arrival":
-            tokens += 3 * len(seq) + (4 if include_specials else 0)
+            tokens += 3 * len(seq)
         elif codec == "interarrival":
-            tokens += len(encode_interarrival(seq)) + (1 if include_specials else 0)
+            tokens += len(encode_interarrival(seq))
         else:
             raise ValueError(f"unknown codec {codec!r}")
         seconds += seq.end_time / UNITS_PER_SECOND

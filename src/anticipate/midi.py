@@ -8,6 +8,9 @@ change, defaulting to program 0. Notes pair by the one note-pairing rule,
 shared with the interarrival decoder (:func:`anticipate.events._pair_notes`):
 a note-off closes the earliest open note of its channel and pitch.
 
+The parser walks the bytes in one loop and collects note, tempo and program
+rows; the writer reads a sequence's columns. Neither builds an event object.
+
 The writer emits format-1 files at a fixed 500000 us/quarter and 480
 ticks/quarter. At that resolution one 10ms grid unit is 9.6 ticks; the
 rounding error stays well under half a grid unit in both directions, so
@@ -22,7 +25,8 @@ from bisect import bisect_right
 import numpy as np
 
 from .events import (
-    DRUM_INSTRUMENT, EventSequence, _pair_notes, encode_note, quantize_duration, seconds_to_units,
+    DRUM_INSTRUMENT, NUM_PITCHES, EventSequence, _pair_notes, encode_note, quantize_duration,
+    seconds_to_units,
 )
 
 log = logging.getLogger(__name__)
@@ -41,6 +45,9 @@ _CHANNEL_MESSAGE_LENGTH = {
 }
 
 
+_END = "unexpected end of data"
+
+
 class MidiParseError(ValueError):
     """Malformed MIDI data; ``offset`` is the byte position of the problem."""
 
@@ -53,37 +60,18 @@ class ChannelCapacityError(ValueError):
     """More distinct instruments than MIDI channels can carry."""
 
 
-class _Reader:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.pos = pos
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise MidiParseError("unexpected end of data", self.pos)
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
-
-    def varint(self) -> int:
-        value = 0
-        for _ in range(4):
-            byte = self.u8()
-            value = (value << 7) | (byte & 0x7F)
-            if not byte & 0x80:
-                return value
-        raise MidiParseError("variable-length quantity too long", self.pos)
+def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
+    """The variable-length quantity (at most 4 bytes) at ``pos``, and the
+    position after it."""
+    value = 0
+    for pos in range(pos, pos + 4):
+        if pos >= len(data):
+            raise MidiParseError(_END, pos)
+        byte = data[pos]
+        value = (value << 7) | (byte & 0x7F)
+        if not byte & 0x80:
+            return value, pos + 1
+    raise MidiParseError("variable-length quantity too long", pos + 1)
 
 
 class _TempoMap:
@@ -130,16 +118,17 @@ def parse_midi(data: bytes) -> EventSequence:
     Unpaired note-ons are closed at the end of the file (duration capped at
     10 s) and counted as warnings, as are note-offs that close nothing.
     """
-    reader = _Reader(data)
-    if reader.take(4) != b"MThd":
-        raise MidiParseError("not a MIDI file (missing MThd)", 0)
-    header_length = reader.u32()
+    size = len(data)
+    if data[:4] != b"MThd":
+        raise MidiParseError(_END if size < 4 else "not a MIDI file (missing MThd)", 0)
+    if size < 8:
+        raise MidiParseError(_END, 4)
+    header_length = int.from_bytes(data[4:8], "big")
     if header_length < 6:
-        raise MidiParseError(f"bad header length {header_length}", reader.pos - 4)
-    fmt = reader.u16()
-    ntrks = reader.u16()
-    division = reader.u16()
-    reader.take(header_length - 6)
+        raise MidiParseError(f"bad header length {header_length}", 4)
+    if size < 8 + header_length:  # the first 2-byte field cut short, or else the extra bytes
+        raise MidiParseError(_END, min(size & ~1, 14))
+    fmt, ntrks, division = (int.from_bytes(data[at : at + 2], "big") for at in (8, 10, 12))
     if fmt not in (0, 1):
         raise MidiParseError(f"unsupported MIDI format {fmt}", 8)
 
@@ -148,51 +137,60 @@ def parse_midi(data: bytes) -> EventSequence:
     programs: list[tuple[int, int, int]] = []  # (tick, channel, program), file order
     max_tick = 0
 
+    pos = 8 + header_length
     for _ in range(ntrks):
-        chunk_start = reader.pos
-        if reader.take(4) != b"MTrk":
-            raise MidiParseError("expected MTrk chunk", chunk_start)
-        length = reader.u32()
-        end = reader.pos + length
-        if end > len(data):
-            raise MidiParseError("track length overruns file", chunk_start + 4)
+        if data[pos : pos + 4] != b"MTrk":
+            raise MidiParseError(_END if pos + 4 > size else "expected MTrk chunk", pos)
+        if pos + 8 > size:
+            raise MidiParseError(_END, pos + 4)
+        end = pos + 8 + int.from_bytes(data[pos + 4 : pos + 8], "big")
+        if end > size:
+            raise MidiParseError("track length overruns file", pos + 4)
+        pos += 8
         tick = 0
         running_status: int | None = None
-        while reader.pos < end:
-            tick += reader.varint()
-            status = reader.u8()
+        while pos < end:
+            delta, pos = _read_varint(data, pos)
+            tick += delta
+            if pos >= size:
+                raise MidiParseError(_END, pos)
+            status = data[pos]
             if status < 0x80:
                 if running_status is None:
-                    raise MidiParseError("data byte without running status", reader.pos - 1)
-                reader.pos -= 1
+                    raise MidiParseError("data byte without running status", pos)
                 status = running_status
-            if status == 0xFF:
+            else:
+                pos += 1
+            if status in (0xFF, 0xF0, 0xF7):  # a meta event, led by its type byte, or a sysex
                 running_status = None
-                meta_type = reader.u8()
-                meta = reader.take(reader.varint())
-                if meta_type == 0x51 and len(meta) == 3:
-                    tempo_changes.append((tick, int.from_bytes(meta, "big")))
-            elif status in (0xF0, 0xF7):
-                running_status = None
-                reader.take(reader.varint())
+                meta = status == 0xFF
+                if meta and pos >= size:
+                    raise MidiParseError(_END, pos)
+                length, start = _read_varint(data, pos + meta)
+                if start + length > size:
+                    raise MidiParseError(_END, start)
+                if meta and data[pos] == 0x51 and length == 3:
+                    tempo_changes.append((tick, int.from_bytes(data[start : start + 3], "big")))
+                pos = start + length
             elif status >= 0xF0:
-                raise MidiParseError(f"unsupported status byte 0x{status:02x}", reader.pos - 1)
+                raise MidiParseError(f"unsupported status byte 0x{status:02x}", pos - 1)
             else:
                 running_status = status
                 kind = status & 0xF0
-                channel = status & 0x0F
-                payload = reader.take(_CHANNEL_MESSAGE_LENGTH[kind])
-                for i, byte in enumerate(payload):
-                    if byte > 0x7F:
-                        raise MidiParseError(f"data byte 0x{byte:02x} has its top bit set",
-                                             reader.pos - len(payload) + i)
-                if kind in (0x80, 0x90):
-                    pitch, velocity = payload[0], payload[1]
-                    notes.append((tick, channel << 7 | pitch, kind == 0x90 and velocity > 0))
+                length = _CHANNEL_MESSAGE_LENGTH[kind]
+                if pos + length > size:
+                    raise MidiParseError(_END, pos)
+                for at in range(pos, pos + length):
+                    if data[at] > 0x7F:
+                        raise MidiParseError(f"data byte 0x{data[at]:02x} has its top bit set", at)
+                if kind in (0x80, 0x90):  # keyed by channel and pitch
+                    key = (status & 0x0F) << 7 | data[pos]
+                    notes.append((tick, key, kind == 0x90 and data[pos + 1] > 0))
                 elif kind == 0xC0:
-                    programs.append((tick, channel, payload[0]))
-            max_tick = max(max_tick, tick)
-        reader.pos = end
+                    programs.append((tick, status & 0x0F, data[pos]))
+                pos += length
+        max_tick = max(max_tick, tick)  # ticks only grow along a track
+        pos = end
 
     if division & 0x8000:
         frames = 256 - ((division >> 8) & 0xFF)
@@ -270,32 +268,20 @@ def write_midi(seq: EventSequence) -> bytes:
     of first appearance. More than 15 distinct non-drum instruments exceed
     the available channels.
     """
-    playable = [e for e in seq if not e.is_rest]
+    time, duration, note = seq.without_rests().columns.tolist()
+    instrument = [n // NUM_PITCHES for n in note]
+    melodic = [k for k in dict.fromkeys(instrument) if k != DRUM_INSTRUMENT]  # first appearance
+    if len(melodic) > 15:
+        raise ChannelCapacityError(
+            "more than 15 distinct non-drum instruments cannot share one file"
+        )
+    channel_of = {DRUM_INSTRUMENT: 9, **dict(zip(melodic, [c for c in range(16) if c != 9]))}
 
-    channel_of: dict[int, int] = {}
-    free_channels = [c for c in range(16) if c != 9]
-    for event in playable:
-        instrument = event.instrument
-        if instrument in channel_of:
-            continue
-        if instrument == DRUM_INSTRUMENT:
-            channel_of[instrument] = 9
-        elif free_channels:
-            channel_of[instrument] = free_channels.pop(0)
-        else:
-            raise ChannelCapacityError(
-                "more than 15 distinct non-drum instruments cannot share one file"
-            )
-
-    messages: list[tuple[int, int, int, bytes]] = []  # (tick, kind, order, bytes)
-    for instrument, channel in sorted(channel_of.items(), key=lambda kv: kv[1]):
-        if instrument != DRUM_INSTRUMENT:
-            messages.append((0, 0, -1, bytes([0xC0 | channel, instrument])))
-    for i, event in enumerate(playable):
-        channel = channel_of[event.instrument]
-        pitch = event.pitch
-        on_tick = _units_to_ticks(event.time)
-        off_tick = _units_to_ticks(event.end)
+    # (tick, kind, order, bytes): each program change at tick 0, in channel order
+    messages = [(0, 0, -1, bytes([0xC0 | channel_of[k], k])) for k in melodic]
+    for i, (t, d, k, n) in enumerate(zip(time, duration, instrument, note)):
+        channel, pitch = channel_of[k], n % NUM_PITCHES
+        on_tick, off_tick = _units_to_ticks(t), _units_to_ticks(t + d)
         messages.append((on_tick, 2, i, bytes([0x90 | channel, pitch, 64])))
         # Offs sort before ons at the same tick so touching same-pitch notes
         # re-trigger instead of swallowing each other; a zero-length note

@@ -173,14 +173,6 @@ def decode_arrival(tokens: Sequence[int]) -> list[InterleavedSequence]:
     return [InterleavedSequence._of(part) for part in np.split(columns, bounds, axis=1)]
 
 
-def decode_arrival_single(tokens: Sequence[int]) -> InterleavedSequence:
-    """Decode tokens expected to hold exactly one sequence."""
-    segments = [s for s in decode_arrival(tokens) if len(s)]
-    if len(segments) > 1:
-        raise TokenError(f"expected a single sequence, found {len(segments)}")
-    return segments[0] if segments else InterleavedSequence()
-
-
 def encode_interarrival(
     seq: EventSequence | InterleavedSequence, *, leading_sep: bool = False
 ) -> list[int]:
@@ -281,11 +273,12 @@ class PackResult:
 
 
 def pack_training_examples(
-    sequences: Iterable[InterleavedSequence],
+    sequences: Iterable[InterleavedSequence | EventSequence],
     *,
     context_length: int = CONTEXT_LENGTH,
 ) -> PackResult:
-    """Pack interleaved sequences into fixed-length training examples.
+    """Pack interleaved sequences into fixed-length training examples; a plain
+    event sequence packs as an interleaved one without controls.
 
     Sequences are concatenated with separator triples (one leading separator
     marks the start of the stream) and sliced into windows of whole triples.
@@ -297,7 +290,7 @@ def pack_training_examples(
         raise ValueError("context_length must be 1 + a multiple of 3")
     width = (context_length - 1) // 3
 
-    columns = [seq.columns for seq in sequences]
+    columns = [_as_interleaved(seq).columns for seq in sequences]
     lengths = [c.shape[1] for c in columns]
     # The stream as columns: every sequence is preceded by a separator row
     # (all zeros, marked in ``is_sep``); ``owner`` is each row's sequence.

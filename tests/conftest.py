@@ -6,10 +6,14 @@ covers structural round-trip properties with smaller examples.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from anticipate.events import MAX_TIME_UNITS, REST, Event, EventSequence, encode_note
+from anticipate.events import (
+    MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence, TaggedEvent, encode_note,
+)
 from anticipate.tokenizer import TokenError
 from anticipate.vocab import ArrivalVocab as AV
 
@@ -52,7 +56,7 @@ def random_events(
             last_end[note] = t
         events.append(Event(t, duration, note))
         last_end[note] = max(last_end.get(note, 0), t + duration)
-    return EventSequence(events, sort=True)
+    return EventSequence(events)
 
 
 def random_controls(
@@ -90,6 +94,51 @@ def reference_event_triple(
         duration + (AV.ANT_DUR_BASE if control else AV.DUR_BASE),
         note_token,
     ]
+
+
+def event_sort_key(event: Event):
+    """Canonical total order on events: time, then note, then duration.
+
+    The order ``anticipation.split_and_sort`` restores; tests sort reference
+    event lists by it.
+    """
+    return (event.time, event.note, event.duration)
+
+
+def _reference_parse_line(line: str) -> TaggedEvent:
+    fields = line.split()
+    control = False
+    if fields and fields[0] == "C":
+        control = True
+        fields = fields[1:]
+    if len(fields) != 3:
+        raise ValueError(f"malformed event line: {line!r}")
+    time, duration = int(fields[0]), int(fields[1])
+    note = REST if fields[2] == "R" else int(fields[2])
+    return TaggedEvent(Event(time, duration, note), control=control)
+
+
+def reference_read_events(f) -> list[InterleavedSequence]:
+    """The event text reader that `eventio.read_events` replaced: a
+    ``TaggedEvent`` per line, an ``InterleavedSequence`` built from them per
+    sequence. Kept as the reference the columnar reader is tested against."""
+    sequences: list[InterleavedSequence] = []
+    current: list[TaggedEvent] = []
+    for lineno, raw in enumerate(itertools.chain(f, [""]), start=1):
+        line = raw.strip()
+        if line:
+            try:
+                current.append(_reference_parse_line(line))
+            except ValueError as exc:
+                raise TokenError(f"line {lineno}: {exc}") from exc
+        elif current:
+            try:
+                sequences.append(InterleavedSequence(current))
+            except ValueError as exc:
+                first = lineno - len(current)
+                raise TokenError(f"sequence on lines {first}-{lineno - 1}: {exc}") from exc
+            current = []
+    return sequences
 
 
 @pytest.fixture

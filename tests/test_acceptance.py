@@ -20,7 +20,6 @@ from scipy import stats as scipy_stats
 from anticipate import golden
 from anticipate.anticipation import (
     densify,
-    event_sort_key,
     interleave,
     sort_order_interleave,
     split_and_sort,
@@ -49,7 +48,7 @@ from anticipate.tokenizer import (
 )
 from anticipate.vocab import ArrivalVocab as AV
 
-from conftest import random_events
+from conftest import event_sort_key, random_events
 
 
 def report(criterion: int, message: str) -> None:

@@ -14,7 +14,6 @@ from anticipate import golden
 from anticipate.anticipation import (
     AnticipationConfig,
     densify,
-    event_sort_key,
     interleave,
     next_anticipated_controls,
     sort_order_interleave,
@@ -22,7 +21,7 @@ from anticipate.anticipation import (
 )
 from anticipate.events import REST, Event, EventSequence, InterleavedSequence, TaggedEvent
 
-from conftest import random_controls, random_events
+from conftest import event_sort_key, random_controls, random_events
 
 
 def online_interleave(events: EventSequence, controls: EventSequence, delta) -> list[TaggedEvent]:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from anticipate.anticipation import AnticipationConfig, densify, event_sort_key, split_and_sort
+from anticipate.anticipation import AnticipationConfig, densify, split_and_sort
 from anticipate.augment import (
     PATTERNS,
     AugmentationPolicy,
@@ -23,7 +25,7 @@ from anticipate.augment import (
 from anticipate.events import NUM_PITCHES, Event, EventSequence, encode_note
 from anticipate.tokenizer import encode_arrival
 
-from conftest import random_events
+from conftest import event_sort_key, random_events
 
 
 def canonical(seq: EventSequence) -> EventSequence:
@@ -54,6 +56,31 @@ class TestPolicy:
     def test_rejects_negative_counts(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} must"):
             AugmentationPolicy(**kwargs)
+
+    # Each of these made augment_corpus misbehave before the policy checked
+    # it: a NaN rate appended NaN span starts forever, a zero rate divided by
+    # zero, and no random rates left numpy's bare "high <= 0". Only the
+    # constructor runs here.
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"span_rate": math.nan}, "span_rate"),
+        ({"span_rate": math.inf}, "span_rate"),
+        ({"span_rate": 0.0}, "span_rate"),
+        ({"span_rate": -0.05}, "span_rate"),
+        ({"span_length": math.nan}, "span_length"),
+        ({"span_length": 0.0}, "span_length"),
+        ({"span_length": 0.004}, "span_length"),
+        ({"span_length": 1e17}, "span_length"),
+        ({"random_rates": ()}, "random_rates"),
+        ({"random_rates": (0.5, 1.5)}, "random_rates"),
+        ({"random_rates": (-0.1,)}, "random_rates"),
+        ({"random_rates": (math.nan,)}, "random_rates"),
+    ])
+    def test_rejects_bad_span_and_rate_fields(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            AugmentationPolicy(**kwargs)
+
+    def test_accepts_boundary_rates(self):
+        assert AugmentationPolicy(random_rates=(0.0, 1.0), span_length=0.01).random_rates == (0.0, 1.0)
 
 
 class TestSpanControls:

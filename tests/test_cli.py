@@ -270,6 +270,25 @@ class TestPipeline:
             assert run("augment", "--factor", "10", "--seed", "9", str(corpus_file), str(target)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_sample_merges_control_sequences_stably_by_time(self, tmp_path, rng):
+        # every item of every sequence is a control, flags dropped; equal
+        # times keep file order (62 before 61)
+        model = tmp_path / "model.npz"
+        rows = [encode_arrival(random_events(rng, 40), z=AV.AR, leading_sep=True)]
+        train_ngram(rows, order=2, alpha=0.01, vocab_size=AV.SIZE).save(model)
+        split = tmp_path / "split.txt"
+        split.write_text("300 10 62\nC 500 5 64\n\n100 10 60\n300 20 61\n")
+        merged = tmp_path / "merged.txt"
+        merged.write_text("100 10 60\n300 10 62\n300 20 61\n500 5 64\n")
+        outputs = []
+        for controls in (split, merged):
+            out = tmp_path / f"{controls.stem}.out"
+            assert run("sample", "--model", str(model), "--controls", str(controls),
+                       "--max-tokens", "60", "--seed", "3", str(out)) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("C ") == 4
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, corpus_file):

@@ -16,43 +16,42 @@ from anticipate.events import (
     EventSequence,
     InterleavedSequence,
     TaggedEvent,
-    decode_note,
     encode_note,
     quantize_duration,
-    quantize_time,
     seconds_to_units,
 )
 from anticipate.eventio import read_events, write_events
 from anticipate.tokenizer import TokenError
 
+from conftest import reference_read_events
+
 
 class TestQuantizeTime:
+    """Times quantize by ``seconds_to_units``, which never clamps: the
+    100-second cap applies only to relativized token-space times."""
+
     def test_zero(self):
-        assert quantize_time(0.0) == 0
+        assert seconds_to_units(0.0) == 0
 
     def test_480ms_is_index_48(self):
-        assert quantize_time(0.48) == 48
-
-    def test_clamped_at_100s(self):
-        # 123.7s is 12370 grid units, beyond the 9999 cap.
-        assert 123.7 * 100 > 9999
-        assert quantize_time(123.7) == 9999
+        assert seconds_to_units(0.48) == 48
 
     def test_round_half_away_from_zero(self):
-        assert quantize_time(0.125) == 13  # 12.5 rounds up
-        assert quantize_time(0.124) == 12
+        assert seconds_to_units(0.125) == 13  # 12.5 rounds up
+        assert seconds_to_units(0.124) == 12
 
     @pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
     def test_invalid_input(self, bad):
         with pytest.raises(ValueError):
-            quantize_time(bad)
+            seconds_to_units(bad)
 
     @given(st.floats(min_value=0, max_value=200), st.floats(min_value=0, max_value=200))
     def test_monotone(self, a, b):
         lo, hi = sorted([a, b])
-        assert quantize_time(lo) <= quantize_time(hi)
+        assert seconds_to_units(lo) <= seconds_to_units(hi)
 
     def test_unclamped_variant(self):
+        # 123.7 s is 12370 grid units, past the 9999 token-space cap
         assert seconds_to_units(123.7) == 12370
 
 
@@ -76,14 +75,16 @@ class TestNoteCodec:
         assert encode_note(DRUM_INSTRUMENT, 127) == 16511
 
     def test_decode_goldens(self):
-        assert decode_note(60) == (0, 60)
-        assert decode_note(0) == (0, 0)
-        assert decode_note(16511) == (128, 127)
+        # an event decodes its note code into instrument and pitch
+        for code, instrument, pitch in [(60, 0, 60), (0, 0, 0), (16511, 128, 127)]:
+            event = Event(0, 1, code)
+            assert (event.instrument, event.pitch) == (instrument, pitch)
 
     def test_roundtrip_exhaustive(self):
         # all 16512 instrument/pitch pairs
         for code in range(NUM_NOTE_CODES):
-            assert encode_note(*decode_note(code)) == code
+            event = Event(0, 1, code)
+            assert encode_note(event.instrument, event.pitch) == code
 
     @pytest.mark.parametrize("k,p", [(-1, 0), (129, 0), (0, -1), (0, 128)])
     def test_out_of_range(self, k, p):
@@ -91,8 +92,8 @@ class TestNoteCodec:
             encode_note(k, p)
 
     def test_decode_out_of_range(self):
-        with pytest.raises(ValueError):
-            decode_note(16512)
+        with pytest.raises(ValueError, match="note code must be REST or in"):
+            Event(0, 1, 16512)
 
 
 class TestEvent:
@@ -122,11 +123,6 @@ class TestEventSequence:
         with pytest.raises(ValueError):
             EventSequence([Event(5, 0, 60), Event(3, 0, 60)])
 
-    def test_sort_flag_is_stable(self):
-        a, b = Event(5, 1, 60), Event(5, 2, 61)
-        seq = EventSequence([Event(9, 0, 62), a, b], sort=True)
-        assert list(seq) == [a, b, Event(9, 0, 62)]
-
     def test_instruments_ignores_rests(self):
         seq = EventSequence([Event(0, 0, REST), Event(1, 1, encode_note(5, 10))])
         assert seq.instruments() == {5}
@@ -155,6 +151,63 @@ class TestInterleavedSequence:
     def test_has_controls(self):
         assert not InterleavedSequence([TaggedEvent(Event(0, 1, 60))]).has_controls
         assert InterleavedSequence([TaggedEvent(Event(0, 1, 60), control=True)]).has_controls
+
+
+def _read_outcome(read, text):
+    """A reader's sequences, or the message of its ``TokenError``; any other
+    error escapes."""
+    try:
+        return read(io.StringIO(text))
+    except TokenError as exc:
+        return str(exc)
+
+
+_bad_fields = st.sampled_from(
+    ["-1", "1000", "16512", "R", "C", "x", "1.5", str(2**63 - 1), str(2**63), str(-(2**63) - 1),
+     "99999999999999999999"]
+)
+_spaces = st.sampled_from([" ", " ", "  ", "\t", " \t "])
+_blank_runs = st.lists(st.sampled_from(["", " ", "\t", "\r", "\x0b", "\u00a0"]), min_size=1,
+                       max_size=3).map("\n".join)
+
+
+@st.composite
+def _event_texts(draw):
+    """Event text, mostly valid, with at most one mutation per line: a
+    dropped or extra field, one or two negative, out-of-range, past-int64 or
+    non-integer fields, a rest with a duration, or a time earlier than the
+    one before it in its stream (or past int64). Lines may carry a ``C`` prefix and padding,
+    and sequences are separated by runs of blank lines."""
+    lines, last = [], {False: 0, True: 0}  # the last time of each stream
+    for _ in range(draw(st.integers(0, 14))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_blank_runs))
+            continue
+        control = draw(st.integers(0, 3)) == 0
+        last[control] += draw(st.integers(0, 3))
+        note = draw(st.sampled_from(["R", "0", "60", "16511"]))
+        duration = "0" if note == "R" else draw(st.sampled_from(["0", "1", "48", "998"]))
+        fields = [str(last[control]), duration, note]
+        mutation = draw(st.sampled_from(
+            ["none"] * 12 + ["drop", "extra", "fields", "fields", "rest", "early", "past int64"]))
+        if mutation == "drop":
+            del fields[draw(st.integers(0, 2))]
+        elif mutation == "extra":
+            fields.insert(draw(st.integers(0, 3)), draw(_bad_fields))
+        elif mutation == "fields":
+            for at in draw(st.sets(st.integers(0, 2), min_size=1, max_size=2)):
+                fields[at] = draw(_bad_fields)
+        elif mutation == "rest":
+            fields[1:] = ["5", "R"]
+        elif mutation == "early":
+            fields[0] = str(last[control] - draw(st.integers(1, 3)))
+        elif mutation == "past int64":
+            fields[0] = draw(st.sampled_from([str(2**63), "99999999999999999999"]))
+        if control:
+            fields.insert(0, "C")
+        line = "".join(f + draw(_spaces) for f in fields[:-1]) + fields[-1]
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", "\r"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
 
 
 class TestEventText:
@@ -203,6 +256,11 @@ class TestEventText:
         with pytest.raises(TokenError, match="sequence on lines 3-4"):
             read_events(io.StringIO("0 1 60\n\n10 1 60\n5 1 60\n"))
 
+    @settings(max_examples=400, deadline=None)
+    @given(_event_texts())
+    def test_matches_reference_reader(self, text):
+        assert _read_outcome(read_events, text) == _read_outcome(reference_read_events, text)
+
 
 # -- columnar sequences against the tuple-backed reference -------------------
 
@@ -210,17 +268,14 @@ class TestEventText:
 class _ReferenceEventSequence:
     """The tuple-backed event sequence the columnar one replaced."""
 
-    def __init__(self, events=(), *, sort=False):
+    def __init__(self, events=()):
         items = tuple(events)
-        if sort:
-            items = tuple(sorted(items, key=lambda e: e.time))
-        else:
-            for i in range(1, len(items)):
-                if items[i].time < items[i - 1].time:
-                    raise ValueError(
-                        f"event times must be non-decreasing (index {i}: "
-                        f"{items[i].time} < {items[i - 1].time}); pass sort=True to re-sort"
-                    )
+        for i in range(1, len(items)):
+            if items[i].time < items[i - 1].time:
+                raise ValueError(
+                    f"event times must be non-decreasing (index {i}: "
+                    f"{items[i].time} < {items[i - 1].time})"
+                )
         self.events = items
 
     def __eq__(self, other):
@@ -312,10 +367,10 @@ def _same_items(new, reference_items):
 
 class TestColumnarSequences:
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(_events, max_size=12), st.booleans(), st.lists(_slices, max_size=3))
-    def test_event_sequence_matches_reference(self, events, sort, slices):
-        reference = _outcome(_ReferenceEventSequence, events, sort=sort)
-        new = _outcome(EventSequence, events, sort=sort)
+    @given(st.lists(_events, max_size=12), st.lists(_slices, max_size=3))
+    def test_event_sequence_matches_reference(self, events, slices):
+        reference = _outcome(_ReferenceEventSequence, events)
+        new = _outcome(EventSequence, events)
         if not isinstance(reference, _ReferenceEventSequence):
             assert new == reference
             return

@@ -174,12 +174,11 @@ class TestBitsPerSecond:
 class TestCorpusStats:
     def test_twinkle_arrival_counts(self):
         twinkle = golden.twinkle_events()
-        assert corpus_stats([twinkle], "arrival", include_specials=True).token_count == 46
         assert corpus_stats([twinkle], "arrival").token_count == 42
 
     def test_twinkle_interarrival_counts(self):
         twinkle = golden.twinkle_events()
-        assert corpus_stats([twinkle], "interarrival", include_specials=True).token_count == 56
+        assert corpus_stats([twinkle], "interarrival").token_count == 55
 
     def test_empty(self):
         stats = corpus_stats([], "arrival")

@@ -12,18 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 from anticipate import golden
 from anticipate.corpus import (
+    MANIFEST_HEADER,
     CorpusFilters,
-    CorpusManifest,
     check_sequence,
     preprocess_corpus,
     split_for_digest,
 )
 from anticipate.eventio import read_events
 from anticipate.events import (
-    DRUM_INSTRUMENT, Event, EventSequence, encode_note, quantize_duration, seconds_to_units,
+    DRUM_INSTRUMENT, REST, Event, EventSequence, encode_note, quantize_duration, seconds_to_units,
 )
 from anticipate.midi import (
-    _CHANNEL_MESSAGE_LENGTH, ChannelCapacityError, MidiParseError, _Reader, _SmpteMap, _TempoMap,
+    _CHANNEL_MESSAGE_LENGTH, ChannelCapacityError, MidiParseError, _SmpteMap, _TempoMap,
     parse_midi, write_midi,
 )
 
@@ -201,6 +201,42 @@ class TestParseErrors:
 # -- the pairing rule against the per-note reference --------------------------
 
 
+class _Reader:
+    """The byte reader the parser's single loop replaced: one method call
+    per field, so its error offsets are the reference's own."""
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes, pos: int = 0):
+        self.data = data
+        self.pos = pos
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise MidiParseError("unexpected end of data", self.pos)
+        chunk = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return chunk
+
+    def u8(self) -> int:
+        return self.take(1)[0]
+
+    def u16(self) -> int:
+        return int.from_bytes(self.take(2), "big")
+
+    def u32(self) -> int:
+        return int.from_bytes(self.take(4), "big")
+
+    def varint(self) -> int:
+        value = 0
+        for _ in range(4):
+            byte = self.u8()
+            value = (value << 7) | (byte & 0x7F)
+            if not byte & 0x80:
+                return value
+        raise MidiParseError("variable-length quantity too long", self.pos)
+
+
 @dataclass
 class _Note:
     tick: int
@@ -212,8 +248,8 @@ class _Note:
 
 def _reference_parse_midi(data: bytes) -> EventSequence:
     """The per-note parser that the shared pairing function replaced: a
-    ``_Note`` per message, a list of open notes per (channel, pitch) drained
-    from the front, and an ``Event`` per note."""
+    ``_Reader`` over the bytes, a ``_Note`` per message, a list of open notes
+    per (channel, pitch) drained from the front, and an ``Event`` per note."""
     reader = _Reader(data)
     if reader.take(4) != b"MThd":
         raise MidiParseError("not a MIDI file (missing MThd)", 0)
@@ -399,6 +435,116 @@ class TestPairingReference:
         ours, reference = _outcome(data)
         assert ours == reference
 
+    @pytest.mark.parametrize("body, offset", [
+        (bytes([0x81] * 4 + [0x00]), 26),  # a delta time past 4 bytes
+        (bytes([0x00, 0xFF, 0x51] + [0x81] * 4 + [0x00]), 29),  # a meta length past 4 bytes
+        (bytes([0x00, 0xF0] + [0x81] * 4 + [0x00]), 28),  # a sysex length past 4 bytes
+    ])
+    def test_overlong_quantities(self, body, offset):
+        ours, reference = _outcome(smf([b"MTrk" + len(body).to_bytes(4, "big") + body]))
+        assert ours == reference == (MidiParseError,
+                                     f"variable-length quantity too long (byte offset {offset})",
+                                     offset)
+
+    def test_every_prefix_of_a_file(self):
+        # a header two bytes longer than the six it needs, then one track
+        header = b"MThd" + (8).to_bytes(4, "big") + bytes([0, 1, 0, 1, 0, 96, 0, 0])
+        data = header + track([TEMPO_120, (0, note_on(0, 60)), (96, note_off(0, 60))])
+        assert parse_midi(data) == EventSequence([Event(0, 50, 60)])
+        for end in range(len(data) + 1):
+            ours, reference = _outcome(data[:end])
+            assert ours == reference
+
+
+# -- the columnar writer against the event-walking reference -----------------
+
+
+def _reference_write_midi(seq: EventSequence) -> bytes:
+    """The writer that the columnar one replaced: it walks ``Event`` objects,
+    allocates channels event by event and assembles the file with the
+    independent ``track``/``smf`` helpers above."""
+    playable = [e for e in seq if not e.is_rest]
+    channel_of = {}
+    free_channels = [c for c in range(16) if c != 9]
+    for event in playable:
+        instrument = event.instrument
+        if instrument in channel_of:
+            continue
+        if instrument == DRUM_INSTRUMENT:
+            channel_of[instrument] = 9
+        elif free_channels:
+            channel_of[instrument] = free_channels.pop(0)
+        else:
+            raise ChannelCapacityError(
+                "more than 15 distinct non-drum instruments cannot share one file"
+            )
+    messages = []  # (tick, kind, order, bytes)
+    for instrument, channel in sorted(channel_of.items(), key=lambda kv: kv[1]):
+        if instrument != DRUM_INSTRUMENT:
+            messages.append((0, 0, -1, bytes([0xC0 | channel, instrument])))
+    for i, event in enumerate(playable):
+        channel = channel_of[event.instrument]
+        on_tick = (event.time * 96 + 5) // 10
+        off_tick = (event.end * 96 + 5) // 10
+        messages.append((on_tick, 2, i, bytes([0x90 | channel, event.pitch, 64])))
+        off_kind = 1 if off_tick > on_tick else 2
+        messages.append((off_tick, off_kind, i, bytes([0x80 | channel, event.pitch, 0])))
+    messages.sort(key=lambda m: (m[0], m[1], m[2]))
+    return smf([track([TEMPO_120]), track([(tick, msg) for tick, _, _, msg in messages])])
+
+
+def _write_outcome(seq: EventSequence):
+    """Each writer's bytes, or the type and message of its error."""
+    outcomes = []
+    for write in (write_midi, _reference_write_midi):
+        try:
+            outcomes.append(write(seq))
+        except ChannelCapacityError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _mostly(common: list, wide):
+    """``common`` values two times in three, else the ``wide`` strategy."""
+    return st.one_of(st.sampled_from(common), st.sampled_from(common), wide)
+
+
+_steps = _mostly([0, 5, 5, 10], st.integers(0, 3_000))
+_pitches_or_rest = _mostly([60, 60, 61, REST], st.integers(0, 127))
+_durations = _mostly([0, 5, 5, 10, 998], st.integers(0, 998))
+
+
+@st.composite
+def writable_sequences(draw):
+    """Sequences with rests, drums, zero-length notes, and same-pitch notes
+    that touch or overlap (few pitches, durations equal to the common gaps)."""
+    palette = draw(st.lists(st.sampled_from([DRUM_INSTRUMENT, 0, 24]) | st.integers(0, 127),
+                            min_size=1, max_size=3))
+    notes = st.tuples(_steps, st.sampled_from(palette), _pitches_or_rest, _durations)
+    events, time = [], 0
+    for step, instrument, pitch, duration in draw(st.lists(notes, max_size=30)):
+        time += step
+        note = REST if pitch == REST else encode_note(instrument, pitch)
+        events.append(Event(time, 0 if note == REST else duration, note))
+    return EventSequence(events)
+
+
+class TestWriteReference:
+    @settings(max_examples=200, deadline=None)
+    @given(writable_sequences())
+    def test_matches_event_walking_writer(self, seq):
+        ours, reference = _write_outcome(seq)
+        assert ours == reference
+
+    @pytest.mark.parametrize("melodic", [15, 16, 17, 30])
+    def test_channel_capacity_matches_reference(self, melodic):
+        # a drum part first, then one note per melodic instrument
+        events = [Event(0, 10, encode_note(DRUM_INSTRUMENT, 36))]
+        events += [Event(i, 10, encode_note(k, 60)) for i, k in enumerate(range(melodic))]
+        ours, reference = _write_outcome(EventSequence(events))
+        assert ours == reference
+        assert isinstance(ours, bytes) == (melodic <= 15)
+
 
 class TestWrite:
     def test_empty_sequence_is_valid_file(self):
@@ -424,8 +570,6 @@ class TestWrite:
         assert parse_midi(data) == seq
 
     def test_rests_dropped(self):
-        from anticipate.events import REST
-
         seq = EventSequence([Event(0, 50, 60), Event(10, 0, REST), Event(20, 50, 61)])
         assert parse_midi(write_midi(seq)) == seq.without_rests()
 
@@ -538,9 +682,13 @@ class TestPreprocess:
     def test_manifest_roundtrip(self, corpus_dir, tmp_path):
         out = tmp_path / "out"
         manifest = preprocess_corpus(corpus_dir, out)
-        with open(out / "manifest.tsv") as f:
-            loaded = CorpusManifest.read(f)
-        assert loaded == manifest
+        header, *rows = (out / "manifest.tsv").read_text().splitlines()
+        assert header == MANIFEST_HEADER == "id md5 split events seconds parts reason"
+        assert [row.split("\t") for row in rows] == [
+            [e.file_id, e.md5, e.split, str(e.events), f"{e.seconds:.2f}", str(e.parts),
+             "-" if e.reason is None else e.reason]
+            for e in manifest.entries
+        ]
 
     def test_split_matches_md5(self, corpus_dir, tmp_path):
         import hashlib

@@ -30,7 +30,7 @@ from anticipate.sampler import (
 from anticipate.tokenizer import TokenError, _arrival_triples, encode_arrival
 from anticipate.vocab import ArrivalVocab as AV
 
-from conftest import random_controls, random_events, reference_event_triple
+from conftest import event_sort_key, random_controls, random_events, reference_event_triple
 
 
 def replay_for(events: EventSequence):
@@ -316,7 +316,7 @@ class TestStripControls:
         assert interleaved.events() == s["events"]
 
     def test_consistent_with_split_and_sort(self, rng):
-        from anticipate.anticipation import event_sort_key, split_and_sort
+        from anticipate.anticipation import split_and_sort
 
         events = random_events(rng, 40)
         controls = random_controls(rng, 10, max_time=int(events.end_time))
@@ -507,7 +507,7 @@ class TestMatchesObjectLoop:
                             max_tokens, sep_weight, seed):
         if invalid:  # a control the sampler rejects
             fields = fields + [invalid]
-        controls = EventSequence([Event(*f) for f in fields], sort=True)
+        controls = EventSequence(sorted((Event(*f) for f in fields), key=lambda e: e.time))
         config = SamplerConfig(delta=2.0, top_p=0.9, max_tokens=max_tokens,
                                grammar_mask=grammar_mask, seed=seed)
         expected = _outcome(_reference_generate, _LongSessions(context_length, sep_weight),

@@ -27,7 +27,6 @@ from anticipate.tokenizer import (
     _arrival_triples,
     _relativize_sequence,
     decode_arrival,
-    decode_arrival_single,
     decode_interarrival,
     encode_arrival,
     encode_interarrival,
@@ -256,10 +255,6 @@ class TestRoundTrips:
         )
         assert decode_arrival(tokens) == [a, b]
 
-    def test_decode_single_helper(self):
-        tokens = encode_arrival(golden.twinkle_events(), z=AV.AR, leading_sep=True)
-        assert decode_arrival_single(tokens).events() == golden.twinkle_events()
-
 
 def _triples(n, start=0, step=10, control=False):
     return InterleavedSequence(
@@ -282,6 +277,12 @@ class TestPacking:
     def test_plain_window_starts_ar(self):
         result = pack_training_examples([_triples(340)])
         assert result.examples[0].z == AV.AR
+
+    def test_event_sequences_pack_as_interleaved_ones(self, rng):
+        plain = [golden.twinkle_events()] * 30 + [random_events(rng, 200) for _ in range(5)]
+        result = pack_training_examples(plain)
+        assert result.examples
+        assert result == pack_training_examples(map(InterleavedSequence.from_events, plain))
 
     def test_z_describes_segment_before_first_sep(self):
         # window: tail of a control-free sequence, SEP, controls afterwards
