@@ -37,7 +37,7 @@ from .events import (
     seconds_to_units,
 )
 from .metrics import CorpusStats, LossReport, bits_per_second, corpus_stats, cross_entropy
-from .midi import ChannelCapacityError, MidiParseError, parse_midi, write_midi
+from .midi import ChannelCapacityError, DeltaTimeError, MidiParseError, parse_midi, write_midi
 from .predictor import (
     ModelFileError,
     NGramModel,

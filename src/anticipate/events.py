@@ -80,6 +80,14 @@ def _check_event(time: int, duration: int, note: int) -> None:
         raise ValueError(f"note code must be REST or in [0, 16511], got {note}")
 
 
+def _is_int64(value) -> bool:
+    """Whether ``value`` is unchanged by the int64 cast of a sequence's columns."""
+    try:
+        return bool(np.int64(value) == value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True, slots=True)
 class Event:
     """One quantized event: onset time, duration (both 10ms units), note code.
@@ -92,6 +100,11 @@ class Event:
     note: int
 
     def __post_init__(self) -> None:
+        if not type(self.time) is type(self.duration) is type(self.note) is int:
+            for name in ("time", "duration", "note"):
+                value = getattr(self, name)
+                if not _is_int64(value):
+                    raise ValueError(f"event {name} must be an integer, got {value!r}")
         _check_event(self.time, self.duration, self.note)
 
     @property

@@ -60,6 +60,13 @@ class ChannelCapacityError(ValueError):
     """More distinct instruments than MIDI channels can carry."""
 
 
+class DeltaTimeError(ValueError):
+    """A note farther from the message before it than a MIDI delta time reaches."""
+
+
+MAX_DELTA_TICKS = 2**28 - 1  # the largest 4-byte variable-length quantity
+
+
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
     """The variable-length quantity (at most 4 bytes) at ``pos``, and the
     position after it."""
@@ -266,7 +273,8 @@ def write_midi(seq: EventSequence) -> bytes:
 
     Drums go on channel 10; other instruments are assigned channels in order
     of first appearance. More than 15 distinct non-drum instruments exceed
-    the available channels.
+    the available channels, and a note more than 2**28 - 1 ticks (about 77.7
+    hours) after the message before it exceeds a delta time: both raise.
     """
     time, duration, note = seq.without_rests().columns.tolist()
     instrument = [n // NUM_PITCHES for n in note]
@@ -289,6 +297,15 @@ def write_midi(seq: EventSequence) -> bytes:
         off_kind = 1 if off_tick > on_tick else 2
         messages.append((off_tick, off_kind, i, bytes([0x80 | channel, pitch, 0])))
     messages.sort(key=lambda m: (m[0], m[1], m[2]))
+    previous = 0
+    for tick, _, i, _ in messages:
+        if tick - previous > MAX_DELTA_TICKS:
+            raise DeltaTimeError(
+                f"note {note[i]} at time {time[i]} with duration {duration[i]} is "
+                f"{tick - previous} ticks after the MIDI message before it; "
+                f"a delta time reaches at most {MAX_DELTA_TICKS}"
+            )
+        previous = tick
 
     tempo_track = _track_chunk([(0, b"\xff\x51\x03" + DEFAULT_TEMPO.to_bytes(3, "big"))])
     note_track = _track_chunk([(tick, msg) for tick, _, _, msg in messages])

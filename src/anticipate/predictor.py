@@ -156,6 +156,7 @@ class NGramModel:
         unigram[levels[0].tokens] += levels[0].counts
         unigram /= int(levels[0].totals.sum()) + self.alpha * self.vocab_size
         self._unigram = unigram
+        self._backoff_unigram = BACKOFF_WEIGHT * unigram
 
     def next_distribution(self, z: int | None, context: Sequence[int]) -> np.ndarray:
         """Interpolated distribution after ``[z, *context]``; reuses one buffer.
@@ -171,7 +172,6 @@ class NGramModel:
             np.copyto(out, self._unigram)
             return out
         alpha, vocab_size = self.alpha, self.vocab_size
-        source = self._unigram
         key: int | None = 0  # key of the last k tokens; None once one is outside the vocabulary
         radix = 1
         for k in range(1, depth + 1):
@@ -184,16 +184,16 @@ class NGramModel:
             level = self._levels[k]
             row = -1 if key is None else level.find(key)
             denom = (0 if row < 0 else int(level.totals[row])) + alpha * vocab_size
+            # the lower orders scaled by the backoff weight
+            scaled = self._backoff_unigram if k == 1 else np.multiply(out, BACKOFF_WEIGHT, out=out)
             if row >= 0:
                 span = slice(level.offsets[row], level.offsets[row + 1])
                 successors = level.tokens[span]
-                previous = source[successors]
-            np.multiply(source, BACKOFF_WEIGHT, out=out)
-            out += (1.0 - BACKOFF_WEIGHT) * (alpha / denom)
+                lower = scaled[successors]
+            np.add(scaled, (1.0 - BACKOFF_WEIGHT) * (alpha / denom), out=out)
             if row >= 0:
-                out[successors] = (BACKOFF_WEIGHT * previous
+                out[successors] = (lower
                                    + (1.0 - BACKOFF_WEIGHT) * ((alpha + level.counts[span]) / denom))
-            source = out
         return out
 
     def save(self, path) -> None:

@@ -17,16 +17,22 @@ Generation works at event granularity with absolute times. Every placed
 item is written once, in placement order, into one int64 buffer with rows
 time, duration, note and control flag, doubled in width when full; the
 result is a copy of its filled columns. The token context fed to the
-predictor is read from that buffer once per sampled event, after the event
-and the controls it releases are placed: the most recent whole triples that
-fit, led by a separator while the start of generation is visible. Until then
-the new items' triples are appended; once the window slides past the start
-it is re-encoded, relativized by its minimum time, the rule the tokenizer
-applies to every model context.
+predictor is the most recent whole triples that fit, led by a separator
+while the start of generation is visible. Until the window slides it grows
+by the tokens just sampled (a rest's duration token read as zero) and by
+slices of the controls' triples, encoded once per session; once the window
+slides past the start it is re-encoded from the buffer, relativized by its
+minimum time, the rule the tokenizer applies to every model context.
+
+Nucleus sampling sorts the probabilities, not their indices, and makes its
+one draw by the arithmetic of ``Generator.choice``, so it picks the same
+token and leaves the generator in the same state as an argsort followed by
+``choice``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,24 +79,42 @@ def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
     """Sample from the smallest probability-sorted prefix with mass >= p.
 
     The prefix is renormalized before sampling; ``p = 1`` is ordinary
-    sampling from the full distribution.
+    sampling from the full distribution. Ties are ranked by index.
+
+    When one token holds mass >= p it is returned without a draw. Otherwise
+    the values alone are sorted, descending, and the prefix is cut where
+    their running sum reaches ``p`` of the total. One ``rng.random()`` draw
+    picks a rank in that prefix by the same arithmetic as
+    ``Generator.choice(n, p=weights)``, and the token is the rank's place
+    among the indices that hold its value. So the result and the generator
+    state after it equal those of ranking tokens with a stable argsort and
+    calling ``choice``, draw for draw.
     """
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
-    dist = np.asarray(dist, dtype=np.float64)
+    if type(dist) is not np.ndarray or dist.dtype != np.float64:
+        dist = np.asarray(dist, dtype=np.float64)
     total = dist.sum()
-    if total <= 0 or not np.isfinite(total):
+    if total <= 0 or not math.isfinite(total):
         raise ValueError("cannot sample from an all-zero or invalid distribution")
-    top = int(np.argmax(dist))
+    top = int(dist.argmax())
     if dist[top] >= p * total:
         return top  # the nucleus is a single token
-    order = np.argsort(-dist, kind="stable")
-    cumulative = np.cumsum(dist[order])
+    ascending = np.sort(dist)
+    values = ascending[::-1]
+    cumulative = values.cumsum()
     # cumsum can land a rounding error below dist.sum() at p = 1
-    cutoff = min(int(np.searchsorted(cumulative, p * total, side="left")), len(order) - 1)
-    support = order[: cutoff + 1]
-    weights = dist[support] / cumulative[cutoff]
-    return int(support[rng.choice(len(support), p=weights / weights.sum())])
+    cutoff = min(int(cumulative.searchsorted(p * total, "left")), len(values) - 1)
+    weights = values[: cutoff + 1] / cumulative[cutoff]
+    weights /= weights.sum()
+    if not weights.min() >= 0:  # a negative value in the prefix, or one divided by zero
+        raise ValueError("nucleus weights must be non-negative numbers")
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    rank = int(cdf.searchsorted(rng.random(), "right"))
+    value = values[rank]
+    first_rank = len(values) - int(ascending.searchsorted(value, "right"))
+    return int(np.flatnonzero(dist == value)[rank - first_rank])
 
 
 def _slot_ranges(slot: int, min_time: int) -> list[tuple[int, int]]:
@@ -103,27 +127,21 @@ def _slot_ranges(slot: int, min_time: int) -> list[tuple[int, int]]:
 
 
 def _context_after(
-    tokens: list[int], buffer: np.ndarray, n: int, placed: int, capacity: int,
-    plain_controls: bool,
+    buffer: np.ndarray, n: int, capacity: int, plain_controls: bool,
 ) -> tuple[list[int], int]:
-    """The predictor context once ``n`` items are placed, the last ``placed``
-    of them new, and its time offset.
+    """The predictor context once ``n >= capacity`` items are placed, and its
+    time offset.
 
-    Before the window of ``capacity`` triples slides, the new items' triples
-    are appended to ``tokens`` and the offset is zero; after, the window
-    ``buffer[:, n - capacity:n]`` is relativized by its minimum time and
-    re-encoded. With ``plain_controls`` controls enter it as plain events.
+    The context is the window ``buffer[:, n - capacity:n]`` of ``capacity``
+    triples, relativized by its minimum time and encoded. With
+    ``plain_controls`` controls enter it as plain events.
     """
     if not capacity:  # context_length 1 looks no tokens back
         return [], 0
-    slid = n >= capacity
-    window = buffer[:, n - (capacity if slid else placed) : n]
+    window = buffer[:, n - capacity : n]
     if plain_controls:
         window = window.copy()
         window[3] = 0
-    if not slid:
-        tokens.extend(_arrival_triples(window).ravel().tolist())
-        return tokens, 0
     offset = int(window[0].min())
     return _arrival_triples(window, offset).ravel().tolist(), offset
 
@@ -161,10 +179,10 @@ def _sample_event(
     last_time: int | None,
     rng: np.random.Generator,
     config: SamplerConfig,
-) -> tuple[int, int, int] | None:
-    """Sample one event's (time, duration, note); None means the separator
-    was sampled. ``tokens`` is the context, whose times are shifted by
-    ``offset``."""
+) -> tuple[tuple[int, int, int], list[int]] | None:
+    """Sample one event: its (time, duration, note) and its triple as context
+    tokens at ``offset``; None means the separator was sampled. ``tokens``
+    is the context, whose times are shifted by ``offset``."""
     min_time = 0 if last_time is None else max(last_time - offset, 0)
 
     time_tok = _sample_slot(predictor, z, tokens, TIME_SLOT, min_time, rng, config)
@@ -190,8 +208,9 @@ def _sample_event(
     if note_tok == AV.REST:
         # Rests carry no duration; a model may still pair REST with a
         # nonzero duration token, which we coerce to zero.
-        return time, 0, REST
-    return time, duration_tok - AV.DUR_BASE, note_tok - AV.NOTE_BASE
+        return (time, 0, REST), [time_tok, AV.DUR_BASE, note_tok]
+    return ((time, duration_tok - AV.DUR_BASE, note_tok - AV.NOTE_BASE),
+            [time_tok, duration_tok, note_tok])
 
 
 def _check_controls(controls: EventSequence) -> None:
@@ -221,6 +240,8 @@ def _generate(
     time, precede it, and enter the history as plain events.
     """
     _check_controls(controls)
+    # every control's context triple, in the vocabulary it is placed with
+    control_tokens = _arrival_triples(_tagged(controls, anticipate)).ravel().tolist()
     rng = np.random.default_rng(config.seed)
     lookahead = config.delta_units if anticipate else 0
     capacity = (predictor.context_length - 1) // 3
@@ -236,9 +257,11 @@ def _generate(
         if 3 * (n + 1) > config.max_tokens:
             truncated = True
             break
-        event = _sample_event(predictor, z, tokens, offset, last_time, rng, config)
-        if event is None:
+        sampled_event = _sample_event(predictor, z, tokens, offset, last_time, rng, config)
+        if sampled_event is None:
             break
+        event, event_tokens = sampled_event
+        released = cursor
         due, cursor = next_anticipated_controls(controls, cursor, event[0], lookahead)
         k = len(due)
         while n + k + 1 > buffer.shape[1]:
@@ -249,7 +272,11 @@ def _generate(
             buffer[:3, controls_at : controls_at + k] = due.columns
             buffer[3, controls_at : controls_at + k] = 1
         n += k + 1
-        tokens, offset = _context_after(tokens, buffer, n, k + 1, capacity, not anticipate)
+        if n < capacity:  # the window has not slid: append the new triples
+            due_tokens = control_tokens[3 * released : 3 * cursor]
+            tokens.extend(event_tokens + due_tokens if anticipate else due_tokens + event_tokens)
+        else:
+            tokens, offset = _context_after(buffer, n, capacity, not anticipate)
         sampled += 1
         last_time = event[0]
     columns = buffer[:, :n]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,6 +113,30 @@ class TestEvent:
 
     def test_end(self):
         assert Event(10, 5, 60).end == 15
+
+    @pytest.mark.parametrize("fields, name", [
+        ((1.7, 0.9, 60.2), "time"),
+        ((1, 0.9, 60), "duration"),
+        ((1, 0, 60.5), "note"),
+        ((math.nan, 0, 60), "time"),
+        ((1, math.inf, 60), "duration"),
+        ((1, 0, "60"), "note"),
+    ])
+    def test_rejects_fields_the_int64_cast_would_change(self, fields, name):
+        with pytest.raises(ValueError, match=f"event {name} must be an integer"):
+            Event(*fields)
+        with pytest.raises(ValueError, match=f"event {name} must be an integer"):
+            EventSequence([Event(*fields)])
+        with pytest.raises(ValueError, match=f"event {name} must be an integer"):
+            InterleavedSequence([TaggedEvent(Event(*fields), control=True)])
+
+    @pytest.mark.parametrize("fields", [
+        (1, 0, 60), (np.int64(1), np.int32(0), np.uint8(60)), (1.0, 0.0, 60.0), (2, 0, REST),
+    ])
+    def test_accepts_integers_and_integral_floats(self, fields):
+        assert EventSequence([Event(*fields)]).columns.tolist() == [[fields[0]], [0], [fields[2]]]
+        items = [TaggedEvent(Event(*fields), control=fields[2] != REST)]
+        assert InterleavedSequence(items).columns[:3].tolist() == [[fields[0]], [0], [fields[2]]]
 
     @pytest.mark.parametrize("item", [Event(0, 1, 60), TaggedEvent(Event(0, 1, 60), True)])
     def test_slotted(self, item):

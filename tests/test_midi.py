@@ -23,8 +23,8 @@ from anticipate.events import (
     DRUM_INSTRUMENT, REST, Event, EventSequence, encode_note, quantize_duration, seconds_to_units,
 )
 from anticipate.midi import (
-    _CHANNEL_MESSAGE_LENGTH, ChannelCapacityError, MidiParseError, _SmpteMap, _TempoMap,
-    parse_midi, write_midi,
+    _CHANNEL_MESSAGE_LENGTH, ChannelCapacityError, DeltaTimeError, MidiParseError, _SmpteMap,
+    _TempoMap, parse_midi, write_midi,
 )
 
 from conftest import random_events
@@ -582,6 +582,19 @@ class TestWrite:
     def test_too_many_melodic_instruments(self):
         seq = EventSequence(Event(i, 10, encode_note(k, 60)) for i, k in enumerate(range(16)))
         with pytest.raises(ChannelCapacityError):
+            write_midi(seq)
+
+    def test_longest_delta_time_roundtrips(self):
+        # 27 000 000 units are 259 200 000 ticks, within a 4-byte delta time
+        seq = EventSequence([Event(0, 10, 60), Event(27_000_000, 10, 60)])
+        assert parse_midi(write_midi(seq)) == seq
+
+    @pytest.mark.parametrize("first", [[], [Event(0, 10, 60)]])
+    def test_delta_time_past_four_bytes_names_the_note(self, first):
+        # 28 000 000 units are 268 800 000 ticks, past 2**28 - 1: a 5-byte
+        # delta time that parse_midi would reject
+        seq = EventSequence(first + [Event(28_000_000, 10, 61)])
+        with pytest.raises(DeltaTimeError, match="note 61 at time 28000000 with duration 10"):
             write_midi(seq)
 
     def test_roundtrip_property(self, rng):

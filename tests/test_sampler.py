@@ -72,6 +72,117 @@ class TestNucleus:
         with pytest.raises(ValueError):
             nucleus_sample(np.full(4, 0.25), 0.0, rng)
 
+    @pytest.mark.parametrize("dist, p", [
+        ([0.25, 0.25, 0.25, 0.25], 1.0),
+        ([0.125, 0.5, 0.125, 0.25], 1.0),
+        ([0.1] * 10, 1.0),
+        ([0.1] * 10, 0.95),
+        ([0.3, 0.1, 0.3, 0.2, 0.1], 0.9),
+    ])
+    def test_draws_on_cumulative_boundaries_match_choice(self, dist, p):
+        # draws exactly on the renormalized cumulative weights, and the
+        # largest draw below 1, pick what Generator.choice picks
+        for draw in (0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 0.875, np.nextafter(1.0, 0.0)):
+            expected = _reference_nucleus_sample(dist, p, _FixedDraws(draw))
+            assert nucleus_sample(dist, p, _FixedDraws(draw)) == expected, draw
+
+    def test_negative_weight_in_the_nucleus_is_rejected(self, rng):
+        # the total is positive, but the running sum of the sorted values
+        # (0.6, 1.0, 1.2, 1.4, 1.2) is not monotone, and the cut-off lands
+        # on the negative weight, which Generator.choice rejected
+        dist = [-0.2, 0.2, 0.2, 0.6, 0.4]
+        with pytest.raises(ValueError, match="Probabilities are not non-negative"):
+            _reference_nucleus_sample(dist, 1.0, rng)
+        with pytest.raises(ValueError, match="nucleus weights must be non-negative"):
+            nucleus_sample(dist, 1.0, rng)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.one_of(st.integers(1, 40), st.sampled_from([1_000, 10_000, 12_000, 16_513])),
+        kind=st.sampled_from(["random", "ties", "spikes", "point", "dirichlet", "zero",
+                              "nonfinite", "negative", "mixed-sign"]),
+        p=st.one_of(st.sampled_from([0.5, 0.9, 0.95, 1.0]), st.floats(0, 1, exclude_min=True)),
+        form=st.sampled_from(["float64", "float32", "list"]),
+    )
+    def test_matches_argsort_and_choice(self, seed, width, kind, p, form):
+        # the same token and the same generator state as ranking by a stable
+        # argsort and drawing with Generator.choice, or the same error type
+        data = np.random.default_rng(seed)
+        dist = _nucleus_case(data, width, kind)
+        dist = dist.astype(np.float32) if form == "float32" else dist
+        dist = dist.tolist() if form == "list" else dist
+        rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+        outcomes = []
+        for sample, rng in zip((_reference_nucleus_sample, nucleus_sample), rngs):
+            try:
+                outcomes.append(sample(dist, p, rng))
+            except Exception as exc:
+                outcomes.append(type(exc))
+        assert outcomes[1] == outcomes[0]
+        assert rngs[1].random() == rngs[0].random()
+
+
+class _FixedDraws(np.random.Generator):
+    """A generator whose ``random()`` returns the given draws in turn;
+    ``Generator.choice`` draws through it too."""
+
+    def __init__(self, *draws: float):
+        super().__init__(np.random.PCG64(0))
+        self.draws = list(draws)
+
+    def random(self, *args, **kwargs):
+        return self.draws.pop(0)
+
+
+def _reference_nucleus_sample(dist, p, rng) -> int:
+    """``nucleus_sample`` as it ranked tokens with a stable argsort and drew
+    with ``Generator.choice``."""
+    if not 0 < p <= 1:
+        raise ValueError("p must be in (0, 1]")
+    dist = np.asarray(dist, dtype=np.float64)
+    total = dist.sum()
+    if total <= 0 or not np.isfinite(total):
+        raise ValueError("cannot sample from an all-zero or invalid distribution")
+    top = int(np.argmax(dist))
+    if dist[top] >= p * total:
+        return top
+    order = np.argsort(-dist, kind="stable")
+    cumulative = np.cumsum(dist[order])
+    cutoff = min(int(np.searchsorted(cumulative, p * total, side="left")), len(order) - 1)
+    support = order[: cutoff + 1]
+    weights = dist[support] / cumulative[cutoff]
+    return int(support[rng.choice(len(support), p=weights / weights.sum())])
+
+
+def _nucleus_case(rng: np.random.Generator, width: int, kind: str) -> np.ndarray:
+    """A distribution of ``width`` weights, unnormalized, of the given ``kind``."""
+    if kind == "random":
+        return rng.random(width) ** rng.uniform(1, 30)
+    if kind == "ties":  # few distinct values, zeros among them
+        return np.round(rng.random(width), int(rng.integers(0, 3)))
+    if kind == "spikes":  # a flat floor under a few large weights
+        dist = np.full(width, rng.uniform(1e-6, 1e-3))
+        dist[rng.integers(0, width, size=int(rng.integers(1, 6)))] = rng.uniform(0.01, 1)
+        return dist
+    if kind == "point":
+        dist = np.zeros(width)
+        dist[rng.integers(width)] = rng.uniform(1e-300, 10)
+        return dist
+    if kind == "dirichlet":
+        return rng.dirichlet(np.full(width, rng.uniform(0.01, 1)))
+    if kind == "zero":
+        return np.zeros(width)
+    if kind == "nonfinite":
+        dist = rng.random(width)
+        dist[rng.integers(width)] = rng.choice([np.nan, np.inf, -np.inf])
+        return dist
+    if kind == "negative":  # one negative weight among positive ones
+        dist = rng.random(width)
+        dist[rng.integers(width)] = -rng.choice([1e-18, 1e-3, 1.0, 1e3])
+        return dist
+    return rng.normal(rng.uniform(-0.5, 1), 1, width)  # mixed signs
+
 
 class TestAnticipatoryReplay:
     def test_reference_ordering(self):
@@ -255,39 +366,51 @@ class TestSlidingContext:
         assert times == [0, 10, 20, 30, 40, 40]
 
 
-def _contexts(items, context_length, plain_controls=False):
-    """The context and its offset after each of ``items`` is placed in a buffer."""
-    buffer = np.array([(it.event.time, it.event.duration, it.event.note, it.control)
-                       for it in items], dtype=np.int64).T.reshape(4, -1)
-    tokens = [AV.SEP] * 3
-    capacity = (context_length - 1) // 3
-    for n in range(1, len(items) + 1):
-        tokens, offset = _context_after(tokens, buffer, n, 1, capacity, plain_controls)
-        yield tokens, offset
+def _buffer(items) -> np.ndarray:
+    """The sampler's column buffer holding ``items``."""
+    return np.array([(it.event.time, it.event.duration, it.event.note, it.control)
+                     for it in items], dtype=np.int64).T.reshape(4, -1)
+
+
+class _RecordingReplay(ReplayPredictor):
+    """Replays the plain-event triples, then a separator, recording every context."""
+
+    def __init__(self, events: EventSequence):
+        super().__init__(encode_arrival(events), AV.SIZE, AV.SEP)
+        self.contexts: list[list[int]] = []
+
+    def next_distribution(self, z, context):
+        self.contexts.append(list(context))
+        return super().next_distribution(z, context)
 
 
 class TestContextWindow:
     def test_holds_at_most_its_capacity(self):
-        items = [TaggedEvent(Event(10 * i, 1, 60)) for i in range(8)]
-        *_, (empty, _) = _contexts(items, 1)  # looks 0 tokens back
-        *_, (window, offset) = _contexts(items, 16)  # 5 triples
-        assert empty == []
+        buffer = _buffer([TaggedEvent(Event(10 * i, 1, 60)) for i in range(8)])
+        assert _context_after(buffer, 8, 0, False) == ([], 0)  # looks 0 tokens back
+        window, offset = _context_after(buffer, 8, 5, False)  # 5 triples
         assert offset == 30  # the window is the last five items
         assert window[0::3] == [AV.TIME_BASE + 10 * i for i in range(5)]
 
     @pytest.mark.parametrize("plain_controls", [False, True])
     def test_long_session_context_is_the_relativized_window(self, rng, plain_controls):
         # 600 events and their controls: the 341-triple window slides after
-        # 340 pushes; every context must equal encode_arrival of the window
-        # (led by a separator until it slides, then shifted by its minimum time)
+        # 340 items; the context before each event's time slot must equal
+        # encode_arrival of the items placed so far (led by a separator until
+        # the window slides, then the window shifted by its minimum time)
         events = random_events(rng, 600, max_gap=30, max_duration=100)
         controls = random_controls(rng, 120, max_time=events.end_time, max_duration=100)
-        placed = list(interleave(events, controls, 500))
+        predictor = _RecordingReplay(events)
+        config = SamplerConfig(delta=5.0, top_p=0.95, seed=0)
+        generate = generate_autoregressive_infill if plain_controls else generate_anticipatory
+        placed = list(generate(predictor, controls, config).sequence)
         items = [TaggedEvent(item.event, item.control and not plain_controls) for item in placed]
-        # a window spanning the 100-second token range still fails as before
-        late = TaggedEvent(Event(min(it.event.time for it in items[-340:]) + 10_000, 1, 60))
-        contexts = _contexts(placed + [late], 1024, plain_controls)
-        for n, (tokens, context_offset) in enumerate(contexts, start=1):
+        event_at = [i for i, item in enumerate(placed) if not item.control]
+        # items placed after the i-th event: up to the next event when the
+        # controls follow it, up to and including it when they precede it
+        placed_after = [i + 1 for i in event_at] if plain_controls else event_at[1:]
+        assert max(placed_after) > 341
+        for i, n in enumerate(placed_after, start=1):
             window = items[max(0, n - 341) : n]
             if n < 341:
                 expected = [AV.SEP] * 3 + encode_arrival(InterleavedSequence(window, check=False))
@@ -296,12 +419,11 @@ class TestContextWindow:
                 shifted = [TaggedEvent(Event(it.event.time - offset, it.event.duration, it.event.note),
                                        it.control) for it in window]
                 expected = encode_arrival(InterleavedSequence(shifted, check=False))
-            assert tokens == expected, n
-            assert context_offset == (0 if n < 341 else offset)
-            if n == len(items):
-                break
+            assert predictor.contexts[3 * i] == expected, n
+        # a window spanning the 100-second token range fails at its last item
+        late = TaggedEvent(Event(min(it.event.time for it in items[-340:]) + 10_000, 1, 60))
         with pytest.raises(TokenError, match=r"exceeds the 100s token range \(index 340\)"):
-            next(contexts)
+            _context_after(_buffer(placed[-340:] + [late]), 341, 341, plain_controls)
 
 
 class TestStripControls:
@@ -431,11 +553,11 @@ def _reference_generate(predictor, controls, config, z, anticipate) -> Generatio
         if 3 * (len(items) + 1) > config.max_tokens:
             truncated = True
             break
-        fields = _sample_event(predictor, z, context.tokens, context.offset, last_time, rng,
-                               config)
-        if fields is None:
+        sampled_event = _sample_event(predictor, z, context.tokens, context.offset, last_time,
+                                      rng, config)
+        if sampled_event is None:
             break
-        event = Event(*fields)
+        event = Event(*sampled_event[0])
         due, cursor = _reference_next_anticipated_controls(controls, cursor, event.time,
                                                            lookahead)
         placed = [TaggedEvent(c, control=True) for c in due]
@@ -481,8 +603,10 @@ class _LongSessions:
         self.model = copy.copy(_small_ngram())
         self.model.context_length = self.context_length = context_length
         self.sep_weight = sep_weight
+        self.contexts: list[list[int]] = []
 
     def next_distribution(self, z, context):
+        self.contexts.append(list(context))
         dist = self.model.next_distribution(z, context)
         dist[AV.SEP] *= self.sep_weight
         return dist
@@ -510,11 +634,11 @@ class TestMatchesObjectLoop:
         controls = EventSequence(sorted((Event(*f) for f in fields), key=lambda e: e.time))
         config = SamplerConfig(delta=2.0, top_p=0.9, max_tokens=max_tokens,
                                grammar_mask=grammar_mask, seed=seed)
-        expected = _outcome(_reference_generate, _LongSessions(context_length, sep_weight),
-                            controls, config, anticipate)
-        actual = _outcome(_generate, _LongSessions(context_length, sep_weight), controls, config,
-                          anticipate)
+        predictors = [_LongSessions(context_length, sep_weight) for _ in range(2)]
+        expected = _outcome(_reference_generate, predictors[0], controls, config, anticipate)
+        actual = _outcome(_generate, predictors[1], controls, config, anticipate)
         assert actual == expected
+        assert predictors[1].contexts == predictors[0].contexts
 
     def test_slid_window_spanning_the_token_range(self):
         # context_length 16 holds 5 triples. Each event lands 99.99 s after
@@ -542,8 +666,23 @@ class TestMatchesObjectLoop:
         with pytest.raises(TokenError) as expected_error:
             reference.push(late[-1])
         with pytest.raises(TokenError) as actual_error:
-            list(_contexts(late, 16))
+            _context_after(_buffer(late), 6, 5, False)
         assert str(actual_error.value) == str(expected_error.value)
+
+    def test_rest_enters_the_context_without_its_duration(self):
+        # a rest sampled with a nonzero duration token is placed with
+        # duration 0, and its context triple carries DUR_BASE
+        steps = [{AV.TIME_BASE + 10: 1.0}, {AV.DUR_BASE + 5: 1.0}, {AV.REST: 1.0},
+                 {AV.TIME_BASE + 20: 1.0}, {AV.DUR_BASE + 1: 1.0}, {AV.NOTE_BASE + 60: 1.0},
+                 {AV.SEP: 1.0}]
+        controls = EventSequence([Event(15, 2, 72)])
+        config = SamplerConfig(delta=5.0, top_p=1.0, seed=0)
+        for anticipate in (True, False):
+            predictors = [_ScriptedPredictor(steps, context_length=1024) for _ in range(2)]
+            expected = _outcome(_reference_generate, predictors[0], controls, config, anticipate)
+            assert _outcome(_generate, predictors[1], controls, config, anticipate) == expected
+            assert predictors[1].contexts == predictors[0].contexts
+            assert predictors[1].contexts[3][3:6] == [AV.TIME_BASE + 10, AV.DUR_BASE, AV.REST]
 
     def test_unbounded_token_budget_ends_at_a_separator(self, rng):
         events = random_events(rng, 40, max_gap=150)
