@@ -24,7 +24,7 @@ for event in twinkle:
 # Arrival-time codec: absolute times, three tokens per event. A training
 # example prefixes the control code (AR here: no anticipated content) and a
 # separator triple.
-arrival = encode_arrival(twinkle, z=ArrivalVocab.AR, leading_sep=True)
+arrival = encode_arrival(twinkle, z=ArrivalVocab.AR)
 print(f"\narrival tokens ({len(arrival)}):\n  {arrival}")
 
 # The triples are context-free: the decoder only needs token ranges.

@@ -24,7 +24,7 @@ from .augment import (
     sample_span_controls,
     split_by_mask,
 )
-from .corpus import CorpusFilters, CorpusManifest, preprocess_corpus, split_for_digest
+from .corpus import CorpusManifest, preprocess_corpus, split_for_digest
 from .events import (
     DRUM_INSTRUMENT,
     REST,

@@ -26,20 +26,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import REST, UNITS_PER_SECOND, EventSequence, InterleavedSequence, _tagged
+from .events import REST, EventSequence, InterleavedSequence, _tagged, seconds_to_units
 
 
-def _check_seconds(name: str, seconds: float) -> None:
-    """Reject a config interval that is not positive, not finite, rounds to
-    no grid unit, or is too long for int64 grid arithmetic (2**62 units or
-    more)."""
+def _check_seconds(name: str, seconds: float) -> int:
+    """A config interval in grid units, by the grid's one rounding rule
+    (:func:`anticipate.events.seconds_to_units`). Rejects an interval that is
+    not positive, not finite, rounds to no grid unit, or is too long for
+    int64 grid arithmetic (2**62 units or more)."""
     if not (math.isfinite(seconds) and seconds > 0):
         raise ValueError(f"{name} must be positive and finite, got {seconds!r}")
-    units = round(seconds * UNITS_PER_SECOND)
+    units = seconds_to_units(seconds)
     if units == 0:
         raise ValueError(f"{name} must be at least one 10 ms grid unit, got {seconds!r} s")
     if units >= 2**62:
         raise ValueError(f"{name} must be under 2**62 grid units, got {seconds!r} s")
+    return units
 
 
 @dataclass(frozen=True)
@@ -59,11 +61,11 @@ class AnticipationConfig:
 
     @property
     def delta_units(self) -> int:
-        return round(self.delta * UNITS_PER_SECOND)
+        return _check_seconds("delta", self.delta)
 
     @property
     def density_units(self) -> int:
-        return round(self.target_density * UNITS_PER_SECOND)
+        return _check_seconds("target_density", self.target_density)
 
 
 def densify(seq: EventSequence, target: int) -> EventSequence:

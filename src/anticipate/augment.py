@@ -2,58 +2,47 @@
 
 Three ways of choosing which events become controls:
 
-* span: mark everything inside windows of ``span_length`` seconds whose
-  starts arrive at exponential rate ``span_rate`` along the time axis (the
-  next gap is drawn from the end of the previous span, so spans never
-  overlap);
+* span: mark everything inside windows of delta seconds (the anticipation
+  interval) whose starts arrive at exponential rate ``SPAN_RATE`` along the
+  time axis (the next gap is drawn from the end of the previous span, so
+  spans never overlap);
 * instrument: mark all events of j instrument parts, j uniform over
   1..J-1 for a sequence with J parts;
 * random: mark each event independently at a rate drawn uniformly from
-  {0.1, ..., 0.9}.
+  ``RANDOM_RATES``, {0.1, ..., 0.9}.
 
-Augmentation emits a fixed composition of copies per sequence (default
-factor 30 = 3 verbatim + 3 span + 12 instrument + 12 random), each masked
-copy densified and interleaved. Randomness derives from (seed, copy index,
-sequence index), so output is deterministic under any execution order.
+Augmentation emits a fixed composition of copies per sequence: the pattern
+mixture ``WEIGHTS`` times the factor (default 30 = 3 verbatim + 3 span + 12
+instrument + 12 random), each masked copy densified and interleaved. The
+rate, the rates and the weights are constants of the recipe; only the factor
+is set per run. Randomness derives from (seed, copy index, sequence index),
+so output is deterministic under any execution order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .anticipation import AnticipationConfig, _check_seconds, densify, interleave
+from .anticipation import AnticipationConfig, densify, interleave
 from .events import NUM_PITCHES, REST, UNITS_PER_SECOND, EventSequence, InterleavedSequence
 
 PATTERNS = ("none", "span", "instrument", "random")
+WEIGHTS = (0.10, 0.10, 0.40, 0.40)  # share of the copies per pattern
+SPAN_RATE = 0.05  # span starts per second
 RANDOM_RATES = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 
 @dataclass(frozen=True)
 class AugmentationPolicy:
-    span_rate: float = 0.05  # span starts per second
-    span_length: float = 5.0  # seconds; matches the anticipation interval
-    random_rates: tuple[float, ...] = RANDOM_RATES
-    weights: tuple[float, float, float, float] = (0.10, 0.10, 0.40, 0.40)
     factor: int = 30
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.span_rate) and self.span_rate > 0):
-            raise ValueError(f"span_rate must be positive and finite, got {self.span_rate!r}")
-        _check_seconds("span_length", self.span_length)
-        rates = self.random_rates
-        if not rates or not all(0 <= rate <= 1 for rate in rates):
-            raise ValueError(f"random_rates must be non-empty, each in [0, 1], got {rates!r}")
         if self.factor < 1:
             raise ValueError(f"factor must be at least 1, got {self.factor}")
-        if min(self.weights) < 0:
-            raise ValueError(f"weights must be non-negative, got {self.weights}")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError("mixture weights must sum to 1")
-        for pattern, weight in zip(PATTERNS, self.weights):
+        for pattern, weight in zip(PATTERNS, WEIGHTS):
             count = weight * self.factor
             if abs(count - round(count)) > 1e-9:
                 raise ValueError(
@@ -62,7 +51,7 @@ class AugmentationPolicy:
 
     def composition(self) -> dict[str, int]:
         """Copies per pattern; values sum to the augmentation factor."""
-        return {p: round(w * self.factor) for p, w in zip(PATTERNS, self.weights)}
+        return {p: round(w * self.factor) for p, w in zip(PATTERNS, WEIGHTS)}
 
     def copy_patterns(self) -> list[str]:
         """The pattern of each dataset copy, in copy-index order."""
@@ -72,15 +61,14 @@ class AugmentationPolicy:
         return out
 
 
-def draw_span_starts(
-    total_seconds: float, rate: float, length: float, rng: np.random.Generator
-) -> list[float]:
-    """Span start times over [0, total_seconds]: exponential gaps along the
-    time axis, each drawn from the end of the previous span."""
+def draw_span_starts(total_seconds: float, length: float, rng: np.random.Generator) -> list[float]:
+    """Span start times over [0, total_seconds]: exponential gaps at
+    ``SPAN_RATE`` along the time axis, each drawn from the end of the
+    previous span."""
     starts: list[float] = []
     position = 0.0
     while True:
-        start = position + rng.exponential(1.0 / rate)
+        start = position + rng.exponential(1.0 / SPAN_RATE)
         if start > total_seconds:
             return starts
         starts.append(start)
@@ -98,18 +86,12 @@ def span_mask(seq: EventSequence, starts: list[float], length: float) -> np.ndar
     return mask
 
 
-def sample_span_controls(
-    seq: EventSequence,
-    rng: np.random.Generator,
-    *,
-    rate: float = 0.05,
-    length: float = 5.0,
-) -> np.ndarray:
-    """Mark consecutive runs of events covered by sampled time spans."""
+def sample_span_controls(seq: EventSequence, rng: np.random.Generator, length: float) -> np.ndarray:
+    """Mark consecutive runs of events covered by sampled spans of ``length`` seconds."""
     if not len(seq):
         return np.zeros(0, dtype=bool)
     total = int(seq.columns[0, -1]) / UNITS_PER_SECOND
-    return span_mask(seq, draw_span_starts(total, rate, length, rng), length)
+    return span_mask(seq, draw_span_starts(total, length, rng), length)
 
 
 def sample_instrument_controls(
@@ -129,16 +111,11 @@ def sample_instrument_controls(
     return (notes != REST) & np.isin(notes // NUM_PITCHES, chosen)
 
 
-def sample_random_controls(
-    seq: EventSequence,
-    rng: np.random.Generator,
-    *,
-    rates: tuple[float, ...] = RANDOM_RATES,
-) -> np.ndarray:
-    """Mark each event independently at a rate drawn uniformly from ``rates``."""
+def sample_random_controls(seq: EventSequence, rng: np.random.Generator) -> np.ndarray:
+    """Mark each event independently at a rate drawn uniformly from ``RANDOM_RATES``."""
     if not len(seq):
         return np.zeros(0, dtype=bool)
-    rate = rates[int(rng.integers(len(rates)))]
+    rate = RANDOM_RATES[int(rng.integers(len(RANDOM_RATES)))]
     mask = rng.random(len(seq)) < rate
     return mask & (seq.columns[2] != REST)
 
@@ -166,32 +143,30 @@ def _rng_for(seed: int, copy_index: int, sequence_index: int) -> np.random.Gener
 def augment_sequence(
     seq: EventSequence,
     pattern: str,
-    policy: AugmentationPolicy,
     config: AnticipationConfig,
     rng: np.random.Generator,
 ) -> tuple[str, InterleavedSequence]:
     """Apply one anticipation pattern: mask, densify the events, interleave.
 
-    Returns the applied pattern (instrument anticipation falls back to
-    random for single-part sequences) and the interleaved copy.
+    Spans are ``config.delta`` seconds long. Returns the applied pattern
+    (instrument anticipation falls back to random for single-part sequences)
+    and the interleaved copy.
     """
     mask: np.ndarray | None
     if pattern == "none":
-        mask = np.zeros(len(seq), dtype=bool)
-    elif pattern == "span":
-        mask = sample_span_controls(seq, rng, rate=policy.span_rate, length=policy.span_length)
+        return pattern, InterleavedSequence.from_events(seq)
+    if pattern == "span":
+        mask = sample_span_controls(seq, rng, config.delta)
     elif pattern == "instrument":
         mask = sample_instrument_controls(seq, rng)
         if mask is None:
             pattern = "random"
-            mask = sample_random_controls(seq, rng, rates=policy.random_rates)
+            mask = sample_random_controls(seq, rng)
     elif pattern == "random":
-        mask = sample_random_controls(seq, rng, rates=policy.random_rates)
+        mask = sample_random_controls(seq, rng)
     else:
         raise ValueError(f"unknown anticipation pattern {pattern!r}")
 
-    if pattern == "none":
-        return pattern, InterleavedSequence.from_events(seq)
     events, controls = split_by_mask(seq, mask)
     dense = densify(events, config.density_units)
     return pattern, interleave(dense, controls, config.delta_units)
@@ -208,10 +183,10 @@ def augment_corpus(
     Copy 0..factor-1 each traverse the whole corpus, so the output is the
     stated composition of dataset copies. Deterministic for a given seed.
     """
-    config = config or AnticipationConfig(delta=policy.span_length)
+    config = config or AnticipationConfig()
     seqs = list(sequences)
     for copy_index, pattern in enumerate(policy.copy_patterns()):
         for sequence_index, seq in enumerate(seqs):
             rng = _rng_for(seed, copy_index, sequence_index)
-            applied, interleaved = augment_sequence(seq, pattern, policy, config, rng)
+            applied, interleaved = augment_sequence(seq, pattern, config, rng)
             yield AugmentedCopy(sequence_index, copy_index, applied, interleaved)

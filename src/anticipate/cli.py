@@ -106,7 +106,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("output", nargs="?", default="-")
     p.add_argument("--factor", type=int, default=AugmentationPolicy.factor)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta", type=float, default=AnticipationConfig.delta)
+    p.add_argument("--delta", type=float, default=AnticipationConfig.delta,
+                   help="anticipation interval and span length in seconds")
     p.add_argument("--target-density", type=float, default=AnticipationConfig.target_density)
     p.add_argument("--labels", default=None, help="sidecar label file (default OUTPUT.labels)")
     p.add_argument("--pack", action="store_true",
@@ -208,11 +209,7 @@ def _cmd_tokenize(args) -> int:
         rows = [list(ex.tokens) for ex in result.examples]
     elif args.codec == "arrival":
         rows = [
-            encode_arrival(
-                s,
-                z=None if args.raw else (AV.AAR if s.has_controls else AV.AR),
-                leading_sep=not args.raw,
-            )
+            encode_arrival(s, z=None if args.raw else (AV.AAR if s.has_controls else AV.AR))
             for s in sequences
         ]
     else:
@@ -266,7 +263,7 @@ def _cmd_interleave(args) -> int:
 
 def _cmd_augment(args) -> int:
     config = AnticipationConfig(delta=args.delta, target_density=args.target_density)
-    policy = AugmentationPolicy(factor=args.factor, span_length=args.delta)
+    policy = AugmentationPolicy(factor=args.factor)
     with _open_in(args.input) as f:
         sequences = [s.events() for s in read_events(f)]
     copies = list(augment_corpus(sequences, policy, args.seed, config))

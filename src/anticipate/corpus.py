@@ -1,9 +1,11 @@
 """Corpus preprocessing: parse a directory of MIDI files, apply acceptance
 filters, split by content hash, and write accepted sequences as event text.
 
-Filters mirror the dataset recipe this toolkit targets: drop files that fail
-to parse, sequences shorter than 100 events or 10 seconds, sequences longer
-than one hour, and sequences with more than 16 distinct instrument parts.
+The filters are constants of the dataset recipe this toolkit targets: drop
+files that fail to parse, sequences shorter than ``MIN_EVENTS`` (100) events
+or ``MIN_SECONDS`` (10) seconds, sequences longer than ``MAX_SECONDS`` (one
+hour), and sequences with more than ``MAX_PARTS`` (16) distinct instrument
+parts.
 The split is a pure function of the file's MD5 digest: leading hex digits
 0-d go to train, e to validation, f to test (14:1:1 in expectation).
 """
@@ -27,6 +29,11 @@ SPLITS = ("train", "valid", "test")
 
 MANIFEST_HEADER = "id md5 split events seconds parts reason"
 
+MIN_EVENTS = 100
+MIN_SECONDS = 10.0
+MAX_SECONDS = 3600.0
+MAX_PARTS = 16
+
 
 def split_for_digest(md5_hex: str) -> str:
     """Map an MD5 hex digest to its split by leading hex digit."""
@@ -38,14 +45,6 @@ def split_for_digest(md5_hex: str) -> str:
     if digit == "f":
         return "test"
     raise ValueError(f"not a hex digest: {md5_hex!r}")
-
-
-@dataclass
-class CorpusFilters:
-    min_events: int = 100
-    min_seconds: float = 10.0
-    max_seconds: float = 3600.0
-    max_parts: int = 16
 
 
 @dataclass
@@ -81,16 +80,16 @@ class CorpusManifest:
             f.write(entry.to_row() + "\n")
 
 
-def check_sequence(seq: EventSequence, filters: CorpusFilters) -> str | None:
+def check_sequence(seq: EventSequence) -> str | None:
     """Return a rejection reason for a parsed sequence, or None if accepted."""
-    if len(seq) < filters.min_events:
+    if len(seq) < MIN_EVENTS:
         return "too-short-events"
     seconds = seq.end_time / UNITS_PER_SECOND
-    if seconds < filters.min_seconds:
+    if seconds < MIN_SECONDS:
         return "too-short-duration"
-    if seconds > filters.max_seconds:
+    if seconds > MAX_SECONDS:
         return "too-long"
-    if len(seq.instruments()) > filters.max_parts:
+    if len(seq.instruments()) > MAX_PARTS:
         return "too-many-parts"
     return None
 
@@ -100,11 +99,7 @@ def discover_midi_files(directory: Path) -> list[Path]:
     return sorted(paths)
 
 
-def preprocess_corpus(
-    directory: str | Path,
-    out_dir: str | Path,
-    filters: CorpusFilters | None = None,
-) -> CorpusManifest:
+def preprocess_corpus(directory: str | Path, out_dir: str | Path) -> CorpusManifest:
     """Ingest a directory of MIDI files into split event-text files.
 
     Writes ``train.txt``, ``valid.txt``, ``test.txt`` and ``manifest.tsv``
@@ -113,7 +108,6 @@ def preprocess_corpus(
     """
     directory = Path(directory)
     out_dir = Path(out_dir)
-    filters = filters or CorpusFilters()
     if not directory.is_dir():
         raise NotADirectoryError(f"not a readable directory: {directory}")
     paths = discover_midi_files(directory)
@@ -137,7 +131,7 @@ def preprocess_corpus(
             log.info("failed to parse %s: %s", path, exc)
             manifest.entries.append(ManifestEntry(file_id, md5, split, 0, 0.0, 0, "unparseable"))
             continue
-        reason = check_sequence(seq, filters)
+        reason = check_sequence(seq)
         entry = ManifestEntry(
             file_id,
             md5,

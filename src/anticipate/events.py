@@ -259,7 +259,6 @@ class InterleavedSequence(_Sequence):
 
     Plain-event times are non-decreasing among themselves, and control times
     are non-decreasing among themselves; the two streams interleave freely.
-    Set ``check=False`` to skip validation (e.g. for unmasked model output).
     """
 
     __slots__ = ()
@@ -268,12 +267,11 @@ class InterleavedSequence(_Sequence):
     def _item(time: int, duration: int, note: int, control: int) -> TaggedEvent:
         return TaggedEvent(Event(time, duration, note), control != 0)
 
-    def __init__(self, items: Iterable[TaggedEvent] = (), *, check: bool = True):
+    def __init__(self, items: Iterable[TaggedEvent] = ()):
         columns = _array(
             [(x.event.time, x.event.duration, x.event.note, x.control) for x in items], 4
         )
-        if check:
-            self._check(columns)
+        self._check(columns)
         self._store(columns)
 
     @staticmethod

@@ -126,7 +126,7 @@ def run_checks() -> list[GoldenCheck]:
     check("note-codec", encode_note(0, 60), 60)
     check(
         "arrival-encode",
-        encode_arrival(twinkle, z=AV.AR, leading_sep=True),
+        encode_arrival(twinkle, z=AV.AR),
         TWINKLE_ARRIVAL_TOKENS,
     )
     check(

@@ -136,18 +136,16 @@ def cross_entropy(
     predictor: Predictor,
     rows: Iterable[Sequence[int]],
     codec: str,
-    *,
-    z: int | None = None,
 ) -> LossReport:
     """Accumulate per-token negative log-likelihood over token rows.
 
     Rows may carry a leading control code, which conditions the predictor
-    and is excluded from the loss; otherwise ``z`` applies (defaulting to
-    the no-anticipation code for the arrival codec). A zero-probability
-    ground-truth token is recorded in ``infinite_positions``.
+    and is excluded from the loss; otherwise arrival rows are scored under
+    the no-anticipation code AR and interarrival rows under none. A
+    zero-probability ground-truth token is recorded in
+    ``infinite_positions``.
     """
-    if codec == "arrival" and z is None:
-        z = AV.AR
+    z = AV.AR if codec == "arrival" else None
     report = LossReport(codec)
     for row_index, row in enumerate(rows):
         tokens = list(row)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import zipfile
 from collections import Counter
 from collections.abc import Mapping
@@ -32,6 +33,8 @@ BACKOFF_WEIGHT = 0.4  # mass given to the next-lower order at each level
 MODEL_FORMAT_VERSION = 1
 KEY_LIMIT = 2**63  # n-gram keys are int64, so vocab_size ** order may not exceed this
 _STORED = ("keys", "offsets", "tokens", "counts")  # per-level arrays in a model file
+_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                       (2, 0): np.lib.format.read_array_header_2_0}
 
 
 class ModelFileError(ValueError):
@@ -220,13 +223,42 @@ class NGramModel:
         """
         with open(path, "rb") as f:
             try:
-                data = np.load(f, allow_pickle=False)
-                arrays = dict(data.items()) if isinstance(data, np.lib.npyio.NpzFile) else None
-            except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+                arrays = _read_npz(f, os.fstat(f.fileno()).st_size)
+            # zipfile raises NotImplementedError and RuntimeError for archive
+            # features it does not read, such as encrypted members
+            except (ValueError, OSError, EOFError, zipfile.BadZipFile, NotImplementedError,
+                    RuntimeError) as exc:
                 raise ModelFileError(f"{path}: not a readable .npz model file ({exc})") from exc
-        if arrays is None:
-            raise ModelFileError(f"{path}: not an .npz model file")
         return _model_from_arrays(arrays, path)
+
+
+def _read_npz(f, size: int) -> dict[str, np.ndarray]:
+    """The arrays of an ``.npz`` archive of ``size`` bytes, without pickles.
+
+    Members must be stored uncompressed, as ``save`` writes them. Each
+    member's ``.npy`` header is read before its array, and together the
+    arrays may declare no more bytes than the archive holds, so a forged
+    header cannot make the reader allocate more memory than the file's size.
+    """
+    arrays = {}
+    declared = 0
+    with zipfile.ZipFile(f) as archive:
+        for info in archive.infolist():
+            name = info.filename
+            if info.compress_type != zipfile.ZIP_STORED:
+                raise ValueError(f"{name}: compressed member")
+            with archive.open(info) as member:
+                version = np.lib.format.read_magic(member)
+                if version not in _NPY_HEADER_READERS:
+                    raise ValueError(f"{name}: unsupported .npy format version {version}")
+                shape, _, dtype = _NPY_HEADER_READERS[version](member)
+                declared += math.prod(shape) * dtype.itemsize
+                if declared > size:
+                    raise ValueError(f"{name}: arrays declare more than the file's {size} bytes")
+                member.seek(0)
+                array = np.lib.format.read_array(member, allow_pickle=False)
+            arrays[name.removesuffix(".npy")] = array
+    return arrays
 
 
 def _model_from_arrays(arrays: dict[str, np.ndarray], path) -> NGramModel:
@@ -277,6 +309,8 @@ def train_ngram(
 
     Every n-gram of every order is counted at once: ``np.unique`` over the
     mixed-radix keys of (context, token), contexts never crossing a row.
+    Contexts as long as the longest row or longer were never seen; those
+    levels stay the untrained model's one shared empty level.
     """
     model = NGramModel(order, alpha, vocab_size)
     rows = list(corpus)
@@ -296,7 +330,7 @@ def train_ngram(
     position = np.arange(n_tokens) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     context = np.zeros(n_tokens, dtype=np.int64)  # key of the k tokens before each position
     levels = []
-    for k in range(order):
+    for k in range(min(order, int(lengths.max()))):
         if k:
             context[1:] = context[:-1] * vocab_size + flat[:-1]
         counted = position >= k
@@ -305,7 +339,7 @@ def train_ngram(
         contexts, tokens = np.divmod(grams, vocab_size)
         starts = np.flatnonzero(np.diff(contexts, prepend=-1))
         levels.append(_Level.of(contexts[starts], np.append(starts, len(grams)), tokens, counts))
-    model._set_levels(levels)
+    model._set_levels(levels + model._levels[len(levels):])
     return model
 
 
@@ -325,9 +359,6 @@ class ReplayPredictor:
         self.cursor = 0
         self._buffer = np.zeros(vocab_size, dtype=np.float64)
         self._hot: int | None = None
-
-    def reset(self) -> None:
-        self.cursor = 0
 
     def next_distribution(self, z: int | None, context: Sequence[int]) -> np.ndarray:
         if self.cursor < len(self.tokens):

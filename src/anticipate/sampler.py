@@ -39,7 +39,7 @@ import numpy as np
 
 from .anticipation import _check_seconds, next_anticipated_controls
 from .events import (
-    MAX_TIME_UNITS, REST, UNITS_PER_SECOND, EventSequence, InterleavedSequence, _tagged,
+    MAX_TIME_UNITS, REST, EventSequence, InterleavedSequence, _tagged,
 )
 from .predictor import Predictor
 from .tokenizer import _arrival_triples
@@ -65,7 +65,7 @@ class SamplerConfig:
 
     @property
     def delta_units(self) -> int:
-        return round(self.delta * UNITS_PER_SECOND)
+        return _check_seconds("delta", self.delta)
 
 
 @dataclass
@@ -291,17 +291,15 @@ def generate_anticipatory(
     predictor: Predictor,
     controls: EventSequence,
     config: SamplerConfig,
-    z: int | None = None,
 ) -> GenerationResult:
     """Anticipatory sampling: surface each control within ``delta`` of the
     events being generated, at positions decidable from the prefix alone.
 
-    ``z`` defaults to AAR when controls are present and AR otherwise. The
+    The control code is AAR when controls are present and AR otherwise. The
     returned sequence interleaves sampled events with all the controls;
     take its ``events()`` or split/sort it depending on the task.
     """
-    if z is None:
-        z = AV.AAR if len(controls) else AV.AR
+    z = AV.AAR if len(controls) else AV.AR
     return _generate(predictor, controls, config, z, anticipate=True)
 
 

@@ -105,20 +105,18 @@ def encode_arrival(
     seq: InterleavedSequence | EventSequence,
     *,
     z: int | None = None,
-    leading_sep: bool = False,
 ) -> list[int]:
     """Encode an interleaved sequence as arrival-codec tokens.
 
-    ``z`` (AR or AAR) and ``leading_sep`` prepend the training-example
-    preamble; by default the raw 3-per-item token list is returned.
+    A control code ``z`` (AR or AAR) prepends the training-example preamble:
+    ``z`` and one SEP triple. By default the raw 3-per-item token list is
+    returned.
     """
     tokens: list[int] = []
     if z is not None:
         if z not in (AV.AR, AV.AAR):
             raise TokenError(f"control code must be AR or AAR, got {z}")
-        tokens.append(z)
-    if leading_sep:
-        tokens.extend([AV.SEP] * 3)
+        tokens.extend([z, AV.SEP, AV.SEP, AV.SEP])
     tokens.extend(_arrival_triples(_as_interleaved(seq).columns).ravel().tolist())
     return tokens
 
@@ -363,10 +361,14 @@ def read_tokens(f: IO[str]) -> tuple[str, list[list[int]]]:
     match = _HEADER_RE.match(header.strip())
     if not match:
         raise TokenError(f"missing or malformed token file header: {header!r}")
-    codec = match.group(1)
+    codec, vocab = match.groups()
     size = CODEC_VOCABS[codec].SIZE
-    if int(match.group(2)) != size:
-        raise TokenError(f"vocab size {match.group(2)} does not match codec {codec}")
+    try:
+        matches = int(vocab) == size
+    except ValueError as exc:  # more digits than ``int`` converts
+        raise TokenError(f"vocab size of {len(vocab)} digits does not match codec {codec}") from exc
+    if not matches:
+        raise TokenError(f"vocab size {vocab} does not match codec {codec}")
     rows = []
     for lineno, line in enumerate(f, start=2):
         fields = line.split()

@@ -59,6 +59,13 @@ def random_events(
     return EventSequence(events)
 
 
+def unchecked_interleaved(items) -> InterleavedSequence:
+    """``items`` as an interleaved sequence without the per-stream time-order
+    check, the way decoders and the sampler build one from their own columns."""
+    rows = [(x.event.time, x.event.duration, x.event.note, x.control) for x in items]
+    return InterleavedSequence._of(np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy())
+
+
 def random_controls(
     rng: np.random.Generator, k: int, *, max_time: int, max_duration: int = 300
 ) -> EventSequence:

@@ -68,7 +68,7 @@ def uniform_time_events(rng, n, span=9000, durations=1000):
 
 
 def test_criterion_1_golden_arrival_tokenization():
-    tokens = encode_arrival(golden.twinkle_events(), z=AV.AR, leading_sep=True)
+    tokens = encode_arrival(golden.twinkle_events(), z=AV.AR)
     assert tokens == golden.TWINKLE_ARRIVAL_TOKENS  # bit-exact, 46 integers
     assert decode_arrival(tokens) == [InterleavedSequence.from_events(golden.twinkle_events())]
     report(1, "arrival tokenization reproduces the 46-token vector and round-trips")
@@ -130,7 +130,7 @@ def test_criterion_5_round_trip_suite():
         events = random_events(rng, int(rng.integers(0, 25)), max_gap=120)
         mask = rng.random(len(events)) < 0.3
         seq = InterleavedSequence(
-            [TaggedEvent(e, control=bool(m)) for e, m in zip(events, mask)], check=False
+            [TaggedEvent(e, control=bool(m)) for e, m in zip(events, mask)]
         )
         assert decode_arrival(encode_arrival(seq)) == [seq]
     for _ in range(10_000):

@@ -19,7 +19,9 @@ from anticipate.anticipation import (
     sort_order_interleave,
     split_and_sort,
 )
-from anticipate.events import REST, Event, EventSequence, InterleavedSequence, TaggedEvent
+from anticipate.events import (
+    REST, Event, EventSequence, InterleavedSequence, TaggedEvent, seconds_to_units,
+)
 
 from conftest import event_sort_key, random_controls, random_events
 
@@ -220,6 +222,10 @@ class TestConfig:
     def test_unit_conversion(self):
         config = AnticipationConfig(delta=5.0, target_density=1.0)
         assert config.delta_units == 500 and config.density_units == 100
+        # half a unit rounds away from zero, as event times do in seconds_to_units
+        for seconds, units in ((0.125, 13), (0.025, 3), (0.005, 1)):
+            config = AnticipationConfig(delta=seconds, target_density=seconds)
+            assert config.delta_units == config.density_units == units == seconds_to_units(seconds)
 
     @pytest.mark.parametrize("kwargs", [{"delta": 0.0}, {"target_density": -1.0}])
     def test_rejects_nonpositive(self, kwargs):
@@ -236,8 +242,9 @@ class TestConfig:
     def test_rejects_interval_below_one_grid_unit(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be at least one 10 ms grid unit"):
             AnticipationConfig(**{field: 0.004})
-        config = AnticipationConfig(**{field: 0.01})
-        assert (config.delta_units if field == "delta" else config.density_units) == 1
+        for seconds in (0.005, 0.01):  # 0.005 s is half a unit and rounds up to one
+            config = AnticipationConfig(**{field: seconds})
+            assert (config.delta_units if field == "delta" else config.density_units) == 1
 
 
 def test_rest_events_never_marked_as_controls(rng):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from anticipate import golden
@@ -191,7 +193,7 @@ class TestConfigValues:
     ])
     def test_sample_rejects_config(self, tmp_path, rng, capsys, option, value):
         model = tmp_path / "model.npz"
-        rows = [encode_arrival(random_events(rng, 20), z=AV.AR, leading_sep=True)]
+        rows = [encode_arrival(random_events(rng, 20), z=AV.AR)]
         train_ngram(rows, order=2, alpha=0.01, vocab_size=AV.SIZE).save(model)
         assert run("sample", "--model", str(model), option, value, "-") == 2
         field = option[2:].replace("-", "_")
@@ -264,6 +266,22 @@ class TestPipeline:
         )
         parse_midi(midi_out.read_bytes())  # must be a valid file
 
+    def test_augment_delta_output_pinned(self, tmp_path):
+        # sha256 of the token and label files, computed when the span length
+        # was a policy field that the command set to --delta
+        rng = np.random.default_rng(2024)
+        corpus = tmp_path / "corpus.txt"
+        with open(corpus, "w") as f:
+            write_events(f, [random_events(rng, 60, max_gap=40, n_instruments=int(rng.integers(1, 4)),
+                                           start_at_zero=True) for _ in range(6)])
+        tokens = tmp_path / "out.tok"
+        assert run("augment", "--delta", "2.5", "--factor", "10", "--seed", "3",
+                   str(corpus), str(tokens)) == 0
+        assert hashlib.sha256(tokens.read_bytes()).hexdigest() == (
+            "231bdd72bc2c53222f7a54a1bee8150659611fcc9c8e61295874351e380db75b")
+        assert hashlib.sha256((tmp_path / "out.tok.labels").read_bytes()).hexdigest() == (
+            "ad6963bb33b6505b70bb21d7754c1060469714db6b2612a470f1a4774c82ebc5")
+
     def test_idempotent_given_seed(self, corpus_file, tmp_path):
         a, b = tmp_path / "a.tok", tmp_path / "b.tok"
         for target in (a, b):
@@ -274,7 +292,7 @@ class TestPipeline:
         # every item of every sequence is a control, flags dropped; equal
         # times keep file order (62 before 61)
         model = tmp_path / "model.npz"
-        rows = [encode_arrival(random_events(rng, 40), z=AV.AR, leading_sep=True)]
+        rows = [encode_arrival(random_events(rng, 40), z=AV.AR)]
         train_ngram(rows, order=2, alpha=0.01, vocab_size=AV.SIZE).save(model)
         split = tmp_path / "split.txt"
         split.write_text("300 10 62\nC 500 5 64\n\n100 10 60\n300 20 61\n")
@@ -348,7 +366,7 @@ class TestConfigChecks:
     @pytest.fixture
     def model_file(self, tmp_path, rng) -> Path:
         model = tmp_path / "model.npz"
-        rows = [encode_arrival(random_events(rng, 60), z=AV.AR, leading_sep=True)]
+        rows = [encode_arrival(random_events(rng, 60), z=AV.AR)]
         train_ngram(rows, order=2, alpha=0.01, vocab_size=AV.SIZE).save(model)
         return model
 

@@ -55,7 +55,7 @@ class TestCrossEntropy:
         assert report.nats_control == pytest.approx(3 * math.log(55_028))
 
     def test_sep_reported_separately(self):
-        row = encode_arrival(golden.twinkle_events(), z=AV.AR, leading_sep=True)
+        row = encode_arrival(golden.twinkle_events(), z=AV.AR)
         report = cross_entropy(UniformPredictor(AV.SIZE), [row], "arrival")
         assert report.n_sep_tokens == 3
         assert report.n_events == 14  # z excluded entirely
@@ -85,8 +85,7 @@ class TestCrossEntropy:
         from anticipate.tokenizer import pack_training_examples
 
         seq = InterleavedSequence(
-            [TaggedEvent(Event(i * 10, 1, 60), control=bool(i % 2)) for i in range(340)],
-            check=False,
+            [TaggedEvent(Event(i * 10, 1, 60), control=bool(i % 2)) for i in range(340)]
         )
         example = pack_training_examples([seq]).examples[0]
         assert example.z == AV.AAR

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from anticipate import golden
 from anticipate.corpus import (
     MANIFEST_HEADER,
-    CorpusFilters,
     check_sequence,
     preprocess_corpus,
     split_for_digest,
@@ -631,24 +630,24 @@ class TestSplits:
 class TestFilters:
     def test_too_short_events(self, rng):
         seq = random_events(rng, 99, max_gap=50)
-        assert check_sequence(seq, CorpusFilters()) == "too-short-events"
+        assert check_sequence(seq) == "too-short-events"
 
     def test_hundred_events_pass(self, rng):
         seq = random_events(rng, 100, max_gap=50, max_duration=200)
-        assert check_sequence(seq, CorpusFilters()) is None
+        assert check_sequence(seq) is None
 
     def test_too_short_duration(self):
         seq = EventSequence([Event(i, 1, 60) for i in range(120)])
-        assert check_sequence(seq, CorpusFilters()) == "too-short-duration"
+        assert check_sequence(seq) == "too-short-duration"
 
     def test_too_long(self):
         # 61 minutes
         seq = EventSequence(Event(i * 2000, 10, 60) for i in range(61 * 3600 // 20))
-        assert check_sequence(seq, CorpusFilters()) == "too-long"
+        assert check_sequence(seq) == "too-long"
 
     def test_too_many_parts(self):
-        seq = EventSequence(Event(i * 100, 10, encode_note(k, 60)) for i, k in enumerate(range(17)))
-        assert check_sequence(seq, CorpusFilters(min_events=1, min_seconds=0)) == "too-many-parts"
+        seq = EventSequence(Event(i * 10, 10, encode_note(i % 17, 60)) for i in range(170))
+        assert check_sequence(seq) == "too-many-parts"
 
 
 class TestPreprocess:

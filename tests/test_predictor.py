@@ -8,6 +8,7 @@ import io
 import pickle
 import sys
 import time
+import zipfile
 from collections import Counter
 
 import numpy as np
@@ -193,6 +194,19 @@ class TestNGram:
         assert model.totals[2].get((3, 4), 0) == 0  # contexts never cross rows
         assert NGramModel(order=2, alpha=0.1, vocab_size=10).totals[0].get((), 0) == 0
 
+    def test_levels_past_the_longest_row_are_the_shared_empty_level(self, rng):
+        rows = markov_corpus(rng, 12, 5, 6) + [[1, 2, 3]]
+        model = train_ngram(rows, order=9, alpha=0.1, vocab_size=12)
+        exact = train_ngram(rows, order=6, alpha=0.1, vocab_size=12)  # one level per row position
+        for k in range(6):
+            assert dict(model.counts[k]) == dict(exact.counts[k]) != {}
+        shared = model._levels[6]
+        assert len(shared.keys) == len(shared.tokens) == 0
+        assert all(level is shared for level in model._levels[6:])
+        start = time.perf_counter()
+        train_ngram([[0, 0, 0]], order=20_000, alpha=1.0, vocab_size=1)
+        assert time.perf_counter() - start < 0.5
+
 
 class TestNGramReference:
     """The array model against the dict-of-Counters reference: equal counts,
@@ -354,6 +368,87 @@ class TestModelFile:
         with pytest.raises(ModelFileError):
             NGramModel.load(path)
 
+    def test_huge_declared_shape_allocates_nothing(self, saved):
+        _, path = saved
+        path.write_bytes(_edit_header(path.read_bytes(), "keys1.npy", shape=(10**15,)))
+        with pytest.raises(ModelFileError, match="declare more than the file"):
+            NGramModel.load(path)
+
+
+def _edit_header(archive: bytes, member: str, **header) -> bytes:
+    """``archive`` with one ``.npy`` header's fields replaced, its data kept."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(archive)) as old, zipfile.ZipFile(out, "w") as new:
+        for name in old.namelist():
+            data = old.read(name)
+            if name == member:
+                f = io.BytesIO(data)
+                np.lib.format.read_magic(f)
+                shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
+                fields = {"descr": np.lib.format.dtype_to_descr(dtype),
+                          "fortran_order": fortran_order, "shape": shape, **header}
+                edited = io.BytesIO()
+                np.lib.format.write_array_header_1_0(edited, fields)
+                data = edited.getvalue() + f.read()
+            new.writestr(name, data)
+    return out.getvalue()
+
+
+def _load_outcome(path):
+    try:
+        NGramModel.load(path)
+    except ModelFileError:
+        return "rejected"
+    return "loaded"
+
+
+@pytest.fixture(scope="module")
+def model_bytes(tmp_path_factory):
+    model = train_ngram(markov_corpus(np.random.default_rng(5), 12, 6, 20),
+                        order=2, alpha=0.1, vocab_size=12)
+    path = tmp_path_factory.mktemp("model") / "model.npz"
+    model.save(path)
+    return path.read_bytes()
+
+
+_MEMBERS = [f"{name}.npy" for name in ("version", "order", "alpha", "vocab_size",
+                                        "context_length")] + [
+    f"{name}{k}.npy" for name in ("keys", "offsets", "tokens", "counts") for k in range(2)]
+
+
+class TestModelFileFuzz:
+    """Every damaged model file loads or raises ``ModelFileError``; none
+    allocates more than the file holds. Files are a few kilobytes, and the
+    byte budget bounds each example's arrays to that size."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 2**20), min_size=1, max_size=8))
+    def test_bit_flips(self, tmp_path_factory, model_bytes, positions):
+        data = bytearray(model_bytes)
+        for position in positions:
+            data[position // 8 % len(data)] ^= 1 << position % 8
+        path = tmp_path_factory.mktemp("flip") / "model.npz"
+        path.write_bytes(bytes(data))
+        assert _load_outcome(path) in ("loaded", "rejected")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**20))
+    def test_truncation(self, tmp_path_factory, model_bytes, cut):
+        path = tmp_path_factory.mktemp("cut") / "model.npz"
+        path.write_bytes(model_bytes[: cut % len(model_bytes)])
+        assert _load_outcome(path) == "rejected"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_MEMBERS),
+           st.lists(st.integers(-2, 10**18) | st.integers(0, 64), max_size=3).map(tuple),
+           st.sampled_from(["<i8", ">i8", "<f8", "<i4", "|b1", "|O", "<U9", "|S64", "|V8",
+                            "<c16", "<M8[s]"]))
+    def test_header_shape_and_dtype_edits(self, tmp_path_factory, model_bytes, member,
+                                          shape, descr):
+        path = tmp_path_factory.mktemp("header") / "model.npz"
+        path.write_bytes(_edit_header(model_bytes, member, shape=shape, descr=descr))
+        assert _load_outcome(path) in ("loaded", "rejected")
+
 
 class TestContract:
     @pytest.fixture
@@ -395,11 +490,9 @@ class TestReplay:
         replay = ReplayPredictor([5], vocab_size=10, terminator=9)
         assert replay.next_distribution(AV.AR, [1, 2, 3])[5] == 1.0
 
-    def test_reset(self):
-        replay = ReplayPredictor([5], vocab_size=10, terminator=9)
-        replay.next_distribution(None, [])
-        replay.reset()
-        assert replay.next_distribution(None, [])[5] == 1.0
+
+def _payload(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 SERVE_UNIFORM = (
@@ -521,6 +614,27 @@ class TestBridge:
         dist = parse_response(reply([0, 0, 0, 0.5, 0.5, 0, 0, 0]), vocab_size=8)
         assert dist.tolist() == [0, 0, 0, 0.5, 0.5, 0, 0, 0]
         dist[0] = 1.0  # the caller owns a writable copy
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=60),
+        st.builds(lambda verb, payload: f"{verb} {payload}",
+                  st.sampled_from(["DIST", "dist", "ERR", ""]),
+                  st.one_of(
+                      st.lists(st.floats(width=64), max_size=10).map(_payload),
+                      st.lists(st.floats(0, 1), min_size=8, max_size=8)  # near-valid replies
+                      .filter(any).map(lambda values: _payload(np.divide(values, sum(values)))),
+                      st.binary(max_size=90).map(lambda b: base64.b64encode(b).decode("ascii")),
+                      st.text(max_size=40))),
+    ))
+    def test_parse_response_fuzz(self, line):
+        """Any reply line parses to a distribution or raises PredictorProtocolError."""
+        try:
+            dist = parse_response(line, vocab_size=8)
+        except PredictorProtocolError:
+            return
+        assert dist.dtype == np.float64 and dist.shape == (8,)
+        assert (dist >= 0).all() and abs(dist.sum() - 1.0) <= 1e-6
 
     def test_ngram_distribution_round_trips_bit_exact(self, rng):
         model = train_ngram(markov_corpus(rng, 30, 20, 40), order=3, alpha=0.01, vocab_size=30)

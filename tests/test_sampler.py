@@ -30,7 +30,9 @@ from anticipate.sampler import (
 from anticipate.tokenizer import TokenError, _arrival_triples, encode_arrival
 from anticipate.vocab import ArrivalVocab as AV
 
-from conftest import event_sort_key, random_controls, random_events, reference_event_triple
+from conftest import (
+    event_sort_key, random_controls, random_events, reference_event_triple, unchecked_interleaved,
+)
 
 
 def replay_for(events: EventSequence):
@@ -280,7 +282,7 @@ class TestGrammarMask:
         rows = []
         for _ in range(30):
             seq = random_events(rng, 25, max_gap=80, start_at_zero=True)
-            rows.append(encode_arrival(seq, z=AV.AR, leading_sep=True) + [AV.SEP] * 3)
+            rows.append(encode_arrival(seq, z=AV.AR) + [AV.SEP] * 3)
         return train_ngram(rows, order=2, alpha=0.01, vocab_size=AV.SIZE)
 
     def test_generated_tokens_respect_slots_and_monotonicity(self, model):
@@ -413,12 +415,12 @@ class TestContextWindow:
         for i, n in enumerate(placed_after, start=1):
             window = items[max(0, n - 341) : n]
             if n < 341:
-                expected = [AV.SEP] * 3 + encode_arrival(InterleavedSequence(window, check=False))
+                expected = [AV.SEP] * 3 + encode_arrival(unchecked_interleaved(window))
             else:
                 offset = min(it.event.time for it in window)
                 shifted = [TaggedEvent(Event(it.event.time - offset, it.event.duration, it.event.note),
                                        it.control) for it in window]
-                expected = encode_arrival(InterleavedSequence(shifted, check=False))
+                expected = encode_arrival(unchecked_interleaved(shifted))
             assert predictor.contexts[3 * i] == expected, n
         # a window spanning the 100-second token range fails at its last item
         late = TaggedEvent(Event(min(it.event.time for it in items[-340:]) + 10_000, 1, 60))
@@ -463,7 +465,7 @@ def test_config_rejects_nonfinite_huge_and_negative(kwargs, field):
 def test_config_rejects_delta_below_one_grid_unit():
     with pytest.raises(ValueError, match="^delta must be at least one 10 ms grid unit"):
         SamplerConfig(delta=0.004)
-    assert SamplerConfig(delta=0.01).delta_units == 1
+    assert SamplerConfig(delta=0.01).delta_units == SamplerConfig(delta=0.005).delta_units == 1
 
 
 def test_uniform_predictor_generates_valid_triples(rng):
@@ -508,7 +510,7 @@ class _ReferenceContext:
             self.tokens = []
             return
         if self.columns is None:
-            self.columns = InterleavedSequence(self.items, check=False).columns.copy()
+            self.columns = unchecked_interleaved(self.items).columns.copy()
             if self.plain_controls:
                 self.columns[3] = 0
         else:
@@ -572,7 +574,7 @@ def _reference_generate(predictor, controls, config, z, anticipate) -> Generatio
         last_time = event.time
     if not truncated:
         items.extend(TaggedEvent(c, control=True) for c in controls[cursor:])
-    return GenerationResult(InterleavedSequence(items, check=False), truncated, sampled)
+    return GenerationResult(unchecked_interleaved(items), truncated, sampled)
 
 
 def _outcome(generate, predictor, controls, config, anticipate):
@@ -589,7 +591,7 @@ def _outcome(generate, predictor, controls, config, anticipate):
 def _small_ngram():
     rng = np.random.default_rng(7)
     rows = [encode_arrival(random_events(rng, 60, max_gap=80, start_at_zero=True),
-                           z=AV.AR, leading_sep=True) + [AV.SEP] * 3 for _ in range(30)]
+                           z=AV.AR) + [AV.SEP] * 3 for _ in range(30)]
     return train_ngram(rows, order=3, alpha=0.01, vocab_size=AV.SIZE)
 
 

@@ -8,7 +8,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anticipate import golden
 from anticipate.events import (
@@ -37,7 +37,7 @@ from anticipate.tokenizer import (
 from anticipate.vocab import ArrivalVocab as AV
 from anticipate.vocab import InterarrivalVocab as IV
 
-from conftest import random_events, reference_event_triple
+from conftest import random_events, reference_event_triple, unchecked_interleaved
 
 log = logging.getLogger("anticipate.tokenizer")
 
@@ -78,7 +78,7 @@ class TestVocabLayout:
 
 class TestArrivalGoldens:
     def test_twinkle_training_tokens(self):
-        tokens = encode_arrival(golden.twinkle_events(), z=AV.AR, leading_sep=True)
+        tokens = encode_arrival(golden.twinkle_events(), z=AV.AR)
         assert tokens == golden.TWINKLE_ARRIVAL_TOKENS
         assert len(tokens) == 46
 
@@ -192,11 +192,11 @@ class TestTokenRangeDiscipline:
     def test_token_count_identity(self, rng):
         # arrival emits exactly 3(N+K) tokens, plus 3 per separator
         events = random_events(rng, 40)
-        seq = InterleavedSequence(
-            [TaggedEvent(e, control=bool(rng.integers(2))) for e in events], check=False
+        seq = unchecked_interleaved(
+            [TaggedEvent(e, control=bool(rng.integers(2))) for e in events],
         )
         assert len(encode_arrival(seq)) == 3 * len(seq)
-        assert len(encode_arrival(seq, z=AV.AAR, leading_sep=True)) == 3 * len(seq) + 4
+        assert len(encode_arrival(seq, z=AV.AAR)) == 3 * len(seq) + 4
 
 
 @st.composite
@@ -232,8 +232,8 @@ class TestRoundTrips:
         for _ in range(200):
             events = random_events(rng, int(rng.integers(0, 60)), max_gap=120)
             mask = rng.random(len(events)) < 0.3
-            seq = InterleavedSequence(
-                [TaggedEvent(e, control=bool(m)) for e, m in zip(events, mask)], check=False
+            seq = unchecked_interleaved(
+                [TaggedEvent(e, control=bool(m)) for e, m in zip(events, mask)],
             )
             assert decode_arrival(encode_arrival(seq)) == [seq]
 
@@ -248,18 +248,13 @@ class TestRoundTrips:
     def test_multi_segment_roundtrip(self):
         a = InterleavedSequence([TaggedEvent(Event(0, 1, 60))])
         b = InterleavedSequence([TaggedEvent(Event(5, 1, 61), control=True)])
-        tokens = (
-            encode_arrival(a, leading_sep=True)
-            + [AV.SEP] * 3
-            + encode_arrival(b)
-        )
+        tokens = [AV.SEP] * 3 + encode_arrival(a) + [AV.SEP] * 3 + encode_arrival(b)
         assert decode_arrival(tokens) == [a, b]
 
 
 def _triples(n, start=0, step=10, control=False):
-    return InterleavedSequence(
+    return unchecked_interleaved(
         [TaggedEvent(Event(start + i * step, 1, 60), control=control) for i in range(n)],
-        check=False,
     )
 
 
@@ -342,9 +337,8 @@ class TestPacking:
             for _ in range(int(rng.integers(1, 6))):
                 events = random_events(rng, int(rng.integers(0, 400)), max_gap=20)
                 mask = rng.random(len(events)) < float(rng.choice([0.0, 0.3]))
-                seq = InterleavedSequence(
+                seq = unchecked_interleaved(
                     [TaggedEvent(e, control=bool(m)) for e, m in zip(events, mask)],
-                    check=False,
                 )
                 sequences.append(seq)
                 owner_flags.append(None)
@@ -369,10 +363,9 @@ class TestPacking:
         # events that follow it; the window is relativized by its minimum
         # time, so nothing goes negative and event times stay distinct.
         head = _triples(340)
-        tail = InterleavedSequence(
+        tail = unchecked_interleaved(
             [TaggedEvent(Event(500, 1, 60), control=True)]
             + [TaggedEvent(Event(300 + 10 * i, 1, 60)) for i in range(340)],
-            check=False,
         )
         result = pack_training_examples([head, tail])
         assert len(result.examples) == 2
@@ -415,6 +408,39 @@ class TestTokenFile:
         assert read_tokens(io.StringIO("#codec=interarrival vocab=34025\n34024 0\n"))[1] == [[34024, 0]]
 
 
+_FIELDS = st.one_of(
+    st.integers(-5, 60_000).map(str),
+    st.integers(10**18, 10**30).map(str),
+    st.integers(1, 5_000).map(lambda n: "9" * n),  # past int's digit limit at 4 301
+    st.sampled_from(["x", "1.5", "+3", "٣", "0x10", "1_0"]),
+)
+_HEADERS = st.builds(
+    lambda codec, vocab: f"#codec={codec} vocab={vocab}",
+    st.sampled_from(["arrival", "interarrival", "midi"]),
+    st.one_of(st.sampled_from(["55028", "34025", "055028", "٥٥٠٢٨"]),
+              st.integers(1, 5_000).map(lambda n: "5" * n),
+              st.text("0123456789", max_size=8)),
+)
+
+
+class TestTokenFileFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=80),
+        st.builds(lambda header, lines: "\n".join([header, *map(" ".join, lines)]),
+                  _HEADERS, st.lists(st.lists(_FIELDS, max_size=6), max_size=4)),
+    ))
+    @example("#codec=arrival vocab=" + "5" * 5_000 + "\n1 2 3\n")
+    def test_reads_or_raises_token_error(self, text):
+        """Any text reads as in-vocabulary rows or raises TokenError."""
+        try:
+            codec, rows = read_tokens(io.StringIO(text))
+        except TokenError:
+            return
+        size = AV.SIZE if codec == "arrival" else IV.SIZE
+        assert all(0 <= token < size for row in rows for token in row)
+
+
 # -- columnar encoder against the per-event reference -----------------------
 
 
@@ -423,7 +449,7 @@ def _fields(item):
     return item.event.time, item.event.duration, item.event.note, item.control
 
 
-def _reference_encode_arrival(seq, *, z=None, leading_sep=False):
+def _reference_encode_arrival(seq, *, z=None):
     """The per-event arrival encoder the columnar one replaced."""
     items = InterleavedSequence.from_events(seq) if isinstance(seq, EventSequence) else seq
     tokens = []
@@ -431,7 +457,6 @@ def _reference_encode_arrival(seq, *, z=None, leading_sep=False):
         if z not in (AV.AR, AV.AAR):
             raise TokenError(f"control code must be AR or AAR, got {z}")
         tokens.append(z)
-    if leading_sep:
         tokens.extend([AV.SEP] * 3)
     for i, item in enumerate(items):
         tokens.extend(reference_event_triple(*_fields(item), i))
@@ -526,7 +551,7 @@ def packing_streams(draw):
                 event = Event(t + lead, int(rng.integers(0, 1000)), int(rng.integers(0, 16512)))
                 items.append(TaggedEvent(event, control=control))
             index += 1
-        sequences.append(InterleavedSequence(items, check=False))
+        sequences.append(unchecked_interleaved(items))
     return sequences
 
 
@@ -552,7 +577,7 @@ class TestColumnarEncoder:
     @given(packing_streams())
     def test_encode_matches_per_event_reference(self, sequences):
         for seq in sequences:
-            for kwargs in ({}, {"z": AV.AAR, "leading_sep": True}):
+            for kwargs in ({}, {"z": AV.AAR}):
                 expected = _outcome(_reference_encode_arrival, seq, **kwargs)
                 assert _outcome(encode_arrival, seq, **kwargs) == expected
         assert _outcome(encode_arrival, EventSequence(), z=AV.SEP) == _outcome(
@@ -577,8 +602,8 @@ class TestColumnarEncoder:
         # window is discarded; swapping the last two items makes it an error.
         plain, late = TaggedEvent(Event(0, 1, 60)), TaggedEvent(Event(10_000, 1, 60))
         rest_control = TaggedEvent(Event(5_000, 0, REST), control=True)
-        discarded = [InterleavedSequence([plain, late, rest_control], check=False)]
-        rejected = [InterleavedSequence([plain, rest_control, late], check=False)]
+        discarded = [unchecked_interleaved([plain, late, rest_control])]
+        rejected = [unchecked_interleaved([plain, rest_control, late])]
         result = pack_training_examples(discarded, context_length=13)
         assert (result.examples, result.n_discarded) == ([], 1)
         with pytest.raises(TokenError, match=r"rest events cannot be controls \(index 2\)"):
@@ -593,10 +618,9 @@ def _reference_relativize(seq):
     offset = _context_offset(seq)
     if offset == 0:
         return seq
-    return InterleavedSequence(
+    return unchecked_interleaved(
         (TaggedEvent(Event(item.event.time - offset, item.event.duration, item.event.note),
                      item.control) for item in seq),
-        check=False,
     )
 
 
@@ -763,7 +787,7 @@ def _reference_decode_arrival(tokens):
             if not seen_content and not segments and not current:
                 seen_content = True  # leading boundary: fresh sequence start
                 continue
-            segments.append(InterleavedSequence(current, check=False))
+            segments.append(unchecked_interleaved(current))
             current = []
             continue
         seen_content = True
@@ -782,7 +806,7 @@ def _reference_decode_arrival(tokens):
             current.append(TaggedEvent(event, control=True))
         else:
             raise TokenError(f"mixed-range triple ({a}, {b}, {c})", triple_index)
-    segments.append(InterleavedSequence(current, check=False))
+    segments.append(unchecked_interleaved(current))
     return segments
 
 
