@@ -39,23 +39,31 @@ DRUM_INSTRUMENT = 128
 REST = -1
 
 
-def seconds_to_units(seconds: float) -> int:
+def seconds_to_units(seconds: float | np.ndarray) -> int | np.ndarray:
     """Convert seconds to 10ms grid units, rounding half away from zero.
 
     The result is unbounded: raw corpus times may exceed the 100-second
-    token-space cap.
+    token-space cap. A float array converts by the same rule to an int64
+    array, whose units must stay below 2**63; its first negative or
+    non-finite element raises the scalar form's error.
     """
+    if isinstance(seconds, np.ndarray):
+        invalid = ~(np.isfinite(seconds) & (seconds >= 0))
+        if not invalid.any():
+            return np.floor(seconds * UNITS_PER_SECOND + 0.5).astype(np.int64)
+        seconds = float(seconds[invalid.argmax()])
     if not math.isfinite(seconds) or seconds < 0:
         raise ValueError(f"time must be finite and non-negative, got {seconds!r}")
     return int(math.floor(seconds * UNITS_PER_SECOND + 0.5))
 
 
-def quantize_duration(seconds: float) -> int:
-    """Quantize a duration in seconds to a 10ms index, clamped to [0, 999].
-
-    Durations longer than 10 seconds are truncated to the cap.
-    """
-    return min(seconds_to_units(seconds), MAX_DURATION_UNITS - 1)
+def quantize_duration(seconds: float | np.ndarray) -> int | np.ndarray:
+    """Quantize a duration in seconds, or each of a float array, to a 10ms
+    index clamped to [0, 999]: durations past 10 seconds are truncated."""
+    units = seconds_to_units(seconds)
+    if isinstance(units, np.ndarray):
+        return np.minimum(units, MAX_DURATION_UNITS - 1)
+    return min(units, MAX_DURATION_UNITS - 1)
 
 
 def encode_note(instrument: int, pitch: int) -> int:
@@ -249,6 +257,14 @@ def _pair_notes(keys: np.ndarray, onsets: np.ndarray) -> tuple[np.ndarray, np.nd
     return ons, np.array(closer, dtype=np.int64)[ons], np.array(strays, dtype=np.int64)
 
 
+def _first_drop(time: np.ndarray, stream: np.ndarray) -> int | None:
+    """The first index earlier in time than the item before it in its stream, or None."""
+    order = np.argsort(stream, kind="stable")  # each stream in sequence order
+    time, stream = time[order], stream[order]
+    drops = order[1:][(time[1:] < time[:-1]) & (stream[1:] == stream[:-1])]
+    return int(drops.min()) if drops.size else None
+
+
 def _tagged(seq: EventSequence, control: bool) -> np.ndarray:
     """The (4, n) columns of ``seq`` with every control flag set to ``control``."""
     return np.vstack([seq.columns, np.full(len(seq), int(control), dtype=np.int64)])
@@ -278,12 +294,8 @@ class InterleavedSequence(_Sequence):
     def _check(columns: np.ndarray) -> None:
         """Raise for the first item, in sequence order, that is earlier than
         the item before it in its own stream."""
-        time, control = columns[0], columns[3]
-        order = np.argsort(control, kind="stable")  # each stream in sequence order
-        time, stream = time[order], control[order]
-        drops = order[1:][(time[1:] < time[:-1]) & (stream[1:] == stream[:-1])]
-        if drops.size:
-            i = int(drops.min())
+        i = _first_drop(columns[0], columns[3])
+        if i is not None:
             kind = "control" if columns[3, i] else "plain event"
             raise ValueError(f"{kind} times must be non-decreasing (index {i})")
 
@@ -292,9 +304,7 @@ class InterleavedSequence(_Sequence):
         return cls._of(_tagged(seq, False))
 
     def _stream(self, control: bool) -> EventSequence:
-        columns = self.columns[:3, self.columns[3] == control]
-        EventSequence._check(columns)  # an unchecked sequence may be out of order
-        return EventSequence._of(columns)
+        return EventSequence._of(self.columns[:3, self.columns[3] == control])
 
     def events(self) -> EventSequence:
         """The plain-event stream, order preserved."""

@@ -1,15 +1,19 @@
 """Standard MIDI File parsing and writing.
 
 The parser handles format 0/1 files: note-on/off pairs become quantized
-events with absolute seconds computed through a piecewise tempo map.
-Note-ons with velocity zero are note-offs; channel 10 (0-indexed 9) is the
-drum kit (instrument 128); other channels take the most recent program
-change, defaulting to program 0. Notes pair by the one note-pairing rule,
+events. Note-ons with velocity zero are note-offs; channel 10 (0-indexed 9)
+is the drum kit (instrument 128). Notes pair by the one note-pairing rule,
 shared with the interarrival decoder (:func:`anticipate.events._pair_notes`):
 a note-off closes the earliest open note of its channel and pitch.
 
 The parser walks the bytes in one loop and collects note, tempo and program
 rows; the writer reads a sequence's columns. Neither builds an event object.
+A note's seconds and instrument come from change tables by one rule, the
+last change at or before its tick (the later in file order at one tick):
+tempo changes from 500000 us/quarter, summed span by span in tick order, and
+each channel's program changes from program 0. A track must stay below 2**39
+ticks, so that a tick span times a 24-bit tempo fits in int64 and every
+accepted file parses exactly as it would in Python integers.
 
 The writer emits format-1 files at a fixed 500000 us/quarter and 480
 ticks/quarter. At that resolution one 10ms grid unit is 9.6 ticks; the
@@ -20,13 +24,11 @@ parse(write(s)) == s for rest-free sequences.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
 
 import numpy as np
 
 from .events import (
-    DRUM_INSTRUMENT, NUM_PITCHES, EventSequence, _pair_notes, encode_note, quantize_duration,
-    seconds_to_units,
+    DRUM_INSTRUMENT, NUM_PITCHES, EventSequence, _pair_notes, quantize_duration, seconds_to_units,
 )
 
 log = logging.getLogger(__name__)
@@ -65,6 +67,8 @@ class DeltaTimeError(ValueError):
 
 
 MAX_DELTA_TICKS = 2**28 - 1  # the largest 4-byte variable-length quantity
+# Ticks stay below 2**39, so a tick span times a 24-bit tempo fits in int64.
+_TICK_BITS = 39
 
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
@@ -81,38 +85,13 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
     raise MidiParseError("variable-length quantity too long", pos + 1)
 
 
-class _TempoMap:
-    """Piecewise tick-to-seconds conversion."""
-
-    def __init__(self, ticks_per_quarter: int, changes: list[tuple[int, int]]):
-        # changes: (tick, us_per_quarter), merged across tracks in file order
-        merged: dict[int, int] = {0: DEFAULT_TEMPO}
-        for tick, tempo in changes:
-            merged[tick] = tempo  # last change at a tick wins
-        self.ticks = sorted(merged)
-        self.tempos = [merged[t] for t in self.ticks]
-        self.seconds = [0.0]
-        for i in range(1, len(self.ticks)):
-            span = self.ticks[i] - self.ticks[i - 1]
-            self.seconds.append(
-                self.seconds[i - 1] + span * self.tempos[i - 1] / (1e6 * ticks_per_quarter)
-            )
-        self.ticks_per_quarter = ticks_per_quarter
-
-    def to_seconds(self, tick: int) -> float:
-        i = bisect_right(self.ticks, tick) - 1
-        span = tick - self.ticks[i]
-        return self.seconds[i] + span * self.tempos[i] / (1e6 * self.ticks_per_quarter)
-
-
-class _SmpteMap:
-    """Constant tick-to-seconds conversion for SMPTE divisions."""
-
-    def __init__(self, ticks_per_second: float):
-        self.ticks_per_second = ticks_per_second
-
-    def to_seconds(self, tick: int) -> float:
-        return tick / self.ticks_per_second
+def _in_effect(changes: list[tuple[int, int]], at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(key, value) changes in file order as a (2, n) table sorted stably by
+    key, and the index in it of the change in effect at each key in ``at``:
+    the last at or before it wins, so the later in file order of a tie."""
+    table = np.array(changes, dtype=np.int64).T
+    table = table[:, np.argsort(table[0], kind="stable")]
+    return table, table[0].searchsorted(at, "right") - 1
 
 
 def parse_midi(data: bytes) -> EventSequence:
@@ -141,11 +120,12 @@ def parse_midi(data: bytes) -> EventSequence:
 
     notes: list[tuple[int, int, bool]] = []  # (tick, channel << 7 | pitch, on), file order
     tempo_changes: list[tuple[int, int]] = []
-    programs: list[tuple[int, int, int]] = []  # (tick, channel, program), file order
+    programs: list[tuple[int, int]] = []  # (channel << _TICK_BITS | tick, program), file order
     max_tick = 0
 
     pos = 8 + header_length
     for _ in range(ntrks):
+        chunk = pos
         if data[pos : pos + 4] != b"MTrk":
             raise MidiParseError(_END if pos + 4 > size else "expected MTrk chunk", pos)
         if pos + 8 > size:
@@ -193,34 +173,24 @@ def parse_midi(data: bytes) -> EventSequence:
                 if kind in (0x80, 0x90):  # keyed by channel and pitch
                     key = (status & 0x0F) << 7 | data[pos]
                     notes.append((tick, key, kind == 0x90 and data[pos + 1] > 0))
-                elif kind == 0xC0:
-                    programs.append((tick, status & 0x0F, data[pos]))
+                elif kind == 0xC0:  # keyed by channel, then tick
+                    programs.append(((status & 0x0F) << _TICK_BITS | tick, data[pos]))
                 pos += length
+        if tick >> _TICK_BITS:
+            raise MidiParseError(f"track reaches tick {tick}, past 2**{_TICK_BITS} - 1", chunk)
         max_tick = max(max_tick, tick)  # ticks only grow along a track
         pos = end
 
-    if division & 0x8000:
-        frames = 256 - ((division >> 8) & 0xFF)
-        ticks_per_frame = division & 0xFF
-        if frames == 0 or ticks_per_frame == 0:
+    # Seconds are tick spans times the tempo in effect (us per quarter) over
+    # ``scale``; an SMPTE division is one unit tempo over its ticks per second.
+    if division & 0x8000:  # frames per second (1-128) times ticks per frame
+        if not division & 0xFF:
             raise MidiParseError("invalid SMPTE division", 12)
-        clock: _TempoMap | _SmpteMap = _SmpteMap(frames * ticks_per_frame)
+        tempo_changes, scale = [(0, 1)], (256 - (division >> 8)) * (division & 0xFF)
     else:
         if division == 0:
             raise MidiParseError("zero ticks per quarter note", 12)
-        clock = _TempoMap(division, sorted(tempo_changes, key=lambda c: c[0]))
-
-    # Per-channel program timelines for instrument lookup at note onset.
-    timelines: dict[int, list[tuple[int, int]]] = {}  # channel -> [(tick, program)]
-    for tick, channel, program in sorted(programs, key=lambda p: p[0]):
-        timelines.setdefault(channel, []).append((tick, program))
-
-    def instrument_at(channel: int, tick: int) -> int:
-        if channel == 9:
-            return DRUM_INSTRUMENT
-        timeline = timelines.get(channel, [])
-        i = bisect_right(timeline, tick, key=lambda change: change[0])
-        return timeline[i - 1][1] if i else 0
+        tempo_changes, scale = [(0, DEFAULT_TEMPO), *tempo_changes], 1e6 * division
 
     table = np.array(notes, dtype=np.int64).reshape(-1, 3)
     order = np.argsort(table[:, 0], kind="stable")  # by tick, file order breaking ties
@@ -231,14 +201,19 @@ def parse_midi(data: bytes) -> EventSequence:
     if strays.size:
         log.warning("ignored %d note-offs without a matching note-on", strays.size)
 
-    fields = []
-    off_ticks = np.where(closers < 0, max_tick, ticks[closers])
-    for on_tick, off_tick, key in zip(ticks[ons].tolist(), off_ticks.tolist(), keys[ons].tolist()):
-        on_seconds = clock.to_seconds(on_tick)
-        fields.append((seconds_to_units(on_seconds),
-                       quantize_duration(clock.to_seconds(off_tick) - on_seconds),
-                       encode_note(instrument_at(key >> 7, on_tick), key & 0x7F)))
-    columns = np.array(fields, dtype=np.int64).reshape(-1, 3).T
+    on_ticks, keys = ticks[ons], keys[ons]
+    at = np.concatenate([on_ticks, np.where(closers < 0, max_tick, ticks[closers])])
+    tempo, i = _in_effect(tempo_changes, at)
+    # the seconds at each change: the spans before it, summed in tick order
+    starts = np.concatenate([[0.0], np.cumsum(np.diff(tempo[0]) * tempo[1, :-1] / scale)])
+    on_seconds, off_seconds = np.split(starts[i] + (at - tempo[0, i]) * tempo[1, i] / scale, 2)
+    channel = keys >> 7
+    defaults = [(c << _TICK_BITS, 0) for c in range(16)]  # program 0 from tick 0
+    program, i = _in_effect(defaults + programs, channel << _TICK_BITS | on_ticks)
+    instrument = np.where(channel == 9, DRUM_INSTRUMENT, program[1, i])
+    columns = np.stack([seconds_to_units(on_seconds),
+                        quantize_duration(off_seconds - on_seconds),
+                        NUM_PITCHES * instrument + (keys & 0x7F)])
     return EventSequence._of(columns[:, np.lexsort((order[ons], columns[0]))])
 
 

@@ -193,18 +193,20 @@ def _sample_event(
     tokens.append(duration_tok)
     note_tok = _sample_slot(predictor, z, tokens, NOTE_SLOT, min_time, rng, config)
 
+    time = time_tok - AV.TIME_BASE + offset
     if not (
         AV.is_plain_time(time_tok)
         and AV.is_plain_duration(duration_tok)
         and (AV.is_plain_note(note_tok) or note_tok == AV.REST)
+        and (last_time is None or time >= last_time)
     ):
         # Reachable only with the grammar mask off and a model that has not
-        # learned the triple structure.
+        # learned the triple structure and the order of event times.
         raise ValueError(
-            f"sampled an ungrammatical triple ({time_tok}, {duration_tok}, {note_tok}); "
+            f"sampled an ungrammatical triple ({time_tok}, {duration_tok}, {note_tok}) at time "
+            f"{time}, previous event time {last_time}; "
             "enable grammar_mask for models that do not respect the slot ranges"
         )
-    time = time_tok - AV.TIME_BASE + offset
     if note_tok == AV.REST:
         # Rests carry no duration; a model may still pair REST with a
         # nonzero duration token, which we coerce to zero.

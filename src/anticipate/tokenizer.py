@@ -36,7 +36,8 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .events import (
-    MAX_DURATION_UNITS, MAX_TIME_UNITS, REST, EventSequence, InterleavedSequence, _pair_notes,
+    MAX_DURATION_UNITS, MAX_TIME_UNITS, REST, EventSequence, InterleavedSequence, _first_drop,
+    _pair_notes,
 )
 from .vocab import CODEC_VOCABS
 from .vocab import ArrivalVocab as AV
@@ -135,8 +136,10 @@ def decode_arrival(tokens: Sequence[int]) -> list[InterleavedSequence]:
 
     An optional leading control code (AR/AAR) is skipped. SEP triples are
     segment boundaries; a boundary at the very start marks a fresh sequence
-    rather than producing an empty leading segment. The first malformed
-    triple raises ``TokenError`` with its triple index.
+    rather than producing an empty leading segment. The first triple that is
+    malformed, or whose time is earlier than the item before it in its own
+    stream (plain or control) and segment, raises ``TokenError`` with its
+    triple index.
     """
     toks = list(tokens)
     if toks and toks[0] in (AV.AR, AV.AAR):
@@ -150,19 +153,26 @@ def decode_arrival(tokens: Sequence[int]) -> list[InterleavedSequence]:
     plain = AV.is_plain_time(a) & AV.is_plain_duration(b)
     control = AV.is_control_time(a) & AV.is_control_duration(b) & AV.is_control_note(c)
     valid = sep | control | plain & np.where(rest, b == AV.DUR_BASE, AV.is_plain_note(c))
-    if not valid.all():
-        i = int(valid.argmin())
-        first, second, third = triple = toks[3 * i : 3 * i + 3]  # the caller's values
-        if AV.SEP in triple:
-            raise TokenError("partial SEP triple", i)
-        if plain[i] and rest[i]:
-            raise TokenError("rest triple with nonzero duration", i)
-        if plain[i]:
-            raise TokenError(f"token {third} is not a note token", i)
-        raise TokenError(f"mixed-range triple ({first}, {second}, {third})", i)
-
+    bad = len(valid) if valid.all() else int(valid.argmin())
     shift = control * AV.CONTROL_OFFSET
-    columns = np.stack([a - shift - AV.TIME_BASE, b - shift - AV.DUR_BASE,
+    time = a - shift - AV.TIME_BASE
+    # before the first malformed triple, the first item earlier than the one
+    # before it in its own stream and segment; SEP triples form one stream
+    i = _first_drop(time[:bad], np.where(sep, -1, 2 * np.cumsum(sep) + control)[:bad])
+    if i is not None:
+        kind = "control" if control[i] else "plain event"
+        raise TokenError(f"{kind} time {time[i]} is earlier than the one before it in its stream", i)
+    if bad < len(valid):
+        first, second, third = triple = toks[3 * bad : 3 * bad + 3]  # the caller's values
+        if AV.SEP in triple:
+            raise TokenError("partial SEP triple", bad)
+        if plain[bad] and rest[bad]:
+            raise TokenError("rest triple with nonzero duration", bad)
+        if plain[bad]:
+            raise TokenError(f"token {third} is not a note token", bad)
+        raise TokenError(f"mixed-range triple ({first}, {second}, {third})", bad)
+
+    columns = np.stack([time, b - shift - AV.DUR_BASE,
                         np.where(rest, REST, c - shift - AV.NOTE_BASE), control])[:, ~sep]
     # a separator splits before the items that follow it; one at the very
     # start opens the first segment instead
@@ -358,7 +368,7 @@ def read_tokens(f: IO[str]) -> tuple[str, list[list[int]]]:
     raises ``TokenError`` naming the 1-based line.
     """
     header = f.readline()
-    match = _HEADER_RE.match(header.strip())
+    match = _HEADER_RE.fullmatch(header.strip())
     if not match:
         raise TokenError(f"missing or malformed token file header: {header!r}")
     codec, vocab = match.groups()

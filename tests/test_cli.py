@@ -68,6 +68,13 @@ class TestExitCodes:
         assert run("detokenize", str(bad), str(tmp_path / "out.txt")) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_time_earlier_than_its_stream_is_a_data_error(self, tmp_path, capsys):
+        # event text of these triples would not read back: 100 follows 500
+        bad = tmp_path / "bad.tok"
+        bad.write_text("#codec=arrival vocab=55028\n500 10010 11060 100 10010 11062\n")
+        assert run("detokenize", str(bad), str(tmp_path / "out.txt")) == 2
+        assert "plain event time 100 is earlier" in capsys.readouterr().err
+
     def test_malformed_event_file_is_a_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1 60\n0 2000 60\n")

@@ -22,8 +22,8 @@ from anticipate.events import (
     DRUM_INSTRUMENT, REST, Event, EventSequence, encode_note, quantize_duration, seconds_to_units,
 )
 from anticipate.midi import (
-    _CHANNEL_MESSAGE_LENGTH, ChannelCapacityError, DeltaTimeError, MidiParseError, _SmpteMap,
-    _TempoMap, parse_midi, write_midi,
+    _CHANNEL_MESSAGE_LENGTH, DEFAULT_TEMPO, MAX_DELTA_TICKS, ChannelCapacityError, DeltaTimeError,
+    MidiParseError, parse_midi, write_midi,
 )
 
 from conftest import random_events
@@ -166,6 +166,19 @@ class TestParse:
         data = smf([track([TEMPO_120, (0, note_on(0, 60)), (960 * 15, note_off(0, 60))])])
         assert parse_midi(data) == EventSequence([Event(0, 999, 60)])
 
+    def test_tempo_change_at_tick_0_replaces_the_default(self):
+        # 480 ticks at 1 s/quarter, not the default 0.5 s
+        slow = (0, bytes.fromhex("ff5103") + (1_000_000).to_bytes(3, "big"))
+        data = smf([track([slow, (0, note_on(0, 60)), (480, note_off(0, 60))])])
+        assert parse_midi(data) == EventSequence([Event(0, 100, 60)])
+
+    @pytest.mark.parametrize("programs, expected", [((10, 20), 20), ((20, 10), 10)])
+    def test_same_tick_program_changes_last_in_file_order_wins(self, programs, expected):
+        first, second = (track([(0, bytes([0xC0, p]))]) for p in programs)
+        notes = track([(0, note_on(0, 60)), (480, note_off(0, 60))])
+        data = smf([first, second, notes])
+        assert parse_midi(data) == EventSequence([Event(0, 50, encode_note(expected, 60))])
+
 
 class TestParseErrors:
     def test_not_midi(self):
@@ -186,6 +199,12 @@ class TestParseErrors:
         data = smf([b"MTrX" + (0).to_bytes(4, "big")])
         with pytest.raises(MidiParseError):
             parse_midi(data)
+
+    def test_smpte_zero_ticks_per_frame(self):
+        division = (256 - 30) << 8
+        with pytest.raises(MidiParseError, match="invalid SMPTE division") as err:
+            parse_midi(smf([track([(0, note_on(0, 60)), (1, note_off(0, 60))])], division=division))
+        assert err.value.offset == 12
 
     def test_data_byte_with_top_bit_set(self):
         # a corrupted note-on pitch byte (182) once escaped as a bare ValueError
@@ -234,6 +253,40 @@ class _Reader:
             if not byte & 0x80:
                 return value
         raise MidiParseError("variable-length quantity too long", self.pos)
+
+
+class _TempoMap:
+    """The reference's piecewise tick-to-seconds clock, one note at a time."""
+
+    def __init__(self, ticks_per_quarter: int, changes: list[tuple[int, int]]):
+        # changes: (tick, us_per_quarter), merged across tracks in file order
+        merged: dict[int, int] = {0: DEFAULT_TEMPO}
+        for tick, tempo in changes:
+            merged[tick] = tempo  # last change at a tick wins
+        self.ticks = sorted(merged)
+        self.tempos = [merged[t] for t in self.ticks]
+        self.seconds = [0.0]
+        for i in range(1, len(self.ticks)):
+            span = self.ticks[i] - self.ticks[i - 1]
+            self.seconds.append(
+                self.seconds[i - 1] + span * self.tempos[i - 1] / (1e6 * ticks_per_quarter)
+            )
+        self.ticks_per_quarter = ticks_per_quarter
+
+    def to_seconds(self, tick: int) -> float:
+        i = bisect_right(self.ticks, tick) - 1
+        span = tick - self.ticks[i]
+        return self.seconds[i] + span * self.tempos[i] / (1e6 * self.ticks_per_quarter)
+
+
+class _SmpteMap:
+    """The reference's constant tick-to-seconds clock for SMPTE divisions."""
+
+    def __init__(self, ticks_per_second: float):
+        self.ticks_per_second = ticks_per_second
+
+    def to_seconds(self, tick: int) -> float:
+        return tick / self.ticks_per_second
 
 
 @dataclass
@@ -314,9 +367,9 @@ def _reference_parse_midi(data: bytes) -> EventSequence:
         reader.pos = end
 
     if division & 0x8000:
-        frames = 256 - ((division >> 8) & 0xFF)
+        frames = 256 - ((division >> 8) & 0xFF)  # 1-128
         ticks_per_frame = division & 0xFF
-        if frames == 0 or ticks_per_frame == 0:
+        if ticks_per_frame == 0:
             raise MidiParseError("invalid SMPTE division", 12)
         clock = _SmpteMap(frames * ticks_per_frame)
     else:
@@ -453,6 +506,48 @@ class TestPairingReference:
         for end in range(len(data) + 1):
             ours, reference = _outcome(data[:end])
             assert ours == reference
+
+    @pytest.mark.parametrize("end", [2**39 - 1, 2**39])
+    def test_track_bound_under_the_slowest_tempo(self, end):
+        # Tempo 0xFFFFFF at one tick per quarter, and tempo changes, program
+        # changes and notes up to ``end``: below 2**39 ticks the columns
+        # match the exact per-note reference; a track that reaches 2**39
+        # ticks is rejected at its chunk.
+        slowest = bytes.fromhex("ff5103ffffff")
+        messages = [(0, slowest)]
+        for k in range(1, end // MAX_DELTA_TICKS + 1):
+            tick = k * MAX_DELTA_TICKS
+            if k % 512 == 0:
+                messages.append((tick, bytes.fromhex("ff5103") + (k * 4099).to_bytes(3, "big")))
+            elif k % 700 == 0:
+                messages.append((tick, bytes([0xC1, k % 128])))
+            elif k % 300 == 0:
+                messages.append((tick, note_on(1, k % 128)))
+            else:
+                messages.append((tick, bytes.fromhex("b00740")))
+        messages += [(end - 2, slowest), (end - 1, note_on(0, 60)), (end, note_on(1, 61))]
+        first = track([(0, note_on(0, 50)), (1, note_off(0, 50))])
+        ours, reference = _outcome(smf([first, track(messages)], division=1))
+        if end < 2**39:
+            assert ours == reference and len(ours) == 9
+        else:
+            chunk = 14 + len(first)
+            assert ours == (MidiParseError, f"track reaches tick {end}, past 2**39 - 1 "
+                            f"(byte offset {chunk})", chunk)
+
+    def test_maximal_deltas_past_int64_tick_products(self):
+        # 2 100 maximal deltas under tempo 0xFFFFFF: the note's tick times
+        # its tempo passes 2**63 (exact arithmetic puts the note at time
+        # 945755861853143), and the track, past 2**39 ticks, is rejected
+        far = 2_100 * MAX_DELTA_TICKS
+        messages = [(0, bytes.fromhex("ff5103ffffff"))]
+        messages += [(k * MAX_DELTA_TICKS, bytes.fromhex("b00740")) for k in range(1, 2_100)]
+        messages += [(far, note_on(0, 60)), (far + 1, note_off(0, 60))]
+        data = smf([track(messages)], division=1)
+        assert len(data) == 14_737
+        with pytest.raises(MidiParseError, match=rf"track reaches tick {far + 1}") as err:
+            parse_midi(data)
+        assert err.value.offset == 14
 
 
 # -- the columnar writer against the event-walking reference -----------------

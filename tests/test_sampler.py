@@ -484,6 +484,14 @@ def test_unmasked_ungrammatical_model_fails_loudly():
         generate_anticipatory(UniformPredictor(AV.SIZE), EventSequence(), config)
 
 
+def test_unmasked_time_before_the_previous_event_fails_loudly():
+    tokens = [AV.TIME_BASE + 500, AV.DUR_BASE + 10, AV.NOTE_BASE + 60,
+              AV.TIME_BASE + 100, AV.DUR_BASE + 10, AV.NOTE_BASE + 62]
+    config = SamplerConfig(delta=5.0, top_p=1.0, seed=0, grammar_mask=False)
+    with pytest.raises(ValueError, match="at time 100, previous event time 500"):
+        generate_anticipatory(ReplayPredictor(tokens, AV.SIZE, AV.SEP), EventSequence(), config)
+
+
 # -- the object loop the column buffer replaced -------------------------------
 
 

@@ -389,8 +389,10 @@ class TestTokenFile:
         assert buf.readline() == "#codec=arrival vocab=55028\n"
 
     def test_missing_header(self):
-        with pytest.raises(TokenError):
-            read_tokens(io.StringIO("1 2 3\n"))
+        # a header with text after its vocabulary size is malformed too
+        for header in ["", "#codec=arrival vocab=55028xyz\n", "#codec=arrival vocab=55028 garbage\n"]:
+            with pytest.raises(TokenError, match="malformed token file header"):
+                read_tokens(io.StringIO(header + "1 2 3\n"))
 
     def test_non_integer_field_names_its_line(self):
         with pytest.raises(TokenError, match="line 3"):
@@ -777,6 +779,7 @@ def _reference_decode_arrival(tokens):
 
     segments = []
     current = []
+    last = {}  # the last time of each stream in the current segment
     seen_content = False
     for idx in range(0, len(toks), 3):
         a, b, c = toks[idx], toks[idx + 1], toks[idx + 2]
@@ -789,6 +792,7 @@ def _reference_decode_arrival(tokens):
                 continue
             segments.append(unchecked_interleaved(current))
             current = []
+            last = {}
             continue
         seen_content = True
         if AV.is_plain_time(a) and AV.is_plain_duration(b):
@@ -806,6 +810,12 @@ def _reference_decode_arrival(tokens):
             current.append(TaggedEvent(event, control=True))
         else:
             raise TokenError(f"mixed-range triple ({a}, {b}, {c})", triple_index)
+        item = current[-1]
+        if item.event.time < last.get(item.control, 0):
+            kind = "control" if item.control else "plain event"
+            raise TokenError(f"{kind} time {item.event.time} is earlier than the one before it "
+                             "in its stream", triple_index)
+        last[item.control] = item.event.time
     segments.append(unchecked_interleaved(current))
     return segments
 
