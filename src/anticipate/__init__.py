@@ -43,7 +43,6 @@ from .predictor import (
     NGramModel,
     Predictor,
     ReplayPredictor,
-    UniformPredictor,
     train_ngram,
 )
 from .sampler import (

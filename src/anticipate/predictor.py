@@ -372,14 +372,3 @@ class ReplayPredictor:
         self._hot = token
         return self._buffer
 
-
-class UniformPredictor:
-    """Maximum-entropy baseline: the uniform distribution at every step."""
-
-    def __init__(self, vocab_size: int, context_length: int = CONTEXT_LENGTH):
-        self.vocab_size = vocab_size
-        self.context_length = context_length
-        self._buffer = np.full(vocab_size, 1.0 / vocab_size, dtype=np.float64)
-
-    def next_distribution(self, z: int | None, context: Sequence[int]) -> np.ndarray:
-        return self._buffer

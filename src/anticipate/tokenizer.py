@@ -4,7 +4,8 @@ plus packing of token streams into fixed-length training examples.
 Arrival codec: one (time, duration, note) triple per event, absolute times.
 Controls use the shifted vocabulary ranges; a separator is a triple of SEP
 tokens. Interarrival codec: onset/offset tokens with gap tokens in between
-(zero gaps omitted, gaps over 10 s truncated); a separator is a single SEP.
+(zero gaps omitted, a gap over 9.99 s split into several gap tokens that the
+decoder sums); a separator is a single SEP.
 Its decoder pairs offsets with onsets by the note-pairing rule MIDI parsing
 uses (:func:`anticipate.events._pair_notes`).
 
@@ -28,6 +29,7 @@ represented in the 100-second token range are discarded.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -188,7 +190,8 @@ def encode_interarrival(
 
     Each event expands to an onset at ``t`` and an offset at ``t + d``; items
     are ordered by time with offsets preceding onsets at the same instant.
-    Control-tagged input and rests are not supported by this codec.
+    A gap over 999 units is written as several gap tokens, so no time is
+    lost. Control-tagged input and rests are not supported by this codec.
     """
     if isinstance(seq, InterleavedSequence):
         if seq.has_controls:
@@ -207,10 +210,15 @@ def encode_interarrival(
     order = np.lexsort((rank, item_time))
     codes = np.column_stack([note + IV.ONSET_BASE, note + IV.OFFSET_BASE]).ravel()[order]
     item_time = item_time[order]
-    gaps = np.minimum(np.diff(item_time, append=item_time[-1:]), IV.ONSET_BASE - 1)
-    # every item's token, then the gap to the next item unless it is zero
-    tokens = np.column_stack([codes, gaps]).ravel()
-    return ([IV.SEP] if leading_sep else []) + tokens[tokens != 0].tolist()
+    # every item's token, then the gap to the next item as gap tokens of
+    # 999 and the remainder unless it is zero
+    full, rest = np.divmod(np.diff(item_time, append=item_time[-1:]), IV.ONSET_BASE - 1)
+    count = 1 + full + (rest > 0)
+    start = np.cumsum(count) - count
+    tokens = np.full(count.sum(), IV.ONSET_BASE - 1)
+    tokens[start] = codes
+    tokens[(start + count - 1)[rest > 0]] = rest[rest > 0]
+    return ([IV.SEP] if leading_sep else []) + tokens.tolist()
 
 
 def decode_interarrival(tokens: Sequence[int]) -> EventSequence:
@@ -353,19 +361,53 @@ def pack_training_examples(
 _HEADER_RE = re.compile(r"#codec=(arrival|interarrival)\s+vocab=(\d+)")
 
 
+@functools.cache
+def _token_texts(codec: str) -> tuple[str, ...]:
+    """``str(t)`` for every token ``t`` of the codec's vocabulary, indexed by ``t``."""
+    return tuple(str(t) for t in range(CODEC_VOCABS[codec].SIZE))
+
+
+def _outside_vocabulary(where: str, row: Sequence[int], codec: str) -> TokenError:
+    low, high = min(row), max(row)
+    return TokenError(f"{where}: token {low if low < 0 else high} "
+                      f"outside the {codec} vocabulary of size {CODEC_VOCABS[codec].SIZE}")
+
+
 def write_tokens(f: IO[str], rows: Iterable[Sequence[int]], codec: str) -> None:
-    """Write token rows (one sequence or example per line) with a codec header."""
-    size = CODEC_VOCABS[codec].SIZE
-    f.write(f"#codec={codec} vocab={size}\n")
-    for row in rows:
-        f.write(" ".join(str(t) for t in row) + "\n")
+    """Write token rows (one sequence or example per line) with a codec header.
+
+    Each token's text is looked up in a table built once per codec. A token
+    outside the codec's vocabulary raises ``TokenError`` naming its 0-based
+    row; the rows before it are already written.
+    """
+    texts = _token_texts(codec)
+    f.write(f"#codec={codec} vocab={len(texts)}\n")
+    for i, row in enumerate(rows):
+        try:
+            if len(row) and min(row) < 0:  # a tuple reads a negative index from its end
+                raise IndexError
+            f.write(" ".join(map(texts.__getitem__, row)) + "\n")
+        except IndexError:
+            raise _outside_vocabulary(f"row {i}", row, codec) from None
+
+
+def _is_plain(text: str) -> bool:
+    """Whether ``text`` is ASCII digits separated by single spaces, with no
+    space at either end."""
+    return (text.isascii() and text[:1].isdigit() and text[-1:].isdigit()
+            and "  " not in text and not text.encode().translate(None, b"0123456789 "))
 
 
 def read_tokens(f: IO[str]) -> tuple[str, list[list[int]]]:
-    """Read a token file; returns (codec, rows).
+    """Read a token file; returns (codec, rows), each row a list of ints.
 
-    A non-integer field or a token outside the header codec's vocabulary
-    raises ``TokenError`` naming the 1-based line.
+    A plain line (``_is_plain``) is parsed by one ``np.fromstring`` and kept
+    when its largest token is in the vocabulary. Any other line, or a plain
+    line that fails that check, is read field by field with ``int``, so a
+    field ``fromstring`` misreads (a sign, ``_``, a non-ASCII digit, a value
+    it saturates at 2**63 - 1) reads as ``int`` reads it; blank lines are
+    skipped. A non-integer field or a token outside the header codec's
+    vocabulary raises ``TokenError`` naming the 1-based line.
     """
     header = f.readline()
     match = _HEADER_RE.fullmatch(header.strip())
@@ -381,6 +423,13 @@ def read_tokens(f: IO[str]) -> tuple[str, list[list[int]]]:
         raise TokenError(f"vocab size {vocab} does not match codec {codec}")
     rows = []
     for lineno, line in enumerate(f, start=2):
+        text = line.rstrip("\n")
+        if _is_plain(text):
+            # no sign, so no negative token: a field past int64 saturates high
+            array = np.fromstring(text, np.int64, sep=" ")
+            if array.max() < size:
+                rows.append(array.tolist())
+                continue
         fields = line.split()
         if not fields:
             continue
@@ -388,9 +437,7 @@ def read_tokens(f: IO[str]) -> tuple[str, list[list[int]]]:
             row = list(map(int, fields))
         except ValueError as exc:
             raise TokenError(f"line {lineno}: {exc}") from exc
-        low, high = min(row), max(row)
-        if low < 0 or high >= size:
-            raise TokenError(f"line {lineno}: token {low if low < 0 else high} "
-                             f"outside the {codec} vocabulary of size {size}")
+        if min(row) < 0 or max(row) >= size:
+            raise _outside_vocabulary(f"line {lineno}", row, codec)
         rows.append(row)
     return codec, rows

@@ -14,7 +14,7 @@ import pytest
 from anticipate.events import (
     MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence, TaggedEvent, encode_note,
 )
-from anticipate.tokenizer import TokenError
+from anticipate.tokenizer import CONTEXT_LENGTH, TokenError
 from anticipate.vocab import ArrivalVocab as AV
 
 
@@ -146,6 +146,18 @@ def reference_read_events(f) -> list[InterleavedSequence]:
                 raise TokenError(f"sequence on lines {first}-{lineno - 1}: {exc}") from exc
             current = []
     return sequences
+
+
+class UniformPredictor:
+    """Test double: the uniform distribution at every step."""
+
+    def __init__(self, vocab_size: int, context_length: int = CONTEXT_LENGTH):
+        self.vocab_size = vocab_size
+        self.context_length = context_length
+        self._buffer = np.full(vocab_size, 1.0 / vocab_size, dtype=np.float64)
+
+    def next_distribution(self, z, context) -> np.ndarray:
+        return self._buffer
 
 
 @pytest.fixture

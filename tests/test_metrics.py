@@ -17,10 +17,12 @@ from anticipate.metrics import (
     format_report,
     report_row,
 )
-from anticipate.predictor import ReplayPredictor, UniformPredictor
+from anticipate.predictor import ReplayPredictor
 from anticipate.tokenizer import encode_arrival, encode_interarrival
 from anticipate.vocab import ArrivalVocab as AV
 from anticipate.vocab import InterarrivalVocab as IV
+
+from conftest import UniformPredictor
 
 
 class TestCrossEntropy:

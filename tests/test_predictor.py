@@ -27,10 +27,11 @@ from anticipate.predictor import (
     ModelFileError,
     NGramModel,
     ReplayPredictor,
-    UniformPredictor,
     train_ngram,
 )
 from anticipate.vocab import ArrivalVocab as AV
+
+from conftest import UniformPredictor
 
 
 class DictNGram:
@@ -495,10 +496,20 @@ def _payload(values) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
-SERVE_UNIFORM = (
+# a child process cannot import the test double from conftest; it defines its own
+UNIFORM_CHILD = (
+    "import numpy as np\n"
+    "class Uniform:\n"
+    "    context_length = 1024\n"
+    "    def __init__(self, vocab_size):\n"
+    "        self.vocab_size = vocab_size\n"
+    "    def next_distribution(self, z, context):\n"
+    "        return np.full(self.vocab_size, 1 / self.vocab_size)\n"
+)
+
+SERVE_UNIFORM = UNIFORM_CHILD + (
     "import sys; from anticipate.bridge import serve; "
-    "from anticipate.predictor import UniformPredictor; "
-    "serve(UniformPredictor(8), sys.stdin, sys.stdout)"
+    "serve(Uniform(8), sys.stdin, sys.stdout)"
 )
 
 SERVE_REPLAY = (
@@ -561,14 +572,15 @@ class TestBridge:
 
     def test_reply_split_across_writes(self):
         # one line written in pieces, then a second line in the same write
-        script = ("import sys, time; from anticipate.bridge import serve; "
-                  "from anticipate.predictor import UniformPredictor; "
-                  "import io; out = io.StringIO(); "
-                  "serve(UniformPredictor(4), io.StringIO('CTX -\\nCTX -\\n'), out); "
-                  "first, second = out.getvalue().splitlines(); sys.stdin.readline(); "
-                  "sys.stdout.write(first[:5]); sys.stdout.flush(); time.sleep(0.2); "
-                  "sys.stdout.write(first[5:] + '\\n' + second + '\\n'); sys.stdout.flush(); "
-                  "sys.stdin.read()")
+        script = UNIFORM_CHILD + (
+            "import sys, time; from anticipate.bridge import serve; "
+            "import io; out = io.StringIO(); "
+            "serve(Uniform(4), io.StringIO('CTX -\\nCTX -\\n'), out); "
+            "first, second = out.getvalue().splitlines(); sys.stdin.readline(); "
+            "sys.stdout.write(first[:5]); sys.stdout.flush(); time.sleep(0.2); "
+            "sys.stdout.write(first[5:] + '\\n' + second + '\\n'); sys.stdout.flush(); "
+            "sys.stdin.read()"
+        )
         with ExternalPredictor([sys.executable, "-c", script], vocab_size=4, timeout=5) as model:
             assert model.next_distribution(None, []) == pytest.approx(np.full(4, 0.25))
             assert model.next_distribution(None, []) == pytest.approx(np.full(4, 0.25))

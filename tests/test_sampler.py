@@ -16,7 +16,7 @@ from anticipate.anticipation import interleave
 from anticipate.events import (
     MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence, TaggedEvent, encode_note,
 )
-from anticipate.predictor import ReplayPredictor, UniformPredictor, train_ngram
+from anticipate.predictor import ReplayPredictor, train_ngram
 from anticipate.sampler import (
     GenerationResult,
     SamplerConfig,
@@ -31,7 +31,8 @@ from anticipate.tokenizer import TokenError, _arrival_triples, encode_arrival
 from anticipate.vocab import ArrivalVocab as AV
 
 from conftest import (
-    event_sort_key, random_controls, random_events, reference_event_triple, unchecked_interleaved,
+    UniformPredictor, event_sort_key, random_controls, random_events, reference_event_triple,
+    unchecked_interleaved,
 )
 
 

@@ -24,6 +24,7 @@ from anticipate.tokenizer import (
     PackResult,
     TokenError,
     TrainingExample,
+    _HEADER_RE,
     _arrival_triples,
     _relativize_sequence,
     decode_arrival,
@@ -34,6 +35,7 @@ from anticipate.tokenizer import (
     read_tokens,
     write_tokens,
 )
+from anticipate.vocab import CODEC_VOCABS
 from anticipate.vocab import ArrivalVocab as AV
 from anticipate.vocab import InterarrivalVocab as IV
 
@@ -169,10 +171,11 @@ class TestInterarrivalGoldens:
             seq = decode_interarrival([1060, 50])
         assert seq == EventSequence([Event(0, 50, 60)])
 
-    def test_gap_clamped_at_10s(self):
+    def test_gap_over_10s_splits_into_gap_tokens(self):
         seq = EventSequence([Event(0, 1, 60), Event(5000, 1, 61)])
         tokens = encode_interarrival(seq)
-        assert 999 in tokens and 4999 not in tokens
+        assert tokens == [1060, 1, 17572, 999, 999, 999, 999, 999, 4, 1061, 1, 17573]
+        assert decode_interarrival(tokens) == seq
 
 
 class TestTokenRangeDiscipline:
@@ -244,6 +247,20 @@ class TestRoundTrips:
                 rng, int(rng.integers(0, 60)), avoid_note_overlap=True, start_at_zero=True
             )
             assert decode_interarrival(encode_interarrival(seq)) == seq
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, MAX_TIME_UNITS - 1), max_size=11),
+           st.lists(st.integers(0, MAX_DURATION_UNITS - 1), min_size=12, max_size=12))
+    @example([2_500], [50] * 12)  # events at 0 and 25 s
+    @example([MAX_TIME_UNITS - 1] * 11, [MAX_DURATION_UNITS - 1] * 12)
+    def test_interarrival_roundtrip_over_the_100s_range(self, gaps, durations):
+        # onset gaps across the whole 100 s range, one note per event so that
+        # each offset pairs with its own onset
+        times = np.cumsum([0, *gaps]).tolist()
+        seq = EventSequence([Event(t, durations[i], 60 + i) for i, t in enumerate(times)])
+        tokens = encode_interarrival(seq)
+        assert all(0 <= tok < IV.SIZE for tok in tokens)
+        assert decode_interarrival(tokens) == seq
 
     def test_multi_segment_roundtrip(self):
         a = InterleavedSequence([TaggedEvent(Event(0, 1, 60))])
@@ -409,6 +426,32 @@ class TestTokenFile:
             read_tokens(io.StringIO("#codec=interarrival vocab=34025\n34025\n"))
         assert read_tokens(io.StringIO("#codec=interarrival vocab=34025\n34024 0\n"))[1] == [[34024, 0]]
 
+    @pytest.mark.parametrize("codec, row, token", [
+        ("arrival", [-1, 60_000], -1),
+        ("arrival", [3, -1], -1),  # a tuple would read index -1 from its end
+        ("arrival", [5, AV.SIZE], AV.SIZE),
+        ("interarrival", [IV.SIZE, 0], IV.SIZE),
+        ("interarrival", [-(2**70), 2**70], -(2**70)),
+    ])
+    def test_write_refuses_out_of_vocabulary_tokens(self, codec, row, token):
+        buf = io.StringIO()
+        with pytest.raises(TokenError, match=f"row 1: token {token} outside the {codec} vocabulary"):
+            write_tokens(buf, [[1, 2], row], codec)
+        assert buf.getvalue().splitlines()[1:] == ["1 2"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["arrival", "interarrival"]).flatmap(lambda codec: st.tuples(
+        st.just(codec),
+        # a row with no tokens writes a blank line, which reads as no row
+        st.lists(st.lists(st.integers(0, CODEC_VOCABS[codec].SIZE - 1), min_size=1, max_size=30),
+                 max_size=5))))
+    def test_write_then_read_round_trips(self, codec_rows):
+        codec, rows = codec_rows
+        buf = io.StringIO()
+        write_tokens(buf, rows, codec)
+        buf.seek(0)
+        assert read_tokens(buf) == (codec, rows)
+
 
 _FIELDS = st.one_of(
     st.integers(-5, 60_000).map(str),
@@ -441,6 +484,82 @@ class TestTokenFileFuzz:
             return
         size = AV.SIZE if codec == "arrival" else IV.SIZE
         assert all(0 <= token < size for row in rows for token in row)
+
+
+def _reference_read_tokens(f):
+    """The per-field token file reader that ``read_tokens``'s fast path must
+    match: split on whitespace, ``int`` each field, skip blank lines."""
+    header = f.readline()
+    match = _HEADER_RE.fullmatch(header.strip())
+    if not match:
+        raise TokenError(f"missing or malformed token file header: {header!r}")
+    codec, vocab = match.groups()
+    size = CODEC_VOCABS[codec].SIZE
+    try:
+        matches = int(vocab) == size
+    except ValueError as exc:
+        raise TokenError(f"vocab size of {len(vocab)} digits does not match codec {codec}") from exc
+    if not matches:
+        raise TokenError(f"vocab size {vocab} does not match codec {codec}")
+    rows = []
+    for lineno, line in enumerate(f, start=2):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            row = list(map(int, fields))
+        except ValueError as exc:
+            raise TokenError(f"line {lineno}: {exc}") from exc
+        low, high = min(row), max(row)
+        if low < 0 or high >= size:
+            raise TokenError(f"line {lineno}: token {low if low < 0 else high} "
+                             f"outside the {codec} vocabulary of size {size}")
+        rows.append(row)
+    return codec, rows
+
+
+_PIN_FIELDS = st.one_of(
+    st.integers(0, AV.SIZE + 2).map(str),
+    st.integers(-(10**21), 10**21).map(str),
+    st.integers(0, 99).map(lambda n: f"{n:026d}"),
+    st.sampled_from(["-", "+5", "007", "1_000", "٣", "x", "1.5"]),
+)
+_PIN_SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", "\x1c", "\x0b", " - "])
+
+
+@st.composite
+def _pin_lines(draw):
+    fields = draw(st.lists(_PIN_FIELDS, max_size=5))
+    line = "".join(draw(_PIN_SEPARATORS) + field for field in fields[1:])
+    line = fields[0] + line if fields else ""
+    edges = st.sampled_from(["", "", " ", "\t"])
+    return draw(edges) + line + draw(edges) + draw(st.sampled_from(["\n", "\n", "\r\n"]))
+
+
+class TestReadTokensMatchesPerFieldRule:
+    """``read_tokens`` returns the rows of the per-field rule, as Python ints,
+    or raises its error, with the same message and line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(["#codec=arrival vocab=55028\n", "#codec=interarrival vocab=34025\n"]),
+           st.lists(_pin_lines(), max_size=5))
+    @example("#codec=arrival vocab=55028\n", ["\n", " \n", "\t\n", "1 2\n"])
+    @example("#codec=arrival vocab=55028\n", ["1 2 -\n"])
+    @example("#codec=arrival vocab=55028\n", [" - 3\n"])
+    @example("#codec=arrival vocab=55028\n", ["1 99999999999999999999\n"])
+    @example("#codec=arrival vocab=55028\n", ["1 -99999999999999999999\n"])
+    @example("#codec=arrival vocab=55028\n", ["1_000\n"])
+    @example("#codec=arrival vocab=55028\n", ["٣ 4\n"])
+    @example("#codec=arrival vocab=55028\n", ["1\x1c2\n"])
+    @example("#codec=arrival vocab=55028\n", ["00000000000000000000000005 7\n"])
+    @example("#codec=interarrival vocab=34025\n", ["1 2\r\n", "3\r\n"])
+    @example("#codec=arrival vocab=55028\n", ["1 2\n", "3 4"])
+    def test_same_rows_or_same_error(self, header, lines):
+        text = header + "".join(lines)
+        outcome = _outcome(read_tokens, io.StringIO(text))
+        assert outcome == _outcome(_reference_read_tokens, io.StringIO(text))
+        if isinstance(outcome[0], str):  # read: (codec, rows)
+            assert all(type(token) is int for row in outcome[1] for token in row)
 
 
 # -- columnar encoder against the per-event reference -----------------------
@@ -656,8 +775,8 @@ def _reference_encode_interarrival(seq, *, leading_sep=False):
         tokens.append((IV.ONSET_BASE if is_onset else IV.OFFSET_BASE) + note)
         if i + 1 < len(items):
             gap = items[i + 1][0] - time
-            if gap:
-                tokens.append(min(gap, IV.ONSET_BASE - 1))
+            full, rest = divmod(gap, IV.ONSET_BASE - 1)
+            tokens.extend([IV.ONSET_BASE - 1] * full + ([rest] if rest else []))
     return tokens
 
 
