@@ -1,4 +1,5 @@
-"""Log-loss accounting: per-token cross entropy bucketed by triple slot,
+"""Log-loss accounting: per-token cross entropy bucketed by token role
+(the triple slots, SEP and control, as the tokenizer assigns them),
 per-event perplexity decomposition, and the bits-per-second conversion that
 makes losses comparable across codecs.
 
@@ -15,9 +16,8 @@ from typing import Iterable, Sequence
 
 from .events import EventSequence, InterleavedSequence, UNITS_PER_SECOND
 from .predictor import Predictor
-from .tokenizer import encode_interarrival
+from .tokenizer import TokenError, _leading_code, _token_roles, encode_interarrival
 from .vocab import ArrivalVocab as AV
-from .vocab import InterarrivalVocab as IV
 
 
 @dataclass(frozen=True)
@@ -123,15 +123,6 @@ class LossReport:
         return self._ppl(self.nats_note)
 
 
-def _slot_of_arrival(token: int, slot: int) -> str:
-    """Classify an arrival-codec token occupying triple slot 0/1/2."""
-    if token == AV.SEP:
-        return "sep"
-    if AV.is_control_range(token):
-        return "control"
-    return ("time", "duration", "note")[slot]
-
-
 def cross_entropy(
     predictor: Predictor,
     rows: Iterable[Sequence[int]],
@@ -143,21 +134,27 @@ def cross_entropy(
     and is excluded from the loss; otherwise arrival rows are scored under
     the no-anticipation code AR and interarrival rows under none. A
     zero-probability ground-truth token is recorded in
-    ``infinite_positions``.
+    ``infinite_positions``; one outside the predictor's vocabulary raises
+    ``TokenError`` before its row is scored. Positions follow any code.
     """
-    z = AV.AR if codec == "arrival" else None
     report = LossReport(codec)
+    nats_by_role = [0.0] * 5  # by ``tokenizer._token_roles``: time, duration, note, SEP, control
+    count_by_role = [0] * 5
     for row_index, row in enumerate(rows):
-        tokens = list(row)
-        row_z = z
-        if codec == "arrival" and tokens and tokens[0] in (AV.AR, AV.AAR):
-            row_z = tokens[0]
-            tokens = tokens[1:]
-        if codec == "arrival" and len(tokens) % 3:
-            raise ValueError(f"row {row_index}: arrival rows must be whole triples")
+        z, tokens = None, list(row)
+        if codec == "arrival":
+            code, tokens = _leading_code(tokens)
+            z = AV.AR if code is None else code
+            if len(tokens) % 3:
+                raise ValueError(f"row {row_index}: arrival rows must be whole triples")
+        roles = _token_roles(tokens, codec, predictor.vocab_size)
+        if len(roles) and roles.min() < 0:
+            position = int(roles.argmin())
+            raise TokenError(f"row {row_index}: token {tokens[position]} at position {position} "
+                             f"outside the predictor's vocabulary of size {predictor.vocab_size}")
         context: list[int] = []
-        for position, token in enumerate(tokens):
-            dist = predictor.next_distribution(row_z, context)
+        for position, (token, role) in enumerate(zip(tokens, roles.tolist())):
+            dist = predictor.next_distribution(z, context)
             context.append(token)
             p = float(dist[token])
             if p <= 0.0:
@@ -165,27 +162,11 @@ def cross_entropy(
                 nats = math.inf
             else:
                 nats = -math.log(p)
-            if codec == "arrival":
-                slot = _slot_of_arrival(token, position % 3)
-            else:
-                slot = "sep" if token == IV.SEP else "event"
-            if slot == "sep":
-                report.nats_sep += nats
-                report.n_sep_tokens += 1
-            elif slot == "control":
-                report.nats_control += nats
-                report.n_control_tokens += 1
-            elif codec == "arrival":
-                if slot == "time":
-                    report.nats_time += nats
-                    report.n_events += 1
-                elif slot == "duration":
-                    report.nats_duration += nats
-                else:
-                    report.nats_note += nats
-            else:
-                report.nats_time += nats
-                report.n_events += 1
+            nats_by_role[role] += nats
+            count_by_role[role] += 1
+    (report.nats_time, report.nats_duration, report.nats_note,
+     report.nats_sep, report.nats_control) = nats_by_role
+    report.n_events, _, _, report.n_sep_tokens, report.n_control_tokens = count_by_role
     return report
 
 

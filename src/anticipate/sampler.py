@@ -1,17 +1,19 @@
 """Generation: one loop behind anticipatory sampling and the baseline
 autoregressive infilling loop, plus nucleus (top-p) token sampling.
 
-The loop samples an event triple token-by-token from the predictor, then
-releases every pending control with time at most ``t + lookahead``, where
-``t`` is the time of the event just sampled. Anticipatory sampling looks
-``delta`` ahead and appends the released controls after the event in the
-control vocabulary. Because that check looks only at what has already been
-generated, the loop reproduces the offline interleaving exactly when the
-predictor replays a known event stream. The baseline cannot look ahead
-(lookahead 0): it inserts the controls the event's time has reached before
-the event, writing them into the history as ordinary events. When generation
-terminates the unconsumed controls are appended so the result remains
-lossless for the split/sort inverse.
+The loop samples an event triple token-by-token from the predictor (under the
+grammar mask, from the tokenizer's ranges for each slot) and decodes it with
+the tokenizer. It then releases every pending control with time at most
+``t + lookahead``, where ``t`` is the time of the event just sampled.
+Anticipatory sampling looks ``delta`` ahead and appends the released
+controls after the event in the control vocabulary. Because that check
+looks only at what has already been generated, the loop reproduces the
+offline interleaving exactly when the predictor replays a known event
+stream. The baseline cannot look ahead (lookahead 0): it inserts the
+controls the event's time has reached before the event, writing them into
+the history as ordinary events. When generation terminates the unconsumed
+controls are appended so the result remains lossless for the split/sort
+inverse.
 
 Generation works at event granularity with absolute times. Every placed
 item is written once, in placement order, into one int64 buffer with rows
@@ -42,10 +44,8 @@ from .events import (
     MAX_TIME_UNITS, REST, EventSequence, InterleavedSequence, _tagged,
 )
 from .predictor import Predictor
-from .tokenizer import _arrival_triples
+from .tokenizer import _arrival_triples, _decode_triple, _slot_ranges
 from .vocab import ArrivalVocab as AV
-
-TIME_SLOT, DURATION_SLOT, NOTE_SLOT = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,6 @@ def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
     return int(np.flatnonzero(dist == value)[rank - first_rank])
 
 
-def _slot_ranges(slot: int, min_time: int) -> list[tuple[int, int]]:
-    """Allowed token ranges for a triple slot under the grammar mask."""
-    if slot == TIME_SLOT:
-        return [(AV.TIME_BASE + min_time, AV.DUR_BASE), (AV.SEP, AV.SEP + 1)]
-    if slot == DURATION_SLOT:
-        return [(AV.DUR_BASE, AV.NOTE_BASE)]
-    return [(AV.NOTE_BASE, AV.REST + 1)]
-
-
 def _context_after(
     buffer: np.ndarray, n: int, capacity: int, plain_controls: bool,
 ) -> tuple[list[int], int]:
@@ -147,20 +138,14 @@ def _context_after(
 
 
 def _sample_slot(
-    predictor: Predictor,
-    z: int,
-    context: list[int],
-    slot: int,
-    min_time: int,
-    rng: np.random.Generator,
-    config: SamplerConfig,
+    predictor: Predictor, z: int, context: list[int], ranges: tuple[tuple[int, int], ...],
+    rng: np.random.Generator, config: SamplerConfig,
 ) -> int:
     dist = predictor.next_distribution(z, context)
     if not config.grammar_mask:
         return nucleus_sample(dist, config.top_p, rng)
-    # Sample over the allowed ranges only; slices view the distribution
+    # Sample over the slot's ranges only; slices view the distribution
     # without materializing a full-vocabulary mask.
-    ranges = _slot_ranges(slot, min_time)
     pieces = [dist[lo:hi] for lo, hi in ranges]
     local = nucleus_sample(pieces[0] if len(pieces) == 1 else np.concatenate(pieces),
                            config.top_p, rng)
@@ -172,47 +157,34 @@ def _sample_slot(
 
 
 def _sample_event(
-    predictor: Predictor,
-    z: int,
-    tokens: list[int],
-    offset: int,
-    last_time: int | None,
-    rng: np.random.Generator,
-    config: SamplerConfig,
+    predictor: Predictor, z: int, tokens: list[int], offset: int, last_time: int | None,
+    rng: np.random.Generator, config: SamplerConfig,
 ) -> tuple[tuple[int, int, int], list[int]] | None:
     """Sample one event: its (time, duration, note) and its triple as context
     tokens at ``offset``; None means the separator was sampled. ``tokens``
     is the context, whose times are shifted by ``offset``."""
-    min_time = 0 if last_time is None else max(last_time - offset, 0)
-
-    time_tok = _sample_slot(predictor, z, tokens, TIME_SLOT, min_time, rng, config)
+    # a time no earlier than the last event's keeps the events in order
+    ranges = _slot_ranges(0 if last_time is None else max(last_time - offset, 0))
+    time_tok = _sample_slot(predictor, z, tokens, ranges[0], rng, config)
     if time_tok == AV.SEP:
         return None
     tokens = tokens + [time_tok]
-    duration_tok = _sample_slot(predictor, z, tokens, DURATION_SLOT, min_time, rng, config)
+    duration_tok = _sample_slot(predictor, z, tokens, ranges[1], rng, config)
     tokens.append(duration_tok)
-    note_tok = _sample_slot(predictor, z, tokens, NOTE_SLOT, min_time, rng, config)
+    note_tok = _sample_slot(predictor, z, tokens, ranges[2], rng, config)
 
-    time = time_tok - AV.TIME_BASE + offset
-    if not (
-        AV.is_plain_time(time_tok)
-        and AV.is_plain_duration(duration_tok)
-        and (AV.is_plain_note(note_tok) or note_tok == AV.REST)
-        and (last_time is None or time >= last_time)
-    ):
-        # Reachable only with the grammar mask off and a model that has not
-        # learned the triple structure and the order of event times.
+    triple = (time_tok, duration_tok, note_tok)
+    decoded = _decode_triple(*triple, offset)
+    # Only an unmasked draw can leave the slot ranges, from a model that has
+    # not learned the triple structure and the order of event times.
+    if not config.grammar_mask and not all(
+            any(lo <= token < hi for lo, hi in slot) for token, slot in zip(triple, ranges)):
         raise ValueError(
-            f"sampled an ungrammatical triple ({time_tok}, {duration_tok}, {note_tok}) at time "
-            f"{time}, previous event time {last_time}; "
-            "enable grammar_mask for models that do not respect the slot ranges"
+            f"sampled an ungrammatical triple {triple} at time {decoded[0][0]}, previous "
+            f"event time {last_time}; enable grammar_mask for models that do not respect "
+            "the slot ranges"
         )
-    if note_tok == AV.REST:
-        # Rests carry no duration; a model may still pair REST with a
-        # nonzero duration token, which we coerce to zero.
-        return (time, 0, REST), [time_tok, AV.DUR_BASE, note_tok]
-    return ((time, duration_tok - AV.DUR_BASE, note_tok - AV.NOTE_BASE),
-            [time_tok, duration_tok, note_tok])
+    return decoded
 
 
 def _check_controls(controls: EventSequence) -> None:

@@ -9,13 +9,15 @@ decoder sums); a separator is a single SEP.
 Its decoder pairs offsets with onsets by the note-pairing rule MIDI parsing
 uses (:func:`anticipate.events._pair_notes`).
 
-This module is the only one that knows the arrival token layout, through
-one array encoder and its array inverse. Encoding builds the triples of a
-sequence, a packed stream or a sampler context from the time, duration, note
-and control rows and checks them with array operations; the first invalid
-item fails with its index. Decoding classifies every triple with range
-masks, fails at the first malformed one, and splits the decoded columns at
-the separator triples; no event object is built.
+This module is the only one that knows the arrival token layout and its
+grammar: one array encoder and its array inverse, the token ranges of each
+slot of a sampled triple, that triple's decode, a row's leading control code
+and each token's role. Encoding builds the triples of a sequence, a packed
+stream or a sampler context from the time, duration, note and control rows
+and checks them with array operations; the first invalid item fails with its
+index. Decoding classifies every triple with range masks, fails at the first
+malformed one, and splits the decoded columns at the separator triples; no
+event object is built.
 
 Every model context is relativized by one rule: its times are shifted by the
 minimum time of its items, so the context starts at zero and distinct times
@@ -133,6 +135,49 @@ def _token_array(toks: list[int], size: int) -> np.ndarray:
         return np.where((objects >= 0) & (objects < size), objects, -1).astype(np.int64)
 
 
+def _slot_ranges(min_time: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The ``[lo, hi)`` token ranges each slot of a sampled plain triple may
+    hold: a time from ``min_time`` or SEP, a duration, a note or REST."""
+    return (((AV.TIME_BASE + min_time, AV.DUR_BASE), (AV.SEP, AV.SEP + 1)),
+            ((AV.DUR_BASE, AV.NOTE_BASE),),
+            ((AV.NOTE_BASE, AV.REST + 1),))
+
+
+def _decode_triple(time_tok: int, duration_tok: int, note_tok: int,
+                   offset: int) -> tuple[tuple[int, int, int], list[int]]:
+    """An unchecked plain triple's (time, duration, note), time shifted by
+    ``offset``, and its context tokens; a rest's duration, which a model may
+    draw as any duration token, reads as zero."""
+    time = time_tok - AV.TIME_BASE + offset
+    if note_tok == AV.REST:
+        return (time, 0, REST), [time_tok, AV.DUR_BASE, note_tok]
+    return ((time, duration_tok - AV.DUR_BASE, note_tok - AV.NOTE_BASE),
+            [time_tok, duration_tok, note_tok])
+
+
+def _leading_code(tokens: list[int]) -> tuple[int | None, list[int]]:
+    """Arrival tokens' leading control code (AR or AAR, else None) and the rest."""
+    if tokens and tokens[0] in (AV.AR, AV.AAR):
+        return tokens[0], tokens[1:]
+    return None, tokens
+
+
+def _token_roles(tokens: list[int], codec: str, size: int) -> np.ndarray:
+    """The role of each token of a row without its control code: its triple
+    slot (0 time, 1 duration, 2 note), 3 for SEP, 4 for a control token, -1
+    outside ``[0, size)``. Arrival slots go by position; every interarrival
+    token other than SEP has the time slot."""
+    array = _token_array(tokens, size)
+    if codec == "arrival":
+        roles = np.arange(len(array)) % 3
+        roles[AV.is_control_range(array)] = 4
+    else:
+        roles = np.zeros(len(array), dtype=np.int64)
+    roles[array == CODEC_VOCABS[codec].SEP] = 3
+    roles[(array < 0) | (array >= size)] = -1
+    return roles
+
+
 def decode_arrival(tokens: Sequence[int]) -> list[InterleavedSequence]:
     """Decode arrival-codec tokens into sequence segments.
 
@@ -143,9 +188,7 @@ def decode_arrival(tokens: Sequence[int]) -> list[InterleavedSequence]:
     stream (plain or control) and segment, raises ``TokenError`` with its
     triple index.
     """
-    toks = list(tokens)
-    if toks and toks[0] in (AV.AR, AV.AAR):
-        toks = toks[1:]
+    _, toks = _leading_code(list(tokens))
     if len(toks) % 3:
         raise TokenError(f"token count {len(toks)} is not a multiple of 3")
     a, b, c = _token_array(toks, AV.SIZE).reshape(-1, 3).T
@@ -376,15 +419,18 @@ def _outside_vocabulary(where: str, row: Sequence[int], codec: str) -> TokenErro
 def write_tokens(f: IO[str], rows: Iterable[Sequence[int]], codec: str) -> None:
     """Write token rows (one sequence or example per line) with a codec header.
 
-    Each token's text is looked up in a table built once per codec. A token
-    outside the codec's vocabulary raises ``TokenError`` naming its 0-based
-    row; the rows before it are already written.
+    Each token's text is looked up in a table built once per codec. An empty
+    row (a blank line, which reads as no row) or a token outside the codec's
+    vocabulary raises ``TokenError`` naming its 0-based row; the rows before
+    it are already written.
     """
     texts = _token_texts(codec)
     f.write(f"#codec={codec} vocab={len(texts)}\n")
     for i, row in enumerate(rows):
+        if not len(row):
+            raise TokenError(f"row {i}: an empty row cannot be written")
         try:
-            if len(row) and min(row) < 0:  # a tuple reads a negative index from its end
+            if min(row) < 0:  # a tuple reads a negative index from its end
                 raise IndexError
             f.write(" ".join(map(texts.__getitem__, row)) + "\n")
         except IndexError:

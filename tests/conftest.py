@@ -7,6 +7,7 @@ covers structural round-trip properties with smaller examples.
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,17 @@ from anticipate.events import (
 )
 from anticipate.tokenizer import CONTEXT_LENGTH, TokenError
 from anticipate.vocab import ArrivalVocab as AV
+
+# Hypothesis's pytest plugin imports this module when it reports a falsifying
+# example. It imports libcst, whose mypy_extensions warns DeprecationWarning;
+# under ``-W error::DeprecationWarning`` that import would end the run in
+# INTERNALERROR instead of printing the example, so import it here, once.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst the plugin skips the import itself
+        pass
 
 
 def random_events(

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anticipate import golden
 from anticipate.events import Event, EventSequence, InterleavedSequence, TaggedEvent
@@ -18,7 +21,7 @@ from anticipate.metrics import (
     report_row,
 )
 from anticipate.predictor import ReplayPredictor
-from anticipate.tokenizer import encode_arrival, encode_interarrival
+from anticipate.tokenizer import TokenError, encode_arrival, encode_interarrival
 from anticipate.vocab import ArrivalVocab as AV
 from anticipate.vocab import InterarrivalVocab as IV
 
@@ -124,6 +127,139 @@ def test_cross_entropy_passes_each_row_as_one_growing_context():
     # one list per row, extended in place rather than copied per position
     assert all(c is recorder.lists[0] for c in recorder.lists[:9])
     assert all(c is recorder.lists[9] for c in recorder.lists[9:])
+
+
+@pytest.mark.parametrize("codec, size", [("arrival", AV.SIZE), ("interarrival", IV.SIZE)])
+@pytest.mark.parametrize("token", [-1, "size"])
+def test_out_of_vocabulary_token_rejected_before_its_row(codec, size, token):
+    token = size if token == "size" else token
+    good = [1, AV.DUR_BASE + 1, AV.NOTE_BASE + 1] if codec == "arrival" else [5, IV.ONSET_BASE]
+    bad = good[:2] + [token] + good[3:]
+    recorder = _Recorder()
+    recorder.vocab_size = size
+    with pytest.raises(TokenError, match=f"row 1: token {token} at position 2 outside "
+                                         f"the predictor's vocabulary of size {size}"):
+        cross_entropy(recorder, [good, bad], codec)
+    assert len(recorder.calls) == len(good)  # the bad row is never scored
+
+
+def _reference_cross_entropy(predictor, rows, codec) -> LossReport:
+    """The per-token loop that ``cross_entropy`` replaced, with its per-token
+    slot classification; kept as the reference it must match bit for bit."""
+
+    def slot_of_arrival(token, slot):
+        if token == AV.SEP:
+            return "sep"
+        if AV.is_control_range(token):
+            return "control"
+        return ("time", "duration", "note")[slot]
+
+    z = AV.AR if codec == "arrival" else None
+    report = LossReport(codec)
+    for row_index, row in enumerate(rows):
+        tokens = list(row)
+        row_z = z
+        if codec == "arrival" and tokens and tokens[0] in (AV.AR, AV.AAR):
+            row_z = tokens[0]
+            tokens = tokens[1:]
+        if codec == "arrival" and len(tokens) % 3:
+            raise ValueError(f"row {row_index}: arrival rows must be whole triples")
+        context: list[int] = []
+        for position, token in enumerate(tokens):
+            dist = predictor.next_distribution(row_z, context)
+            context.append(token)
+            p = float(dist[token])
+            if p <= 0.0:
+                report.infinite_positions.append((row_index, position))
+                nats = math.inf
+            else:
+                nats = -math.log(p)
+            if codec == "arrival":
+                slot = slot_of_arrival(token, position % 3)
+            else:
+                slot = "sep" if token == IV.SEP else "event"
+            if slot == "sep":
+                report.nats_sep += nats
+                report.n_sep_tokens += 1
+            elif slot == "control":
+                report.nats_control += nats
+                report.n_control_tokens += 1
+            elif codec == "arrival":
+                if slot == "time":
+                    report.nats_time += nats
+                    report.n_events += 1
+                elif slot == "duration":
+                    report.nats_duration += nats
+                else:
+                    report.nats_note += nats
+            else:
+                report.nats_time += nats
+                report.n_events += 1
+    return report
+
+
+class _Shifting:
+    """Test double: a fixed random distribution with every 13th token at
+    zero, rolled by the context's length and last token and by ``z``. Like
+    ``NGramModel`` it reuses one buffer, so each read must precede the next
+    call."""
+
+    def __init__(self, vocab_size: int):
+        self.vocab_size = vocab_size
+        self.context_length = 1024
+        base = np.random.default_rng(7).random(vocab_size)
+        base[::13] = 0.0
+        self._base = base / base.sum()
+        self._buffer = np.empty(vocab_size)
+
+    def next_distribution(self, z, context):
+        shift = 31 * len(context) + (context[-1] if context else 0) + (z or 0)
+        np.copyto(self._buffer, np.roll(self._base, shift))
+        return self._buffer
+
+
+_SHIFTING = {size: _Shifting(size) for size in (AV.SIZE, IV.SIZE)}
+
+
+def _span(low, high):
+    return st.integers(low, high - 1)
+
+
+_arrival_triple = st.one_of(
+    st.tuples(_span(0, AV.DUR_BASE), _span(AV.DUR_BASE, AV.NOTE_BASE),
+              _span(AV.NOTE_BASE, AV.REST + 1)),
+    st.tuples(_span(AV.ANT_TIME_BASE, AV.ANT_DUR_BASE), _span(AV.ANT_DUR_BASE, AV.ANT_NOTE_BASE),
+              _span(AV.ANT_NOTE_BASE, AV.SEP)),
+    st.just((AV.SEP,) * 3),
+    # any tokens, AR and AAR included, in any slot
+    st.tuples(*[st.one_of(_span(0, AV.SIZE), st.sampled_from([AV.SEP, AV.AR, AV.AAR]))] * 3),
+)
+_arrival_row = st.tuples(
+    st.sampled_from([[], [AV.AR], [AV.AAR]]), st.lists(_arrival_triple, max_size=8),
+).map(lambda parts: parts[0] + [token for triple in parts[1] for token in triple])
+_interarrival_row = st.lists(st.one_of(_span(0, IV.SIZE), st.just(IV.SEP)), max_size=24)
+
+
+def _exact(score, *args):
+    """The report's fields, floats as their exact hex, or the error's type
+    and message."""
+    try:
+        report = score(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return {k: v.hex() if isinstance(v, float) else v for k, v in asdict(report).items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("arrival"), st.lists(_arrival_row, max_size=3)),
+    st.tuples(st.just("interarrival"), st.lists(_interarrival_row, max_size=3)),
+))
+def test_cross_entropy_matches_the_per_token_reference(codec_rows):
+    codec, rows = codec_rows
+    predictor = _SHIFTING[AV.SIZE if codec == "arrival" else IV.SIZE]
+    expected = _exact(_reference_cross_entropy, predictor, rows, codec)
+    assert _exact(cross_entropy, predictor, rows, codec) == expected
 
 
 class TestPerplexities:

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import logging
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import anticipate
 from anticipate import golden
 from anticipate.events import (
     MAX_DURATION_UNITS,
@@ -26,7 +29,9 @@ from anticipate.tokenizer import (
     TrainingExample,
     _HEADER_RE,
     _arrival_triples,
+    _decode_triple,
     _relativize_sequence,
+    _slot_ranges,
     decode_arrival,
     decode_interarrival,
     encode_arrival,
@@ -439,10 +444,18 @@ class TestTokenFile:
             write_tokens(buf, [[1, 2], row], codec)
         assert buf.getvalue().splitlines()[1:] == ["1 2"]
 
+    @pytest.mark.parametrize("empty", [[], ()])
+    def test_write_refuses_empty_rows(self, empty):
+        # a blank line reads as no row, so [[1], [], [2]] would read back as [[1], [2]]
+        buf = io.StringIO()
+        with pytest.raises(TokenError, match="row 1: an empty row"):
+            write_tokens(buf, [[1], empty, [2]], "arrival")
+        assert buf.getvalue().splitlines()[1:] == ["1"]
+
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["arrival", "interarrival"]).flatmap(lambda codec: st.tuples(
         st.just(codec),
-        # a row with no tokens writes a blank line, which reads as no row
+        # a row with no tokens is refused (test_write_refuses_empty_rows)
         st.lists(st.lists(st.integers(0, CODEC_VOCABS[codec].SIZE - 1), min_size=1, max_size=30),
                  max_size=5))))
     def test_write_then_read_round_trips(self, codec_rows):
@@ -1020,3 +1033,57 @@ class TestDecoderFuzz:
             decode_interarrival(tokens)
         except TokenError:
             pass
+
+
+class TestGrammar:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, MAX_TIME_UNITS - 1).flatmap(lambda min_time: st.tuples(*(
+        st.sampled_from(slot).flatmap(lambda r: st.integers(r[0], r[1] - 1))
+        for slot in _slot_ranges(min_time)))).filter(lambda triple: triple[0] != AV.SEP),
+        st.integers(0, 10**6))
+    def test_decode_triple_matches_decode_arrival(self, triple, offset):
+        """Every non-SEP triple drawn from the slot ranges decodes as
+        ``decode_arrival`` decodes it once a rest's duration token is zero."""
+        time_tok, duration_tok, note_tok = triple
+        if note_tok == AV.REST:
+            duration_tok = AV.DUR_BASE
+        (segment,) = decode_arrival([time_tok, duration_tok, note_tok])
+        (item,) = segment
+        event, context = _decode_triple(*triple, offset)
+        assert not item.control
+        assert event == (item.event.time + offset, item.event.duration, item.event.note)
+        assert context == [time_tok, duration_tok, note_tok]
+
+
+_LAYOUT_FREE = {"ArrivalVocab": {"SIZE", "SEP", "AR", "AAR"}, "InterarrivalVocab": {"SIZE", "SEP"}}
+
+
+def test_only_the_tokenizer_knows_the_token_layout():
+    """Outside ``tokenizer.py`` and ``vocab.py`` no module reads a base,
+    offset or range test of either vocabulary, only sizes and codes."""
+    package = Path(anticipate.__file__).parent
+    either = _LAYOUT_FREE["ArrivalVocab"] & _LAYOUT_FREE["InterarrivalVocab"]
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("tokenizer.py", "vocab.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = {alias.asname or alias.name: alias.name
+                   for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   for alias in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            value = node.value
+            if isinstance(value, ast.Name) and aliases.get(value.id) in _LAYOUT_FREE:
+                allowed = _LAYOUT_FREE[aliases[value.id]]
+            elif isinstance(value, ast.Attribute) and value.attr in _LAYOUT_FREE:
+                allowed = _LAYOUT_FREE[value.attr]
+            elif (isinstance(value, ast.Subscript) and isinstance(value.value, ast.Name)
+                  and aliases.get(value.value.id) == "CODEC_VOCABS"):
+                allowed = either
+            else:
+                continue
+            if node.attr not in allowed:
+                reads.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert reads == []
