@@ -31,7 +31,7 @@ from .augment import AugmentationPolicy, augment_corpus
 from .corpus import preprocess_corpus
 from .eventio import read_events, write_events
 from .events import REST, EventSequence, InterleavedSequence
-from .metrics import CorpusStats, corpus_stats, cross_entropy, format_report, report_row
+from .metrics import cross_entropy, format_report, report_row, total_seconds
 from .midi import ChannelCapacityError, MidiParseError, write_midi
 from .predictor import NGramModel, train_ngram
 from .sampler import SamplerConfig, generate_anticipatory, generate_autoregressive_infill
@@ -219,19 +219,21 @@ def _cmd_tokenize(args) -> int:
     return 0
 
 
+def _decoded(codec: str, rows: list[list[int]]) -> list[InterleavedSequence]:
+    """The sequences of token rows: each arrival row's non-empty segments, or
+    each interarrival row's events."""
+    if codec == "arrival":
+        return [s for row in rows for s in decode_arrival(row) if len(s)]
+    return [InterleavedSequence.from_events(decode_interarrival(row)) for row in rows]
+
+
 def _cmd_detokenize(args) -> int:
     with _open_in(args.input) as f:
         codec, rows = read_tokens(f)
     if args.codec is not None and args.codec != codec:
         raise TokenError(f"file holds {codec} tokens, --codec asked for {args.codec}")
-    sequences: list[InterleavedSequence] = []
-    for row in rows:
-        if codec == "arrival":
-            sequences.extend(s for s in decode_arrival(row) if len(s))
-        else:
-            sequences.append(InterleavedSequence.from_events(decode_interarrival(row)))
     with _open_out(args.output) as f:
-        write_events(f, sequences)
+        write_events(f, _decoded(codec, rows))
     return 0
 
 
@@ -342,18 +344,9 @@ def _cmd_evaluate(args) -> int:
         raise TokenError(
             f"model vocabulary {model.vocab_size} does not match {codec} codec ({vocab})"
         )
-    if codec == "arrival":
-        sequences: list = []
-        for row in rows:
-            sequences.extend(decode_arrival(row))
-        seconds = corpus_stats(sequences, codec).total_seconds
-    else:
-        seconds = corpus_stats([decode_interarrival(row) for row in rows], codec).total_seconds
+    seconds = total_seconds(_decoded(codec, rows))
     report = cross_entropy(model, rows, codec)
-    # Normalize by the tokens scored in the event buckets, matching the
-    # per-token loss the report carries.
-    stats = CorpusStats(report.n_event_tokens, seconds, codec)
-    text = format_report(report, stats) + "\n" + report_row(report, stats)
+    text = format_report(report, seconds) + "\n" + report_row(report, seconds)
     print(text)
     if args.report:
         Path(args.report).write_text(text + "\n")

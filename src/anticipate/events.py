@@ -257,6 +257,17 @@ def _pair_notes(keys: np.ndarray, onsets: np.ndarray) -> tuple[np.ndarray, np.nd
     return ons, np.array(closer, dtype=np.int64)[ons], np.array(strays, dtype=np.int64)
 
 
+def _note_order(time: np.ndarray, duration: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The MIDI writer's and the interarrival encoder's order of note-ons
+    (item ``2 * i`` is event ``i``'s) and note-offs (``2 * i + 1``), and
+    their times: by time, at one instant the offs of notes with a duration
+    first and a zero-length note's off just after its on, ties in event
+    order. Events are in time order, so a stable sort by time is this order."""
+    item_time = np.column_stack([time, time + duration]).ravel()
+    order = np.argsort(item_time, kind="stable")
+    return order, item_time[order]
+
+
 def _first_drop(time: np.ndarray, stream: np.ndarray) -> int | None:
     """The first index earlier in time than the item before it in its stream, or None."""
     order = np.argsort(stream, kind="stable")  # each stream in sequence order

@@ -3,9 +3,9 @@
 per-event perplexity decomposition, and the bits-per-second conversion that
 makes losses comparable across codecs.
 
-Bits per second is the total test-set log-loss divided by the seconds of
-music in the test set: ``L`` nats/token becomes
-``L / ln(2) * token_count / total_seconds``.
+Bits per second is the event-token log-loss divided by the seconds of music
+scored: ``L`` nats/token becomes ``L / ln(2) * token_count / total_seconds``,
+where the token count is always ``LossReport.n_event_tokens``.
 """
 
 from __future__ import annotations
@@ -33,24 +33,29 @@ class CorpusStats:
             raise ValueError("counts must be non-negative")
 
 
+def total_seconds(sequences: Iterable[InterleavedSequence | EventSequence]) -> float:
+    """The seconds of music in ``sequences``, each measured to its last note offset."""
+    seconds = 0.0
+    for seq in sequences:
+        seconds += seq.end_time / UNITS_PER_SECOND
+    return seconds
+
+
 def corpus_stats(
     sequences: Iterable[InterleavedSequence | EventSequence], codec: str
 ) -> CorpusStats:
-    """Count tokens under a codec and sum sequence durations in seconds.
-
-    Duration is measured to the last note offset.
-    """
+    """The event tokens a codec scores in whole-sequence rows (3 per plain
+    item under arrival, controls excluded), and their ``total_seconds``."""
+    sequences = list(sequences)
     tokens = 0
-    seconds = 0.0
     for seq in sequences:
         if codec == "arrival":
-            tokens += 3 * len(seq)
+            tokens += 3 * len(seq.events() if isinstance(seq, InterleavedSequence) else seq)
         elif codec == "interarrival":
             tokens += len(encode_interarrival(seq))
         else:
             raise ValueError(f"unknown codec {codec!r}")
-        seconds += seq.end_time / UNITS_PER_SECOND
-    return CorpusStats(tokens, seconds, codec)
+    return CorpusStats(tokens, total_seconds(sequences), codec)
 
 
 def bits_per_second(nats_per_token: float, stats: CorpusStats) -> float:
@@ -134,7 +139,8 @@ def cross_entropy(
     and is excluded from the loss; otherwise arrival rows are scored under
     the no-anticipation code AR and interarrival rows under none. A
     zero-probability ground-truth token is recorded in
-    ``infinite_positions``; one outside the predictor's vocabulary raises
+    ``infinite_positions``. A token outside the predictor's vocabulary, or
+    an arrival triple that mixes event, SEP and control tokens, raises
     ``TokenError`` before its row is scored. Positions follow any code.
     """
     report = LossReport(codec)
@@ -152,6 +158,13 @@ def cross_entropy(
             position = int(roles.argmin())
             raise TokenError(f"row {row_index}: token {tokens[position]} at position {position} "
                              f"outside the predictor's vocabulary of size {predictor.vocab_size}")
+        if codec == "arrival":  # each triple is all event, all SEP or all control tokens
+            kinds = roles.clip(min=2).reshape(-1, 3)
+            mixed = kinds.min(axis=1) != kinds.max(axis=1)
+            if mixed.any():
+                k = int(mixed.argmax())
+                raise TokenError(f"row {row_index}: triple {k} {tuple(tokens[3 * k:3 * k + 3])} "
+                                 "mixes event, SEP and control tokens")
         context: list[int] = []
         for position, (token, role) in enumerate(zip(tokens, roles.tolist())):
             dist = predictor.next_distribution(z, context)
@@ -170,8 +183,14 @@ def cross_entropy(
     return report
 
 
-def format_report(report: LossReport, stats: CorpusStats | None = None) -> str:
-    """Render a loss report as a flat key=value block."""
+def _report_bits_per_second(report: LossReport, seconds: float) -> float:
+    stats = CorpusStats(report.n_event_tokens, seconds, report.codec)
+    return bits_per_second(report.nats_per_token, stats)
+
+
+def format_report(report: LossReport, seconds: float | None = None) -> str:
+    """Render a loss report as a flat key=value block; with the ``seconds``
+    of the scored music it adds bits per second."""
     lines = [
         f"codec={report.codec}",
         f"events={report.n_events}",
@@ -188,16 +207,16 @@ def format_report(report: LossReport, stats: CorpusStats | None = None) -> str:
             f"ppl_duration={report.ppl_duration:.4f}",
             f"ppl_note={report.ppl_note:.4f}",
         ]
-    if stats is not None:
+    if seconds is not None:
         lines += [
-            f"tokens={stats.token_count}",
-            f"seconds={stats.total_seconds:.2f}",
-            f"bits_per_second={bits_per_second(report.nats_per_token, stats):.4f}",
+            f"tokens={report.n_event_tokens}",
+            f"seconds={seconds:.2f}",
+            f"bits_per_second={_report_bits_per_second(report, seconds):.4f}",
         ]
     return "\n".join(lines)
 
 
-def report_row(report: LossReport, stats: CorpusStats | None = None) -> str:
+def report_row(report: LossReport, seconds: float | None = None) -> str:
     """Render the report as one machine-readable tab-separated row."""
     fields = [
         report.codec,
@@ -208,6 +227,6 @@ def report_row(report: LossReport, stats: CorpusStats | None = None) -> str:
         f"{report.ppl_duration:.4f}",
         f"{report.ppl_note:.4f}",
     ]
-    if stats is not None:
-        fields.append(f"{bits_per_second(report.nats_per_token, stats):.4f}")
+    if seconds is not None:
+        fields.append(f"{_report_bits_per_second(report, seconds):.4f}")
     return "\t".join(fields)

@@ -18,7 +18,10 @@ accepted file parses exactly as it would in Python integers.
 The writer emits format-1 files at a fixed 500000 us/quarter and 480
 ticks/quarter. At that resolution one 10ms grid unit is 9.6 ticks; the
 rounding error stays well under half a grid unit in both directions, so
-parse(write(s)) == s for rest-free sequences.
+parse(write(s)) == s for rest-free sequences. Tick rounding keeps grid order
+and distinct times distinct, so note-ons and note-offs go in the interarrival
+encoder's order (:func:`anticipate.events._note_order`), each delta time
+checked as its message is built.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import logging
 import numpy as np
 
 from .events import (
-    DRUM_INSTRUMENT, NUM_PITCHES, EventSequence, _pair_notes, quantize_duration, seconds_to_units,
+    DRUM_INSTRUMENT, NUM_PITCHES, EventSequence, _note_order, _pair_notes, quantize_duration,
+    seconds_to_units,
 )
 
 log = logging.getLogger(__name__)
@@ -238,11 +242,6 @@ def _track_chunk(messages: list[tuple[int, bytes]]) -> bytes:
     return b"MTrk" + len(body).to_bytes(4, "big") + bytes(body)
 
 
-def _units_to_ticks(units: int) -> int:
-    # 9.6 ticks per grid unit at 480 tpq / 500000 us per quarter
-    return (units * 96 + 5) // 10
-
-
 def write_midi(seq: EventSequence) -> bytes:
     """Write events as a format-1 MIDI file; rests are dropped.
 
@@ -251,7 +250,8 @@ def write_midi(seq: EventSequence) -> bytes:
     the available channels, and a note more than 2**28 - 1 ticks (about 77.7
     hours) after the message before it exceeds a delta time: both raise.
     """
-    time, duration, note = seq.without_rests().columns.tolist()
+    columns = seq.without_rests().columns
+    time, duration, note = columns.tolist()
     instrument = [n // NUM_PITCHES for n in note]
     melodic = [k for k in dict.fromkeys(instrument) if k != DRUM_INSTRUMENT]  # first appearance
     if len(melodic) > 15:
@@ -260,30 +260,25 @@ def write_midi(seq: EventSequence) -> bytes:
         )
     channel_of = {DRUM_INSTRUMENT: 9, **dict(zip(melodic, [c for c in range(16) if c != 9]))}
 
-    # (tick, kind, order, bytes): each program change at tick 0, in channel order
-    messages = [(0, 0, -1, bytes([0xC0 | channel_of[k], k])) for k in melodic]
-    for i, (t, d, k, n) in enumerate(zip(time, duration, instrument, note)):
-        channel, pitch = channel_of[k], n % NUM_PITCHES
-        on_tick, off_tick = _units_to_ticks(t), _units_to_ticks(t + d)
-        messages.append((on_tick, 2, i, bytes([0x90 | channel, pitch, 64])))
-        # Offs sort before ons at the same tick so touching same-pitch notes
-        # re-trigger instead of swallowing each other; a zero-length note
-        # keeps its off just after its own on.
-        off_kind = 1 if off_tick > on_tick else 2
-        messages.append((off_tick, off_kind, i, bytes([0x80 | channel, pitch, 0])))
-    messages.sort(key=lambda m: (m[0], m[1], m[2]))
+    # each program change at tick 0, in channel order, then the notes' ons and offs
+    messages = [(0, bytes([0xC0 | channel_of[k], k])) for k in melodic]
     previous = 0
-    for tick, _, i, _ in messages:
+    order, units = _note_order(columns[0], columns[1])
+    for item, at in zip(order.tolist(), units.tolist()):
+        i, off = divmod(item, 2)
+        tick = (at * 96 + 5) // 10  # 9.6 ticks per grid unit at 480 tpq, 500000 us/quarter
         if tick - previous > MAX_DELTA_TICKS:
             raise DeltaTimeError(
                 f"note {note[i]} at time {time[i]} with duration {duration[i]} is "
                 f"{tick - previous} ticks after the MIDI message before it; "
                 f"a delta time reaches at most {MAX_DELTA_TICKS}"
             )
+        status = (0x80 if off else 0x90) | channel_of[instrument[i]]
+        messages.append((tick, bytes([status, note[i] % NUM_PITCHES, 0 if off else 64])))
         previous = tick
 
     tempo_track = _track_chunk([(0, b"\xff\x51\x03" + DEFAULT_TEMPO.to_bytes(3, "big"))])
-    note_track = _track_chunk([(tick, msg) for tick, _, _, msg in messages])
+    note_track = _track_chunk(messages)
     header = b"MThd" + (6).to_bytes(4, "big")
     header += (1).to_bytes(2, "big") + (2).to_bytes(2, "big")
     header += WRITE_TICKS_PER_QUARTER.to_bytes(2, "big")

@@ -13,7 +13,8 @@ stream. The baseline cannot look ahead (lookahead 0): it inserts the
 controls the event's time has reached before the event, writing them into
 the history as ordinary events. When generation terminates the unconsumed
 controls are appended so the result remains lossless for the split/sort
-inverse.
+inverse. Before any predictor call the tokenizer's triple encoder checks the
+controls as controls, raising its ``TokenError`` with the control's index.
 
 Generation works at event granularity with absolute times. Every placed
 item is written once, in placement order, into one int64 buffer with rows
@@ -40,9 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anticipation import _check_seconds, next_anticipated_controls
-from .events import (
-    MAX_TIME_UNITS, REST, EventSequence, InterleavedSequence, _tagged,
-)
+from .events import EventSequence, InterleavedSequence, _tagged
 from .predictor import Predictor
 from .tokenizer import _arrival_triples, _decode_triple, _slot_ranges
 from .vocab import ArrivalVocab as AV
@@ -72,7 +71,6 @@ class SamplerConfig:
 class GenerationResult:
     sequence: InterleavedSequence
     truncated: bool  # hit max_tokens before sampling a separator
-    sampled_events: int  # events drawn from the predictor (controls excluded)
 
 
 def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
@@ -187,18 +185,6 @@ def _sample_event(
     return decoded
 
 
-def _check_controls(controls: EventSequence) -> None:
-    """Reject controls outside the token range and rest controls."""
-    time, _, note = controls.columns
-    late = time >= MAX_TIME_UNITS
-    invalid = late | (note == REST)
-    if invalid.any():
-        i = int(invalid.argmax())
-        if late[i]:
-            raise ValueError(f"control {i} at time {time[i]} exceeds the token range")
-        raise ValueError("rest events cannot be controls")
-
-
 def _generate(
     predictor: Predictor,
     controls: EventSequence,
@@ -213,9 +199,11 @@ def _generate(
     vocabulary. Otherwise controls are released once the event reaches their
     time, precede it, and enter the history as plain events.
     """
-    _check_controls(controls)
-    # every control's context triple, in the vocabulary it is placed with
-    control_tokens = _arrival_triples(_tagged(controls, anticipate)).ravel().tolist()
+    # every control's context triple, in the vocabulary it is placed with;
+    # encoding the controls as controls first checks them
+    control_tokens = _arrival_triples(_tagged(controls, True)).ravel().tolist()
+    if not anticipate:
+        control_tokens = _arrival_triples(_tagged(controls, False)).ravel().tolist()
     rng = np.random.default_rng(config.seed)
     lookahead = config.delta_units if anticipate else 0
     capacity = (predictor.context_length - 1) // 3
@@ -226,7 +214,6 @@ def _generate(
     cursor = 0
     last_time: int | None = None
     truncated = False
-    sampled = 0
     while True:
         if 3 * (n + 1) > config.max_tokens:
             truncated = True
@@ -251,14 +238,13 @@ def _generate(
             tokens.extend(event_tokens + due_tokens if anticipate else due_tokens + event_tokens)
         else:
             tokens, offset = _context_after(buffer, n, capacity, not anticipate)
-        sampled += 1
         last_time = event[0]
     columns = buffer[:, :n]
     if not truncated:
         # Terminated at a separator: append the never-released controls so
         # the interleaving stays lossless.
         columns = np.hstack([columns, _tagged(controls[cursor:], True)])
-    return GenerationResult(InterleavedSequence._of(columns.copy()), truncated, sampled)
+    return GenerationResult(InterleavedSequence._of(columns.copy()), truncated)
 
 
 def generate_anticipatory(

@@ -41,7 +41,7 @@ import numpy as np
 
 from .events import (
     MAX_DURATION_UNITS, MAX_TIME_UNITS, REST, EventSequence, InterleavedSequence, _first_drop,
-    _pair_notes,
+    _note_order, _pair_notes,
 )
 from .vocab import CODEC_VOCABS
 from .vocab import ArrivalVocab as AV
@@ -231,8 +231,8 @@ def encode_interarrival(
 ) -> list[int]:
     """Encode plain events as interarrival-codec tokens.
 
-    Each event expands to an onset at ``t`` and an offset at ``t + d``; items
-    are ordered by time with offsets preceding onsets at the same instant.
+    Each event expands to an onset at ``t`` and an offset at ``t + d``, in
+    the note order the MIDI writer uses (:func:`anticipate.events._note_order`).
     A gap over 999 units is written as several gap tokens, so no time is
     lost. Control-tagged input and rests are not supported by this codec.
     """
@@ -244,15 +244,8 @@ def encode_interarrival(
     rests = np.flatnonzero(note == REST)
     if rests.size:
         raise TokenError("interarrival codec does not support rest events", int(rests[0]))
-    # Each event's onset is followed by its offset. Rank 0 sorts offsets of
-    # earlier-started notes before items at the same instant; a zero-duration
-    # note keeps its own offset just after its onset. Ties are otherwise
-    # stable in event order.
-    item_time = np.column_stack([time, time + duration]).ravel()
-    rank = np.column_stack([np.ones_like(duration), duration == 0]).ravel()
-    order = np.lexsort((rank, item_time))
+    order, item_time = _note_order(time, duration)
     codes = np.column_stack([note + IV.ONSET_BASE, note + IV.OFFSET_BASE]).ravel()[order]
-    item_time = item_time[order]
     # every item's token, then the gap to the next item as gap tokens of
     # 999 and the remainder unless it is zero
     full, rest = np.divmod(np.diff(item_time, append=item_time[-1:]), IV.ONSET_BASE - 1)

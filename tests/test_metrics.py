@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anticipate import golden
-from anticipate.events import Event, EventSequence, InterleavedSequence, TaggedEvent
+from anticipate.events import REST, Event, EventSequence, InterleavedSequence, TaggedEvent
 from anticipate.metrics import (
     CorpusStats,
     LossReport,
@@ -143,6 +143,22 @@ def test_out_of_vocabulary_token_rejected_before_its_row(codec, size, token):
     assert len(recorder.calls) == len(good)  # the bad row is never scored
 
 
+@pytest.mark.parametrize("triple", [
+    (0, AV.SEP, AV.ANT_NOTE_BASE + 60),  # event, SEP and control
+    (0, AV.DUR_BASE, AV.SEP),  # event and SEP
+    (AV.SEP, AV.SEP, AV.AR),  # SEP and an event-slot token
+    (AV.ANT_TIME_BASE, AV.DUR_BASE, AV.ANT_NOTE_BASE),  # control and event
+])
+def test_mixed_arrival_triple_rejected_before_its_row(triple):
+    # scoring such a triple would count 3 event tokens but fewer event losses
+    good = [AV.AR, 1, AV.DUR_BASE + 1, AV.NOTE_BASE + 1]
+    recorder = _Recorder()
+    with pytest.raises(TokenError, match=rf"row 1: triple 1 \({triple[0]}, {triple[1]}, "
+                                         rf"{triple[2]}\) mixes event, SEP and control tokens"):
+        cross_entropy(recorder, [good, good + list(triple)], "arrival")
+    assert len(recorder.calls) == len(good) - 1  # the bad row is never scored
+
+
 def _reference_cross_entropy(predictor, rows, codec) -> LossReport:
     """The per-token loop that ``cross_entropy`` replaced, with its per-token
     slot classification; kept as the reference it must match bit for bit."""
@@ -164,6 +180,13 @@ def _reference_cross_entropy(predictor, rows, codec) -> LossReport:
             tokens = tokens[1:]
         if codec == "arrival" and len(tokens) % 3:
             raise ValueError(f"row {row_index}: arrival rows must be whole triples")
+        if codec == "arrival":
+            for k in range(len(tokens) // 3):
+                triple = tuple(tokens[3 * k:3 * k + 3])
+                kinds = {slot_of_arrival(token, 0) for token in triple}
+                if len(kinds) > 1:  # "time" stands for any event token
+                    raise TokenError(f"row {row_index}: triple {k} {triple} "
+                                     "mixes event, SEP and control tokens")
         context: list[int] = []
         for position, token in enumerate(tokens):
             dist = predictor.next_distribution(row_z, context)
@@ -330,8 +353,61 @@ class TestReportFormat:
     def test_key_value_block_and_row(self):
         row = encode_arrival(golden.twinkle_events())
         report = cross_entropy(UniformPredictor(AV.SIZE), [row], "arrival")
-        stats = corpus_stats([golden.twinkle_events()], "arrival")
-        text = format_report(report, stats)
+        seconds = corpus_stats([golden.twinkle_events()], "arrival").total_seconds
+        text = format_report(report, seconds)
         assert "ppl_event=" in text and "bits_per_second=" in text
         assert all("=" in line for line in text.splitlines())
-        assert len(report_row(report, stats).split("\t")) == 8
+        assert len(report_row(report, seconds).split("\t")) == 8
+
+    def test_bits_per_second_counts_the_reports_event_tokens(self):
+        # one plain event and one control: 3 event tokens, not 6
+        seq = InterleavedSequence(
+            [TaggedEvent(Event(0, 100, 60)), TaggedEvent(Event(10, 1, 61), control=True)]
+        )
+        report = cross_entropy(UniformPredictor(AV.SIZE), [encode_arrival(seq)], "arrival")
+        expected = bits_per_second(report.nats_per_token, CorpusStats(3, 1.0))
+        assert f"tokens=3\nseconds=1.00\nbits_per_second={expected:.4f}" in format_report(report, 1.0)
+        assert report_row(report, 1.0).endswith(f"\t{expected:.4f}")
+
+
+_items = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 999), st.integers(-1, 300),
+                            st.booleans()), max_size=10)
+
+
+def _count_sequence(items, controls: bool) -> InterleavedSequence:
+    """Items at non-decreasing times; a rest or, without ``controls``, a
+    control item becomes a plain note."""
+    tagged, time = [], 0
+    for step, duration, note, control in items:
+        time += step
+        rest = note < 0 and controls
+        event = Event(time, 0, REST) if rest else Event(time, duration, max(note, 0))
+        tagged.append(TaggedEvent(event, control=control and controls and not rest))
+    return InterleavedSequence(tagged)
+
+
+class TestOneTokenCount:
+    """``corpus_stats`` counts the event tokens ``cross_entropy`` scores in
+    whole-sequence rows, so both give one bits per second."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_items, max_size=4), st.sampled_from([None, AV.AR, AV.AAR]))
+    def test_arrival(self, items, z):
+        sequences = [_count_sequence(i, controls=True) for i in items]
+        rows = [encode_arrival(seq, z=z) for seq in sequences]
+        report = cross_entropy(UniformPredictor(AV.SIZE), rows, "arrival")
+        assert corpus_stats(sequences, "arrival").token_count == report.n_event_tokens
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_items, max_size=4), st.booleans())
+    def test_interarrival(self, items, leading_sep):
+        sequences = [_count_sequence(i, controls=False) for i in items]
+        rows = [encode_interarrival(seq, leading_sep=leading_sep) for seq in sequences]
+        report = cross_entropy(UniformPredictor(IV.SIZE), rows, "interarrival")
+        assert corpus_stats(sequences, "interarrival").token_count == report.n_event_tokens
+
+    def test_a_control_adds_no_tokens(self):
+        seq = InterleavedSequence(
+            [TaggedEvent(Event(0, 1, 60)), TaggedEvent(Event(10, 1, 61), control=True)]
+        )
+        assert corpus_stats([seq], "arrival").token_count == 3

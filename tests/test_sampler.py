@@ -485,6 +485,20 @@ def test_unmasked_ungrammatical_model_fails_loudly():
         generate_anticipatory(UniformPredictor(AV.SIZE), EventSequence(), config)
 
 
+@pytest.mark.parametrize("generate", [generate_anticipatory, generate_autoregressive_infill])
+@pytest.mark.parametrize("bad, message", [
+    (Event(MAX_TIME_UNITS, 1, 62), rf"event time {MAX_TIME_UNITS} exceeds the 100s token range"),
+    (Event(30, 0, REST), "rest events cannot be controls"),
+])
+def test_invalid_control_raises_the_tokenizers_error_before_any_call(generate, bad, message):
+    # both modes check the controls as controls, the baseline included
+    controls = EventSequence([Event(10, 1, 60), bad])
+    predictor = _ScriptedPredictor([], context_length=1024)
+    with pytest.raises(TokenError, match=message + r" \(index 1\)"):
+        generate(predictor, controls, SamplerConfig(seed=0))
+    assert predictor.contexts == []
+
+
 def test_unmasked_time_before_the_previous_event_fails_loudly():
     tokens = [AV.TIME_BASE + 500, AV.DUR_BASE + 10, AV.NOTE_BASE + 60,
               AV.TIME_BASE + 100, AV.DUR_BASE + 10, AV.NOTE_BASE + 62]
@@ -531,14 +545,12 @@ class _ReferenceContext:
 
 
 def _reference_checked_controls(controls: EventSequence) -> list[Event]:
-    time, _, note = controls.columns
-    late = time >= MAX_TIME_UNITS
-    invalid = late | (note == REST)
-    if invalid.any():
-        i = int(invalid.argmax())
-        if late[i]:
-            raise ValueError(f"control {i} at time {time[i]} exceeds the token range")
-        raise ValueError("rest events cannot be controls")
+    """The controls, each checked as the tokenizer encodes a control."""
+    for i, control in enumerate(controls):
+        if control.time >= MAX_TIME_UNITS:
+            raise TokenError(f"event time {control.time} exceeds the 100s token range", i)
+        if control.is_rest:
+            raise TokenError("rest events cannot be controls", i)
     return list(controls)
 
 
@@ -559,7 +571,6 @@ def _reference_generate(predictor, controls, config, z, anticipate) -> Generatio
     cursor = 0
     last_time = None
     truncated = False
-    sampled = 0
     while True:
         if 3 * (len(items) + 1) > config.max_tokens:
             truncated = True
@@ -579,21 +590,21 @@ def _reference_generate(predictor, controls, config, z, anticipate) -> Generatio
         for item in placed:
             items.append(item)
             context.push(item)
-        sampled += 1
         last_time = event.time
     if not truncated:
         items.extend(TaggedEvent(c, control=True) for c in controls[cursor:])
-    return GenerationResult(unchecked_interleaved(items), truncated, sampled)
+    return GenerationResult(unchecked_interleaved(items), truncated)
 
 
 def _outcome(generate, predictor, controls, config, anticipate):
-    """The result's items and counts, or the type and message of its error."""
+    """The result's items, whether it was truncated and its count of plain
+    items, or the type and message of its error."""
     z = AV.AAR if anticipate and len(controls) else AV.AR
     try:
         result = generate(predictor, controls, config, z, anticipate)
     except Exception as exc:
         return type(exc), str(exc)
-    return list(result.sequence), result.truncated, result.sampled_events
+    return list(result.sequence), result.truncated, len(result.sequence.events())
 
 
 @functools.cache
