@@ -4,8 +4,9 @@ other module.
 Events live on a 10ms grid. A note is identified by a single integer code
 combining instrument and pitch (``128 * instrument + pitch``); instrument 128
 is the drum kit. Durations are capped at 10 seconds (999 grid units). Raw
-event times are unbounded non-negative grid indices; the 100-second (9999
-unit) ceiling applies in token space, where times are relativized to the
+event times are non-negative grid indices, bounded only by the int64
+columns (a note must end by 2**63 - 1); the 100-second (9999 unit) ceiling
+applies in token space, where times are relativized to the
 start of a model context (see :mod:`anticipate.tokenizer`).
 
 A sequence is stored as one read-only int64 array ``columns`` with a column
@@ -37,6 +38,7 @@ DRUM_INSTRUMENT = 128
 
 # Sentinel note code for a placeholder rest event (duration is always 0).
 REST = -1
+INT64_MAX = 2**63 - 1  # the columns are int64, so no event may end later
 
 
 def seconds_to_units(seconds: float | np.ndarray) -> int | np.ndarray:
@@ -81,6 +83,8 @@ def _check_event(time: int, duration: int, note: int) -> None:
         raise ValueError(f"event time must be >= 0, got {time}")
     if not 0 <= duration < MAX_DURATION_UNITS:
         raise ValueError(f"duration must be in [0, 999], got {duration}")
+    if int(time) + int(duration) > INT64_MAX:
+        raise ValueError(f"event end {int(time) + int(duration)} exceeds 2**63 - 1")
     if note == REST:
         if duration != 0:
             raise ValueError("rest events must have duration 0")

@@ -16,7 +16,9 @@ from typing import Iterable, Sequence
 
 from .events import EventSequence, InterleavedSequence, UNITS_PER_SECOND
 from .predictor import Predictor
-from .tokenizer import TokenError, _leading_code, _token_roles, encode_interarrival
+from .tokenizer import (
+    TokenError, _classify_triples, _leading_code, _token_roles, encode_interarrival,
+)
 from .vocab import ArrivalVocab as AV
 
 
@@ -140,8 +142,11 @@ def cross_entropy(
     the no-anticipation code AR and interarrival rows under none. A
     zero-probability ground-truth token is recorded in
     ``infinite_positions``. A token outside the predictor's vocabulary, or
-    an arrival triple that mixes event, SEP and control tokens, raises
-    ``TokenError`` before its row is scored. Positions follow any code.
+    an arrival triple that ``decode_arrival`` calls malformed (one that
+    mixes event, SEP and control tokens, or holds a code or any other
+    out-of-slot token), raises ``TokenError`` before its row is scored, so
+    every triple scored has the roles its slots give it. Positions follow
+    any code.
     """
     report = LossReport(codec)
     nats_by_role = [0.0] * 5  # by ``tokenizer._token_roles``: time, duration, note, SEP, control
@@ -158,13 +163,10 @@ def cross_entropy(
             position = int(roles.argmin())
             raise TokenError(f"row {row_index}: token {tokens[position]} at position {position} "
                              f"outside the predictor's vocabulary of size {predictor.vocab_size}")
-        if codec == "arrival":  # each triple is all event, all SEP or all control tokens
-            kinds = roles.clip(min=2).reshape(-1, 3)
-            mixed = kinds.min(axis=1) != kinds.max(axis=1)
-            if mixed.any():
-                k = int(mixed.argmax())
-                raise TokenError(f"row {row_index}: triple {k} {tuple(tokens[3 * k:3 * k + 3])} "
-                                 "mixes event, SEP and control tokens")
+        if codec == "arrival":
+            *_, malformed = _classify_triples(tokens)
+            if malformed is not None:
+                raise TokenError(f"row {row_index}: {malformed}")
         context: list[int] = []
         for position, (token, role) in enumerate(zip(tokens, roles.tolist())):
             dist = predictor.next_distribution(z, context)

@@ -13,6 +13,15 @@ per context, one row of successor tokens with their counts. A model file is
 a versioned ``.npz`` of those arrays, read with ``allow_pickle=False``, so
 loading one never executes code. Model files pickled by earlier versions are
 rejected with ``ModelFileError`` and must be retrained.
+
+Distributions are computed over the model's support: the sorted union of the
+tokens counted at any context length (for a trained model, the tokens seen
+at all). Every token outside it gets the same probability in any one call, so
+the backoff recursion runs on a compact vector with one slot per support
+token plus one background slot for all the others, and the result is
+scattered into the full-width buffer. The tables this needs (each successor's
+slot in the support and the smoothed per-row terms) are built on the first
+call that reads a context, not by training, saving or loading.
 """
 
 from __future__ import annotations
@@ -82,6 +91,31 @@ class _Level(NamedTuple):
         """Row of context ``key``, or -1 if it was never seen."""
         row = int(self.keys.searchsorted(key))
         return row if row < len(self.keys) and self.keys[row] == key else -1
+
+
+class _LevelTerms(NamedTuple):
+    """One level's smoothed estimate, ready to add: ``uncounted[i]`` is the
+    ``(1 - BACKOFF_WEIGHT) * alpha / denom`` of row ``i``, and each successor
+    has its slot in the support and its ``(1 - BACKOFF_WEIGHT) * (alpha +
+    count) / denom``, where ``denom`` is its row's total plus ``alpha *
+    vocab_size``."""
+
+    uncounted: np.ndarray
+    slots: np.ndarray
+    counted: np.ndarray
+
+
+class _Tables(NamedTuple):
+    """What ``next_distribution`` reads beyond the levels: the ``support``,
+    the backed-off unigram over it plus the background slot, the per-level
+    terms (index 0 unused), the term of a context never seen, and the
+    compact vector each call works in."""
+
+    support: np.ndarray
+    backoff_unigram: np.ndarray
+    terms: list[_LevelTerms]
+    unseen: float
+    compact: np.ndarray
 
 
 class _ContextTable(Mapping):
@@ -159,14 +193,36 @@ class NGramModel:
         unigram[levels[0].tokens] += levels[0].counts
         unigram /= int(levels[0].totals.sum()) + self.alpha * self.vocab_size
         self._unigram = unigram
-        self._backoff_unigram = BACKOFF_WEIGHT * unigram
+        self._tables: _Tables | None = None
+
+    def _build_tables(self) -> _Tables:
+        alpha, vocab_size = self.alpha, self.vocab_size
+        support = np.unique(np.concatenate([level.tokens for level in self._levels]))
+        # a token outside the support has the uncounted unigram value, alpha / denom
+        background = alpha / (int(self._levels[0].totals.sum()) + alpha * vocab_size)
+        backoff_unigram = BACKOFF_WEIGHT * np.append(self._unigram[support], background)
+        built: dict[int, _LevelTerms] = {}  # levels past the longest row share one object
+        for level in self._levels[1:]:
+            if id(level) not in built:
+                denom = level.totals + alpha * vocab_size
+                built[id(level)] = _LevelTerms(
+                    (1.0 - BACKOFF_WEIGHT) * (alpha / denom),
+                    support.searchsorted(level.tokens),
+                    (1.0 - BACKOFF_WEIGHT)
+                    * ((alpha + level.counts) / np.repeat(denom, np.diff(level.offsets))),
+                )
+        terms = [None, *(built[id(level)] for level in self._levels[1:])]
+        unseen = (1.0 - BACKOFF_WEIGHT) * (alpha / (alpha * vocab_size))
+        return _Tables(support, backoff_unigram, terms, unseen, np.empty(len(support) + 1))
 
     def next_distribution(self, z: int | None, context: Sequence[int]) -> np.ndarray:
         """Interpolated distribution after ``[z, *context]``; reuses one buffer.
 
         Each level scales the lower orders by ``BACKOFF_WEIGHT`` and adds its
         own smoothed estimate: a constant for the tokens its context never
-        preceded, then the counted successors overwritten in place.
+        preceded, then the counted successors overwritten in place. The
+        recursion runs over the support plus one background slot, which
+        then fills every token outside the support.
         """
         n = len(context)
         depth = min(self.order - 1, n + (z is not None), self.context_length - 1)
@@ -174,7 +230,10 @@ class NGramModel:
         if depth <= 0:
             np.copyto(out, self._unigram)
             return out
-        alpha, vocab_size = self.alpha, self.vocab_size
+        if self._tables is None:
+            self._tables = self._build_tables()
+        support, scaled, terms, unseen, compact = self._tables
+        vocab_size = self.vocab_size
         key: int | None = 0  # key of the last k tokens; None once one is outside the vocabulary
         radix = 1
         for k in range(1, depth + 1):
@@ -186,17 +245,18 @@ class NGramModel:
                 key = None
             level = self._levels[k]
             row = -1 if key is None else level.find(key)
-            denom = (0 if row < 0 else int(level.totals[row])) + alpha * vocab_size
-            # the lower orders scaled by the backoff weight
-            scaled = self._backoff_unigram if k == 1 else np.multiply(out, BACKOFF_WEIGHT, out=out)
-            if row >= 0:
-                span = slice(level.offsets[row], level.offsets[row + 1])
-                successors = level.tokens[span]
-                lower = scaled[successors]
-            np.add(scaled, (1.0 - BACKOFF_WEIGHT) * (alpha / denom), out=out)
-            if row >= 0:
-                out[successors] = (lower
-                                   + (1.0 - BACKOFF_WEIGHT) * ((alpha + level.counts[span]) / denom))
+            if k > 1:  # the lower orders scaled by the backoff weight
+                scaled = np.multiply(compact, BACKOFF_WEIGHT, out=compact)
+            if row < 0:
+                np.add(scaled, unseen, out=compact)
+                continue
+            span = slice(level.offsets[row], level.offsets[row + 1])
+            slots = terms[k].slots[span]
+            lower = scaled[slots]
+            np.add(scaled, terms[k].uncounted[row], out=compact)
+            compact[slots] = lower + terms[k].counted[span]
+        out.fill(compact[-1])
+        out[support] = compact[:-1]
         return out
 
     def save(self, path) -> None:

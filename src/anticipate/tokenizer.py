@@ -178,6 +178,35 @@ def _token_roles(tokens: list[int], codec: str, size: int) -> np.ndarray:
     return roles
 
 
+def _classify_triples(toks: list[int]) -> tuple:
+    """Whole-triple arrival tokens classified with range masks: the time,
+    duration and note token columns, the separator, control and rest masks,
+    and the index of the first malformed triple (the triple count if none)
+    with its ``TokenError`` (None if none). A triple is well formed if it is
+    all SEP, all control (no rest), or a plain time and duration with a note,
+    or with REST and a zero duration; an AR/AAR code or any other out-of-slot
+    token makes it malformed."""
+    a, b, c = _token_array(toks, AV.SIZE).reshape(-1, 3).T
+    sep = (a == AV.SEP) & (b == AV.SEP) & (c == AV.SEP)
+    rest = c == AV.REST
+    plain = AV.is_plain_time(a) & AV.is_plain_duration(b)
+    control = AV.is_control_time(a) & AV.is_control_duration(b) & AV.is_control_note(c)
+    valid = sep | control | plain & np.where(rest, b == AV.DUR_BASE, AV.is_plain_note(c))
+    if valid.all():
+        return a, b, c, sep, control, rest, len(valid), None
+    bad = int(valid.argmin())
+    first, second, third = triple = toks[3 * bad : 3 * bad + 3]  # the caller's values
+    if AV.SEP in triple:
+        message = "partial SEP triple"
+    elif plain[bad] and rest[bad]:
+        message = "rest triple with nonzero duration"
+    elif plain[bad]:
+        message = f"token {third} is not a note token"
+    else:
+        message = f"mixed-range triple ({first}, {second}, {third})"
+    return a, b, c, sep, control, rest, bad, TokenError(message, bad)
+
+
 def decode_arrival(tokens: Sequence[int]) -> list[InterleavedSequence]:
     """Decode arrival-codec tokens into sequence segments.
 
@@ -191,14 +220,7 @@ def decode_arrival(tokens: Sequence[int]) -> list[InterleavedSequence]:
     _, toks = _leading_code(list(tokens))
     if len(toks) % 3:
         raise TokenError(f"token count {len(toks)} is not a multiple of 3")
-    a, b, c = _token_array(toks, AV.SIZE).reshape(-1, 3).T
-
-    sep = (a == AV.SEP) & (b == AV.SEP) & (c == AV.SEP)
-    rest = c == AV.REST
-    plain = AV.is_plain_time(a) & AV.is_plain_duration(b)
-    control = AV.is_control_time(a) & AV.is_control_duration(b) & AV.is_control_note(c)
-    valid = sep | control | plain & np.where(rest, b == AV.DUR_BASE, AV.is_plain_note(c))
-    bad = len(valid) if valid.all() else int(valid.argmin())
+    a, b, c, sep, control, rest, bad, malformed = _classify_triples(toks)
     shift = control * AV.CONTROL_OFFSET
     time = a - shift - AV.TIME_BASE
     # before the first malformed triple, the first item earlier than the one
@@ -207,15 +229,8 @@ def decode_arrival(tokens: Sequence[int]) -> list[InterleavedSequence]:
     if i is not None:
         kind = "control" if control[i] else "plain event"
         raise TokenError(f"{kind} time {time[i]} is earlier than the one before it in its stream", i)
-    if bad < len(valid):
-        first, second, third = triple = toks[3 * bad : 3 * bad + 3]  # the caller's values
-        if AV.SEP in triple:
-            raise TokenError("partial SEP triple", bad)
-        if plain[bad] and rest[bad]:
-            raise TokenError("rest triple with nonzero duration", bad)
-        if plain[bad]:
-            raise TokenError(f"token {third} is not a note token", bad)
-        raise TokenError(f"mixed-range triple ({first}, {second}, {third})", bad)
+    if malformed is not None:
+        raise malformed
 
     columns = np.stack([time, b - shift - AV.DUR_BASE,
                         np.where(rest, REST, c - shift - AV.NOTE_BASE), control])[:, ~sep]

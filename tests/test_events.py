@@ -140,6 +140,13 @@ class TestEvent:
     def test_end(self):
         assert Event(10, 5, 60).end == 15
 
+    @pytest.mark.parametrize("time", [2**63 - 5, np.int64(2**63 - 5), np.uint64(2**63 - 5)])
+    def test_end_past_int64_rejected(self, time):
+        # the int64 columns would wrap it: end_time read 10 for this sequence
+        with pytest.raises(ValueError, match=f"event end {2**63 + 5} exceeds 2\\*\\*63 - 1"):
+            EventSequence([Event(0, 10, 60), Event(time, 10, 61)])
+        assert EventSequence([Event(0, 10, 60), Event(2**63 - 11, 10, 61)]).end_time == 2**63 - 1
+
     @pytest.mark.parametrize("fields, name", [
         ((1.7, 0.9, 60.2), "time"),
         ((1, 0.9, 60), "duration"),
@@ -300,8 +307,11 @@ class TestEventText:
             read_events(io.StringIO("0 1 99999\n"))
 
     def test_time_past_int64_names_its_lines(self):
-        with pytest.raises(TokenError, match="sequence on lines 1-2: event fields must fit in 64 bits"):
-            read_events(io.StringIO("0 1 60\n99999999999999999999 1 60\n"))
+        with pytest.raises(TokenError, match="line 2: event end 99999999999999999999 exceeds"):
+            read_events(io.StringIO("0 1 60\n99999999999999999999 0 60\n"))
+        with pytest.raises(TokenError, match=f"line 2: event end {2**63 + 5} exceeds 2"):
+            read_events(io.StringIO(f"0 1 60\n{2**63 - 5} 10 61\n"))
+        assert read_events(io.StringIO(f"0 1 60\n{2**63 - 11} 10 61\n"))[0].end_time == 2**63 - 1
 
     def test_unordered_sequence_names_its_lines(self):
         with pytest.raises(TokenError, match="sequence on lines 3-4"):

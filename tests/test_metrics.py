@@ -21,7 +21,7 @@ from anticipate.metrics import (
     report_row,
 )
 from anticipate.predictor import ReplayPredictor
-from anticipate.tokenizer import TokenError, encode_arrival, encode_interarrival
+from anticipate.tokenizer import TokenError, decode_arrival, encode_arrival, encode_interarrival
 from anticipate.vocab import ArrivalVocab as AV
 from anticipate.vocab import InterarrivalVocab as IV
 
@@ -146,16 +146,23 @@ def test_out_of_vocabulary_token_rejected_before_its_row(codec, size, token):
 @pytest.mark.parametrize("triple", [
     (0, AV.SEP, AV.ANT_NOTE_BASE + 60),  # event, SEP and control
     (0, AV.DUR_BASE, AV.SEP),  # event and SEP
-    (AV.SEP, AV.SEP, AV.AR),  # SEP and an event-slot token
+    (AV.SEP, AV.SEP, AV.AR),  # SEP and a code
     (AV.ANT_TIME_BASE, AV.DUR_BASE, AV.ANT_NOTE_BASE),  # control and event
+    (AV.AR, AV.AR, AV.AR),  # codes inside a triple
+    (AV.DUR_BASE, AV.DUR_BASE, AV.NOTE_BASE),  # a duration in the time slot
+    (0, AV.DUR_BASE, AV.DUR_BASE + 5),  # a duration in the note slot
+    (0, AV.DUR_BASE + 5, AV.REST),  # a rest with a duration
+    (AV.ANT_TIME_BASE, AV.ANT_DUR_BASE, AV.REST),  # a control rest
 ])
 def test_mixed_arrival_triple_rejected_before_its_row(triple):
-    # scoring such a triple would count 3 event tokens but fewer event losses
+    # scoring such a triple would give its tokens roles decoding refuses
     good = [AV.AR, 1, AV.DUR_BASE + 1, AV.NOTE_BASE + 1]
+    with pytest.raises(TokenError) as decoded:
+        decode_arrival(good + list(triple))
     recorder = _Recorder()
-    with pytest.raises(TokenError, match=rf"row 1: triple 1 \({triple[0]}, {triple[1]}, "
-                                         rf"{triple[2]}\) mixes event, SEP and control tokens"):
+    with pytest.raises(TokenError) as scored:
         cross_entropy(recorder, [good, good + list(triple)], "arrival")
+    assert str(scored.value) == f"row 1: {decoded.value}"
     assert len(recorder.calls) == len(good) - 1  # the bad row is never scored
 
 
@@ -182,11 +189,22 @@ def _reference_cross_entropy(predictor, rows, codec) -> LossReport:
             raise ValueError(f"row {row_index}: arrival rows must be whole triples")
         if codec == "arrival":
             for k in range(len(tokens) // 3):
-                triple = tuple(tokens[3 * k:3 * k + 3])
-                kinds = {slot_of_arrival(token, 0) for token in triple}
-                if len(kinds) > 1:  # "time" stands for any event token
-                    raise TokenError(f"row {row_index}: triple {k} {triple} "
-                                     "mixes event, SEP and control tokens")
+                a, b, c = triple = tuple(tokens[3 * k:3 * k + 3])
+                timed = AV.is_plain_time(a) and AV.is_plain_duration(b)
+                if (triple == (AV.SEP,) * 3
+                        or AV.is_control_time(a) and AV.is_control_duration(b)
+                        and AV.is_control_note(c)
+                        or timed and (b == AV.DUR_BASE if c == AV.REST else AV.is_plain_note(c))):
+                    continue
+                if AV.SEP in triple:
+                    message = "partial SEP triple"
+                elif timed and c == AV.REST:
+                    message = "rest triple with nonzero duration"
+                elif timed:
+                    message = f"token {c} is not a note token"
+                else:
+                    message = f"mixed-range triple ({a}, {b}, {c})"
+                raise TokenError(f"row {row_index}: {message} (index {k})")
         context: list[int] = []
         for position, token in enumerate(tokens):
             dist = predictor.next_distribution(row_z, context)
@@ -254,6 +272,7 @@ _arrival_triple = st.one_of(
     st.tuples(_span(AV.ANT_TIME_BASE, AV.ANT_DUR_BASE), _span(AV.ANT_DUR_BASE, AV.ANT_NOTE_BASE),
               _span(AV.ANT_NOTE_BASE, AV.SEP)),
     st.just((AV.SEP,) * 3),
+    st.tuples(_span(0, AV.DUR_BASE), _span(AV.DUR_BASE, AV.NOTE_BASE), st.just(AV.REST)),
     # any tokens, AR and AAR included, in any slot
     st.tuples(*[st.one_of(_span(0, AV.SIZE), st.sampled_from([AV.SEP, AV.AR, AV.AAR]))] * 3),
 )

@@ -27,6 +27,7 @@ from anticipate.predictor import (
     ModelFileError,
     NGramModel,
     ReplayPredictor,
+    _Level,
     train_ngram,
 )
 from anticipate.vocab import ArrivalVocab as AV
@@ -257,6 +258,128 @@ class TestNGramReference:
     def test_order_past_int64_keys_rejected(self):
         with pytest.raises(ValueError, match=r"2\*\*63"):
             NGramModel(order=5, alpha=0.01, vocab_size=AV.SIZE)
+
+
+def dense_next_distribution(model, z, context):
+    """The full-width backoff recursion that the support recursion replaced,
+    on the model's own levels and unigram; kept as the reference it must
+    match bit for bit. Returns a fresh array."""
+    n = len(context)
+    depth = min(model.order - 1, n + (z is not None), model.context_length - 1)
+    out = model._unigram.copy()
+    if depth <= 0:
+        return out
+    backoff_unigram = BACKOFF_WEIGHT * model._unigram
+    alpha, vocab_size = model.alpha, model.vocab_size
+    key = 0
+    radix = 1
+    for k in range(1, depth + 1):
+        token = context[n - k] if k <= n else z
+        if key is not None and 0 <= token < vocab_size:
+            key += int(token) * radix
+            radix *= vocab_size
+        else:
+            key = None
+        level = model._levels[k]
+        row = -1 if key is None else level.find(key)
+        denom = (0 if row < 0 else int(level.totals[row])) + alpha * vocab_size
+        scaled = backoff_unigram if k == 1 else np.multiply(out, BACKOFF_WEIGHT, out=out)
+        if row >= 0:
+            span = slice(level.offsets[row], level.offsets[row + 1])
+            successors = level.tokens[span]
+            lower = scaled[successors]
+        np.add(scaled, (1.0 - BACKOFF_WEIGHT) * (alpha / denom), out=out)
+        if row >= 0:
+            out[successors] = (lower
+                               + (1.0 - BACKOFF_WEIGHT) * ((alpha + level.counts[span]) / denom))
+    return out
+
+
+def assert_bit_identical(model, z, context):
+    expected = dense_next_distribution(model, z, context)
+    assert np.array_equal(model.next_distribution(z, context).view(np.int64),
+                          expected.view(np.int64))
+
+
+@st.composite
+def _support_cases(draw):
+    """A model and its vocabulary: trained on a small vocabulary, on one whose
+    every token is counted (no background), on a few tokens of thousands or
+    of the arrival vocabulary, or untrained."""
+    shape = draw(st.sampled_from(["small", "full", "sparse", "arrival", "untrained"]))
+    order = draw(st.integers(1, 4))
+    alpha = draw(st.sampled_from([1e-3, 0.01, 0.5, 3.0, 2]))
+    vocab_size = {"small": draw(st.integers(1, 12)), "full": draw(st.integers(1, 12)),
+                  "sparse": draw(st.integers(1000, 5000)), "arrival": AV.SIZE,
+                  "untrained": draw(st.integers(1, 5000))}[shape]
+    if shape == "untrained":
+        model = NGramModel(order, alpha, vocab_size)
+    else:
+        alphabet = (range(vocab_size) if shape in ("small", "full")
+                    else draw(st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=6)))
+        rows = draw(st.lists(st.lists(st.sampled_from(alphabet), max_size=25), min_size=1,
+                             max_size=6).filter(any))
+        if shape == "full":
+            rows.append(draw(st.permutations(range(vocab_size))))
+        model = train_ngram(rows, order, alpha, vocab_size)
+    model.context_length = draw(st.integers(2, 7) | st.just(1024))
+    return model
+
+
+class TestSupportRecursion:
+    """``next_distribution`` over the support and one background slot against
+    the dense recursion it replaced: the same bits for every token."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), model=_support_cases())
+    def test_matches_the_dense_recursion(self, data, model):
+        vocab_size = model.vocab_size
+        code = AV.AR if vocab_size == AV.SIZE else vocab_size - 1
+        counted = model._levels[0].tokens.tolist() or [0]
+        # in and outside the vocabulary, counted tokens most often
+        token = (st.sampled_from(counted) | st.integers(0, vocab_size - 1)
+                 | st.sampled_from([-1, vocab_size, vocab_size + 1]))
+        for _ in range(4):
+            z = data.draw(st.none() | st.just(code) | st.sampled_from([-1, vocab_size]))
+            context = data.draw(st.lists(token, max_size=10))  # may run past context_length
+            assert_bit_identical(model, z, context)
+
+    def test_a_successor_that_level_0_never_saw(self, tmp_path):
+        # a file that load accepts in which level 1 counts token 4 after 1,
+        # but level 0 counts only token 1: the support must hold both
+        def level(*arrays):  # keys, offsets, tokens, counts
+            return _Level.of(*(np.array(a, dtype=np.int64) for a in arrays))
+
+        model = NGramModel(order=2, alpha=0.5, vocab_size=6)
+        model._set_levels([level([0], [0, 1], [1], [3]), level([1], [0, 1], [4], [2])])
+        model.save(tmp_path / "model.npz")
+        loaded = NGramModel.load(tmp_path / "model.npz")
+        for z, context in [(None, [1]), (None, [4]), (1, []), (None, [])]:
+            assert_bit_identical(loaded, z, context)
+            assert loaded.next_distribution(z, context).sum() == pytest.approx(1.0, abs=1e-12)
+        assert loaded._tables.support.tolist() == [1, 4]
+
+    def test_every_call_returns_the_same_buffer(self, rng):
+        model = train_ngram(markov_corpus(rng, 30, 10, 20), order=3, alpha=0.01, vocab_size=30)
+        buffer = model.next_distribution(None, [])
+        assert model.next_distribution(None, [1, 2]) is buffer
+        assert model.next_distribution(3, []) is buffer
+        assert model.next_distribution(None, [99]) is buffer
+        assert model.next_distribution(None, []) is buffer
+
+    def test_train_save_and_load_build_no_tables(self, tmp_path, rng):
+        model = train_ngram(markov_corpus(rng, 30, 10, 20), order=3, alpha=0.01, vocab_size=30)
+        assert model._tables is None
+        model.save(tmp_path / "model.npz")
+        assert model._tables is None
+        loaded = NGramModel.load(tmp_path / "model.npz")
+        assert loaded._tables is None
+        loaded.next_distribution(None, [])  # the unigram needs none
+        assert loaded._tables is None
+        loaded.next_distribution(None, [1])
+        assert loaded._tables is not None
+        loaded._set_levels(model._levels)  # new counts drop the old tables
+        assert loaded._tables is None
 
 
 class _CreatesMarker:
