@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import REST, EventSequence, InterleavedSequence, _tagged, seconds_to_units
+from .events import (
+    REST, EventSequence, InterleavedSequence, _check_added, _tagged, seconds_to_units,
+)
 
 
 def _check_seconds(name: str, seconds: float) -> int:
@@ -73,13 +75,16 @@ def densify(seq: EventSequence, target: int) -> EventSequence:
 
     A gap in ``(n*target, (n+1)*target]`` gets ``n`` rests at multiples of
     ``target`` past the earlier event; a gap of exactly ``target`` gets none.
+    More than ``MAX_ADDED_ITEMS`` rests in all raise ``ValueError``.
     """
     if target <= 0:
         raise ValueError("target density must be positive")
     columns = seq.columns
     # each event is followed by the rests that fill the gap to the next one
+    rests = np.maximum(np.diff(columns[0]) - 1, 0) // target  # sorted: sums below 2**63
+    _check_added(int(rests.sum()), "rests")
     reps = np.ones(len(seq), dtype=np.int64)
-    reps[:-1] += np.maximum(np.diff(columns[0]) - 1, 0) // target
+    reps[:-1] += rests
     out = np.repeat(columns, reps, axis=1)
     m = np.arange(out.shape[1]) - np.repeat(np.cumsum(reps) - reps, reps)
     out[0] += m * target

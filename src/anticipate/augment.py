@@ -1,6 +1,6 @@
 """Infilling-control priors and the corpus augmentation pipeline.
 
-Three ways of choosing which events become controls:
+Three ways of choosing which events become controls, none of them a rest:
 
 * span: mark everything inside windows of delta seconds (the anticipation
   interval) whose starts arrive at exponential rate ``SPAN_RATE`` along the
@@ -27,7 +27,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .anticipation import AnticipationConfig, densify, interleave
-from .events import NUM_PITCHES, REST, UNITS_PER_SECOND, EventSequence, InterleavedSequence
+from .events import (
+    NUM_PITCHES, REST, UNITS_PER_SECOND, EventSequence, InterleavedSequence, _check_added,
+)
 
 PATTERNS = ("none", "span", "instrument", "random")
 WEIGHTS = (0.10, 0.10, 0.40, 0.40)  # share of the copies per pattern
@@ -64,7 +66,9 @@ class AugmentationPolicy:
 def draw_span_starts(total_seconds: float, length: float, rng: np.random.Generator) -> list[float]:
     """Span start times over [0, total_seconds]: exponential gaps at
     ``SPAN_RATE`` along the time axis, each drawn from the end of the
-    previous span."""
+    previous span. More than ``MAX_ADDED_ITEMS`` expected starts raise
+    ``ValueError`` before any draw."""
+    _check_added(total_seconds * SPAN_RATE, "expected span starts")
     starts: list[float] = []
     position = 0.0
     while True:
@@ -87,11 +91,11 @@ def span_mask(seq: EventSequence, starts: list[float], length: float) -> np.ndar
 
 
 def sample_span_controls(seq: EventSequence, rng: np.random.Generator, length: float) -> np.ndarray:
-    """Mark consecutive runs of events covered by sampled spans of ``length`` seconds."""
+    """Mark the events other than rests inside sampled spans of ``length`` seconds."""
     if not len(seq):
         return np.zeros(0, dtype=bool)
     total = int(seq.columns[0, -1]) / UNITS_PER_SECOND
-    return span_mask(seq, draw_span_starts(total, length, rng), length)
+    return span_mask(seq, draw_span_starts(total, length, rng), length) & (seq.columns[2] != REST)
 
 
 def sample_instrument_controls(

@@ -39,6 +39,15 @@ DRUM_INSTRUMENT = 128
 # Sentinel note code for a placeholder rest event (duration is always 0).
 REST = -1
 INT64_MAX = 2**63 - 1  # the columns are int64, so no event may end later
+# Items (rests, gap tokens, span starts) one call may add beyond its input, whatever
+# its time values; an hour of music, the most ingest keeps, needs at most 360 000.
+MAX_ADDED_ITEMS = 1 << 20
+
+
+def _check_added(asked: float, items: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error``, before allocating, if ``asked`` passes ``MAX_ADDED_ITEMS``."""
+    if asked > MAX_ADDED_ITEMS:
+        raise error(f"{asked:.0f} {items} asked for, over the budget of {MAX_ADDED_ITEMS}")
 
 
 def seconds_to_units(seconds: float | np.ndarray) -> int | np.ndarray:

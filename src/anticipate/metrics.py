@@ -16,10 +16,7 @@ from typing import Iterable, Sequence
 
 from .events import EventSequence, InterleavedSequence, UNITS_PER_SECOND
 from .predictor import Predictor
-from .tokenizer import (
-    TokenError, _classify_triples, _leading_code, _token_roles, encode_interarrival,
-)
-from .vocab import ArrivalVocab as AV
+from .tokenizer import TokenError, _scored_row, encode_interarrival
 
 
 @dataclass(frozen=True)
@@ -145,28 +142,18 @@ def cross_entropy(
     an arrival triple that ``decode_arrival`` calls malformed (one that
     mixes event, SEP and control tokens, or holds a code or any other
     out-of-slot token), raises ``TokenError`` before its row is scored, so
-    every triple scored has the roles its slots give it. Positions follow
-    any code.
+    every triple scored has the roles its slots give it. So does an arrival
+    row that is not whole triples. Positions follow any code. One tokenizer
+    call per row (``tokenizer._scored_row``) gives its code, tokens and roles.
     """
     report = LossReport(codec)
-    nats_by_role = [0.0] * 5  # by ``tokenizer._token_roles``: time, duration, note, SEP, control
+    nats_by_role = [0.0] * 5  # by role: time, duration, note, SEP, control
     count_by_role = [0] * 5
     for row_index, row in enumerate(rows):
-        z, tokens = None, list(row)
-        if codec == "arrival":
-            code, tokens = _leading_code(tokens)
-            z = AV.AR if code is None else code
-            if len(tokens) % 3:
-                raise ValueError(f"row {row_index}: arrival rows must be whole triples")
-        roles = _token_roles(tokens, codec, predictor.vocab_size)
-        if len(roles) and roles.min() < 0:
-            position = int(roles.argmin())
-            raise TokenError(f"row {row_index}: token {tokens[position]} at position {position} "
-                             f"outside the predictor's vocabulary of size {predictor.vocab_size}")
-        if codec == "arrival":
-            *_, malformed = _classify_triples(tokens)
-            if malformed is not None:
-                raise TokenError(f"row {row_index}: {malformed}")
+        try:
+            z, tokens, roles = _scored_row(row, codec, predictor.vocab_size)
+        except TokenError as exc:
+            raise TokenError(f"row {row_index}: {exc}") from exc
         context: list[int] = []
         for position, (token, role) in enumerate(zip(tokens, roles.tolist())):
             dist = predictor.next_distribution(z, context)

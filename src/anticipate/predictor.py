@@ -17,11 +17,12 @@ rejected with ``ModelFileError`` and must be retrained.
 Distributions are computed over the model's support: the sorted union of the
 tokens counted at any context length (for a trained model, the tokens seen
 at all). Every token outside it gets the same probability in any one call, so
-the backoff recursion runs on a compact vector with one slot per support
-token plus one background slot for all the others, and the result is
-scattered into the full-width buffer. The tables this needs (each successor's
-slot in the support and the smoothed per-row terms) are built on the first
-call that reads a context, not by training, saving or loading.
+the whole backoff recursion, unigram included, runs on a compact vector with
+one slot per support token plus one background slot for all the others, and
+only the result is scattered into the full-width buffer. The tables this
+needs (the compact unigram, each successor's slot in the support and the
+smoothed per-row terms) are built by the first call, at any depth, not by
+training, saving or loading.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import itertools
 import math
 import os
 import zipfile
-from collections import Counter
 from collections.abc import Mapping
 from typing import Iterable, NamedTuple, Protocol, Sequence, runtime_checkable
 
@@ -107,11 +107,12 @@ class _LevelTerms(NamedTuple):
 
 class _Tables(NamedTuple):
     """What ``next_distribution`` reads beyond the levels: the ``support``,
-    the backed-off unigram over it plus the background slot, the per-level
-    terms (index 0 unused), the term of a context never seen, and the
-    compact vector each call works in."""
+    the unigram over it plus the background slot and that unigram backed
+    off, the per-level terms (index 0 unused), the term of a context never
+    seen, and the compact vector each call works in."""
 
     support: np.ndarray
+    unigram: np.ndarray
     backoff_unigram: np.ndarray
     terms: list[_LevelTerms]
     unseen: float
@@ -119,14 +120,13 @@ class _Tables(NamedTuple):
 
 
 class _ContextTable(Mapping):
-    """Read-only view of one level keyed by context tuple: a ``Counter`` of
-    successors (``successors=True``) or their total."""
+    """Read-only view of one level: the number of tokens that followed each
+    context tuple."""
 
-    def __init__(self, level: _Level, length: int, vocab_size: int, successors: bool):
+    def __init__(self, level: _Level, length: int, vocab_size: int):
         self._level = level
         self._length = length
         self._vocab_size = vocab_size
-        self._successors = successors
 
     def __getitem__(self, context):
         key = 0
@@ -137,11 +137,7 @@ class _ContextTable(Mapping):
         row = self._level.find(key) if len(context) == self._length else -1
         if row < 0:
             raise KeyError(context)
-        if not self._successors:
-            return int(self._level.totals[row])
-        span = slice(self._level.offsets[row], self._level.offsets[row + 1])
-        return Counter(dict(zip(self._level.tokens[span].tolist(),
-                                self._level.counts[span].tolist())))
+        return int(self._level.totals[row])
 
     def __iter__(self):
         for key in self._level.keys.tolist():
@@ -158,9 +154,9 @@ class _ContextTable(Mapping):
 class NGramModel:
     """Add-alpha smoothed n-gram with fixed-weight interpolation to lower orders.
 
-    ``counts[k]`` and ``totals[k]`` are read-only mappings from a length-k
-    context tuple to a ``Counter`` of the tokens that followed it and to
-    their number; ``totals[0][()]`` is the number of tokens trained on.
+    The counts live in ``_levels``, one per context length. The one view
+    left, ``totals[k]``, maps a length-k context tuple to the number of tokens
+    that followed it; ``totals[0][()]`` is the number trained on.
     """
 
     def __init__(self, order: int, alpha: float, vocab_size: int,
@@ -187,20 +183,18 @@ class NGramModel:
 
     def _set_levels(self, levels: list[_Level]) -> None:
         self._levels = levels
-        self.counts = [_ContextTable(lv, k, self.vocab_size, True) for k, lv in enumerate(levels)]
-        self.totals = [_ContextTable(lv, k, self.vocab_size, False) for k, lv in enumerate(levels)]
-        unigram = np.full(self.vocab_size, self.alpha, dtype=np.float64)
-        unigram[levels[0].tokens] += levels[0].counts
-        unigram /= int(levels[0].totals.sum()) + self.alpha * self.vocab_size
-        self._unigram = unigram
+        self.totals = [_ContextTable(lv, k, self.vocab_size) for k, lv in enumerate(levels)]
         self._tables: _Tables | None = None
 
     def _build_tables(self) -> _Tables:
         alpha, vocab_size = self.alpha, self.vocab_size
         support = np.unique(np.concatenate([level.tokens for level in self._levels]))
-        # a token outside the support has the uncounted unigram value, alpha / denom
-        background = alpha / (int(self._levels[0].totals.sum()) + alpha * vocab_size)
-        backoff_unigram = BACKOFF_WEIGHT * np.append(self._unigram[support], background)
+        # (alpha + count) / denom per support token; the background slot, like
+        # every token outside the support, has the uncounted alpha / denom
+        first = self._levels[0]
+        unigram = np.full(len(support) + 1, alpha, dtype=np.float64)
+        unigram[support.searchsorted(first.tokens)] += first.counts
+        unigram /= int(first.totals.sum()) + alpha * vocab_size
         built: dict[int, _LevelTerms] = {}  # levels past the longest row share one object
         for level in self._levels[1:]:
             if id(level) not in built:
@@ -213,26 +207,23 @@ class NGramModel:
                 )
         terms = [None, *(built[id(level)] for level in self._levels[1:])]
         unseen = (1.0 - BACKOFF_WEIGHT) * (alpha / (alpha * vocab_size))
-        return _Tables(support, backoff_unigram, terms, unseen, np.empty(len(support) + 1))
+        return _Tables(support, unigram, BACKOFF_WEIGHT * unigram, terms, unseen,
+                       np.empty(len(support) + 1))
 
     def next_distribution(self, z: int | None, context: Sequence[int]) -> np.ndarray:
         """Interpolated distribution after ``[z, *context]``; reuses one buffer.
 
         Each level scales the lower orders by ``BACKOFF_WEIGHT`` and adds its
         own smoothed estimate: a constant for the tokens its context never
-        preceded, then the counted successors overwritten in place. The
-        recursion runs over the support plus one background slot, which
-        then fills every token outside the support.
+        preceded, then the terms of the counted tokens written in place. The
+        recursion runs from the unigram over the support plus one background
+        slot, which then fills every token outside the support.
         """
         n = len(context)
         depth = min(self.order - 1, n + (z is not None), self.context_length - 1)
-        out = self._buffer
-        if depth <= 0:
-            np.copyto(out, self._unigram)
-            return out
         if self._tables is None:
             self._tables = self._build_tables()
-        support, scaled, terms, unseen, compact = self._tables
+        support, unigram, scaled, terms, unseen, compact = self._tables
         vocab_size = self.vocab_size
         key: int | None = 0  # key of the last k tokens; None once one is outside the vocabulary
         radix = 1
@@ -255,9 +246,10 @@ class NGramModel:
             lower = scaled[slots]
             np.add(scaled, terms[k].uncounted[row], out=compact)
             compact[slots] = lower + terms[k].counted[span]
-        out.fill(compact[-1])
-        out[support] = compact[:-1]
-        return out
+        values = compact if depth > 0 else unigram
+        self._buffer.fill(values[-1])
+        self._buffer[support] = values[:-1]
+        return self._buffer
 
     def save(self, path) -> None:
         """Write the model to exactly ``path`` as a versioned ``.npz``."""

@@ -40,8 +40,8 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .events import (
-    MAX_DURATION_UNITS, MAX_TIME_UNITS, REST, EventSequence, InterleavedSequence, _first_drop,
-    _note_order, _pair_notes,
+    MAX_DURATION_UNITS, MAX_TIME_UNITS, REST, EventSequence, InterleavedSequence, _check_added,
+    _first_drop, _note_order, _pair_notes,
 )
 from .vocab import CODEC_VOCABS
 from .vocab import ArrivalVocab as AV
@@ -155,38 +155,25 @@ def _decode_triple(time_tok: int, duration_tok: int, note_tok: int,
             [time_tok, duration_tok, note_tok])
 
 
-def _leading_code(tokens: list[int]) -> tuple[int | None, list[int]]:
-    """Arrival tokens' leading control code (AR or AAR, else None) and the rest."""
-    if tokens and tokens[0] in (AV.AR, AV.AAR):
-        return tokens[0], tokens[1:]
-    return None, tokens
+def _arrival_body(tokens: Sequence[int]) -> tuple[int, list[int]]:
+    """Arrival tokens' control code (AR if none leads them) and the whole
+    triples after it; any other count raises ``TokenError``."""
+    toks = list(tokens)
+    code = toks.pop(0) if toks and toks[0] in (AV.AR, AV.AAR) else AV.AR
+    if len(toks) % 3:
+        raise TokenError(f"token count {len(toks)} is not a multiple of 3")
+    return code, toks
 
 
-def _token_roles(tokens: list[int], codec: str, size: int) -> np.ndarray:
-    """The role of each token of a row without its control code: its triple
-    slot (0 time, 1 duration, 2 note), 3 for SEP, 4 for a control token, -1
-    outside ``[0, size)``. Arrival slots go by position; every interarrival
-    token other than SEP has the time slot."""
-    array = _token_array(tokens, size)
-    if codec == "arrival":
-        roles = np.arange(len(array)) % 3
-        roles[AV.is_control_range(array)] = 4
-    else:
-        roles = np.zeros(len(array), dtype=np.int64)
-    roles[array == CODEC_VOCABS[codec].SEP] = 3
-    roles[(array < 0) | (array >= size)] = -1
-    return roles
-
-
-def _classify_triples(toks: list[int]) -> tuple:
-    """Whole-triple arrival tokens classified with range masks: the time,
-    duration and note token columns, the separator, control and rest masks,
-    and the index of the first malformed triple (the triple count if none)
-    with its ``TokenError`` (None if none). A triple is well formed if it is
-    all SEP, all control (no rest), or a plain time and duration with a note,
-    or with REST and a zero duration; an AR/AAR code or any other out-of-slot
-    token makes it malformed."""
-    a, b, c = _token_array(toks, AV.SIZE).reshape(-1, 3).T
+def _classify_triples(toks: list[int], array: np.ndarray) -> tuple:
+    """Whole-triple arrival tokens ``toks`` (as int64, ``array``) classified
+    with range masks: the time, duration and note token columns, the
+    separator, control and rest masks, and the index of the first malformed
+    triple (the triple count if none) with its ``TokenError`` (None if none).
+    A triple is well formed if it is all SEP, all control (no rest), or a
+    plain time and duration with a note, or with REST and a zero duration; an
+    AR/AAR code or any other out-of-slot token makes it malformed."""
+    a, b, c = array.reshape(-1, 3).T
     sep = (a == AV.SEP) & (b == AV.SEP) & (c == AV.SEP)
     rest = c == AV.REST
     plain = AV.is_plain_time(a) & AV.is_plain_duration(b)
@@ -207,6 +194,30 @@ def _classify_triples(toks: list[int]) -> tuple:
     return a, b, c, sep, control, rest, bad, TokenError(message, bad)
 
 
+def _scored_row(row: Sequence[int], codec: str,
+                size: int) -> tuple[int | None, list[int], np.ndarray]:
+    """A row's control code (AR for an arrival row without one, None for
+    interarrival), its tokens after the code, and each token's role: 0-2 its
+    triple slot (time, duration, note; every interarrival token but SEP has
+    the time slot), 3 SEP, 4 control. Raises ``TokenError`` for an arrival
+    row that is not whole triples, then for a token outside ``[0, size)``,
+    then for the first arrival triple that ``decode_arrival`` calls malformed.
+    """
+    code, tokens = _arrival_body(row) if codec == "arrival" else (None, list(row))
+    array = _token_array(tokens, size)
+    outside = (array < 0) | (array >= size)
+    if outside.any():
+        i = int(outside.argmax())
+        raise TokenError(f"token {tokens[i]} at position {i} "
+                         f"outside the predictor's vocabulary of size {size}")
+    if codec != "arrival":
+        return None, tokens, np.where(array == CODEC_VOCABS[codec].SEP, 3, 0)
+    _, _, _, sep, control, _, _, malformed = _classify_triples(tokens, array)
+    if malformed is not None:
+        raise malformed
+    return code, tokens, np.where(sep[:, None], 3, np.where(control[:, None], 4, [0, 1, 2])).ravel()
+
+
 def decode_arrival(tokens: Sequence[int]) -> list[InterleavedSequence]:
     """Decode arrival-codec tokens into sequence segments.
 
@@ -217,10 +228,9 @@ def decode_arrival(tokens: Sequence[int]) -> list[InterleavedSequence]:
     stream (plain or control) and segment, raises ``TokenError`` with its
     triple index.
     """
-    _, toks = _leading_code(list(tokens))
-    if len(toks) % 3:
-        raise TokenError(f"token count {len(toks)} is not a multiple of 3")
-    a, b, c, sep, control, rest, bad, malformed = _classify_triples(toks)
+    _, toks = _arrival_body(tokens)
+    array = _token_array(toks, AV.SIZE)
+    a, b, c, sep, control, rest, bad, malformed = _classify_triples(toks, array)
     shift = control * AV.CONTROL_OFFSET
     time = a - shift - AV.TIME_BASE
     # before the first malformed triple, the first item earlier than the one
@@ -249,7 +259,8 @@ def encode_interarrival(
     Each event expands to an onset at ``t`` and an offset at ``t + d``, in
     the note order the MIDI writer uses (:func:`anticipate.events._note_order`).
     A gap over 999 units is written as several gap tokens, so no time is
-    lost. Control-tagged input and rests are not supported by this codec.
+    lost; past ``MAX_ADDED_ITEMS`` extra gap tokens raise ``TokenError``.
+    Control-tagged input and rests are not supported by this codec.
     """
     if isinstance(seq, InterleavedSequence):
         if seq.has_controls:
@@ -264,6 +275,7 @@ def encode_interarrival(
     # every item's token, then the gap to the next item as gap tokens of
     # 999 and the remainder unless it is zero
     full, rest = np.divmod(np.diff(item_time, append=item_time[-1:]), IV.ONSET_BASE - 1)
+    _check_added(int(full.sum()), "extra gap tokens", TokenError)
     count = 1 + full + (rest > 0)
     start = np.cumsum(count) - count
     tokens = np.full(count.sum(), IV.ONSET_BASE - 1)

@@ -61,10 +61,6 @@ class ArrivalVocab:
     def is_control_note(cls, tok: int) -> bool:
         return (cls.ANT_NOTE_BASE <= tok) & (tok < cls.SEP)
 
-    @classmethod
-    def is_control_range(cls, tok: int) -> bool:
-        return (cls.ANT_TIME_BASE <= tok) & (tok < cls.SEP)
-
 
 class InterarrivalVocab:
     """Token layout for the interarrival-time codec (size 34025).

@@ -20,7 +20,8 @@ from anticipate.anticipation import (
     split_and_sort,
 )
 from anticipate.events import (
-    REST, Event, EventSequence, InterleavedSequence, TaggedEvent, seconds_to_units,
+    MAX_ADDED_ITEMS, REST, Event, EventSequence, InterleavedSequence, TaggedEvent,
+    seconds_to_units,
 )
 
 from conftest import event_sort_key, random_controls, random_events
@@ -111,6 +112,19 @@ class TestDensify:
 
     def test_empty(self):
         assert densify(EventSequence(), 100) == EventSequence()
+
+    def test_rests_past_the_budget_refused_before_allocating(self):
+        far = EventSequence([Event(0, 10, 60), Event(10**12, 10, 61)])
+        with pytest.raises(ValueError, match=f"^9999999999 rests asked for, over the budget of "
+                                             f"{MAX_ADDED_ITEMS}$"):
+            densify(far, 100)
+        # the budget counts the rests of every gap; exactly the budget is kept
+        half = MAX_ADDED_ITEMS // 2 + 1
+        with pytest.raises(ValueError, match=f"^{MAX_ADDED_ITEMS + 2} rests asked for"):
+            densify(EventSequence([Event(0, 1, 60), Event(half + 1, 1, 61),
+                                   Event(2 * half + 2, 1, 62)]), 1)
+        at = EventSequence([Event(0, 1, 60), Event(MAX_ADDED_ITEMS + 1, 1, 61)])
+        assert len(densify(at, 1)) == MAX_ADDED_ITEMS + 2
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -25,8 +25,8 @@ from anticipate.augment import (
     span_mask,
     split_by_mask,
 )
-from anticipate.events import NUM_PITCHES, Event, EventSequence, encode_note
-from anticipate.tokenizer import encode_arrival
+from anticipate.events import MAX_ADDED_ITEMS, NUM_PITCHES, REST, Event, EventSequence, encode_note
+from anticipate.tokenizer import encode_arrival, pack_training_examples
 
 from conftest import event_sort_key, random_events
 
@@ -83,6 +83,16 @@ class TestSpanControls:
             assert mask.any() == bool(starts)
             unmarked += not starts
         assert unmarked >= 15
+
+    def test_expected_starts_past_the_budget_refused_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        assert len(draw_span_starts(3600.0, 5.0, np.random.default_rng(0))) > 100  # an hour
+        with pytest.raises(ValueError, match=f"^500000000 expected span starts asked for, "
+                                             f"over the budget of {MAX_ADDED_ITEMS}$"):
+            draw_span_starts(1e10, 5.0, rng)  # the seconds of 10**12 grid units
+        with pytest.raises(ValueError, match="expected span starts"):
+            draw_span_starts(MAX_ADDED_ITEMS / SPAN_RATE * 1.001, 5.0, rng)
+        assert rng.integers(2**62) == np.random.default_rng(0).integers(2**62)  # nothing drawn
 
     def test_spans_never_overlap(self, rng):
         starts = draw_span_starts(600.0, 5.0, rng)
@@ -168,13 +178,16 @@ class TestRandomControls:
         assert scipy_stats.chisquare(counts).pvalue > 0.01
 
     def test_rests_never_marked(self, rng):
-        from anticipate.anticipation import densify
-        from anticipate.events import REST
-
-        seq = densify(random_events(rng, 50, max_gap=700), 100)
-        for _ in range(20):
-            mask = sample_random_controls(seq, rng)
-            assert not any(e.note == REST and m for e, m in zip(seq, mask))
+        # by any of the three samplers
+        seq = densify(random_events(rng, 50, max_gap=700, n_instruments=3), 100)
+        rests = seq.columns[2] == REST
+        assert rests.sum() > 20
+        for sample in (lambda: sample_span_controls(seq, rng, 5.0),
+                       lambda: sample_instrument_controls(seq, rng),
+                       lambda: sample_random_controls(seq, rng)):
+            masks = [sample() for _ in range(20)]
+            assert any(mask.any() for mask in masks)
+            assert not any((mask & rests).any() for mask in masks)
 
 
 class TestAugmentCorpus:
@@ -277,6 +290,16 @@ class TestAugmentCorpus:
         if (delta, factor) == (5.0, 30):  # the default config and policy
             assert digest(augment_corpus(corpus, AugmentationPolicy(), 7)) == self.PINNED[delta, factor]
 
+    def test_densified_sequences_encode_and_pack(self, rng):
+        # densified input holds rests; no copy may make one a control
+        corpus = [densify(random_events(rng, 40, max_gap=300, n_instruments=2), 100)
+                  for _ in range(4)]
+        copies = list(augment_corpus(corpus, AugmentationPolicy(factor=10), seed=5))
+        assert {c.pattern for c in copies} == set(PATTERNS)
+        for copy in copies:
+            encode_arrival(copy.interleaved)
+        assert pack_training_examples(c.interleaved for c in copies).examples
+
     def test_label_frequencies_match_weights(self, corpus):
         policy = AugmentationPolicy()
         copies = list(augment_corpus(corpus, policy, seed=1))
@@ -305,7 +328,7 @@ class TestAugmentSequence:
 
 
 def _reference_span_controls(seq, rng, *, length=5.0):
-    """The per-event span sampler the columnar one replaced."""
+    """The per-event span sampler the columnar one replaced, rests left out."""
     if not len(seq):
         return np.zeros(0, dtype=bool)
     total = seq[len(seq) - 1].time / 100
@@ -316,7 +339,7 @@ def _reference_span_controls(seq, rng, *, length=5.0):
         lo = np.searchsorted(times, start, side="left")
         hi = np.searchsorted(times, start + length, side="right")
         mask[lo:hi] = True
-    return mask
+    return mask & ~np.array([e.is_rest for e in seq], dtype=bool)
 
 
 def _reference_instrument_controls(seq, rng):

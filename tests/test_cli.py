@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +168,42 @@ class TestDensifyInterleave:
         assert run("interleave", "--delta", "5.0", str(path), "-") == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["100 10 60", "300 10 60", "C 700 10 48", "500 10 60"]
+
+    @pytest.mark.parametrize("pack", [[], ["--pack"]])
+    def test_augment_a_densified_file(self, tmp_path, pack):
+        # the densified file holds rests, which no pattern may make controls
+        sparse, dense = tmp_path / "sparse.txt", tmp_path / "dense.txt"
+        sparse.write_text("".join(f"{300 * i} 10 {60 + i % 12}\n" for i in range(30)))
+        assert run("densify", "--target-density", "1.0", str(sparse), str(dense)) == 0
+        assert " R" in dense.read_text()
+        assert run("augment", "--factor", "10", *pack, str(dense), str(tmp_path / "out")) == 0
+
+
+# Runs the CLI under a 1 GiB address-space limit, which binds this child only.
+_LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from anticipate.cli import main
+sys.argv[0] = "anticipate"
+main()
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["tokenize", "--codec", "interarrival"], ["densify"], ["augment", "--factor", "10"],
+], ids=lambda argv: argv[0])
+def test_added_items_past_the_budget_exit_two_under_a_memory_limit(tmp_path, argv):
+    # 10**12 units (about 317 years) would ask for about 10**9 gap tokens,
+    # 10**10 rests or 5 * 10**8 span starts; each is refused before allocating
+    path = tmp_path / "far.txt"
+    path.write_text("0 10 60\n1000000000000 10 61\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv, str(path),
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "over the budget of" in proc.stderr
 
 
 class TestConfigValues:

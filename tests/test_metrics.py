@@ -85,6 +85,20 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy(UniformPredictor(AV.SIZE), [[0, 10_000]], "arrival")
 
+    @pytest.mark.parametrize("row", [
+        [0, 10_000], [AV.AAR, 0], [1, AV.DUR_BASE + 1, AV.NOTE_BASE + 1, 5],
+    ])
+    def test_row_of_partial_triples_raises_decode_arrivals_error(self, row):
+        with pytest.raises(TokenError) as decoded:
+            decode_arrival(row)
+        recorder = _Recorder()
+        with pytest.raises(TokenError) as scored:
+            cross_entropy(recorder, [[AV.AR], row], "arrival")
+        assert str(scored.value) == f"row 1: {decoded.value}"
+        body = len(row) - (row[0] == AV.AAR)
+        assert str(decoded.value) == f"token count {body} is not a multiple of 3"
+        assert recorder.calls == []
+
     def test_packed_rows_use_their_own_control_code(self):
         from anticipate.events import TaggedEvent
         from anticipate.tokenizer import pack_training_examples
@@ -173,7 +187,7 @@ def _reference_cross_entropy(predictor, rows, codec) -> LossReport:
     def slot_of_arrival(token, slot):
         if token == AV.SEP:
             return "sep"
-        if AV.is_control_range(token):
+        if AV.ANT_TIME_BASE <= token < AV.SEP:
             return "control"
         return ("time", "duration", "note")[slot]
 
@@ -186,7 +200,7 @@ def _reference_cross_entropy(predictor, rows, codec) -> LossReport:
             row_z = tokens[0]
             tokens = tokens[1:]
         if codec == "arrival" and len(tokens) % 3:
-            raise ValueError(f"row {row_index}: arrival rows must be whole triples")
+            raise TokenError(f"row {row_index}: token count {len(tokens)} is not a multiple of 3")
         if codec == "arrival":
             for k in range(len(tokens) // 3):
                 a, b, c = triple = tuple(tokens[3 * k:3 * k + 3])

@@ -88,10 +88,32 @@ def reference_pair(rows, order, alpha, vocab_size, context_length=1024):
     return model, reference
 
 
+def level_counts(model, k):
+    """Level ``k`` of the model's arrays as {context tuple: {token: count}}."""
+    level, vocab_size = model._levels[k], model.vocab_size
+    out = {}
+    for row, key in enumerate(level.keys.tolist()):
+        context = []
+        for _ in range(k):
+            key, token = divmod(key, vocab_size)
+            context.append(token)
+        span = slice(level.offsets[row], level.offsets[row + 1])
+        out[tuple(reversed(context))] = dict(zip(level.tokens[span].tolist(),
+                                                 level.counts[span].tolist()))
+    return out
+
+
+def assert_same_levels(a, b, lengths):
+    """The two models hold equal arrays at each context length in ``lengths``."""
+    for k in lengths:
+        for x, y in zip(a._levels[k], b._levels[k], strict=True):
+            assert np.array_equal(x, y)
+
+
 def assert_same_counts(model, reference):
     for k in range(model.order):
         assert dict(model.totals[k]) == reference.totals[k]
-        assert {ctx: dict(c) for ctx, c in model.counts[k].items()} == {
+        assert level_counts(model, k) == {
             ctx: dict(c) for ctx, c in reference.counts[k].items()
         }
 
@@ -200,8 +222,8 @@ class TestNGram:
         rows = markov_corpus(rng, 12, 5, 6) + [[1, 2, 3]]
         model = train_ngram(rows, order=9, alpha=0.1, vocab_size=12)
         exact = train_ngram(rows, order=6, alpha=0.1, vocab_size=12)  # one level per row position
-        for k in range(6):
-            assert dict(model.counts[k]) == dict(exact.counts[k]) != {}
+        assert_same_levels(model, exact, range(6))
+        assert all(len(level.tokens) for level in exact._levels)
         shared = model._levels[6]
         assert len(shared.keys) == len(shared.tokens) == 0
         assert all(level is shared for level in model._levels[6:])
@@ -262,15 +284,20 @@ class TestNGramReference:
 
 def dense_next_distribution(model, z, context):
     """The full-width backoff recursion that the support recursion replaced,
-    on the model's own levels and unigram; kept as the reference it must
-    match bit for bit. Returns a fresh array."""
+    on the model's own levels, with the full-width unigram built from level
+    0; kept as the reference it must match bit for bit. Returns a fresh
+    array."""
+    alpha, vocab_size = model.alpha, model.vocab_size
+    first = model._levels[0]
+    unigram = np.full(vocab_size, alpha, dtype=np.float64)
+    unigram[first.tokens] += first.counts
+    unigram /= int(first.totals.sum()) + alpha * vocab_size
     n = len(context)
     depth = min(model.order - 1, n + (z is not None), model.context_length - 1)
-    out = model._unigram.copy()
+    out = unigram.copy()
     if depth <= 0:
         return out
-    backoff_unigram = BACKOFF_WEIGHT * model._unigram
-    alpha, vocab_size = model.alpha, model.vocab_size
+    backoff_unigram = BACKOFF_WEIGHT * unigram
     key = 0
     radix = 1
     for k in range(1, depth + 1):
@@ -339,6 +366,7 @@ class TestSupportRecursion:
         # in and outside the vocabulary, counted tokens most often
         token = (st.sampled_from(counted) | st.integers(0, vocab_size - 1)
                  | st.sampled_from([-1, vocab_size, vocab_size + 1]))
+        assert_bit_identical(model, None, [])  # depth 0: the unigram alone
         for _ in range(4):
             z = data.draw(st.none() | st.just(code) | st.sampled_from([-1, vocab_size]))
             context = data.draw(st.lists(token, max_size=10))  # may run past context_length
@@ -374,12 +402,12 @@ class TestSupportRecursion:
         assert model._tables is None
         loaded = NGramModel.load(tmp_path / "model.npz")
         assert loaded._tables is None
-        loaded.next_distribution(None, [])  # the unigram needs none
-        assert loaded._tables is None
-        loaded.next_distribution(None, [1])
+        loaded.next_distribution(None, [])  # depth 0 reads the compact unigram
         assert loaded._tables is not None
         loaded._set_levels(model._levels)  # new counts drop the old tables
         assert loaded._tables is None
+        loaded.next_distribution(None, [1])
+        assert loaded._tables is not None
 
 
 class _CreatesMarker:
@@ -419,9 +447,9 @@ class TestModelFile:
         loaded = NGramModel.load(path)
         assert (loaded.order, loaded.alpha, loaded.vocab_size, loaded.context_length) == (
             3, 0.01, 20, 9)
+        assert_same_levels(loaded, model, range(3))
         for k in range(3):
             assert dict(loaded.totals[k]) == dict(model.totals[k])
-            assert dict(loaded.counts[k]) == dict(model.counts[k])
 
     def test_pickle_rejected_without_running_it(self, tmp_path):
         marker = tmp_path / "marker"

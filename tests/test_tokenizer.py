@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import anticipate
 from anticipate import golden
 from anticipate.events import (
+    MAX_ADDED_ITEMS,
     MAX_DURATION_UNITS,
     MAX_TIME_UNITS,
     REST,
@@ -181,6 +182,19 @@ class TestInterarrivalGoldens:
         tokens = encode_interarrival(seq)
         assert tokens == [1060, 1, 17572, 999, 999, 999, 999, 999, 4, 1061, 1, 17573]
         assert decode_interarrival(tokens) == seq
+
+    def test_gap_tokens_past_the_budget_refused_before_allocating(self):
+        far = EventSequence([Event(0, 10, 60), Event(10**12, 10, 61)])
+        with pytest.raises(TokenError, match=f"^1001001000 extra gap tokens asked for, "
+                                             f"over the budget of {MAX_ADDED_ITEMS}$"):
+            encode_interarrival(far)
+        # the onset-to-onset gap after the first offset: exactly the budget is kept
+        gap = (IV.ONSET_BASE - 1) * MAX_ADDED_ITEMS
+        at = EventSequence([Event(0, 10, 60), Event(10 + gap, 10, 61)])
+        assert len(encode_interarrival(at)) == 4 + 1 + MAX_ADDED_ITEMS + 1
+        with pytest.raises(TokenError, match=f"^{MAX_ADDED_ITEMS + 1} extra gap tokens"):
+            encode_interarrival(EventSequence([Event(0, 10, 60),
+                                               Event(10 + gap + IV.ONSET_BASE - 1, 10, 61)]))
 
 
 class TestTokenRangeDiscipline:
@@ -1056,11 +1070,14 @@ class TestGrammar:
 
 
 _LAYOUT_FREE = {"ArrivalVocab": {"SIZE", "SEP", "AR", "AAR"}, "InterarrivalVocab": {"SIZE", "SEP"}}
+_VOCABULARY_FREE = {"metrics.py"}  # takes codes and roles from the tokenizer's row function
 
 
 def test_only_the_tokenizer_knows_the_token_layout():
     """Outside ``tokenizer.py`` and ``vocab.py`` no module reads a base,
-    offset or range test of either vocabulary, only sizes and codes."""
+    offset or range test of either vocabulary, only sizes and codes; the
+    modules in ``_VOCABULARY_FREE`` import nothing from ``vocab`` and read
+    no vocabulary name at all."""
     package = Path(anticipate.__file__).parent
     either = _LAYOUT_FREE["ArrivalVocab"] & _LAYOUT_FREE["InterarrivalVocab"]
     reads = []
@@ -1071,6 +1088,13 @@ def test_only_the_tokenizer_knows_the_token_layout():
         aliases = {alias.asname or alias.name: alias.name
                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                    for alias in node.names}
+        if path.name in _VOCABULARY_FREE:
+            names = {*_LAYOUT_FREE, "CODEC_VOCABS"}
+            reads += [f"{path.name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.module == "vocab"
+                      or aliases.get(getattr(node, "id", None)) in names
+                      or getattr(node, "attr", None) in names]
+            continue
         for node in ast.walk(tree):
             if not isinstance(node, ast.Attribute):
                 continue
