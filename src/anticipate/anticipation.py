@@ -5,15 +5,15 @@ sequences, and the split/sort inverse.
 A control on time ``s`` is placed immediately after the first event whose
 time reaches ``s - delta`` (and after any earlier-queued controls).  That
 event is a stopping time of the event sequence: on the time row it is
-``searchsorted(event_time + delta, s, "left")``, and because both streams are
-sorted the offline interleave is one stable merge of the two.  The placement
-rule depends only on the prefix already emitted, so exactly the same
-interleaving falls out of an online loop that alternates "emit next event"
-with "emit every pending control within delta of it".  That online rule is
-the dual ``searchsorted``: after an event at ``t`` the pending controls run
-up to ``searchsorted(control_time, t + delta, "right")``.  Controls whose
-condition is never met (the event stream ends too early) are appended at the
-tail so the interleaving stays lossless.
+``searchsorted(event_time, s - delta, "left")`` (its due time among the event
+times), so the offline interleave is one stable merge of the two sorted
+streams.  The placement rule depends only on the prefix already emitted, so
+exactly the same interleaving falls out of an online loop that alternates
+"emit next event" with "emit every pending control within delta of it".
+That online rule is the dual ``searchsorted``: after an event at ``t`` the
+pending controls run up to ``searchsorted(control_time, t + delta,
+"right")``.  Controls whose condition is never met (the event stream ends
+too early) are appended at the tail so the interleaving stays lossless.
 
 Times and ``delta`` are compared in whatever unit the events carry; the
 quantized 10ms grid is the default throughout the toolkit.
@@ -98,30 +98,31 @@ def interleave(
     """Offline interleaving of events and controls.
 
     Each control lands immediately after the first event whose time is at
-    least ``control.time - delta``; never-satisfied controls are appended
-    after the final event in control order.
+    least ``control.time - delta``, its due time; never-satisfied controls
+    are appended after the final event in control order; a rest control raises.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     # Event i sorts at (i, 0); a control at (index of its stopping event, 1),
-    # which is (len(events), 1), the tail, when no event reaches it.
-    due = np.searchsorted(events.columns[0] + delta, controls.columns[0], side="left")
+    # (len(events), 1) if none; s - delta cannot wrap, as s >= 0 and delta < 2**62
+    due = np.searchsorted(events.columns[0], controls.columns[0] - delta, side="left")
     slot = np.concatenate([np.arange(len(events)), due])
     columns = np.concatenate([_tagged(events, False), _tagged(controls, True)], axis=1)
     return InterleavedSequence._of(columns[:, np.lexsort((columns[3], slot))])
 
 
 def next_anticipated_controls(
-    controls: EventSequence, cursor: int, last_event_time: float, delta: float
+    controls: EventSequence, cursor: int, last_event_time: int, delta: float
 ) -> tuple[EventSequence, int]:
     """Online emission rule: controls due after an event at ``last_event_time``.
 
     Returns the maximal run of unconsumed controls with time at most
     ``last_event_time + delta``, as a slice of ``controls``, and the advanced
     cursor.  The decision uses only the event just emitted and the cursor,
-    never future events.
+    never future events. The sum is taken in Python ints, so it cannot wrap.
     """
-    end = max(cursor, int(controls.columns[0].searchsorted(last_event_time + delta, "right")))
+    reach = int(last_event_time) + delta
+    end = max(cursor, int(controls.columns[0].searchsorted(reach, "right")))
     return controls[cursor:end], end
 
 
@@ -133,7 +134,7 @@ def sort_order_interleave(
 
     This placement depends on the event *following* each control, so it
     cannot be produced by an online sampler; it exists as the contrast case
-    for tests and demos.
+    for tests and demos. A rest among the controls raises ``ValueError``.
     """
     columns = np.concatenate([_tagged(events, False), _tagged(controls, True)], axis=1)
     adjusted = np.concatenate([events.columns[0], controls.columns[0] - delta])

@@ -237,15 +237,19 @@ def _cmd_detokenize(args) -> int:
     return 0
 
 
-def _cmd_densify(args) -> int:
-    config = AnticipationConfig(target_density=args.target_density)
-    with _open_in(args.input) as f:
+def _read_plain(path: str, stage: str) -> list[EventSequence]:
+    """The sequences of an event file for a stage that takes plain events only."""
+    with _open_in(path) as f:
         sequences = read_events(f)
-    out: list[EventSequence] = []
     for i, seq in enumerate(sequences):
         if seq.has_controls:
-            raise TokenError(f"sequence {i}: densify expects plain events, found controls")
-        out.append(densify(seq.events(), config.density_units))
+            raise TokenError(f"sequence {i}: {stage} expects plain events, found controls")
+    return [seq.events() for seq in sequences]
+
+
+def _cmd_densify(args) -> int:
+    config = AnticipationConfig(target_density=args.target_density)
+    out = [densify(seq, config.density_units) for seq in _read_plain(args.input, "densify")]
     with _open_out(args.output) as f:
         write_events(f, out)
     return 0
@@ -266,8 +270,7 @@ def _cmd_interleave(args) -> int:
 def _cmd_augment(args) -> int:
     config = AnticipationConfig(delta=args.delta, target_density=args.target_density)
     policy = AugmentationPolicy(factor=args.factor)
-    with _open_in(args.input) as f:
-        sequences = [s.events() for s in read_events(f)]
+    sequences = _read_plain(args.input, "augment")
     copies = list(augment_corpus(sequences, policy, args.seed, config))
 
     labels_path = args.labels

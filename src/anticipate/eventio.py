@@ -40,8 +40,8 @@ def read_events(f: IO[str]) -> list[InterleavedSequence]:
     Runs of blank lines collapse to a single separator, so empty sequences
     are not representable. A malformed line or an out-of-range field, an
     end past int64 included, raises ``TokenError`` naming the 1-based line
-    as soon as the line is read; an out-of-order stream raises it naming the
-    lines of the sequence once the sequence ends.
+    as soon as the line is read; an out-of-order stream or a rest control
+    raises it naming the lines of the sequence once the sequence ends.
     """
     sequences: list[InterleavedSequence] = []
     rows: list[tuple[int, int, int, bool]] = []

@@ -16,7 +16,8 @@ readers and writers included, works on these rows. :class:`Event` and
 :class:`TaggedEvent` objects are built only where a caller asks for items: by
 iterating or indexing a sequence, and by constructing a sequence from items.
 One scalar field rule (:func:`_check_event`) checks an event whether it
-arrives as an object or as a parsed text line.
+arrives as an object or as a parsed text line; one check refuses a rest as a
+control wherever control columns are made (:func:`_check_rest_controls`).
 """
 
 from __future__ import annotations
@@ -289,8 +290,16 @@ def _first_drop(time: np.ndarray, stream: np.ndarray) -> int | None:
     return int(drops.min()) if drops.size else None
 
 
+def _check_rest_controls(rest_control: np.ndarray) -> None:
+    """Raise for the first item the boolean row marks: a rest flagged as a control."""
+    if rest_control.any():
+        raise ValueError(f"rest events cannot be controls (index {int(rest_control.argmax())})")
+
+
 def _tagged(seq: EventSequence, control: bool) -> np.ndarray:
-    """The (4, n) columns of ``seq`` with every control flag set to ``control``."""
+    """The (4, n) columns of ``seq`` flagged ``control``; no rest may be a control."""
+    if control:
+        _check_rest_controls(seq.columns[2] == REST)
     return np.vstack([seq.columns, np.full(len(seq), int(control), dtype=np.int64)])
 
 
@@ -316,12 +325,13 @@ class InterleavedSequence(_Sequence):
 
     @staticmethod
     def _check(columns: np.ndarray) -> None:
-        """Raise for the first item, in sequence order, that is earlier than
-        the item before it in its own stream."""
+        """Raise for the first item, in sequence order, earlier than the item
+        before it in its own stream, then for the first rest control."""
         i = _first_drop(columns[0], columns[3])
         if i is not None:
             kind = "control" if columns[3, i] else "plain event"
             raise ValueError(f"{kind} times must be non-decreasing (index {i})")
+        _check_rest_controls((columns[2] == REST) & (columns[3] != 0))
 
     @classmethod
     def from_events(cls, seq: EventSequence) -> "InterleavedSequence":

@@ -13,8 +13,8 @@ stream. The baseline cannot look ahead (lookahead 0): it inserts the
 controls the event's time has reached before the event, writing them into
 the history as ordinary events. When generation terminates the unconsumed
 controls are appended so the result remains lossless for the split/sort
-inverse. Before any predictor call the tokenizer's triple encoder checks the
-controls as controls, raising its ``TokenError`` with the control's index.
+inverse. Before any predictor call, tagging the controls refuses a rest and
+the triple encoder a time past the token range, naming the control's index.
 
 Generation works at event granularity with absolute times. Every placed
 item is written once, in placement order, into one int64 buffer with rows
@@ -200,10 +200,10 @@ def _generate(
     time, precede it, and enter the history as plain events.
     """
     # every control's context triple, in the vocabulary it is placed with;
-    # encoding the controls as controls first checks them
-    control_tokens = _arrival_triples(_tagged(controls, True)).ravel().tolist()
-    if not anticipate:
-        control_tokens = _arrival_triples(_tagged(controls, False)).ravel().tolist()
+    # tagging the controls as controls and encoding them checks them
+    tagged = _tagged(controls, True)
+    tagged[3] = anticipate
+    control_tokens = _arrival_triples(tagged).ravel().tolist()
     rng = np.random.default_rng(config.seed)
     lookahead = config.delta_units if anticipate else 0
     capacity = (predictor.context_length - 1) // 3

@@ -14,10 +14,11 @@ grammar: one array encoder and its array inverse, the token ranges of each
 slot of a sampled triple, that triple's decode, a row's leading control code
 and each token's role. Encoding builds the triples of a sequence, a packed
 stream or a sampler context from the time, duration, note and control rows
-and checks them with array operations; the first invalid item fails with its
-index. Decoding classifies every triple with range masks, fails at the first
-malformed one, and splits the decoded columns at the separator triples; no
-event object is built.
+and checks only their times, with array operations; the first item outside
+the token range fails with its index. No sequence holds a rest as a control
+(:mod:`anticipate.events` refuses one). Decoding classifies every triple
+with range masks, fails at the first malformed one, and splits the decoded
+columns at the separator triples; no event object is built.
 
 Every model context is relativized by one rule: its times are shifted by the
 minimum time of its items, so the context starts at zero and distinct times
@@ -26,7 +27,7 @@ prepends the global control code, and relativizes each window's leading
 (possibly partial) sequence segment by its minimum time; nothing is clamped.
 Sequences that begin after an in-window separator keep their own times, which
 already start at zero for preprocessed corpora. Windows whose times cannot be
-represented in the 100-second token range are discarded.
+represented in the 100-second token range are discarded, the packer's one rule.
 """
 
 from __future__ import annotations
@@ -81,28 +82,23 @@ def _arrival_triples(columns: np.ndarray, offset: int | np.ndarray = 0) -> np.nd
     """The (n, 3) arrival triples of ``columns``, times relativized by ``offset``
     (a scalar or one offset per item).
 
-    The whole array is checked at once. The first invalid item raises, with
-    its index in ``columns``: a time past the token range, then a rest marked
-    as a control, then a negative time (a bare ``ValueError``).
+    Only times are checked, all at once: the first item past the token range
+    raises ``TokenError``, or a negative one a bare ``ValueError``, with its
+    index in ``columns``. A rest is never a control, so its token is not shifted.
     """
     time, duration, note, control = columns
     times = time - offset
-    control = control.astype(bool)
-    rest = note == REST
-    late = times >= AV.DUR_BASE
-    invalid = (times < 0) | late | (rest & control)
+    invalid = (times < 0) | (times >= AV.DUR_BASE)
     if invalid.any():
         i = int(invalid.argmax())
-        if late[i]:
+        if times[i] >= AV.DUR_BASE:
             raise TokenError(f"event time {times[i]} exceeds the 100s token range", i)
-        if rest[i] and control[i]:
-            raise TokenError("rest events cannot be controls", i)
         raise ValueError(f"time {times[i]} outside [0, {MAX_TIME_UNITS - 1}]")
     shift = control * AV.CONTROL_OFFSET
     triples = np.empty((len(times), 3), dtype=np.int64)
     triples[:, 0] = times + (AV.TIME_BASE + shift)
     triples[:, 1] = duration + (AV.DUR_BASE + shift)
-    triples[:, 2] = np.where(rest, AV.REST, note + (AV.NOTE_BASE + shift))
+    triples[:, 2] = np.where(note == REST, AV.REST, note + (AV.NOTE_BASE + shift))
     return triples
 
 
@@ -363,7 +359,9 @@ def pack_training_examples(
     marks the start of the stream) and sliced into windows of whole triples.
     Each window is prefixed by the control code of the first sequence with
     content in the window: AAR when that sequence carries anticipated
-    controls, AR otherwise.
+    controls, AR otherwise. That sequence's items in the window are shifted
+    by their minimum time; a window whose shifted times pass the token range
+    is discarded, the packer's one rule.
     """
     if context_length < 4 or (context_length - 1) % 3:
         raise ValueError("context_length must be 1 + a multiple of 3")
@@ -385,35 +383,19 @@ def pack_training_examples(
     n_windows, result.n_tail_triples = divmod(len(owner), width)
     used = n_windows * width
     windows = stream[:, :used].reshape(4, n_windows, width)
-    time, _, note, control = windows
     sep = is_sep[:used].reshape(n_windows, width)
-    position = np.arange(width)
+    owners = owner[:used].reshape(n_windows, width)
 
-    # The leading segment runs from the first item to the next separator; it
-    # is relativized by its minimum time. Later segments keep their own times.
-    start = (~sep).argmax(axis=1)[:, None]
-    sep_after = sep & (position >= start)
-    end = np.where(sep_after.any(axis=1), sep_after.argmax(axis=1), width)[:, None]
-    leading = (position >= start) & (position < end)
-    offset = np.where(leading, time, np.iinfo(np.int64).max).min(axis=1)
+    # The leading segment (the window's items of its first item's sequence)
+    # is relativized by its minimum time; later sequences keep their own times.
+    first = owners[np.arange(n_windows), (~sep).argmax(axis=1)]
+    leading = (owners == first[:, None]) & ~sep
+    offset = np.where(leading, windows[0], np.iinfo(np.int64).max).min(axis=1)
     shift = np.where(leading, offset[:, None], 0)
-    flag = has_controls[owner[:used]].reshape(n_windows, width)
-    z = np.where((leading & flag).any(axis=1), AV.AAR, AV.AR)
+    z = np.where(leading.any(axis=1) & has_controls[first], AV.AAR, AV.AR)
 
-    # A window is discarded when its first invalid item has a time past the
-    # token range, and rejected when that item is a rest marked as a control.
-    too_late = time - shift >= MAX_TIME_UNITS
-    rest_control = (note == REST) & (control != 0)
-    invalid = too_late | rest_control
-    bad = invalid.any(axis=1)
-    first = invalid.argmax(axis=1)
-    rejected = bad & ~too_late[np.arange(n_windows), first]
-    if rejected.any():
-        w = int(rejected.argmax())
-        _arrival_triples(windows[:, w], shift[w])  # raises for item ``first[w]``
-    result.n_discarded = int(bad.sum())
-
-    kept = np.flatnonzero(~bad)
+    kept = np.flatnonzero((windows[0] - shift < MAX_TIME_UNITS).all(axis=1))
+    result.n_discarded = n_windows - len(kept)
     triples = _arrival_triples(windows[:, kept].reshape(4, -1), shift[kept].ravel())
     triples[sep[kept].ravel()] = AV.SEP
     tokens = np.column_stack([z[kept], triples.reshape(len(kept), 3 * width)])

@@ -95,14 +95,13 @@ def reference_event_triple(
 
     The scalar encoder that `tokenizer._arrival_triples` replaced, kept as
     the reference it is tested against; the vocabulary's per-token helpers
-    it called are inlined.
+    it called are inlined. It checks only the time: no sequence holds a rest
+    as a control, so a rest's note token is never shifted.
     """
     t = time - offset
     if t >= AV.DUR_BASE:
         raise TokenError(f"event time {t} exceeds the 100s token range", index)
     if note == REST:
-        if control:
-            raise TokenError("rest events cannot be controls", index)
         note_token = AV.REST
     else:
         note_token = note + (AV.ANT_NOTE_BASE if control else AV.NOTE_BASE)

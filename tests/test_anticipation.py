@@ -20,7 +20,7 @@ from anticipate.anticipation import (
     split_and_sort,
 )
 from anticipate.events import (
-    MAX_ADDED_ITEMS, REST, Event, EventSequence, InterleavedSequence, TaggedEvent,
+    INT64_MAX, MAX_ADDED_ITEMS, REST, Event, EventSequence, InterleavedSequence, TaggedEvent,
     seconds_to_units,
 )
 
@@ -179,6 +179,20 @@ class TestOnlineOfflineEquivalence:
             offline = interleave(events, controls, delta)
             assert list(offline) == online_interleave(events, controls, delta)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 1_000), st.integers(INT64_MAX - 1_000, INT64_MAX)),
+                    max_size=12),
+           st.lists(st.one_of(st.integers(0, 1_000), st.integers(INT64_MAX - 1_000, INT64_MAX)),
+                    max_size=8),
+           st.sampled_from([1, 50, 500, 2**62 - 1]))
+    def test_equivalence_near_the_top_of_int64(self, event_times, control_times, delta):
+        # event times within delta of 2**63 - 1, where event time + delta
+        # passes int64: offline places each control where the online rule does
+        events = EventSequence(Event(t, 0, 60 + i % 3) for i, t in enumerate(sorted(event_times)))
+        controls = EventSequence(Event(t, 0, 72) for t in sorted(control_times))
+        offline = interleave(events, controls, delta)
+        assert list(offline) == online_interleave(events, controls, delta)
+
     def test_multiset_bijection(self, rng):
         events = random_events(rng, 50)
         controls = random_controls(rng, 20, max_time=2_000)
@@ -285,10 +299,18 @@ def _reference_densify(seq, target):
     return out
 
 
+def _reference_refuse_rest_controls(controls):
+    """Refuse the first rest of a control stream, as tagging it does."""
+    for i, control in enumerate(controls):
+        if control.is_rest:
+            raise ValueError(f"rest events cannot be controls (index {i})")
+
+
 def _reference_interleave(events, controls, delta):
     """The per-event merge the searchsorted one replaced."""
     if delta <= 0:
         raise ValueError("delta must be positive")
+    _reference_refuse_rest_controls(controls)
     out = []
     k = 0
     for event in events:
@@ -303,6 +325,7 @@ def _reference_interleave(events, controls, delta):
 
 
 def _reference_sort_order_interleave(events, controls, delta):
+    _reference_refuse_rest_controls(controls)
     entries = [(e.time, 1, i, TaggedEvent(e)) for i, e in enumerate(events)]
     entries += [
         (c.time - delta, 0, i, TaggedEvent(c, control=True)) for i, c in enumerate(controls)
@@ -359,6 +382,10 @@ class TestArrayOperationsMatchReference:
     @settings(max_examples=100, deadline=None)
     @given(_event_streams(), _event_streams(max_size=15), st.sampled_from([1, 50, 500]))
     def test_split_and_sort(self, events, controls, delta):
-        for merged in (interleave(events, controls, delta),
-                       sort_order_interleave(events, controls, delta)):
+        plain_controls = controls.without_rests()
+        for merge in (interleave, sort_order_interleave):
+            if len(plain_controls) < len(controls):  # a rest cannot be a control
+                with pytest.raises(ValueError, match="^rest events cannot be controls"):
+                    merge(events, controls, delta)
+            merged = merge(events, plain_controls, delta)
             assert list(split_and_sort(merged)) == _reference_split_and_sort(merged)

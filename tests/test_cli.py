@@ -189,6 +189,13 @@ main()
 """
 
 
+def _limited_cli(argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI run on ``argv`` in a child process, one BLAS thread, within 60 s."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("argv", [
     ["tokenize", "--codec", "interarrival"], ["densify"], ["augment", "--factor", "10"],
 ], ids=lambda argv: argv[0])
@@ -197,13 +204,77 @@ def test_added_items_past_the_budget_exit_two_under_a_memory_limit(tmp_path, arg
     # 10**10 rests or 5 * 10**8 span starts; each is refused before allocating
     path = tmp_path / "far.txt"
     path.write_text("0 10 60\n1000000000000 10 61\n")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv, str(path),
-                           str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = _limited_cli([*argv, str(path), str(tmp_path / "out")])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "over the budget of" in proc.stderr
+
+
+# Events at 0 and within 400 units of 2**63 - 1, and one control among them.
+_NEAR_INT64_MAX = [f"{t} 10 60\n" for t in (0, 2**63 - 401, 2**63 - 301, 2**63 - 201)]
+_NEAR_INT64_MAX_CONTROL = f"C {2**63 - 351} 10 72\n"
+
+
+def test_interleave_near_int64_max_releases_a_control_by_its_due_time(tmp_path, capsys):
+    # the control is due 500 units before its time, so it follows the event
+    # at 2**63 - 401, where the online rule releases it
+    path = tmp_path / "top.txt"
+    path.write_text("".join(_NEAR_INT64_MAX) + _NEAR_INT64_MAX_CONTROL)
+    assert run("interleave", "--delta", "5.0", str(path), "-") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [line.strip() for line in (*_NEAR_INT64_MAX[:2], _NEAR_INT64_MAX_CONTROL,
+                                               *_NEAR_INT64_MAX[2:])]
+
+
+def test_augment_refuses_control_lines(tmp_path, capsys):
+    path, out = tmp_path / "mix.txt", tmp_path / "out.tok"
+    path.write_text("100 10 60\nC 700 10 48\n")
+    assert run("augment", str(path), str(out)) == 2
+    assert "sequence 0: augment expects plain events, found controls" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.tok.labels").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tokenize"], ["tokenize", "--pack"], ["interleave"], ["augment"],
+], ids=" ".join)
+def test_rest_control_refused_when_read(tmp_path, capsys, argv):
+    # the rest control comes after 400 events, in what would be a packed tail
+    path = tmp_path / "rest.txt"
+    path.write_text("".join(f"{10 * i} 5 60\n" for i in range(400)) + "C 4000 0 R\n")
+    assert run(*argv, str(path), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "error: sequence on lines 1-401: rest events cannot be controls (index 400)\n")
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory) -> Path:
+    model = tmp_path_factory.mktemp("model") / "model.npz"
+    rows = [encode_arrival(random_events(np.random.default_rng(3), 40), z=AV.AR)]
+    train_ngram(rows, order=2, alpha=0.01, vocab_size=AV.SIZE).save(model)
+    return model
+
+
+# Each stage on the events near 2**63 - 1, with and without their control, and
+# the exit code it must give.
+@pytest.mark.parametrize("stage, with_control, without_control", [
+    (["tokenize"], 2, 2),
+    (["tokenize", "--pack"], 0, 0),
+    (["tokenize", "--codec", "interarrival"], 2, 2),
+    (["densify"], 2, 2),
+    (["interleave"], 0, 0),
+    (["augment", "--factor", "10"], 2, 2),
+    (["augment", "--factor", "10", "--pack"], 2, 2),
+    (["sample", "--controls"], 2, 2),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+def test_hostile_event_files_through_every_stage(tmp_path, small_model, stage, with_control,
+                                                 without_control):
+    for control, expected in ((_NEAR_INT64_MAX_CONTROL, with_control), ("", without_control)):
+        path = tmp_path / "top.txt"
+        path.write_text("".join(_NEAR_INT64_MAX) + control)
+        argv = ([*stage, str(path), "--model", str(small_model), str(tmp_path / "out")]
+                if stage[0] == "sample" else [*stage, str(path), str(tmp_path / "out")])
+        proc = _limited_cli(argv)
+        assert proc.returncode == expected, (control, proc.stderr)
+        assert "Traceback" not in proc.stderr
 
 
 class TestConfigValues:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anticipate.anticipation import densify, interleave, sort_order_interleave
+from anticipate.augment import AugmentationPolicy, augment_corpus
 from anticipate.events import (
     DRUM_INSTRUMENT,
     NUM_NOTE_CODES,
@@ -21,10 +23,12 @@ from anticipate.events import (
     quantize_duration,
     seconds_to_units,
 )
-from anticipate.eventio import read_events, write_events
-from anticipate.tokenizer import TokenError
+from anticipate.eventio import format_item, read_events, write_events
+from anticipate.sampler import SamplerConfig, generate_anticipatory, generate_autoregressive_infill
+from anticipate.tokenizer import TokenError, decode_arrival
+from anticipate.vocab import ArrivalVocab as AV
 
-from conftest import reference_read_events, unchecked_interleaved
+from conftest import UniformPredictor, reference_read_events, unchecked_interleaved
 
 
 class TestQuantizeTime:
@@ -375,6 +379,9 @@ class _ReferenceInterleavedSequence:
                     last_control = item.event.time
                 else:
                     last_plain = item.event.time
+            for i, item in enumerate(tagged):
+                if item.control and item.event.is_rest:
+                    raise ValueError(f"rest events cannot be controls (index {i})")
         self.items = tagged
 
     def __eq__(self, other):
@@ -491,3 +498,78 @@ class TestColumnarSequences:
         seq = EventSequence([Event(0, 1, 60)])
         with pytest.raises(ValueError):
             seq.columns[0, 0] = 5
+
+
+# -- no producer returns a rest flagged as a control -------------------------
+
+
+@st.composite
+def _items_with_rests(draw):
+    """Time-ordered items, some of them rests, any of them flagged as controls."""
+    items = []
+    for t in sorted(draw(st.lists(st.integers(0, 3_000), max_size=12))):
+        rest = draw(st.booleans())
+        event = Event(t, 0, REST) if rest else Event(t, draw(st.integers(0, 999)), 60)
+        items.append(TaggedEvent(event, draw(st.booleans())))
+    return items
+
+
+def _arrival_tokens(items):
+    """The arrival triples of ``items`` by the token layout, a rest control
+    as a control time and duration with the rest token."""
+    tokens = []
+    for item in items:
+        shift = AV.CONTROL_OFFSET * item.control
+        note = AV.REST if item.event.is_rest else item.event.note + AV.NOTE_BASE + shift
+        tokens += [item.event.time + AV.TIME_BASE + shift,
+                   item.event.duration + AV.DUR_BASE + shift, note]
+    return tokens
+
+
+class TestNoRestControls:
+    """Every public producer of an ``InterleavedSequence`` returns no rest
+    flagged as a control, or refuses one with the one error, so the case the
+    encoders no longer check cannot reach them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_items_with_rests(), st.integers(0, 2**16))
+    def test_every_producer(self, items, seed):
+        flagged = next((i for i, x in enumerate(items) if x.control and x.event.is_rest), None)
+        events = EventSequence(x.event for x in items if not x.control)
+        controls = EventSequence(x.event for x in items if x.control)
+        in_controls = next((i for i, c in enumerate(controls) if c.is_rest), None)
+        text = "".join(format_item(x.event.time, x.event.duration, x.event.note, x.control)
+                       + "\n" for x in items)
+        config = SamplerConfig(top_p=0.95, max_tokens=30, seed=seed)
+        dense = densify(EventSequence(x.event for x in items), 100)
+        # each producer, the index it must refuse (None: none), and the
+        # prefix of its message
+        producers = [
+            (lambda: [InterleavedSequence(items)], flagged, ""),
+            (lambda: read_events(io.StringIO(text)), flagged,
+             f"sequence on lines 1-{len(items)}: "),
+            (lambda: [interleave(events, controls, 50)], in_controls, ""),
+            (lambda: [sort_order_interleave(events, controls, 50)], in_controls, ""),
+            (lambda: [generate_anticipatory(UniformPredictor(AV.SIZE), controls,
+                                            config).sequence], in_controls, ""),
+            (lambda: [generate_autoregressive_infill(UniformPredictor(AV.SIZE), controls,
+                                                     config).sequence], in_controls, ""),
+            # no augmentation pattern marks a rest, even in densified input
+            (lambda: [c.interleaved for c in augment_corpus(
+                [dense], AugmentationPolicy(factor=10), seed)], None, ""),
+        ]
+        for produce, refused, prefix in producers:
+            if refused is not None:
+                message = f"^{prefix}rest events cannot be controls \\(index {refused}\\)$"
+                with pytest.raises(ValueError, match=message):
+                    produce()
+            else:
+                assert not any(x.control and x.event.is_rest for seq in produce() for x in seq)
+        # the decoder refuses a rest control's triple as malformed
+        tokens = _arrival_tokens(items)
+        if flagged is not None:
+            with pytest.raises(TokenError, match=rf"^mixed-range triple .* \(index {flagged}\)$"):
+                decode_arrival(tokens)
+        else:
+            assert not any(x.control and x.event.is_rest
+                           for seq in decode_arrival(tokens) for x in seq)

@@ -486,16 +486,20 @@ def test_unmasked_ungrammatical_model_fails_loudly():
 
 
 @pytest.mark.parametrize("generate", [generate_anticipatory, generate_autoregressive_infill])
-@pytest.mark.parametrize("bad, message", [
-    (Event(MAX_TIME_UNITS, 1, 62), rf"event time {MAX_TIME_UNITS} exceeds the 100s token range"),
-    (Event(30, 0, REST), "rest events cannot be controls"),
+@pytest.mark.parametrize("bad, error, message", [
+    (Event(MAX_TIME_UNITS, 1, 62), TokenError,
+     rf"event time {MAX_TIME_UNITS} exceeds the 100s token range"),
+    (Event(30, 0, REST), ValueError, "rest events cannot be controls"),
 ])
-def test_invalid_control_raises_the_tokenizers_error_before_any_call(generate, bad, message):
-    # both modes check the controls as controls, the baseline included
+def test_invalid_control_raises_the_tokenizers_error_before_any_call(generate, bad, error,
+                                                                     message):
+    # both modes check the controls as controls, the baseline included: a
+    # rest is refused when the controls are tagged, a late time when encoded
     controls = EventSequence([Event(10, 1, 60), bad])
     predictor = _ScriptedPredictor([], context_length=1024)
-    with pytest.raises(TokenError, match=message + r" \(index 1\)"):
+    with pytest.raises(error, match=f"^{message}" + r" \(index 1\)$") as raised:
         generate(predictor, controls, SamplerConfig(seed=0))
+    assert type(raised.value) is error
     assert predictor.contexts == []
 
 
@@ -545,12 +549,14 @@ class _ReferenceContext:
 
 
 def _reference_checked_controls(controls: EventSequence) -> list[Event]:
-    """The controls, each checked as the tokenizer encodes a control."""
+    """The controls, checked as they are tagged (no rest), then as the
+    tokenizer encodes them (no time past the token range)."""
+    for i, control in enumerate(controls):
+        if control.is_rest:
+            raise ValueError(f"rest events cannot be controls (index {i})")
     for i, control in enumerate(controls):
         if control.time >= MAX_TIME_UNITS:
             raise TokenError(f"event time {control.time} exceeds the 100s token range", i)
-        if control.is_rest:
-            raise TokenError("rest events cannot be controls", i)
     return list(controls)
 
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import anticipate
 from anticipate import golden
+from anticipate.eventio import read_events
 from anticipate.events import (
     MAX_ADDED_ITEMS,
     MAX_DURATION_UNITS,
@@ -128,9 +129,13 @@ class TestArrivalGoldens:
         assert decode_arrival([5, 10_000, AV.REST])[0][0].event.is_rest
 
     def test_control_rest_rejected(self):
-        seq = InterleavedSequence([TaggedEvent(Event(5, 0, REST), control=True)])
-        with pytest.raises(TokenError):
-            encode_arrival(seq)
+        # refused where the control columns are made, before any encoder
+        rest = TaggedEvent(Event(5, 0, REST), control=True)
+        with pytest.raises(ValueError, match=r"^rest events cannot be controls \(index 0\)$"):
+            InterleavedSequence([rest])
+        with pytest.raises(TokenError, match=r"^sequence on lines 1-2: rest events cannot be "
+                                             r"controls \(index 1\)$"):
+            read_events(io.StringIO("0 1 60\nC 5 0 R\n"))
 
 
 class TestInterarrivalGoldens:
@@ -339,6 +344,16 @@ class TestPacking:
         sep_at = 1 + 3 * 101
         assert list(tokens[sep_at : sep_at + 3]) == [AV.SEP] * 3
         assert tokens[sep_at + 3] == 0  # second sequence starts at its own zero
+
+    def test_leading_segment_starts_at_the_first_item(self):
+        # window [SEP, SEP, control@5000]: the empty sequence owns the first
+        # row, so the leading segment is the next sequence's items, shifted
+        # by their minimum time, and its control code leads the window
+        sequences = [InterleavedSequence(), _triples(2, start=5_000, control=True)]
+        result = pack_training_examples(sequences, context_length=10)
+        assert [e.tokens for e in result.examples] == [
+            (AV.AAR, *[AV.SEP] * 6, AV.ANT_TIME_BASE, AV.ANT_DUR_BASE + 1, AV.ANT_NOTE_BASE + 60)]
+        assert result == _reference_pack(sequences, context_length=10)
 
     def test_window_spanning_100s_discarded(self):
         # 340 events 30 units apart span 10170 > 9999 units
@@ -675,37 +690,32 @@ def _outcome(fn, *args, **kwargs):
 @st.composite
 def packing_streams(draw):
     """Interleaved streams with empty sequences, controls ahead of their
-    events, rests, times near and past 10 000, and at most one rest marked
-    as a control."""
+    events, rests and times near and past 10 000."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lengths = draw(st.lists(st.integers(0, 400), max_size=5))
     p_control = draw(st.sampled_from([0.0, 0.3, 1.0]))
     p_rest = draw(st.sampled_from([0.0, 0.1]))
     max_gap = draw(st.sampled_from([0, 30, 300, 12_000]))
     start = draw(st.sampled_from([0, 9_990, 20_000]))
-    bad_rest = draw(st.none() | st.integers(0, sum(lengths)))
-    sequences, index = [], 0
+    sequences = []
     for n in lengths:
         times = start + np.cumsum(rng.integers(0, max_gap + 1, size=n))
         items = []
         for t in times.tolist():
             control = bool(rng.random() < p_control)
-            if index == bad_rest:
-                items.append(TaggedEvent(Event(t, 0, REST), control=True))
-            elif not control and rng.random() < p_rest:
+            if not control and rng.random() < p_rest:
                 items.append(TaggedEvent(Event(t, 0, REST)))
             else:
                 lead = int(rng.integers(0, 600)) if control else 0
                 event = Event(t + lead, int(rng.integers(0, 1000)), int(rng.integers(0, 16512)))
                 items.append(TaggedEvent(event, control=control))
-            index += 1
         sequences.append(unchecked_interleaved(items))
     return sequences
 
 
-_tagged_items = st.builds(
+_tagged_items = st.builds(  # no rest is a control
     lambda time, duration, note, control: TaggedEvent(
-        Event(time, 0 if note == REST else duration, note), control),
+        Event(time, 0 if note == REST else duration, note), control and note != REST),
     st.one_of(st.integers(0, 300), st.integers(9_950, 10_050), st.integers(0, 30_000)),
     st.integers(0, 999),
     st.one_of(st.integers(0, 16_511), st.just(REST)),
@@ -744,21 +754,6 @@ class TestColumnarEncoder:
         for item in items:
             expected = _outcome(lambda: [reference_event_triple(*_fields(item), 0, offset)])
             assert _outcome(lambda: _arrival_triples(_columns([item]), offset).tolist()) == expected
-
-    def test_first_invalid_item_decides_discard_or_error(self):
-        # [SEP, e@0, e@10000, rest-control@5000]: the time comes first, so the
-        # window is discarded; swapping the last two items makes it an error.
-        plain, late = TaggedEvent(Event(0, 1, 60)), TaggedEvent(Event(10_000, 1, 60))
-        rest_control = TaggedEvent(Event(5_000, 0, REST), control=True)
-        discarded = [unchecked_interleaved([plain, late, rest_control])]
-        rejected = [unchecked_interleaved([plain, rest_control, late])]
-        result = pack_training_examples(discarded, context_length=13)
-        assert (result.examples, result.n_discarded) == ([], 1)
-        with pytest.raises(TokenError, match=r"rest events cannot be controls \(index 2\)"):
-            pack_training_examples(rejected, context_length=13)
-        for sequences in (discarded, rejected):
-            expected = _outcome(_reference_pack, sequences, context_length=13)
-            assert _outcome(pack_training_examples, sequences, context_length=13) == expected
 
 
 def _reference_relativize(seq):
