@@ -27,10 +27,8 @@ slices of the controls' triples, encoded once per session; once the window
 slides past the start it is re-encoded from the buffer, relativized by its
 minimum time, the rule the tokenizer applies to every model context.
 
-Nucleus sampling sorts the probabilities, not their indices, and makes its
-one draw by the arithmetic of ``Generator.choice``, so it picks the same
-token and leaves the generator in the same state as an argsort followed by
-``choice``.
+Nucleus sampling ranks the distinct probabilities as classes of equal
+tokens (one sort per slot) and draws a class, then a token in it by index.
 """
 
 from __future__ import annotations
@@ -76,17 +74,12 @@ class GenerationResult:
 def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
     """Sample from the smallest probability-sorted prefix with mass >= p.
 
-    The prefix is renormalized before sampling; ``p = 1`` is ordinary
-    sampling from the full distribution. Ties are ranked by index.
-
-    When one token holds mass >= p it is returned without a draw. Otherwise
-    the values alone are sorted, descending, and the prefix is cut where
-    their running sum reaches ``p`` of the total. One ``rng.random()`` draw
-    picks a rank in that prefix by the same arithmetic as
-    ``Generator.choice(n, p=weights)``, and the token is the rank's place
-    among the indices that hold its value. So the result and the generator
-    state after it equal those of ranking tokens with a stable argsort and
-    calling ``choice``, draw for draw.
+    The prefix is renormalized; ``p = 1`` samples the full distribution but
+    never a zero-mass token, and a token of mass >= p is returned without a
+    draw. The prefix takes whole value classes, descending, then the first
+    tokens by index of the class that reaches ``p`` of the total. One
+    ``rng.random()`` picks a class and a token in it, as a stable argsort and
+    ``Generator.choice`` would but for draws within rounding of a boundary.
     """
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
@@ -95,24 +88,31 @@ def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
     total = dist.sum()
     if total <= 0 or not math.isfinite(total):
         raise ValueError("cannot sample from an all-zero or invalid distribution")
+    x = p * total
     top = int(dist.argmax())
-    if dist[top] >= p * total:
+    if dist[top] >= x:
         return top  # the nucleus is a single token
-    ascending = np.sort(dist)
-    values = ascending[::-1]
-    cumulative = values.cumsum()
-    # cumsum can land a rounding error below dist.sum() at p = 1
-    cutoff = min(int(cumulative.searchsorted(p * total, "left")), len(values) - 1)
-    weights = values[: cutoff + 1] / cumulative[cutoff]
-    weights /= weights.sum()
-    if not weights.min() >= 0:  # a negative value in the prefix, or one divided by zero
-        raise ValueError("nucleus weights must be non-negative numbers")
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    rank = int(cdf.searchsorted(rng.random(), "right"))
-    value = values[rank]
-    first_rank = len(values) - int(ascending.searchsorted(value, "right"))
-    return int(np.flatnonzero(dist == value)[rank - first_rank])
+    values, counts = (a[::-1] for a in np.unique(dist, return_counts=True))
+    positive = int((values > 0).sum())
+    mass = np.concatenate(([0.0], (values * counts).cumsum()))  # before each class
+    cut = min(int(mass.searchsorted(x, "left")), positive) - 1
+    share = min((x - mass[cut]) / values[cut], counts[cut])  # the cut class's tokens
+    # A negative weight, or x within the running sum's rounding error of a
+    # token boundary with mass after it: that sum over the sorted tokens cuts.
+    near = abs(share - round(share)) * values[cut] < len(dist) * total * 2.0**-52 < mass[-1] - x
+    if values[-1] < 0 or near:
+        ranked = np.sort(dist)[::-1]
+        end = min(int(ranked.cumsum().searchsorted(x, "left")), len(ranked) - 1)
+        if ranked[end] < 0:
+            raise ValueError("nucleus weights must be non-negative numbers")
+        cut = min(int((values > ranked[end]).sum()), positive - 1)
+        share = end + 1 - counts[:cut].sum()
+    counts[cut] = min(max(math.ceil(share), 1), counts[cut])  # its tokens in the prefix
+    mass[cut + 1] = mass[cut] + counts[cut] * values[cut]
+    drawn = rng.random() * mass[cut + 1]
+    group = int(mass[1 : cut + 1].searchsorted(drawn, "right"))
+    rank = min(int((drawn - mass[group]) / values[group]), counts[group] - 1)
+    return int(np.flatnonzero(dist == values[group])[rank])
 
 
 def _context_after(

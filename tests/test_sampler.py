@@ -6,13 +6,15 @@ from __future__ import annotations
 import copy
 import functools
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anticipate import golden
+from anticipate import golden, sampler
 from anticipate.anticipation import interleave
+from anticipate.augment import AugmentationPolicy, augment_corpus
 from anticipate.events import (
     MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence, TaggedEvent, encode_note,
 )
@@ -81,13 +83,27 @@ class TestNucleus:
         ([0.1] * 10, 1.0),
         ([0.1] * 10, 0.95),
         ([0.3, 0.1, 0.3, 0.2, 0.1], 0.9),
+        ([0.5, 0.0, 0.5, 0.0], 1.0),
+        # 0.5 + 0.2 + 0.2 runs to 0.8999999999999999 < 0.9 = p * total, so
+        # the running sum takes the 0.1 too, where 0.5 + 2 * 0.2 would not
+        ([0.2, 0.5, 0.1, 0.2], 0.9),
     ])
     def test_draws_on_cumulative_boundaries_match_choice(self, dist, p):
-        # draws exactly on the renormalized cumulative weights, and the
-        # largest draw below 1, pick what Generator.choice picks
+        # Draws exactly on the renormalized cumulative weights, and the
+        # largest draw below 1, pick what Generator.choice picks, and never
+        # a zero-mass token. Only a draw exactly on a boundary of decimal
+        # weights that binary sums round may pick the rank past it instead.
+        support, _ = _reference_nucleus(dist, p)
+        ranks = support.tolist()
+        exact = [Fraction(str(dist[t])) for t in ranks]
+        dyadic = all(Fraction(dist[t]) == w for t, w in zip(ranks, exact))
         for draw in (0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 0.875, np.nextafter(1.0, 0.0)):
             expected = _reference_nucleus_sample(dist, p, _FixedDraws(draw))
-            assert nucleus_sample(dist, p, _FixedDraws(draw)) == expected, draw
+            token = nucleus_sample(dist, p, _FixedDraws(draw))
+            assert dist[token] > 0
+            if token != expected:
+                assert not dyadic and ranks.index(token) == ranks.index(expected) + 1, draw
+                assert Fraction(draw) * sum(exact) == sum(exact[: ranks.index(token)]), draw
 
     def test_negative_weight_in_the_nucleus_is_rejected(self, rng):
         # the total is positive, but the running sum of the sorted values
@@ -141,6 +157,14 @@ class _FixedDraws(np.random.Generator):
 def _reference_nucleus_sample(dist, p, rng) -> int:
     """``nucleus_sample`` as it ranked tokens with a stable argsort and drew
     with ``Generator.choice``."""
+    support, weights = _reference_nucleus(dist, p)
+    if len(support) == 1:
+        return int(support[0])
+    return int(support[rng.choice(len(support), p=weights / weights.sum())])
+
+
+def _reference_nucleus(dist, p) -> tuple[np.ndarray, np.ndarray]:
+    """The reference's nucleus: its tokens in rank order, and their weights."""
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
     dist = np.asarray(dist, dtype=np.float64)
@@ -149,13 +173,12 @@ def _reference_nucleus_sample(dist, p, rng) -> int:
         raise ValueError("cannot sample from an all-zero or invalid distribution")
     top = int(np.argmax(dist))
     if dist[top] >= p * total:
-        return top
+        return np.array([top]), np.ones(1)
     order = np.argsort(-dist, kind="stable")
     cumulative = np.cumsum(dist[order])
     cutoff = min(int(np.searchsorted(cumulative, p * total, side="left")), len(order) - 1)
     support = order[: cutoff + 1]
-    weights = dist[support] / cumulative[cutoff]
-    return int(support[rng.choice(len(support), p=weights / weights.sum())])
+    return support, dist[support] / cumulative[cutoff]
 
 
 def _nucleus_case(rng: np.random.Generator, width: int, kind: str) -> np.ndarray:
@@ -185,6 +208,30 @@ def _nucleus_case(rng: np.random.Generator, width: int, kind: str) -> np.ndarray
         dist[rng.integers(width)] = -rng.choice([1e-18, 1e-3, 1.0, 1e3])
         return dist
     return rng.normal(rng.uniform(-0.5, 1), 1, width)  # mixed signs
+
+
+def test_augmented_ngram_sessions_match_the_choice_reference(monkeypatch):
+    # An order-3 n-gram trained on augmented rows gives slots of the bench's
+    # shape: a few support values over one background class. Twenty seeded
+    # sessions of each mode place the same items as with the argsort and
+    # Generator.choice reference patched in.
+    rng = np.random.default_rng(23)
+    corpus = [random_events(rng, 80, max_gap=120, avoid_note_overlap=True) for _ in range(8)]
+    copies = augment_corpus(corpus, AugmentationPolicy(factor=10), seed=1)
+    model = train_ngram([encode_arrival(c.interleaved) for c in copies], order=3, alpha=0.01,
+                        vocab_size=AV.SIZE)
+    melody = random_controls(rng, 12, max_time=2_000)
+
+    def sessions():
+        return [list(generate(model, melody, SamplerConfig(top_p=0.95, max_tokens=150,
+                                                           seed=seed)).sequence)
+                for generate in (generate_anticipatory, generate_autoregressive_infill)
+                for seed in range(20)]
+
+    actual = sessions()
+    monkeypatch.setattr(sampler, "nucleus_sample", _reference_nucleus_sample)
+    assert sessions() == actual
+    assert len({tuple(items) for items in actual}) == 40
 
 
 class TestAnticipatoryReplay:
