@@ -67,27 +67,35 @@ def draw_span_starts(total_seconds: float, length: float, rng: np.random.Generat
     """Span start times over [0, total_seconds]: exponential gaps at
     ``SPAN_RATE`` along the time axis, each drawn from the end of the
     previous span. More than ``MAX_ADDED_ITEMS`` expected starts raise
-    ``ValueError`` before any draw."""
+    ``ValueError`` before any draw. Gaps are drawn in blocks, so the
+    generator may be left past the last gap used; one running sum makes a
+    start-by-start loop's additions in its order."""
     _check_added(total_seconds * SPAN_RATE, "expected span starts")
+    block = 1 + int(total_seconds * SPAN_RATE)
+    steps = np.full(2 * block + 1, float(length))
     starts: list[float] = []
     position = 0.0
     while True:
-        start = position + rng.exponential(1.0 / SPAN_RATE)
-        if start > total_seconds:
-            return starts
-        starts.append(start)
-        position = start + length
+        steps[0] = position
+        steps[1::2] = rng.exponential(1.0 / SPAN_RATE, size=block)
+        sums = steps.cumsum()  # each start, then the end of its span
+        drawn = sums[1::2]
+        past = drawn > total_seconds
+        if past.any():
+            return starts + drawn[: past.argmax()].tolist()
+        starts += drawn.tolist()
+        position = sums[-1]
 
 
 def span_mask(seq: EventSequence, starts: list[float], length: float) -> np.ndarray:
     """Mark every event whose time (seconds) falls in [start, start + length]."""
-    mask = np.zeros(len(seq), dtype=bool)
     times = seq.columns[0] / UNITS_PER_SECOND
-    for start in starts:
-        lo = np.searchsorted(times, start, side="left")
-        hi = np.searchsorted(times, start + length, side="right")
-        mask[lo:hi] = True
-    return mask
+    starts = np.asarray(starts, dtype=np.float64)
+    first = times.searchsorted(starts, "left")
+    after = np.maximum(times.searchsorted(starts + length, "right"), first)  # none if length < 0
+    # +1 at each span's first event and -1 past its last: covered where positive
+    edges = np.bincount(first, minlength=len(seq) + 1) - np.bincount(after, minlength=len(seq) + 1)
+    return edges.cumsum()[:-1] > 0
 
 
 def sample_span_controls(seq: EventSequence, rng: np.random.Generator, length: float) -> np.ndarray:

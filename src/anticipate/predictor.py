@@ -20,9 +20,10 @@ at all). Every token outside it gets the same probability in any one call, so
 the whole backoff recursion, unigram included, runs on a compact vector with
 one slot per support token plus one background slot for all the others, and
 only the result is scattered into the full-width buffer. The tables this
-needs (the compact unigram, each successor's slot in the support and the
-smoothed per-row terms) are built by the first call, at any depth, not by
-training, saving or loading.
+needs (the compact unigram, each successor's slot in the support, the
+smoothed per-row terms and, per context length, a dict from context key to
+row) are built by the first call, at any depth, not by training, saving or
+loading.
 """
 
 from __future__ import annotations
@@ -108,13 +109,15 @@ class _LevelTerms(NamedTuple):
 class _Tables(NamedTuple):
     """What ``next_distribution`` reads beyond the levels: the ``support``,
     the unigram over it plus the background slot and that unigram backed
-    off, the per-level terms (index 0 unused), the term of a context never
-    seen, and the compact vector each call works in."""
+    off, the per-level terms and context key -> row maps (index 0 unused),
+    the term of a context never seen, and the compact vector each call
+    works in."""
 
     support: np.ndarray
     unigram: np.ndarray
     backoff_unigram: np.ndarray
-    terms: list[_LevelTerms]
+    terms: tuple[_LevelTerms | None, ...]
+    rows: tuple[dict[int, int] | None, ...]
     unseen: float
     compact: np.ndarray
 
@@ -195,7 +198,8 @@ class NGramModel:
         unigram = np.full(len(support) + 1, alpha, dtype=np.float64)
         unigram[support.searchsorted(first.tokens)] += first.counts
         unigram /= int(first.totals.sum()) + alpha * vocab_size
-        built: dict[int, _LevelTerms] = {}  # levels past the longest row share one object
+        # levels past the longest row share one object, and so one entry
+        built: dict[int, tuple[_LevelTerms, dict[int, int]]] = {}
         for level in self._levels[1:]:
             if id(level) not in built:
                 denom = level.totals + alpha * vocab_size
@@ -204,10 +208,10 @@ class NGramModel:
                     support.searchsorted(level.tokens),
                     (1.0 - BACKOFF_WEIGHT)
                     * ((alpha + level.counts) / np.repeat(denom, np.diff(level.offsets))),
-                )
-        terms = [None, *(built[id(level)] for level in self._levels[1:])]
+                ), dict(zip(level.keys.tolist(), range(len(level.keys))))
+        terms, rows = zip((None, None), *(built[id(level)] for level in self._levels[1:]))
         unseen = (1.0 - BACKOFF_WEIGHT) * (alpha / (alpha * vocab_size))
-        return _Tables(support, unigram, BACKOFF_WEIGHT * unigram, terms, unseen,
+        return _Tables(support, unigram, BACKOFF_WEIGHT * unigram, terms, rows, unseen,
                        np.empty(len(support) + 1))
 
     def next_distribution(self, z: int | None, context: Sequence[int]) -> np.ndarray:
@@ -223,7 +227,7 @@ class NGramModel:
         depth = min(self.order - 1, n + (z is not None), self.context_length - 1)
         if self._tables is None:
             self._tables = self._build_tables()
-        support, unigram, scaled, terms, unseen, compact = self._tables
+        support, unigram, scaled, terms, rows, unseen, compact = self._tables
         vocab_size = self.vocab_size
         key: int | None = 0  # key of the last k tokens; None once one is outside the vocabulary
         radix = 1
@@ -235,7 +239,7 @@ class NGramModel:
             else:
                 key = None
             level = self._levels[k]
-            row = -1 if key is None else level.find(key)
+            row = -1 if key is None else rows[k].get(key, -1)
             if k > 1:  # the lower orders scaled by the backoff weight
                 scaled = np.multiply(compact, BACKOFF_WEIGHT, out=compact)
             if row < 0:

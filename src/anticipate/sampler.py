@@ -13,7 +13,8 @@ stream. The baseline cannot look ahead (lookahead 0): it inserts the
 controls the event's time has reached before the event, writing them into
 the history as ordinary events. When generation terminates the unconsumed
 controls are appended so the result remains lossless for the split/sort
-inverse. Before any predictor call, tagging the controls refuses a rest and
+inverse. Before any predictor call, a predictor whose vocabulary is not the
+arrival vocabulary is refused, then tagging the controls refuses a rest and
 the triple encoder a time past the token range, naming the control's index.
 
 Generation works at event granularity with absolute times. Every placed
@@ -28,7 +29,10 @@ slides past the start it is re-encoded from the buffer, relativized by its
 minimum time, the rule the tokenizer applies to every model context.
 
 Nucleus sampling ranks the distinct probabilities as classes of equal
-tokens (one sort per slot) and draws a class, then a token in it by index.
+tokens and draws a class, then a token in it by index. A slot's lowest
+value, its floor, is one class, so only the tokens above it are sorted: an
+n-gram slot is a floor under a few counted tokens. The slot is read whole
+only by linear passes (its sum, maximum, minimum and one comparison).
 """
 
 from __future__ import annotations
@@ -80,6 +84,8 @@ def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
     tokens by index of the class that reaches ``p`` of the total. One
     ``rng.random()`` picks a class and a token in it, as a stable argsort and
     ``Generator.choice`` would but for draws within rounding of a boundary.
+    The classes are those of ``np.unique(dist)``, found by sorting only the
+    tokens above the slot's minimum; the minimum's tokens are the last class.
     """
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
@@ -92,16 +98,25 @@ def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
     top = int(dist.argmax())
     if dist[top] >= x:
         return top  # the nucleus is a single token
-    values, counts = (a[::-1] for a in np.unique(dist, return_counts=True))
-    positive = int((values > 0).sum())
+    # The value classes, descending: the tokens above the slot's floor
+    # ranked, then one token standing for the floor's class.
+    floor = dist.min()
+    above = np.flatnonzero(dist > floor)
+    upper = dist[above]
+    ranked = np.concatenate((np.sort(upper)[::-1], (floor,)))
+    edges = np.flatnonzero(np.concatenate(((True,), ranked[1:] != ranked[:-1], (True,))))
+    values = ranked[edges[:-1]]
+    counts = edges[1:] - edges[:-1]
+    counts[-1] = len(dist) - len(above)
+    positive = len(values) if floor > 0 else int((values > 0).sum())
     mass = np.concatenate(([0.0], (values * counts).cumsum()))  # before each class
     cut = min(int(mass.searchsorted(x, "left")), positive) - 1
     share = min((x - mass[cut]) / values[cut], counts[cut])  # the cut class's tokens
     # A negative weight, or x within the running sum's rounding error of a
     # token boundary with mass after it: that sum over the sorted tokens cuts.
     near = abs(share - round(share)) * values[cut] < len(dist) * total * 2.0**-52 < mass[-1] - x
-    if values[-1] < 0 or near:
-        ranked = np.sort(dist)[::-1]
+    if floor < 0 or near:
+        ranked = np.repeat(values, counts)  # the whole slot, sorted descending
         end = min(int(ranked.cumsum().searchsorted(x, "left")), len(ranked) - 1)
         if ranked[end] < 0:
             raise ValueError("nucleus weights must be non-negative numbers")
@@ -112,7 +127,10 @@ def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
     drawn = rng.random() * mass[cut + 1]
     group = int(mass[1 : cut + 1].searchsorted(drawn, "right"))
     rank = min(int((drawn - mass[group]) / values[group]), counts[group] - 1)
-    return int(np.flatnonzero(dist == values[group])[rank])
+    if group < len(values) - 1:
+        return int(above[upper == values[group]][rank])
+    # the floor class: its rank-th token is the rank-th index not above the floor
+    return rank + int((above - np.arange(len(above))).searchsorted(rank, "right"))
 
 
 def _context_after(
@@ -199,6 +217,9 @@ def _generate(
     vocabulary. Otherwise controls are released once the event reaches their
     time, precede it, and enter the history as plain events.
     """
+    if predictor.vocab_size != AV.SIZE:
+        raise ValueError(f"predictor vocabulary {predictor.vocab_size} does not match the "
+                         f"arrival vocabulary ({AV.SIZE})")
     # every control's context triple, in the vocabulary it is placed with;
     # tagging the controls as controls and encoding them checks them
     tagged = _tagged(controls, True)

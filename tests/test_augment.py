@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+from anticipate import augment
 from anticipate.anticipation import AnticipationConfig, densify, split_and_sort
 from anticipate.augment import (
     PATTERNS,
@@ -113,6 +114,80 @@ class TestSpanControls:
         oracle_counts = (arrival <= total).sum(axis=1)
         sem = np.sqrt(counts.var() / n + oracle_counts.var() / n)
         assert abs(counts.mean() - oracle_counts.mean()) <= 3 * sem
+
+
+def _reference_draw_span_starts(total_seconds, length, rng) -> list[float]:
+    """The one-draw-per-start loop ``draw_span_starts`` replaced."""
+    starts = []
+    position = 0.0
+    while True:
+        start = position + rng.exponential(1.0 / SPAN_RATE)
+        if start > total_seconds:
+            return starts
+        starts.append(start)
+        position = start + length
+
+
+def _reference_span_mask(seq, starts, length) -> np.ndarray:
+    """The one-slice-per-span loop ``span_mask`` replaced."""
+    mask = np.zeros(len(seq), dtype=bool)
+    times = seq.columns[0] / 100
+    for start in starts:
+        lo = np.searchsorted(times, start, side="left")
+        hi = np.searchsorted(times, start + length, side="right")
+        mask[lo:hi] = True
+    return mask
+
+
+class TestSpanArraysMatchLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           total=st.one_of(st.sampled_from([0.0, 0.49, 20.0, 60.0, 3600.0]),
+                           st.floats(0, 10_000)),
+           length=st.one_of(st.sampled_from([0.0, 0.01, 5.0]), st.floats(0, 100)))
+    def test_draw_span_starts(self, seed, total, length):
+        # the same starts, bit for bit, as one exponential draw per start
+        expected = _reference_draw_span_starts(total, length, np.random.default_rng(seed))
+        assert draw_span_starts(total, length, np.random.default_rng(seed)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 200), spans=st.integers(0, 30),
+           length=st.one_of(st.sampled_from([0.0, 0.01, 5.0, -5.0]), st.floats(-50, 50)))
+    def test_span_mask(self, seed, n, spans, length):
+        # starts anywhere, overlapping, on event times and past both ends; a
+        # negative length marks nothing, as an empty slice does
+        rng = np.random.default_rng(seed)
+        seq = random_events(rng, n, max_gap=int(rng.integers(1, 400)))
+        times = (seq.columns[0] / 100).tolist() or [0.0]
+        starts = np.sort(np.concatenate([
+            rng.uniform(-10, times[-1] + 10, size=spans),
+            rng.choice(times, size=spans) - rng.choice([0.0, length], size=spans),
+        ])).tolist()
+        expected = _reference_span_mask(seq, starts, length)
+        assert span_mask(seq, starts, length).tolist() == expected.tolist()
+
+    def test_a_span_copy_draws_nothing_after_its_starts(self, rng, monkeypatch):
+        # blocks of gaps leave the generator past the last gap used, so a
+        # span copy must not draw from it again after its starts
+        seq = random_events(rng, 300, max_gap=40)
+
+        class Sealed:
+            def __init__(self, inner):
+                self.inner, self.sealed = inner, False
+
+            def __getattr__(self, name):
+                assert not self.sealed, f"drew {name} after the span starts"
+                return getattr(self.inner, name)
+
+        def draw_then_seal(total, length, rng):
+            starts = draw_span_starts(total, length, rng)
+            rng.sealed = True
+            return starts
+
+        monkeypatch.setattr(augment, "draw_span_starts", draw_then_seal)
+        sealed = Sealed(np.random.default_rng(5))
+        pattern, copy = augment_sequence(seq, "span", AnticipationConfig(), sealed)
+        assert sealed.sealed and pattern == "span" and len(copy.controls())
 
 
 class TestInstrumentControls:

@@ -19,7 +19,7 @@ from anticipate.events import EventSequence
 from anticipate.midi import parse_midi, write_midi
 from anticipate.predictor import train_ngram
 from anticipate.tokenizer import encode_arrival, read_tokens
-from anticipate.vocab import ArrivalVocab as AV
+from anticipate.vocab import ArrivalVocab as AV, InterarrivalVocab as IV
 
 from conftest import random_events
 
@@ -275,6 +275,18 @@ def test_hostile_event_files_through_every_stage(tmp_path, small_model, stage, w
         proc = _limited_cli(argv)
         assert proc.returncode == expected, (control, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+def test_sample_refuses_an_interarrival_model(tmp_path, twinkle_file, capsys):
+    tokens, model, out = tmp_path / "twinkle.tok", tmp_path / "model.npz", tmp_path / "out.txt"
+    assert run("tokenize", "--codec", "interarrival", str(twinkle_file), str(tokens)) == 0
+    assert run("train-ngram", "--order", "2", str(tokens), str(model)) == 0
+    capsys.readouterr()
+    assert run("sample", "--model", str(model), str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: predictor vocabulary {IV.SIZE} does not match the arrival vocabulary "
+        f"({AV.SIZE})\n")
+    assert not out.exists()
 
 
 class TestConfigValues:

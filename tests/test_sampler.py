@@ -30,7 +30,7 @@ from anticipate.sampler import (
     nucleus_sample,
 )
 from anticipate.tokenizer import TokenError, _arrival_triples, encode_arrival
-from anticipate.vocab import ArrivalVocab as AV
+from anticipate.vocab import ArrivalVocab as AV, InterarrivalVocab as IV
 
 from conftest import (
     UniformPredictor, event_sort_key, random_controls, random_events, reference_event_triple,
@@ -120,7 +120,7 @@ class TestNucleus:
         seed=st.integers(0, 2**32 - 1),
         width=st.one_of(st.integers(1, 40), st.sampled_from([1_000, 10_000, 12_000, 16_513])),
         kind=st.sampled_from(["random", "ties", "spikes", "point", "dirichlet", "zero",
-                              "nonfinite", "negative", "mixed-sign"]),
+                              "nonfinite", "negative", "mixed-sign", "ngram"]),
         p=st.one_of(st.sampled_from([0.5, 0.9, 0.95, 1.0]), st.floats(0, 1, exclude_min=True)),
         form=st.sampled_from(["float64", "float32", "list"]),
     )
@@ -129,6 +129,8 @@ class TestNucleus:
         # argsort and drawing with Generator.choice, or the same error type
         data = np.random.default_rng(seed)
         dist = _nucleus_case(data, width, kind)
+        if kind == "ngram":  # p on a class boundary, where class sums and a running sum round
+            p = _class_boundary(dist, data)
         dist = dist.astype(np.float32) if form == "float32" else dist
         dist = dist.tolist() if form == "list" else dist
         rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
@@ -140,6 +142,14 @@ class TestNucleus:
                 outcomes.append(type(exc))
         assert outcomes[1] == outcomes[0]
         assert rngs[1].random() == rngs[0].random()
+
+
+def _class_boundary(dist: np.ndarray, rng: np.random.Generator) -> float:
+    """A ``p`` at which the nucleus ends after a random number of whole
+    value classes, descending."""
+    values, counts = (a[::-1] for a in np.unique(dist, return_counts=True))
+    mass = (values * counts).cumsum()
+    return min(float(mass[rng.integers(len(mass))] / dist.sum()), 1.0)
 
 
 class _FixedDraws(np.random.Generator):
@@ -182,7 +192,23 @@ def _reference_nucleus(dist, p) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nucleus_case(rng: np.random.Generator, width: int, kind: str) -> np.ndarray:
-    """A distribution of ``width`` weights, unnormalized, of the given ``kind``."""
+    """A distribution of ``width`` weights, unnormalized, of the given ``kind``.
+
+    An ``ngram`` case has an n-gram slot's shape and picks its own width,
+    1 000, 10 001 or 16 513: a floor under 1-2 000 tokens of 1-150 distinct
+    values, with floor tokens before, between and after them.
+    """
+    if kind == "ngram":
+        width = int(rng.choice([1_000, 10_001, 16_513]))
+        dist = np.full(width, rng.uniform(1e-7, 1e-4))
+        size = min(round(2_000 ** rng.random()), (width - 2) // 2)  # log-uniform, as in slots
+        tokens = np.sort(rng.choice(np.arange(1, width - 1), size=size, replace=False))
+        if size > 2:
+            tokens = np.delete(tokens, size // 2)  # a floor token between them
+        multiples = rng.choice(np.arange(2, 3 + round(10_000 ** rng.random())),
+                               size=int(rng.integers(1, 151)))
+        dist[tokens] = dist[0] * rng.choice(multiples, size=len(tokens))
+        return dist
     if kind == "random":
         return rng.random(width) ** rng.uniform(1, 30)
     if kind == "ties":  # few distinct values, zeros among them
@@ -547,6 +573,18 @@ def test_invalid_control_raises_the_tokenizers_error_before_any_call(generate, b
     with pytest.raises(error, match=f"^{message}" + r" \(index 1\)$") as raised:
         generate(predictor, controls, SamplerConfig(seed=0))
     assert type(raised.value) is error
+    assert predictor.contexts == []
+
+
+@pytest.mark.parametrize("generate", [generate_anticipatory, generate_autoregressive_infill])
+@pytest.mark.parametrize("vocab_size", [IV.SIZE, AV.SIZE - 1, AV.SIZE + 1])
+def test_predictor_outside_the_arrival_vocabulary_refused_before_any_call(generate, vocab_size):
+    # an interarrival model has no separator token: it could never end a session
+    predictor = _ScriptedPredictor([], context_length=1024)
+    predictor.vocab_size = vocab_size
+    message = rf"^predictor vocabulary {vocab_size} does not match the arrival vocabulary \({AV.SIZE}\)$"
+    with pytest.raises(ValueError, match=message):
+        generate(predictor, EventSequence([Event(10, 1, 60)]), SamplerConfig(seed=0))
     assert predictor.contexts == []
 
 
