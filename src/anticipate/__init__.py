@@ -39,6 +39,7 @@ from .events import (
 from .metrics import CorpusStats, LossReport, bits_per_second, corpus_stats, cross_entropy
 from .midi import ChannelCapacityError, DeltaTimeError, MidiParseError, parse_midi, write_midi
 from .predictor import (
+    Distribution,
     ModelFileError,
     NGramModel,
     Predictor,

@@ -1,11 +1,15 @@
 """Bridge to an out-of-process predictor over a line protocol.
 
-Request:  ``CTX <control-code> <t1> ... <tk>\\n`` where the control code is a
-token integer or ``-`` when absent. Response: ``DIST <payload>\\n``, the
-base64 of all ``vocab_size`` probabilities as little-endian float64: dense
-because a smoothed model gives every token some mass, and float64 so that a
-bridged predictor samples exactly as it would in process. The probabilities
-must be finite, non-negative and sum to one, and arrive within the timeout.
+Request:  ``CTX <control-code> <t1> ... <tk>\n`` where the control code is a
+token integer or ``-`` when absent. Response: ``DIST <support> <masses>\n``,
+the base64 of the distribution's support as little-endian int64, then of its
+values followed by its background as little-endian float64: float64 so that
+a bridged predictor samples exactly as it would in process. The support must
+be strictly ascending within the vocabulary, the values and background
+finite and non-negative, the mass of all ``vocab_size`` tokens one, and the
+line must arrive within the timeout. After a timeout or a broken reply the
+client stops the child, so no later reply is read as the answer to another
+request, and every later call fails.
 
 ``serve`` runs the other side of the protocol, exposing any in-process
 predictor on stdio so it can back a subprocess bridge. It answers an unknown
@@ -23,7 +27,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .predictor import Predictor
+from .predictor import Distribution, Predictor
 from .tokenizer import CONTEXT_LENGTH
 
 PROB_TOLERANCE = 1e-6
@@ -38,22 +42,40 @@ def format_request(z: int | None, context: Sequence[int]) -> str:
     return " ".join(["CTX", code, *map(str, context)])
 
 
-def parse_response(line: str, vocab_size: int) -> np.ndarray:
-    verb, _, payload = line.partition(" ")
+def _b64(array: np.ndarray) -> str:
+    return base64.b64encode(array.tobytes()).decode("ascii")
+
+
+def format_response(dist: Distribution) -> str:
+    masses = np.append(dist.values, dist.background).astype("<f8", copy=False)
+    return f"DIST {_b64(np.asarray(dist.support, dtype='<i8'))} {_b64(masses)}"
+
+
+def parse_response(line: str, vocab_size: int) -> Distribution:
+    verb, *fields = line.split(" ")
     if verb != "DIST":
         raise PredictorProtocolError(f"expected DIST response, got {line[:80]!r}")
+    if len(fields) != 2:
+        raise PredictorProtocolError(f"DIST carries {len(fields)} fields, expected 2")
     try:
-        dist = np.frombuffer(base64.b64decode(payload, validate=True), dtype="<f8")
+        support, masses = (np.frombuffer(base64.b64decode(field, validate=True), dtype=dtype)
+                           for field, dtype in zip(fields, ("<i8", "<f8")))
     except ValueError as exc:
         raise PredictorProtocolError(f"malformed DIST payload ({exc})") from exc
-    if len(dist) != vocab_size:
-        raise PredictorProtocolError(f"{len(dist)} probabilities, expected {vocab_size}")
-    if not (np.isfinite(dist).all() and (dist >= 0).all()):
+    if len(masses) != len(support) + 1:
+        raise PredictorProtocolError(
+            f"{len(masses)} probabilities for {len(support)} support tokens and a background")
+    if len(support) and not (support[0] >= 0 and support[-1] < vocab_size
+                             and (np.diff(support) > 0).all()):
+        raise PredictorProtocolError(
+            f"support not strictly ascending within the vocabulary of {vocab_size}")
+    if not (np.isfinite(masses).all() and (masses >= 0).all()):
         raise PredictorProtocolError("negative or non-finite probability")
-    total = dist.sum()
+    values, background = masses[:-1].astype(np.float64), float(masses[-1])
+    total = values.sum() + background * (vocab_size - len(support))
     if abs(total - 1.0) > PROB_TOLERANCE:
         raise PredictorProtocolError(f"probabilities sum to {total!r}, expected 1")
-    return dist.astype(np.float64)
+    return Distribution(support.astype(np.int64), values, background, vocab_size)
 
 
 class ExternalPredictor:
@@ -72,14 +94,20 @@ class ExternalPredictor:
         self._proc = subprocess.Popen(list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         self._pending = bytearray()  # reply bytes read past the last newline
 
-    def next_distribution(self, z: int | None, context: Sequence[int]) -> np.ndarray:
+    def next_distribution(self, z: int | None, context: Sequence[int]) -> Distribution:
         proc = self._proc
         if proc.poll() is not None:
-            raise PredictorProtocolError("predictor subprocess has exited")
+            raise PredictorProtocolError("predictor subprocess has exited or was stopped")
         context = context[max(0, len(context) - (self.context_length - 1)):]
         proc.stdin.write((format_request(z, context) + "\n").encode("ascii"))
         proc.stdin.flush()
-        return parse_response(self._read_line(), self.vocab_size)
+        try:
+            return parse_response(self._read_line(), self.vocab_size)
+        except (TimeoutError, PredictorProtocolError):
+            # a late or broken reply would be read as the answer to the next request
+            proc.kill()
+            self.close()
+            raise
 
     def _read_line(self) -> str:
         """Read one reply line, all of it within ``timeout`` seconds.
@@ -143,7 +171,6 @@ def serve(predictor: Predictor, in_stream: IO[str], out_stream: IO[str]) -> None
             except (IndexError, ValueError):
                 reply = "ERR malformed request"
             else:
-                dist = np.asarray(predictor.next_distribution(z, context), dtype="<f8")
-                reply = "DIST " + base64.b64encode(dist.tobytes()).decode("ascii")
+                reply = format_response(predictor.next_distribution(z, context))
         out_stream.write(reply + "\n")
         out_stream.flush()

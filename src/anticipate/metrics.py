@@ -156,9 +156,8 @@ def cross_entropy(
             raise TokenError(f"row {row_index}: {exc}") from exc
         context: list[int] = []
         for position, (token, role) in enumerate(zip(tokens, roles.tolist())):
-            dist = predictor.next_distribution(z, context)
+            p = predictor.next_distribution(z, context).probability(token)
             context.append(token)
-            p = float(dist[token])
             if p <= 0.0:
                 report.infinite_positions.append((row_index, position))
                 nats = math.inf

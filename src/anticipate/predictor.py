@@ -1,8 +1,11 @@
 """Next-token predictors behind a single contract.
 
-A predictor maps (control code, context tokens) to a probability vector over
-its codec vocabulary, looking at most ``context_length - 1`` tokens back.
-The trainable reference model is a count-based n-gram with add-alpha
+A predictor maps (control code, context tokens) to a ``Distribution`` over
+its codec vocabulary, looking at most ``context_length - 1`` tokens back: a
+sorted support of token ids, their probabilities, and one background
+probability shared by every other token. A dense predictor returns every
+token as support (``Distribution.dense``), so consumers keep one path. The
+trainable reference model is a count-based n-gram with add-alpha
 smoothing, interpolated toward lower orders with a fixed backoff weight; it
 stands in for a neural sequence model at desk scale, and anything satisfying
 the contract can be plugged into the samplers and metrics unchanged.
@@ -19,11 +22,11 @@ tokens counted at any context length (for a trained model, the tokens seen
 at all). Every token outside it gets the same probability in any one call, so
 the whole backoff recursion, unigram included, runs on a compact vector with
 one slot per support token plus one background slot for all the others, and
-only the result is scattered into the full-width buffer. The tables this
-needs (the compact unigram, each successor's slot in the support, the
-smoothed per-row terms and, per context length, a dict from context key to
-row) are built by the first call, at any depth, not by training, saving or
-loading.
+that vector is the distribution returned. Each context's row is found by one
+``searchsorted`` on its level's keys. The tables this needs (the compact
+unigram, each successor's slot in the support and the smoothed per-row
+terms) are built by the first call, at any depth, not by training, saving
+or loading.
 """
 
 from __future__ import annotations
@@ -51,22 +54,54 @@ class ModelFileError(ValueError):
     """A model file that is not a valid n-gram ``.npz`` of this format version."""
 
 
+class Distribution:
+    """A distribution over ``size`` tokens: ``values[i]`` is the probability
+    of token ``support[i]`` (int64, strictly ascending, in ``[0, size)``) and
+    ``background`` that of every other token. ``np.asarray`` materializes
+    the full vector."""
+
+    __slots__ = ("support", "values", "background", "size")
+
+    def __init__(self, support: np.ndarray, values: np.ndarray, background: float, size: int):
+        self.support = support
+        self.values = values
+        self.background = background
+        self.size = size
+
+    @classmethod
+    def dense(cls, probabilities: np.ndarray) -> "Distribution":
+        """Every token as support: the form of a dense predictor."""
+        return cls(np.arange(len(probabilities)), probabilities, 0.0, len(probabilities))
+
+    def probability(self, token: int) -> float:
+        """The probability of ``token``, found in the support by one ``searchsorted``."""
+        i = int(self.support.searchsorted(token))
+        if i < len(self.support) and self.support[i] == token:
+            return float(self.values[i])
+        return float(self.background)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense = np.full(self.size, self.background, dtype=np.float64)
+        dense[self.support] = self.values
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
 @runtime_checkable
 class Predictor(Protocol):
     """The next-token-distribution contract.
 
     Callers pass the whole history as one ``context`` list and may extend it
     after the call returns. ``next_distribution`` reads at most its last
-    ``context_length - 1`` tokens, copies whatever it keeps, and returns
-    ``vocab_size`` probabilities (non-negative, summing to one) that depend
-    only on ``z`` and those tokens. Implementations may reuse the returned
-    buffer between calls; callers must copy if they keep it.
+    ``context_length - 1`` tokens, copies whatever it keeps, and returns a
+    ``Distribution`` of size ``vocab_size`` (non-negative, summing to one)
+    that depends only on ``z`` and those tokens. Implementations may reuse
+    its arrays between calls; callers must copy what they keep.
     """
 
     vocab_size: int
     context_length: int
 
-    def next_distribution(self, z: int | None, context: Sequence[int]) -> np.ndarray: ...
+    def next_distribution(self, z: int | None, context: Sequence[int]) -> Distribution: ...
 
 
 class _Level(NamedTuple):
@@ -109,15 +144,13 @@ class _LevelTerms(NamedTuple):
 class _Tables(NamedTuple):
     """What ``next_distribution`` reads beyond the levels: the ``support``,
     the unigram over it plus the background slot and that unigram backed
-    off, the per-level terms and context key -> row maps (index 0 unused),
-    the term of a context never seen, and the compact vector each call
-    works in."""
+    off, the per-level terms (index 0 unused), the term of a context never
+    seen, and the compact vector each call works in."""
 
     support: np.ndarray
     unigram: np.ndarray
     backoff_unigram: np.ndarray
     terms: tuple[_LevelTerms | None, ...]
-    rows: tuple[dict[int, int] | None, ...]
     unseen: float
     compact: np.ndarray
 
@@ -180,7 +213,6 @@ class NGramModel:
         self.alpha = alpha
         self.vocab_size = vocab_size
         self.context_length = context_length
-        self._buffer = np.empty(vocab_size, dtype=np.float64)
         empty = np.zeros(0, dtype=np.int64)
         self._set_levels([_Level.of(empty, np.zeros(1, dtype=np.int64), empty, empty)] * order)
 
@@ -199,7 +231,7 @@ class NGramModel:
         unigram[support.searchsorted(first.tokens)] += first.counts
         unigram /= int(first.totals.sum()) + alpha * vocab_size
         # levels past the longest row share one object, and so one entry
-        built: dict[int, tuple[_LevelTerms, dict[int, int]]] = {}
+        built: dict[int, _LevelTerms] = {}
         for level in self._levels[1:]:
             if id(level) not in built:
                 denom = level.totals + alpha * vocab_size
@@ -208,26 +240,27 @@ class NGramModel:
                     support.searchsorted(level.tokens),
                     (1.0 - BACKOFF_WEIGHT)
                     * ((alpha + level.counts) / np.repeat(denom, np.diff(level.offsets))),
-                ), dict(zip(level.keys.tolist(), range(len(level.keys))))
-        terms, rows = zip((None, None), *(built[id(level)] for level in self._levels[1:]))
+                )
+        terms = (None, *(built[id(level)] for level in self._levels[1:]))
         unseen = (1.0 - BACKOFF_WEIGHT) * (alpha / (alpha * vocab_size))
-        return _Tables(support, unigram, BACKOFF_WEIGHT * unigram, terms, rows, unseen,
+        return _Tables(support, unigram, BACKOFF_WEIGHT * unigram, terms, unseen,
                        np.empty(len(support) + 1))
 
-    def next_distribution(self, z: int | None, context: Sequence[int]) -> np.ndarray:
-        """Interpolated distribution after ``[z, *context]``; reuses one buffer.
+    def next_distribution(self, z: int | None, context: Sequence[int]) -> Distribution:
+        """Interpolated distribution after ``[z, *context]``; reuses one
+        compact vector.
 
         Each level scales the lower orders by ``BACKOFF_WEIGHT`` and adds its
         own smoothed estimate: a constant for the tokens its context never
         preceded, then the terms of the counted tokens written in place. The
         recursion runs from the unigram over the support plus one background
-        slot, which then fills every token outside the support.
+        slot, the probability of every token outside the support.
         """
         n = len(context)
         depth = min(self.order - 1, n + (z is not None), self.context_length - 1)
         if self._tables is None:
             self._tables = self._build_tables()
-        support, unigram, scaled, terms, rows, unseen, compact = self._tables
+        support, unigram, scaled, terms, unseen, compact = self._tables
         vocab_size = self.vocab_size
         key: int | None = 0  # key of the last k tokens; None once one is outside the vocabulary
         radix = 1
@@ -239,7 +272,7 @@ class NGramModel:
             else:
                 key = None
             level = self._levels[k]
-            row = -1 if key is None else rows[k].get(key, -1)
+            row = -1 if key is None else level.find(key)
             if k > 1:  # the lower orders scaled by the backoff weight
                 scaled = np.multiply(compact, BACKOFF_WEIGHT, out=compact)
             if row < 0:
@@ -251,9 +284,7 @@ class NGramModel:
             np.add(scaled, terms[k].uncounted[row], out=compact)
             compact[slots] = lower + terms[k].counted[span]
         values = compact if depth > 0 else unigram
-        self._buffer.fill(values[-1])
-        self._buffer[support] = values[:-1]
-        return self._buffer
+        return Distribution(support, values[:-1], values[-1], vocab_size)
 
     def save(self, path) -> None:
         """Write the model to exactly ``path`` as a versioned ``.npz``."""
@@ -403,7 +434,7 @@ class ReplayPredictor:
     """Test oracle: puts mass 1 on the next ground-truth token, ignoring context.
 
     Once the ground truth is exhausted every call returns a point mass on the
-    terminator token. The returned buffer is reused between calls.
+    terminator token.
     """
 
     def __init__(self, tokens: Sequence[int], vocab_size: int, terminator: int,
@@ -413,18 +444,11 @@ class ReplayPredictor:
         self.terminator = terminator
         self.context_length = context_length
         self.cursor = 0
-        self._buffer = np.zeros(vocab_size, dtype=np.float64)
-        self._hot: int | None = None
+        self._support = np.array([*self.tokens, terminator], dtype=np.int64)
+        self._mass = np.ones(1)
 
-    def next_distribution(self, z: int | None, context: Sequence[int]) -> np.ndarray:
-        if self.cursor < len(self.tokens):
-            token = self.tokens[self.cursor]
+    def next_distribution(self, z: int | None, context: Sequence[int]) -> Distribution:
+        i = self.cursor
+        if i < len(self.tokens):
             self.cursor += 1
-        else:
-            token = self.terminator
-        if self._hot is not None:
-            self._buffer[self._hot] = 0.0
-        self._buffer[token] = 1.0
-        self._hot = token
-        return self._buffer
-
+        return Distribution(self._support[i : i + 1], self._mass, 0.0, self.vocab_size)

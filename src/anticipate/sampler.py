@@ -28,11 +28,14 @@ slices of the controls' triples, encoded once per session; once the window
 slides past the start it is re-encoded from the buffer, relativized by its
 minimum time, the rule the tokenizer applies to every model context.
 
-Nucleus sampling ranks the distinct probabilities as classes of equal
-tokens and draws a class, then a token in it by index. A slot's lowest
-value, its floor, is one class, so only the tokens above it are sorted: an
-n-gram slot is a floor under a few counted tokens. The slot is read whole
-only by linear passes (its sum, maximum, minimum and one comparison).
+Each slot samples from the predictor's distribution restricted to the
+slot's token ranges, cut from its support with two ``searchsorted`` calls
+per range. Nucleus sampling ranks the distinct probabilities as classes of
+equal tokens and draws a class, then a token in it by index. A slot's
+lowest value, its floor, is one class holding every token outside the
+support, so only support tokens above it are sorted: an n-gram slot is a
+floor under a few counted tokens. The full-width slot is built only for its
+sum, and not at all for a point mass.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from .anticipation import _check_seconds, next_anticipated_controls
 from .events import EventSequence, InterleavedSequence, _tagged
-from .predictor import Predictor
+from .predictor import Distribution, Predictor
 from .tokenizer import _arrival_triples, _decode_triple, _slot_ranges
 from .vocab import ArrivalVocab as AV
 
@@ -75,46 +78,64 @@ class GenerationResult:
     truncated: bool  # hit max_tokens before sampling a separator
 
 
-def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
+def nucleus_sample(dist: Distribution | np.ndarray, p: float, rng: np.random.Generator) -> int:
     """Sample from the smallest probability-sorted prefix with mass >= p.
 
+    ``dist`` is a ``Distribution`` or a dense array, read as full support.
     The prefix is renormalized; ``p = 1`` samples the full distribution but
     never a zero-mass token, and a token of mass >= p is returned without a
     draw. The prefix takes whole value classes, descending, then the first
     tokens by index of the class that reaches ``p`` of the total. One
     ``rng.random()`` picks a class and a token in it, as a stable argsort and
-    ``Generator.choice`` would but for draws within rounding of a boundary.
-    The classes are those of ``np.unique(dist)``, found by sorting only the
-    tokens above the slot's minimum; the minimum's tokens are the last class.
+    ``Generator.choice`` over the dense vector would but for draws within
+    rounding of a boundary. The classes are those of ``np.unique`` of that
+    vector, found by sorting only the support tokens above its minimum; the
+    minimum's tokens, every token outside the support among them, are the
+    last class. The total is the dense vector's own sum, bit for bit.
     """
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
-    if type(dist) is not np.ndarray or dist.dtype != np.float64:
-        dist = np.asarray(dist, dtype=np.float64)
-    total = dist.sum()
+    if not isinstance(dist, Distribution):
+        dist = Distribution.dense(np.asarray(dist, dtype=np.float64))
+    support, weights, background, width = dist.support, dist.values, dist.background, dist.size
+    if background == 0 and len(support) == 1 and 0 < weights[0] < math.inf:
+        return int(support[0])  # a point mass is the nucleus at any p
+    full = len(support) == width
+    if full:
+        slot = weights
+    else:  # the dense vector, built for its sum, which decides the cut
+        slot = np.full(width, background)
+        slot[support] = weights
+    total = slot.sum()
     if total <= 0 or not math.isfinite(total):
         raise ValueError("cannot sample from an all-zero or invalid distribution")
     x = p * total
-    top = int(dist.argmax())
-    if dist[top] >= x:
-        return top  # the nucleus is a single token
+    floor = weights.min(initial=math.inf if full else background)
+    if floor < background and not full:  # tokens outside the support rank above the floor
+        support, weights = np.arange(width), slot
+    is_above = weights > floor
+    above = support[is_above]
+    upper = weights[is_above]
+    if len(upper):
+        top = int(upper.argmax())
+        if upper[top] >= x:
+            return int(above[top])  # the nucleus is a single token
+    elif floor >= x:
+        return 0  # every token holds the floor
     # The value classes, descending: the tokens above the slot's floor
     # ranked, then one token standing for the floor's class.
-    floor = dist.min()
-    above = np.flatnonzero(dist > floor)
-    upper = dist[above]
     ranked = np.concatenate((np.sort(upper)[::-1], (floor,)))
     edges = np.flatnonzero(np.concatenate(((True,), ranked[1:] != ranked[:-1], (True,))))
     values = ranked[edges[:-1]]
     counts = edges[1:] - edges[:-1]
-    counts[-1] = len(dist) - len(above)
+    counts[-1] = width - len(above)
     positive = len(values) if floor > 0 else int((values > 0).sum())
     mass = np.concatenate(([0.0], (values * counts).cumsum()))  # before each class
     cut = min(int(mass.searchsorted(x, "left")), positive) - 1
     share = min((x - mass[cut]) / values[cut], counts[cut])  # the cut class's tokens
     # A negative weight, or x within the running sum's rounding error of a
     # token boundary with mass after it: that sum over the sorted tokens cuts.
-    near = abs(share - round(share)) * values[cut] < len(dist) * total * 2.0**-52 < mass[-1] - x
+    near = abs(share - round(share)) * values[cut] < width * total * 2.0**-52 < mass[-1] - x
     if floor < 0 or near:
         ranked = np.repeat(values, counts)  # the whole slot, sorted descending
         end = min(int(ranked.cumsum().searchsorted(x, "left")), len(ranked) - 1)
@@ -131,6 +152,22 @@ def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
         return int(above[upper == values[group]][rank])
     # the floor class: its rank-th token is the rank-th index not above the floor
     return rank + int((above - np.arange(len(above))).searchsorted(rank, "right"))
+
+
+def _slot_distribution(dist: Distribution, ranges: tuple[tuple[int, int], ...]) -> Distribution:
+    """``dist`` over the slot's token ranges, laid end to end in order: a
+    token's index in the slot is its offset in its range plus the widths of
+    the ranges before it."""
+    support, values = dist.support, dist.values
+    pieces, weights, width = [], [], 0
+    for lo, hi in ranges:
+        i, j = support.searchsorted(lo), support.searchsorted(hi)
+        pieces.append(support[i:j] + (width - lo))
+        weights.append(values[i:j])
+        width += hi - lo
+    if len(pieces) == 1:
+        return Distribution(pieces[0], weights[0], dist.background, width)
+    return Distribution(np.concatenate(pieces), np.concatenate(weights), dist.background, width)
 
 
 def _context_after(
@@ -160,11 +197,7 @@ def _sample_slot(
     dist = predictor.next_distribution(z, context)
     if not config.grammar_mask:
         return nucleus_sample(dist, config.top_p, rng)
-    # Sample over the slot's ranges only; slices view the distribution
-    # without materializing a full-vocabulary mask.
-    pieces = [dist[lo:hi] for lo, hi in ranges]
-    local = nucleus_sample(pieces[0] if len(pieces) == 1 else np.concatenate(pieces),
-                           config.top_p, rng)
+    local = nucleus_sample(_slot_distribution(dist, ranges), config.top_p, rng)
     for lo, hi in ranges:
         if local < hi - lo:
             return lo + local

@@ -15,6 +15,7 @@ import pytest
 from anticipate.events import (
     MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence, TaggedEvent, encode_note,
 )
+from anticipate.predictor import Distribution
 from anticipate.tokenizer import CONTEXT_LENGTH, TokenError
 from anticipate.vocab import ArrivalVocab as AV
 
@@ -165,10 +166,11 @@ class UniformPredictor:
     def __init__(self, vocab_size: int, context_length: int = CONTEXT_LENGTH):
         self.vocab_size = vocab_size
         self.context_length = context_length
-        self._buffer = np.full(vocab_size, 1.0 / vocab_size, dtype=np.float64)
+        self._uniform = Distribution(np.zeros(0, dtype=np.int64), np.zeros(0), 1.0 / vocab_size,
+                                     vocab_size)
 
-    def next_distribution(self, z, context) -> np.ndarray:
-        return self._buffer
+    def next_distribution(self, z, context) -> Distribution:
+        return self._uniform
 
 
 @pytest.fixture

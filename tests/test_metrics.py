@@ -20,7 +20,7 @@ from anticipate.metrics import (
     format_report,
     report_row,
 )
-from anticipate.predictor import ReplayPredictor
+from anticipate.predictor import Distribution, ReplayPredictor
 from anticipate.tokenizer import TokenError, decode_arrival, encode_arrival, encode_interarrival
 from anticipate.vocab import ArrivalVocab as AV
 from anticipate.vocab import InterarrivalVocab as IV
@@ -221,7 +221,7 @@ def _reference_cross_entropy(predictor, rows, codec) -> LossReport:
                 raise TokenError(f"row {row_index}: {message} (index {k})")
         context: list[int] = []
         for position, token in enumerate(tokens):
-            dist = predictor.next_distribution(row_z, context)
+            dist = np.asarray(predictor.next_distribution(row_z, context))
             context.append(token)
             p = float(dist[token])
             if p <= 0.0:
@@ -255,9 +255,8 @@ def _reference_cross_entropy(predictor, rows, codec) -> LossReport:
 
 class _Shifting:
     """Test double: a fixed random distribution with every 13th token at
-    zero, rolled by the context's length and last token and by ``z``. Like
-    ``NGramModel`` it reuses one buffer, so each read must precede the next
-    call."""
+    zero, rolled by the context's length and last token and by ``z``; its
+    nonzero tokens are the support and the zeros the background."""
 
     def __init__(self, vocab_size: int):
         self.vocab_size = vocab_size
@@ -265,12 +264,12 @@ class _Shifting:
         base = np.random.default_rng(7).random(vocab_size)
         base[::13] = 0.0
         self._base = base / base.sum()
-        self._buffer = np.empty(vocab_size)
 
     def next_distribution(self, z, context):
         shift = 31 * len(context) + (context[-1] if context else 0) + (z or 0)
-        np.copyto(self._buffer, np.roll(self._base, shift))
-        return self._buffer
+        dist = np.roll(self._base, shift)
+        support = np.flatnonzero(dist)
+        return Distribution(support, dist[support], 0.0, self.vocab_size)
 
 
 _SHIFTING = {size: _Shifting(size) for size in (AV.SIZE, IV.SIZE)}

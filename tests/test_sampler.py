@@ -18,7 +18,7 @@ from anticipate.augment import AugmentationPolicy, augment_corpus
 from anticipate.events import (
     MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence, TaggedEvent, encode_note,
 )
-from anticipate.predictor import ReplayPredictor, train_ngram
+from anticipate.predictor import Distribution, ReplayPredictor, train_ngram
 from anticipate.sampler import (
     GenerationResult,
     SamplerConfig,
@@ -142,6 +142,86 @@ class TestNucleus:
                 outcomes.append(type(exc))
         assert outcomes[1] == outcomes[0]
         assert rngs[1].random() == rngs[0].random()
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.one_of(st.integers(1, 40), st.sampled_from([1_000, 10_000, 16_513])),
+        kind=st.sampled_from(["random", "ties", "spikes", "point", "dirichlet", "zero",
+                              "nonfinite", "negative", "mixed-sign", "ngram"]),
+        p=st.one_of(st.sampled_from([0.5, 0.9, 0.95, 1.0]), st.floats(0, 1, exclude_min=True)),
+        form=st.sampled_from(["floor", "extra", "point", "full", "empty", "two-range"]),
+    )
+    def test_slot_distributions_match_the_dense_reference(self, seed, width, kind, p, form):
+        # a case as a compact slot distribution: its most common value as the
+        # background ("extra" also lists some tokens of that value in the
+        # support), background 0 under one token, every token as support, no
+        # support at all, or cut by _slot_distribution from two ranges of a
+        # wider distribution. The token and the generator state equal the
+        # reference's on the materialized dense slot, or the error type does.
+        data = np.random.default_rng(seed)
+        dense = _nucleus_case(data, width, kind)
+        if kind == "ngram":
+            p = _class_boundary(dense, data)
+        if form == "point":
+            token = np.array([data.integers(len(dense))])
+            dist = Distribution(token, dense[token], 0.0, len(dense))
+            dense = np.asarray(dist)
+        elif form == "empty":
+            dist = Distribution(np.zeros(0, dtype=np.int64), np.zeros(0), dense[0], len(dense))
+            dense = np.asarray(dist)
+        elif form == "full":
+            dist = Distribution(np.arange(len(dense)), dense, data.random(), len(dense))
+        elif form == "two-range":
+            dist = _two_range_slot(dense, data)
+        else:
+            dist = _compact(dense, data, extra=form == "extra")
+        assert np.array_equal(np.asarray(dist), dense, equal_nan=True)
+        rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+        outcomes = []
+        for sample, case, rng in zip((_reference_nucleus_sample, nucleus_sample), (dense, dist),
+                                     rngs):
+            try:
+                outcomes.append(sample(case, p, rng))
+            except Exception as exc:
+                outcomes.append(type(exc))
+        assert outcomes[1] == outcomes[0]
+        assert rngs[1].random() == rngs[0].random()
+
+
+def _compact(dense: np.ndarray, rng: np.random.Generator, extra: bool = False) -> Distribution:
+    """``dense`` with its most common value as the background and every
+    other token as support; with ``extra``, some background tokens too."""
+    values, counts = np.unique(dense, return_counts=True)
+    background = values[counts.argmax()]
+    listed = dense != background
+    if extra:
+        listed |= rng.random(len(dense)) < 0.3
+    support = np.flatnonzero(listed)
+    return Distribution(support, dense[support], background, len(dense))
+
+
+def _two_range_slot(dense: np.ndarray, rng: np.random.Generator) -> Distribution:
+    """``dense`` split in two and laid in two token ranges of a wider
+    distribution, the second range before or after the first, with other
+    tokens around them; cut back out by ``_slot_distribution``."""
+    cut = int(rng.integers(len(dense) + 1))
+    gaps = rng.integers(0, 50, size=3)
+    first, second = dense[:cut], dense[cut:]
+    if rng.random() < 0.5:  # the second range holds lower token ids, as SEP may
+        lo2 = int(gaps[0])
+        lo1 = lo2 + len(second) + int(gaps[1])
+    else:
+        lo1 = int(gaps[0])
+        lo2 = lo1 + len(first) + int(gaps[1])
+    background = _compact(dense, rng).background
+    wide = np.full(max(lo1 + len(first), lo2 + len(second)) + int(gaps[2]), background)
+    noise = rng.random(len(wide)) < 0.5
+    wide[noise] = rng.random(int(noise.sum()))
+    wide[lo1 : lo1 + len(first)] = first
+    wide[lo2 : lo2 + len(second)] = second
+    ranges = ((lo1, lo1 + len(first)), (lo2, lo2 + len(second)))
+    return sampler._slot_distribution(_compact(wide, rng), ranges)
 
 
 def _class_boundary(dist: np.ndarray, rng: np.random.Generator) -> float:
@@ -412,11 +492,11 @@ class _ScriptedPredictor:
         self.contexts: list[list[int]] = []
 
     def next_distribution(self, z, context):
-        dist = np.zeros(self.vocab_size)
-        for token, weight in self.steps[len(self.contexts)].items():
-            dist[token] = weight
+        step = self.steps[len(self.contexts)]
         self.contexts.append(list(context))
-        return dist
+        support = sorted(step)
+        return Distribution(np.array(support, dtype=np.int64), np.array([step[t] for t in support]),
+                            0.0, self.vocab_size)
 
 
 class TestSlidingContext:
@@ -689,11 +769,12 @@ def _reference_generate(predictor, controls, config, z, anticipate) -> Generatio
 
 def _outcome(generate, predictor, controls, config, anticipate):
     """The result's items, whether it was truncated and its count of plain
-    items, or the type and message of its error."""
+    items, or the type and message of its ``ValueError``; any other error,
+    such as a predictor breaking the contract, fails the test."""
     z = AV.AAR if anticipate and len(controls) else AV.AR
     try:
         result = generate(predictor, controls, config, z, anticipate)
-    except Exception as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
     return list(result.sequence), result.truncated, len(result.sequence.events())
 
@@ -721,8 +802,12 @@ class _LongSessions:
     def next_distribution(self, z, context):
         self.contexts.append(list(context))
         dist = self.model.next_distribution(z, context)
-        dist[AV.SEP] *= self.sep_weight
-        return dist
+        support, values = dist.support, dist.values.copy()
+        i = int(support.searchsorted(AV.SEP))
+        if i == len(support) or support[i] != AV.SEP:
+            support, values = np.insert(support, i, AV.SEP), np.insert(values, i, dist.background)
+        values[i] *= self.sep_weight
+        return Distribution(support, values, dist.background, dist.size)
 
 
 _control_fields = st.tuples(st.integers(0, 4_000), st.integers(0, 999), st.integers(0, 300))
