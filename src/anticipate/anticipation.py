@@ -6,14 +6,14 @@ A control on time ``s`` is placed immediately after the first event whose
 time reaches ``s - delta`` (and after any earlier-queued controls).  That
 event is a stopping time of the event sequence: on the time row it is
 ``searchsorted(event_time, s - delta, "left")`` (its due time among the event
-times), so the offline interleave is one stable merge of the two sorted
-streams.  The placement rule depends only on the prefix already emitted, so
-exactly the same interleaving falls out of an online loop that alternates
-"emit next event" with "emit every pending control within delta of it".
-That online rule is the dual ``searchsorted``: after an event at ``t`` the
-pending controls run up to ``searchsorted(control_time, t + delta,
-"right")``.  Controls whose condition is never met (the event stream ends
-too early) are appended at the tail so the interleaving stays lossless.
+times).  Due times never decrease, so the offline interleave writes each
+control to its slot and the events, in order, to the rest.  The placement
+rule depends only on the emitted prefix, so the same interleaving falls out
+of an online loop that alternates "emit next event" with "emit every pending
+control within delta of it": after an event at ``t`` the pending controls
+run up to ``searchsorted(control_time, t + delta, "right")``.  Controls whose
+condition is never met (the event stream ends too early) are appended at the
+tail so the interleaving stays lossless.
 
 Times and ``delta`` are compared in whatever unit the events carry; the
 quantized 10ms grid is the default throughout the toolkit.
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import (
-    REST, EventSequence, InterleavedSequence, _check_added, _tagged, seconds_to_units,
+    REST, EventSequence, InterleavedSequence, _check_added, _check_rest_controls, _tagged,
+    seconds_to_units,
 )
 
 
@@ -100,15 +101,20 @@ def interleave(
     Each control lands immediately after the first event whose time is at
     least ``control.time - delta``, its due time; never-satisfied controls
     are appended after the final event in control order; a rest control raises.
+    Controls are written to their slots and events to the slots left over.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    # Event i sorts at (i, 0); a control at (index of its stopping event, 1),
-    # (len(events), 1) if none; s - delta cannot wrap, as s >= 0 and delta < 2**62
+    _check_rest_controls(controls.columns[2] == REST)
+    # s - delta cannot wrap, as s >= 0 and delta < 2**62. Due times never decrease, so control
+    # j follows event due_j and controls 0..j-1: slot min(due_j + 1, len(events)) + j
     due = np.searchsorted(events.columns[0], controls.columns[0] - delta, side="left")
-    slot = np.concatenate([np.arange(len(events)), due])
-    columns = np.concatenate([_tagged(events, False), _tagged(controls, True)], axis=1)
-    return InterleavedSequence._of(columns[:, np.lexsort((columns[3], slot))])
+    at = np.minimum(due + 1, len(events)) + np.arange(len(due))
+    out = np.zeros((4, len(events) + len(due)), dtype=np.int64)
+    out[3, at] = 1
+    out[:3, at] = controls.columns
+    out[:3, out[3] == 0] = events.columns
+    return InterleavedSequence._of(out)
 
 
 def next_anticipated_controls(

@@ -28,7 +28,8 @@ import numpy as np
 
 from .anticipation import AnticipationConfig, densify, interleave
 from .events import (
-    NUM_PITCHES, REST, UNITS_PER_SECOND, EventSequence, InterleavedSequence, _check_added,
+    NUM_INSTRUMENTS, NUM_PITCHES, REST, UNITS_PER_SECOND, EventSequence, InterleavedSequence,
+    _check_added,
 )
 
 PATTERNS = ("none", "span", "instrument", "random")
@@ -119,8 +120,11 @@ def sample_instrument_controls(
         return None
     j = int(rng.integers(1, len(parts)))
     chosen = rng.choice(parts, size=j, replace=False)
+    picked = np.zeros(NUM_INSTRUMENTS, dtype=bool)
+    picked[chosen] = True
     notes = seq.columns[2]
-    return (notes != REST) & np.isin(notes // NUM_PITCHES, chosen)
+    # a rest's -1 // NUM_PITCHES reads the drums' entry; notes != REST clears it
+    return (notes != REST) & picked[notes // NUM_PITCHES]
 
 
 def sample_random_controls(seq: EventSequence, rng: np.random.Generator) -> np.ndarray:

@@ -209,6 +209,8 @@ class NGramModel:
                 f"vocab_size ** order must not exceed 2**63 (int64 n-gram keys); "
                 f"got {vocab_size} ** {order}"
             )
+        if not math.isfinite(alpha * vocab_size):  # every denominator adds it
+            raise ValueError(f"alpha * vocab_size must be finite, got {alpha} * {vocab_size}")
         self.order = order
         self.alpha = alpha
         self.vocab_size = vocab_size
@@ -394,8 +396,9 @@ def train_ngram(
 ) -> NGramModel:
     """Count-train an n-gram model over token rows; deterministic.
 
-    Every n-gram of every order is counted at once: ``np.unique`` over the
-    mixed-radix keys of (context, token), contexts never crossing a row.
+    The n-grams of each order are counted at once: ``np.unique`` over the
+    mixed-radix keys of (context, token), contexts never crossing a row; the
+    unigrams by ``np.bincount`` if the vocabulary is no larger than the corpus.
     Contexts as long as the longest row or longer were never seen; those
     levels stay the untrained model's one shared empty level.
     """
@@ -420,9 +423,14 @@ def train_ngram(
     for k in range(min(order, int(lengths.max()))):
         if k:
             context[1:] = context[:-1] * vocab_size + flat[:-1]
-        counted = position >= k
-        grams, counts = np.unique(context[counted] * vocab_size + flat[counted],
-                                  return_counts=True)
+        if k or vocab_size > n_tokens:  # bincount's table may not outgrow the tokens
+            counted = position >= k
+            grams, counts = np.unique(context[counted] * vocab_size + flat[counted],
+                                      return_counts=True)
+        else:  # every position counts, and each key is its token
+            counts = np.bincount(flat)
+            grams = np.flatnonzero(counts)
+            counts = counts[grams]
         contexts, tokens = np.divmod(grams, vocab_size)
         starts = np.flatnonzero(np.diff(contexts, prepend=-1))
         levels.append(_Level.of(contexts[starts], np.append(starts, len(grams)), tokens, counts))

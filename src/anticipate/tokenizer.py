@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -421,10 +422,10 @@ def _outside_vocabulary(where: str, row: Sequence[int], codec: str) -> TokenErro
 def write_tokens(f: IO[str], rows: Iterable[Sequence[int]], codec: str) -> None:
     """Write token rows (one sequence or example per line) with a codec header.
 
-    Each token's text is looked up in a table built once per codec. An empty
-    row (a blank line, which reads as no row) or a token outside the codec's
-    vocabulary raises ``TokenError`` naming its 0-based row; the rows before
-    it are already written.
+    Each row's token texts are looked up in a table built once per codec, by
+    one ``itemgetter`` call. An empty row (a blank line, which reads as no
+    row) or a token outside the codec's vocabulary raises ``TokenError``
+    naming its 0-based row; the rows before it are already written.
     """
     texts = _token_texts(codec)
     f.write(f"#codec={codec} vocab={len(texts)}\n")
@@ -434,7 +435,8 @@ def write_tokens(f: IO[str], rows: Iterable[Sequence[int]], codec: str) -> None:
         try:
             if min(row) < 0:  # a tuple reads a negative index from its end
                 raise IndexError
-            f.write(" ".join(map(texts.__getitem__, row)) + "\n")
+            line = operator.itemgetter(*row)(texts)  # one index gives a bare str
+            f.write((line if len(row) == 1 else " ".join(line)) + "\n")
         except IndexError:
             raise _outside_vocabulary(f"row {i}", row, codec) from None
 

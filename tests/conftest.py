@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from anticipate.events import (
-    MAX_TIME_UNITS, REST, Event, EventSequence, InterleavedSequence, TaggedEvent, encode_note,
+    MAX_TIME_UNITS, NUM_PITCHES, REST, Event, EventSequence, InterleavedSequence, TaggedEvent,
+    _tagged, encode_note,
 )
 from anticipate.predictor import Distribution
-from anticipate.tokenizer import CONTEXT_LENGTH, TokenError
+from anticipate.tokenizer import CONTEXT_LENGTH, TokenError, _outside_vocabulary, _token_texts
 from anticipate.vocab import ArrivalVocab as AV
 
 # Hypothesis's pytest plugin imports this module when it reports a falsifying
@@ -113,6 +114,57 @@ def reference_event_triple(
         duration + (AV.ANT_DUR_BASE if control else AV.DUR_BASE),
         note_token,
     ]
+
+
+def reference_lexsort_interleave(
+    events: EventSequence, controls: EventSequence, delta: float
+) -> InterleavedSequence:
+    """The stable sort that `anticipation.interleave`'s positional merge
+    replaced, kept as the reference it is tested against: event i sorts at
+    (i, 0), a control at (its due time, 1), (len(events), 1) if none."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    due = np.searchsorted(events.columns[0], controls.columns[0] - delta, side="left")
+    slot = np.concatenate([np.arange(len(events)), due])
+    columns = np.concatenate([_tagged(events, False), _tagged(controls, True)], axis=1)
+    return InterleavedSequence._of(columns[:, np.lexsort((columns[3], slot))])
+
+
+def reference_instrument_controls(
+    seq: EventSequence, rng: np.random.Generator
+) -> np.ndarray | None:
+    """`augment.sample_instrument_controls` with the ``np.isin`` mask its
+    instrument table replaced; the same draws."""
+    parts = sorted(seq.instruments())
+    if len(parts) < 2:
+        return None
+    j = int(rng.integers(1, len(parts)))
+    chosen = rng.choice(parts, size=j, replace=False)
+    notes = seq.columns[2]
+    return (notes != REST) & np.isin(notes // NUM_PITCHES, chosen)
+
+
+def reference_unigram_level(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The (tokens, counts) of `predictor.train_ngram`'s level 0 by one
+    ``np.unique`` sort of every token, the count its ``np.bincount`` replaced."""
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64)
+    return np.unique(flat, return_counts=True)
+
+
+def reference_write_tokens(f, rows, codec: str) -> None:
+    """`tokenizer.write_tokens` with one ``map`` lookup per token, the join
+    its ``itemgetter`` replaced."""
+    texts = _token_texts(codec)
+    f.write(f"#codec={codec} vocab={len(texts)}\n")
+    for i, row in enumerate(rows):
+        if not len(row):
+            raise TokenError(f"row {i}: an empty row cannot be written")
+        try:
+            if min(row) < 0:
+                raise IndexError
+            f.write(" ".join(map(texts.__getitem__, row)) + "\n")
+        except IndexError:
+            raise _outside_vocabulary(f"row {i}", row, codec) from None
 
 
 def event_sort_key(event: Event):

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anticipate import golden
 from anticipate.anticipation import (
@@ -24,7 +24,9 @@ from anticipate.events import (
     seconds_to_units,
 )
 
-from conftest import event_sort_key, random_controls, random_events
+from conftest import (
+    event_sort_key, random_controls, random_events, reference_lexsort_interleave,
+)
 
 
 def online_interleave(events: EventSequence, controls: EventSequence, delta) -> list[TaggedEvent]:
@@ -389,3 +391,28 @@ class TestArrayOperationsMatchReference:
                     merge(events, controls, delta)
             merged = merge(events, plain_controls, delta)
             assert list(split_and_sort(merged)) == _reference_split_and_sort(merged)
+
+
+def _numbered(times, first_note):
+    """Events at ``times`` whose notes count up from ``first_note``, so equal
+    columns mean the same order."""
+    return EventSequence(Event(t, 0, first_note + i) for i, t in enumerate(sorted(times)))
+
+
+class TestPositionalMergeMatchesLexsort:
+    """`interleave` writes controls to their slots; the stable sort it
+    replaced (`conftest.reference_lexsort_interleave`) pins the order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 20), max_size=12), st.lists(st.integers(0, 40), max_size=12),
+           st.integers(1, 15))
+    @example([], [3, 5, 5], 2)  # no events
+    @example([0, 4, 4], [], 2)  # no controls
+    @example([], [], 1)
+    @example([0, 5], [20, 20, 31], 3)  # every control due after the last event
+    @example([0, 5, 9], [6, 6, 7, 8], 3)  # four controls due at event 1
+    def test_columns_equal(self, event_times, control_times, delta):
+        events, controls = _numbered(event_times, 0), _numbered(control_times, 1_000)
+        merged = interleave(events, controls, delta).columns
+        reference = reference_lexsort_interleave(events, controls, delta).columns
+        assert merged.dtype == reference.dtype and np.array_equal(merged, reference)

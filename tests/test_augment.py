@@ -26,10 +26,12 @@ from anticipate.augment import (
     span_mask,
     split_by_mask,
 )
-from anticipate.events import MAX_ADDED_ITEMS, NUM_PITCHES, REST, Event, EventSequence, encode_note
+from anticipate.events import (
+    DRUM_INSTRUMENT, MAX_ADDED_ITEMS, NUM_PITCHES, REST, Event, EventSequence, encode_note,
+)
 from anticipate.tokenizer import encode_arrival, pack_training_examples
 
-from conftest import event_sort_key, random_events
+from conftest import event_sort_key, random_events, reference_instrument_controls
 
 
 def canonical(seq: EventSequence) -> EventSequence:
@@ -227,6 +229,44 @@ class TestInstrumentControls:
         mask = sample_instrument_controls(seq, rng)
         chosen = {e.instrument for e, m in zip(seq, mask) if m}
         assert mask.tolist() == [e.instrument in chosen for e in seq]
+
+    @staticmethod
+    def _parts(parts):
+        """One item per entry, 10 units apart: a rest, or a note of that instrument."""
+        return EventSequence(Event(10 * i, 0, REST) if part == REST else
+                             Event(10 * i, 5, encode_note(part, 40 + i))
+                             for i, part in enumerate(parts))
+
+    @staticmethod
+    def _same_as_isin_reference(seq, seed):
+        """The table mask, its draws and the generator state after them equal
+        the ``np.isin`` reference's; returns the mask."""
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        mask = sample_instrument_controls(seq, rng)
+        reference = reference_instrument_controls(seq, reference_rng)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert (mask is None) == (reference is None)
+        if mask is not None:
+            assert mask.dtype == reference.dtype and np.array_equal(mask, reference)
+        return mask
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([REST, 0, 1, 60, 127, DRUM_INSTRUMENT]), max_size=30),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_isin_reference(self, instruments, seed):
+        self._same_as_isin_reference(self._parts(instruments), seed)
+
+    def test_drums_chosen_among_rests_match_the_reference(self):
+        # a rest's code -1 reads the drums' entry of the table
+        seq = self._parts([REST, DRUM_INSTRUMENT, 0, REST, 1, DRUM_INSTRUMENT, REST])
+        rests = seq.columns[2] == REST
+        drums = seq.columns[2] // NUM_PITCHES == DRUM_INSTRUMENT
+        drum_seeds = 0
+        for seed in range(40):
+            mask = self._same_as_isin_reference(seq, seed)
+            assert not mask[rests].any()
+            drum_seeds += bool(mask[drums].all())
+        assert 0 < drum_seeds < 40
 
 
 class TestRandomControls:

@@ -95,6 +95,14 @@ class TestExitCodes:
         assert "must not exceed 2**63" in capsys.readouterr().err
         assert not model.exists()
 
+    def test_alpha_that_overflows_the_denominator_is_a_data_error(self, tmp_path, capsys):
+        tokens = tmp_path / "t.tok"
+        tokens.write_text("#codec=arrival vocab=55028\n0 10048 11060 50 10048 11062\n")
+        model = tmp_path / "model.npz"
+        assert run("train-ngram", "--alpha", "1e304", str(tokens), str(model)) == 2
+        assert "alpha * vocab_size must be finite" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_pickled_model_is_a_data_error(self, tmp_path, twinkle_file, capsys):
         tokens = tmp_path / "twinkle.tok"
         assert run("tokenize", "--codec", "arrival", str(twinkle_file), str(tokens)) == 0

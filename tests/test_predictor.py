@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import gc
 import io
+import math
 import pickle
 import sys
 import time
@@ -13,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anticipate.bridge import (
     ExternalPredictor,
@@ -34,7 +35,7 @@ from anticipate.predictor import (
 )
 from anticipate.vocab import ArrivalVocab as AV
 
-from conftest import UniformPredictor
+from conftest import UniformPredictor, reference_unigram_level
 
 
 class DictNGram:
@@ -211,6 +212,43 @@ class TestNGram:
             NGramModel(order=0, alpha=0.1, vocab_size=10)
         with pytest.raises(ValueError):
             NGramModel(order=2, alpha=0.0, vocab_size=10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+           st.integers(1, 2**31), st.booleans())
+    @example(1e304, 55_028, True)  # overflows: every distribution would be 0
+    @example(3.2e303, 55_028, True)  # accepted: the bound is about 3.27e303
+    @example(5e-324, 55_028, False)
+    def test_every_accepted_alpha_gives_depth_0_mass_one(self, alpha, vocab_size, trained):
+        if not math.isfinite(alpha * vocab_size):
+            with pytest.raises(ValueError, match=r"^alpha \* vocab_size must be finite"):
+                NGramModel(order=2, alpha=alpha, vocab_size=vocab_size)
+            return
+        if trained:
+            model = train_ngram([[0, 5 % vocab_size, 5 % vocab_size]], 2, alpha, vocab_size)
+        else:
+            model = NGramModel(order=2, alpha=alpha, vocab_size=vocab_size)
+        dist = model.next_distribution(None, [])
+        assert abs(dist.values.sum() + dist.background * (vocab_size - len(dist.support))
+                   - 1.0) <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda vocab_size: st.tuples(st.just(vocab_size), st.lists(
+        st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=6), min_size=1, max_size=10))))
+    @example((3, [[2], [0], [2]]))  # rows of one token train level 0 alone
+    @example((1, [[0]]))
+    def test_unigram_level_matches_the_unique_reference(self, case):
+        vocab_size, rows = case
+        level = train_ngram(rows, order=2, alpha=0.1, vocab_size=vocab_size)._levels[0]
+        tokens, counts = reference_unigram_level(rows)
+        for got, want in ((level.tokens, tokens), (level.counts, counts)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert level.keys.tolist() == [0] and level.offsets.tolist() == [0, len(tokens)]
+
+    def test_a_vocabulary_past_the_corpus_needs_no_table_of_its_size(self):
+        # a count table of 2**62 entries could not be allocated
+        level = train_ngram([[0, 2**61]], order=1, alpha=0.1, vocab_size=2**62)._levels[0]
+        assert level.tokens.tolist() == [0, 2**61] and level.counts.tolist() == [1, 1]
 
     def test_huge_order_rejected_without_building_the_power(self):
         start = time.perf_counter()
@@ -494,6 +532,12 @@ class TestModelFile:
             path.write_bytes(data[:cut])
             with pytest.raises(ModelFileError):
                 NGramModel.load(path)
+
+    def test_alpha_that_overflows_the_denominator(self, saved):
+        _, path = saved  # 20 tokens: 1e307 * 20 is inf
+        self.rewrite(path, alpha=np.float64(1e307))
+        with pytest.raises(ModelFileError, match="alpha \\* vocab_size must be finite"):
+            NGramModel.load(path)
 
     def test_wrong_version(self, saved):
         _, path = saved

@@ -46,7 +46,9 @@ from anticipate.vocab import CODEC_VOCABS
 from anticipate.vocab import ArrivalVocab as AV
 from anticipate.vocab import InterarrivalVocab as IV
 
-from conftest import random_events, reference_event_triple, unchecked_interleaved
+from conftest import (
+    random_events, reference_event_triple, reference_write_tokens, unchecked_interleaved,
+)
 
 log = logging.getLogger("anticipate.tokenizer")
 
@@ -493,6 +495,36 @@ class TestTokenFile:
         write_tokens(buf, rows, codec)
         buf.seek(0)
         assert read_tokens(buf) == (codec, rows)
+
+    @staticmethod
+    def _written(write, rows, codec):
+        """The text ``write`` leaves, and its ``TokenError``'s message or None."""
+        buf = io.StringIO()
+        try:
+            write(buf, rows, codec)
+        except TokenError as exc:
+            return buf.getvalue(), str(exc)
+        return buf.getvalue(), None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["arrival", "interarrival"]).flatmap(lambda codec: st.tuples(
+        st.just(codec),
+        st.lists(st.tuples(
+            st.lists(st.integers(0, CODEC_VOCABS[codec].SIZE - 1), min_size=1, max_size=6),
+            st.sampled_from([list, tuple, np.array])), max_size=5),
+        # the first bad row: negative, past the vocabulary or past int64 (a list)
+        st.none() | st.tuples(st.integers(0, 5), st.sampled_from(
+            [-1, -(2**70), CODEC_VOCABS[codec].SIZE, 2**63, 2**70])))))
+    @example(("arrival", [([7], list), ([8], tuple), ([9], np.array), ([1, 2], np.array)], None))
+    def test_write_matches_the_map_join_reference(self, case):
+        codec, typed_rows, bad = case
+        rows = [kind(tokens) for tokens, kind in typed_rows]
+        if bad is not None:
+            at, token = bad
+            rows.insert(min(at, len(rows)), [1, token] if at % 2 else [token])
+        written = self._written(write_tokens, rows, codec)
+        assert written == self._written(reference_write_tokens, rows, codec)
+        assert (written[1] is None) == (bad is None)
 
 
 _FIELDS = st.one_of(
