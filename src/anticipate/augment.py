@@ -198,11 +198,15 @@ def augment_corpus(
 
     Copy 0..factor-1 each traverse the whole corpus, so the output is the
     stated composition of dataset copies. Deterministic for a given seed.
+    The copies' rests share one ``MAX_ADDED_ITEMS`` budget: the copy past it raises ``ValueError``.
     """
     config = config or AnticipationConfig()
     seqs = list(sequences)
+    rests = 0
     for copy_index, pattern in enumerate(policy.copy_patterns()):
         for sequence_index, seq in enumerate(seqs):
             rng = _rng_for(seed, copy_index, sequence_index)
             applied, interleaved = augment_sequence(seq, pattern, config, rng)
+            rests += len(interleaved) - len(seq)
+            _check_added(rests, "rests")
             yield AugmentedCopy(sequence_index, copy_index, applied, interleaved)

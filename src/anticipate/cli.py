@@ -5,14 +5,15 @@ One command with subcommands: ``ingest`` a MIDI directory, ``tokenize`` /
 ``augment`` a corpus, ``train-ngram`` a reference predictor, ``sample`` from
 it, ``evaluate`` log-loss, and ``golden`` for the built-in reference checks.
 
-Each option is declared, defaulted and checked once, in argparse. A flat
-``key=value`` config file (``--config``) may set any optional flag of its
-subcommand but ``--config`` and the required ``--model``: the key is the
-flag's name (``top_p`` or ``top-p``), an on/off flag takes a boolean word, and
-each value is checked as the flag would be. An explicit flag beats the config
-file, which beats the ``ANTICIPATE_SEED`` environment variable (the default of
-``--seed``), which beats the built-in default. Exit codes: 0 success, 1 usage
-error (including a bad config or environment value), 2 data error.
+Each subcommand is declared once, its parser binding its handler; each option
+is declared, defaulted and checked once, in argparse. A flat ``key=value``
+config file (``--config``) may set any optional flag of its subcommand but
+``--config`` and the required ``--model``: the key is the flag's name
+(``top_p`` or ``top-p``), an on/off flag takes a boolean word, and each value
+is checked as the flag would be. An explicit flag beats the config file, which
+beats the ``ANTICIPATE_SEED`` environment variable (the default of ``--seed``),
+which beats the built-in default. Exit codes: 0 success, 1 usage error
+(including a bad config or environment value), 2 data error.
 """
 
 from __future__ import annotations
@@ -63,16 +64,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, help_: str, handler) -> argparse.ArgumentParser:
         p = commands[name] = sub.add_parser(name, help=help_)
         p.add_argument("--config", default=None, help="flat key=value config file")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("ingest", "preprocess a directory of MIDI files into split event text")
+    p = add("ingest", "preprocess a directory of MIDI files into split event text", _cmd_ingest)
     p.add_argument("input_dir")
     p.add_argument("output_dir")
 
-    p = add("tokenize", "encode event text as tokens")
+    p = add("tokenize", "encode event text as tokens", _cmd_tokenize)
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("output", nargs="?", default="-")
     p.add_argument("--codec", choices=["arrival", "interarrival"], default="arrival")
@@ -83,25 +85,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--raw", action="store_true",
                    help="omit the per-sequence control code and separator preamble")
 
-    p = add("detokenize", "decode a token file back to event text")
+    p = add("detokenize", "decode a token file back to event text", _cmd_detokenize)
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("output", nargs="?", default="-")
     p.add_argument("--codec", choices=["arrival", "interarrival"], default=None,
                    help="expected codec; must match the file header")
 
-    p = add("densify", "insert rests so no inter-event gap exceeds the target")
+    p = add("densify", "insert rests so no inter-event gap exceeds the target", _cmd_densify)
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("output", nargs="?", default="-")
     p.add_argument("--target-density", type=float, default=AnticipationConfig.target_density,
                    help="maximum gap in seconds")
 
-    p = add("interleave", "anticipate C-tagged controls among plain events")
+    p = add("interleave", "anticipate C-tagged controls among plain events", _cmd_interleave)
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("output", nargs="?", default="-")
     p.add_argument("--delta", type=float, default=AnticipationConfig.delta,
                    help="anticipation interval in seconds")
 
-    p = add("augment", "emit interleaved training copies of an event corpus")
+    p = add("augment", "emit interleaved training copies of an event corpus", _cmd_augment)
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("output", nargs="?", default="-")
     p.add_argument("--factor", type=int, default=AugmentationPolicy.factor)
@@ -113,13 +115,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--pack", action="store_true",
                    help="emit packed training examples instead of sequence lines")
 
-    p = add("train-ngram", "count-train the reference n-gram on a token file")
+    p = add("train-ngram", "count-train the reference n-gram on a token file", _cmd_train_ngram)
     p.add_argument("input")
     p.add_argument("model")
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--alpha", type=float, default=0.01)
 
-    p = add("sample", "generate events, optionally conditioned on controls")
+    p = add("sample", "generate events, optionally conditioned on controls", _cmd_sample)
     p.add_argument("output", nargs="?", default="-")
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=["anticipatory", "baseline"], default="anticipatory")
@@ -131,12 +133,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", choices=["events", "midi"], default="events")
     p.add_argument("--no-grammar-mask", dest="grammar_mask", action="store_false")
 
-    p = add("evaluate", "cross-entropy of a model over a token file")
+    p = add("evaluate", "cross-entropy of a model over a token file", _cmd_evaluate)
     p.add_argument("input")
     p.add_argument("--model", required=True)
     p.add_argument("--report", default=None, help="also write the report to this path")
 
-    add("golden", "run the built-in reference checks")
+    add("golden", "run the built-in reference checks", _cmd_golden)
     return parser, commands
 
 
@@ -172,21 +174,15 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
 
 
 @contextmanager
-def _open_in(path: str):
-    if path == "-":
+def _open(path: str, mode: str = "r"):
+    """``path`` opened in ``mode``; ``-`` is stdin, or stdout (its byte buffer for ``"wb"``)."""
+    if path != "-":
+        with open(path, mode) as f:
+            yield f
+    elif mode == "r":
         yield sys.stdin
     else:
-        with open(path) as f:
-            yield f
-
-
-@contextmanager
-def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w") as f:
-            yield f
+        yield sys.stdout.buffer if "b" in mode else sys.stdout
 
 
 def _cmd_ingest(args) -> int:
@@ -197,7 +193,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_tokenize(args) -> int:
-    with _open_in(args.input) as f:
+    with _open(args.input) as f:
         sequences = read_events(f)
     if args.relativize:
         sequences = [_relativize_sequence(s) for s in sequences]
@@ -205,8 +201,7 @@ def _cmd_tokenize(args) -> int:
         if args.codec != "arrival":
             print("error: --pack requires the arrival codec", file=sys.stderr)
             return 1
-        result = pack_training_examples(sequences)
-        rows = [list(ex.tokens) for ex in result.examples]
+        rows = [ex.tokens for ex in pack_training_examples(sequences).examples]
     elif args.codec == "arrival":
         rows = [
             encode_arrival(s, z=None if args.raw else (AV.AAR if s.has_controls else AV.AR))
@@ -214,7 +209,7 @@ def _cmd_tokenize(args) -> int:
         ]
     else:
         rows = [encode_interarrival(s, leading_sep=not args.raw) for s in sequences]
-    with _open_out(args.output) as f:
+    with _open(args.output, "w") as f:
         write_tokens(f, rows, args.codec)
     return 0
 
@@ -228,18 +223,18 @@ def _decoded(codec: str, rows: list[list[int]]) -> list[InterleavedSequence]:
 
 
 def _cmd_detokenize(args) -> int:
-    with _open_in(args.input) as f:
+    with _open(args.input) as f:
         codec, rows = read_tokens(f)
     if args.codec is not None and args.codec != codec:
         raise TokenError(f"file holds {codec} tokens, --codec asked for {args.codec}")
-    with _open_out(args.output) as f:
+    with _open(args.output, "w") as f:
         write_events(f, _decoded(codec, rows))
     return 0
 
 
 def _read_plain(path: str, stage: str) -> list[EventSequence]:
     """The sequences of an event file for a stage that takes plain events only."""
-    with _open_in(path) as f:
+    with _open(path) as f:
         sequences = read_events(f)
     for i, seq in enumerate(sequences):
         if seq.has_controls:
@@ -250,19 +245,19 @@ def _read_plain(path: str, stage: str) -> list[EventSequence]:
 def _cmd_densify(args) -> int:
     config = AnticipationConfig(target_density=args.target_density)
     out = [densify(seq, config.density_units) for seq in _read_plain(args.input, "densify")]
-    with _open_out(args.output) as f:
+    with _open(args.output, "w") as f:
         write_events(f, out)
     return 0
 
 
 def _cmd_interleave(args) -> int:
     config = AnticipationConfig(delta=args.delta)
-    with _open_in(args.input) as f:
+    with _open(args.input) as f:
         sequences = read_events(f)
     out = [
         interleave(seq.events(), seq.controls(), config.delta_units) for seq in sequences
     ]
-    with _open_out(args.output) as f:
+    with _open(args.output, "w") as f:
         write_events(f, out)
     return 0
 
@@ -277,14 +272,13 @@ def _cmd_augment(args) -> int:
     if labels_path is None:
         labels_path = (args.output + ".labels") if args.output != "-" else "-"
     if args.pack:
-        result = pack_training_examples(c.interleaved for c in copies)
-        rows = [list(ex.tokens) for ex in result.examples]
+        rows = [ex.tokens for ex in pack_training_examples(c.interleaved for c in copies).examples]
     else:
         rows = [encode_arrival(c.interleaved) for c in copies]
-    with _open_out(args.output) as f:
+    with _open(args.output, "w") as f:
         write_tokens(f, rows, "arrival")
     if not args.pack and labels_path != args.output:
-        with _open_out(labels_path) as f:
+        with _open(labels_path, "w") as f:
             for c in copies:
                 f.write(f"{c.sequence_index}\t{c.copy_index}\t{c.pattern}\n")
     n_rest = sum(int((c.interleaved.columns[2] == REST).sum()) for c in copies)
@@ -297,7 +291,7 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_train_ngram(args) -> int:
-    with _open_in(args.input) as f:
+    with _open(args.input) as f:
         codec, rows = read_tokens(f)
     model = train_ngram(rows, args.order, args.alpha, CODEC_VOCABS[codec].SIZE)
     model.save(args.model)
@@ -309,7 +303,7 @@ def _cmd_sample(args) -> int:
     model = NGramModel.load(args.model)
     controls = EventSequence()
     if args.controls:
-        with _open_in(args.controls) as f:
+        with _open(args.controls) as f:
             # every item of every sequence, flags dropped, stably sorted by time
             columns = np.hstack([controls.columns, *(s.columns[:3] for s in read_events(f))])
         controls = EventSequence._of(columns[:, np.argsort(columns[0], kind="stable")])
@@ -328,18 +322,16 @@ def _cmd_sample(args) -> int:
         print("generation hit the token budget before a separator", file=sys.stderr)
     if args.out == "midi":
         data = write_midi(split_and_sort(result.sequence).without_rests())
-        if args.output == "-":
-            sys.stdout.buffer.write(data)
-        else:
-            Path(args.output).write_bytes(data)
+        with _open(args.output, "wb") as f:
+            f.write(data)
     else:
-        with _open_out(args.output) as f:
+        with _open(args.output, "w") as f:
             write_events(f, [result.sequence])
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    with _open_in(args.input) as f:
+    with _open(args.input) as f:
         codec, rows = read_tokens(f)
     model = NGramModel.load(args.model)
     vocab = CODEC_VOCABS[codec].SIZE
@@ -369,19 +361,6 @@ def _cmd_golden(args) -> int:
     return 0 if failed == 0 else 2
 
 
-_COMMANDS = {
-    "ingest": _cmd_ingest,
-    "tokenize": _cmd_tokenize,
-    "detokenize": _cmd_detokenize,
-    "densify": _cmd_densify,
-    "interleave": _cmd_interleave,
-    "augment": _cmd_augment,
-    "train-ngram": _cmd_train_ngram,
-    "sample": _cmd_sample,
-    "evaluate": _cmd_evaluate,
-    "golden": _cmd_golden,
-}
-
 
 def cli_dispatch(argv: list[str]) -> int:
     parser, commands = build_parser()
@@ -398,7 +377,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ValueError, TokenError, MidiParseError, ChannelCapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -150,7 +150,7 @@ class _Tables(NamedTuple):
     support: np.ndarray
     unigram: np.ndarray
     backoff_unigram: np.ndarray
-    terms: tuple[_LevelTerms | None, ...]
+    terms: list[_LevelTerms | None]
     unseen: float
     compact: np.ndarray
 
@@ -232,18 +232,15 @@ class NGramModel:
         unigram = np.full(len(support) + 1, alpha, dtype=np.float64)
         unigram[support.searchsorted(first.tokens)] += first.counts
         unigram /= int(first.totals.sum()) + alpha * vocab_size
-        # levels past the longest row share one object, and so one entry
-        built: dict[int, _LevelTerms] = {}
+        terms: list[_LevelTerms | None] = [None]
         for level in self._levels[1:]:
-            if id(level) not in built:
-                denom = level.totals + alpha * vocab_size
-                built[id(level)] = _LevelTerms(
-                    (1.0 - BACKOFF_WEIGHT) * (alpha / denom),
-                    support.searchsorted(level.tokens),
-                    (1.0 - BACKOFF_WEIGHT)
-                    * ((alpha + level.counts) / np.repeat(denom, np.diff(level.offsets))),
-                )
-        terms = (None, *(built[id(level)] for level in self._levels[1:]))
+            denom = level.totals + alpha * vocab_size
+            terms.append(_LevelTerms(
+                (1.0 - BACKOFF_WEIGHT) * (alpha / denom),
+                support.searchsorted(level.tokens),
+                (1.0 - BACKOFF_WEIGHT)
+                * ((alpha + level.counts) / np.repeat(denom, np.diff(level.offsets))),
+            ))
         unseen = (1.0 - BACKOFF_WEIGHT) * (alpha / (alpha * vocab_size))
         return _Tables(support, unigram, BACKOFF_WEIGHT * unigram, terms, unseen,
                        np.empty(len(support) + 1))

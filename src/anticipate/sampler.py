@@ -31,11 +31,11 @@ minimum time, the rule the tokenizer applies to every model context.
 Each slot samples from the predictor's distribution restricted to the
 slot's token ranges, cut from its support with two ``searchsorted`` calls
 per range. Nucleus sampling ranks the distinct probabilities as classes of
-equal tokens and draws a class, then a token in it by index. A slot's
-lowest value, its floor, is one class holding every token outside the
-support, so only support tokens above it are sorted: an n-gram slot is a
-floor under a few counted tokens. The full-width slot is built only for its
-sum, and not at all for a point mass.
+equal tokens and draws a class, then a token in it by index, on one path
+for every distribution. The slot's floor is the last class, holding every
+token outside the support, so only support tokens above it are sorted: an
+n-gram slot is a floor under a few counted tokens. The full-width slot is
+built only for its sum, and not at all for a point mass.
 """
 
 from __future__ import annotations
@@ -89,9 +89,10 @@ def nucleus_sample(dist: Distribution | np.ndarray, p: float, rng: np.random.Gen
     ``rng.random()`` picks a class and a token in it, as a stable argsort and
     ``Generator.choice`` over the dense vector would but for draws within
     rounding of a boundary. The classes are those of ``np.unique`` of that
-    vector, found by sorting only the support tokens above its minimum; the
-    minimum's tokens, every token outside the support among them, are the
-    last class. The total is the dense vector's own sum, bit for bit.
+    vector, found by sorting only the support tokens above the floor, the
+    lower of ``background`` and the least support value; the floor's tokens,
+    every token outside the support among them, are the last class. The
+    total is the dense vector's own sum, bit for bit.
     """
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
@@ -100,18 +101,14 @@ def nucleus_sample(dist: Distribution | np.ndarray, p: float, rng: np.random.Gen
     support, weights, background, width = dist.support, dist.values, dist.background, dist.size
     if background == 0 and len(support) == 1 and 0 < weights[0] < math.inf:
         return int(support[0])  # a point mass is the nucleus at any p
-    full = len(support) == width
-    if full:
-        slot = weights
-    else:  # the dense vector, built for its sum, which decides the cut
-        slot = np.full(width, background)
-        slot[support] = weights
+    slot = np.full(width, background)  # the dense vector, built for its sum, which decides the cut
+    slot[support] = weights
     total = slot.sum()
     if total <= 0 or not math.isfinite(total):
         raise ValueError("cannot sample from an all-zero or invalid distribution")
     x = p * total
-    floor = weights.min(initial=math.inf if full else background)
-    if floor < background and not full:  # tokens outside the support rank above the floor
+    floor = weights.min(initial=background)
+    if floor < background:  # tokens outside the support rank above the floor
         support, weights = np.arange(width), slot
     is_above = weights > floor
     above = support[is_above]

@@ -17,8 +17,8 @@ from anticipate.events import (
     _tagged, encode_note,
 )
 from anticipate.predictor import Distribution
-from anticipate.tokenizer import CONTEXT_LENGTH, TokenError, _outside_vocabulary, _token_texts
-from anticipate.vocab import ArrivalVocab as AV
+from anticipate.tokenizer import CONTEXT_LENGTH, TokenError, _outside_vocabulary
+from anticipate.vocab import CODEC_VOCABS, ArrivalVocab as AV
 
 # Hypothesis's pytest plugin imports this module when it reports a falsifying
 # example. It imports libcst, whose mypy_extensions warns DeprecationWarning;
@@ -154,7 +154,7 @@ def reference_unigram_level(rows) -> tuple[np.ndarray, np.ndarray]:
 def reference_write_tokens(f, rows, codec: str) -> None:
     """`tokenizer.write_tokens` with one ``map`` lookup per token, the join
     its ``itemgetter`` replaced."""
-    texts = _token_texts(codec)
+    texts = [str(t) for t in range(CODEC_VOCABS[codec].SIZE)]
     f.write(f"#codec={codec} vocab={len(texts)}\n")
     for i, row in enumerate(rows):
         if not len(row):

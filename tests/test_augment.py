@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from anticipate import augment
+from anticipate import augment, events
 from anticipate.anticipation import AnticipationConfig, densify, split_and_sort
 from anticipate.augment import (
     PATTERNS,
@@ -414,6 +414,23 @@ class TestAugmentCorpus:
         for copy in copies:
             encode_arrival(copy.interleaved)
         assert pack_training_examples(c.interleaved for c in copies).examples
+
+    def test_rests_of_the_whole_run_share_one_budget(self, rng, monkeypatch):
+        corpus = [canonical(random_events(rng, 40, max_gap=400, n_instruments=2))
+                  for _ in range(3)]
+        policy, config = AugmentationPolicy(factor=10), AnticipationConfig(target_density=1.0)
+        copies = list(augment_corpus(corpus, policy, 5, config))
+        added = np.cumsum([int((c.interleaved.columns[2] == REST).sum()) for c in copies])
+        budget = int(added[-1]) // 2
+        assert np.diff(added, prepend=0).max() <= budget  # no single copy passes it
+        crossing = int(added.searchsorted(budget, "right"))
+        monkeypatch.setattr(events, "MAX_ADDED_ITEMS", budget)
+        kept = []
+        with pytest.raises(ValueError, match=f"^{added[crossing]} rests asked for, "
+                                             f"over the budget of {budget}$"):
+            kept.extend(augment_corpus(corpus, policy, 5, config))
+        assert 0 < len(kept) == crossing < len(copies)
+        assert all(a == b for a, b in zip(kept, copies))
 
     def test_label_frequencies_match_weights(self, corpus):
         policy = AugmentationPolicy()

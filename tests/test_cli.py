@@ -285,6 +285,34 @@ def test_hostile_event_files_through_every_stage(tmp_path, small_model, stage, w
         assert "Traceback" not in proc.stderr
 
 
+# Ten events near 0 and ten near 10**8 units: each masked augment copy adds
+# 999 999 rests, within one call's budget, but two copies pass it.
+_FAR_APART = [f"{t + 10 * i} 5 60\n" for t in (0, 10**8) for i in range(10)]
+
+
+@pytest.mark.parametrize("stage, expected", [
+    (["tokenize"], 2),
+    (["tokenize", "--pack"], 0),
+    (["tokenize", "--codec", "interarrival"], 0),
+    (["densify"], 0),
+    (["interleave"], 0),
+    (["augment", "--factor", "10"], 2),
+    (["augment", "--factor", "10", "--pack"], 2),
+    (["augment", "--factor", "30", "--pack"], 2),
+    (["sample", "--controls"], 2),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+def test_rests_of_a_whole_augment_run_share_one_budget(tmp_path, small_model, stage, expected):
+    path = tmp_path / "far.txt"
+    path.write_text("".join(_FAR_APART))
+    argv = ([*stage, str(path), "--model", str(small_model), str(tmp_path / "out")]
+            if stage[0] == "sample" else [*stage, str(path), str(tmp_path / "out")])
+    proc = _limited_cli(argv)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if stage[0] == "augment":
+        assert proc.stderr == "error: 1999998 rests asked for, over the budget of 1048576\n"
+
+
 def test_sample_refuses_an_interarrival_model(tmp_path, twinkle_file, capsys):
     tokens, model, out = tmp_path / "twinkle.tok", tmp_path / "model.npz", tmp_path / "out.txt"
     assert run("tokenize", "--codec", "interarrival", str(twinkle_file), str(tokens)) == 0
@@ -335,6 +363,38 @@ class TestConfigValues:
         assert run("sample", "--model", str(model), option, value, "-") == 2
         field = option[2:].replace("-", "_")
         assert f"error: {field} must be" in capsys.readouterr().err
+
+
+class TestSampleMidi:
+    @pytest.fixture
+    def controls(self, tmp_path) -> Path:
+        path = tmp_path / "controls.txt"
+        with open(path, "w") as f:
+            write_events(f, [EventSequence(list(golden.twinkle_events())[:4])])
+        return path
+
+    def test_stdout_gets_the_bytes_a_file_gets(self, tmp_path, small_model, controls,
+                                               capsysbinary):
+        argv = ["sample", "--model", str(small_model), "--controls", str(controls),
+                "--max-tokens", "60", "--seed", "3", "--out", "midi"]
+        out = tmp_path / "gen.mid"
+        assert run(*argv, str(out)) == 0
+        capsysbinary.readouterr()
+        assert run(*argv, "-") == 0
+        data = capsysbinary.readouterr().out
+        assert data == out.read_bytes()
+        parse_midi(data)
+
+    def test_a_failing_midi_write_leaves_no_file(self, tmp_path, small_model, capsys):
+        # sixteen melodic instruments, one more than the channels carry
+        controls = tmp_path / "controls.txt"
+        controls.write_text("".join(f"{10 * i} 5 {128 * i + 60}\n" for i in range(16)))
+        out = tmp_path / "gen.mid"
+        assert run("sample", "--model", str(small_model), "--controls", str(controls),
+                   "--seed", "3", "--out", "midi", str(out)) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: more than 15 distinct non-drum instruments cannot share one file\n")
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -471,6 +531,12 @@ class TestConfigFile:
         config = tmp_path / "run.conf"
         config.write_text("volume=11\n")
         assert run("augment", "--config", str(config), str(corpus_file), "-") == 1
+
+    def test_the_bound_handler_is_no_config_key(self, tmp_path, corpus_file, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("handler=golden\n")
+        assert run("augment", "--config", str(config), str(corpus_file), "-") == 1
+        assert "unknown key 'handler'" in capsys.readouterr().err
 
     def test_seed_env_fallback(self, tmp_path, corpus_file, monkeypatch):
         a, b = tmp_path / "a.tok", tmp_path / "b.tok"

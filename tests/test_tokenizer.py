@@ -468,12 +468,22 @@ class TestTokenFile:
         ("arrival", [5, AV.SIZE], AV.SIZE),
         ("interarrival", [IV.SIZE, 0], IV.SIZE),
         ("interarrival", [-(2**70), 2**70], -(2**70)),
+        # a tuple of token texts padded to 2 * SIZE would read these as real texts
+        ("arrival", [7, -AV.SIZE - 1], -AV.SIZE - 1),
+        ("arrival", [-2 * AV.SIZE], -2 * AV.SIZE),
+        ("interarrival", [0, -2 * IV.SIZE + 5], -2 * IV.SIZE + 5),
     ])
     def test_write_refuses_out_of_vocabulary_tokens(self, codec, row, token):
         buf = io.StringIO()
         with pytest.raises(TokenError, match=f"row 1: token {token} outside the {codec} vocabulary"):
             write_tokens(buf, [[1, 2], row], codec)
         assert buf.getvalue().splitlines()[1:] == ["1 2"]
+
+    @pytest.mark.parametrize("row", [[2.5], [1, 2.5], ["7"], np.array([1.0, 2.0])])
+    def test_write_keeps_the_type_error_of_a_non_integer_token(self, row):
+        # a non-integer token is no token outside the vocabulary
+        with pytest.raises(TypeError):
+            write_tokens(io.StringIO(), [[1, 2], row], "arrival")
 
     @pytest.mark.parametrize("empty", [[], ()])
     def test_write_refuses_empty_rows(self, empty):
