@@ -231,13 +231,10 @@ class EventSequence(_Sequence):
     @staticmethod
     def _check(columns: np.ndarray) -> None:
         time = columns[0]
-        drops = np.flatnonzero(time[1:] < time[:-1])
-        if drops.size:
-            i = int(drops[0]) + 1
-            raise ValueError(
-                f"event times must be non-decreasing (index {i}: "
-                f"{time[i]} < {time[i - 1]})"
-            )
+        i = _first_drop(time, np.zeros_like(time))
+        if i is not None:
+            raise ValueError(f"event times must be non-decreasing (index {i}: "
+                             f"{time[i]} < {time[i - 1]})")
 
     def instruments(self) -> set[int]:
         """Distinct instrument codes present (rests carry no instrument)."""

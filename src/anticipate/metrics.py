@@ -143,7 +143,8 @@ def cross_entropy(
     mixes event, SEP and control tokens, or holds a code or any other
     out-of-slot token), raises ``TokenError`` before its row is scored, so
     every triple scored has the roles its slots give it. So does an arrival
-    row that is not whole triples. Positions follow any code. One tokenizer
+    row that is not whole triples, and a predictor whose ``vocab_size`` is not
+    the codec's, at the first row. Positions follow any code. One tokenizer
     call per row (``tokenizer._scored_row``) gives its code, tokens and roles.
     """
     report = LossReport(codec)
@@ -176,9 +177,9 @@ def _report_bits_per_second(report: LossReport, seconds: float) -> float:
     return bits_per_second(report.nats_per_token, stats)
 
 
-def format_report(report: LossReport, seconds: float | None = None) -> str:
-    """Render a loss report as a flat key=value block; with the ``seconds``
-    of the scored music it adds bits per second."""
+def format_report(report: LossReport, seconds: float) -> str:
+    """Render a loss report, with the bits per second over the ``seconds``
+    of the scored music, as a flat key=value block."""
     lines = [
         f"codec={report.codec}",
         f"events={report.n_events}",
@@ -195,18 +196,18 @@ def format_report(report: LossReport, seconds: float | None = None) -> str:
             f"ppl_duration={report.ppl_duration:.4f}",
             f"ppl_note={report.ppl_note:.4f}",
         ]
-    if seconds is not None:
-        lines += [
-            f"tokens={report.n_event_tokens}",
-            f"seconds={seconds:.2f}",
-            f"bits_per_second={_report_bits_per_second(report, seconds):.4f}",
-        ]
+    lines += [
+        f"tokens={report.n_event_tokens}",
+        f"seconds={seconds:.2f}",
+        f"bits_per_second={_report_bits_per_second(report, seconds):.4f}",
+    ]
     return "\n".join(lines)
 
 
-def report_row(report: LossReport, seconds: float | None = None) -> str:
-    """Render the report as one machine-readable tab-separated row."""
-    fields = [
+def report_row(report: LossReport, seconds: float) -> str:
+    """Render the report, bits per second last, as one machine-readable
+    tab-separated row."""
+    return "\t".join([
         report.codec,
         str(report.n_events),
         f"{report.nats_per_token:.6f}",
@@ -214,7 +215,5 @@ def report_row(report: LossReport, seconds: float | None = None) -> str:
         f"{report.ppl_time:.4f}",
         f"{report.ppl_duration:.4f}",
         f"{report.ppl_note:.4f}",
-    ]
-    if seconds is not None:
-        fields.append(f"{_report_bits_per_second(report, seconds):.4f}")
-    return "\t".join(fields)
+        f"{_report_bits_per_second(report, seconds):.4f}",
+    ])

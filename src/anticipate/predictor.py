@@ -12,10 +12,11 @@ the contract can be plugged into the samplers and metrics unchanged.
 
 The n-gram keeps its counts in arrays. For each context length it holds the
 sorted mixed-radix (base ``vocab_size``) int64 keys of the contexts seen and,
-per context, one row of successor tokens with their counts. A model file is
-a versioned ``.npz`` of those arrays, read with ``allow_pickle=False``, so
-loading one never executes code. Model files pickled by earlier versions are
-rejected with ``ModelFileError`` and must be retrained.
+per context, one row of successor tokens with their counts; ``totals`` is
+decoded from them on each read. A model file is a versioned ``.npz`` of those
+arrays, read with ``allow_pickle=False``, so loading one never executes code.
+Model files pickled by earlier versions are rejected with ``ModelFileError``
+and must be retrained.
 
 Distributions are computed over the model's support: the sorted union of the
 tokens counted at any context length (for a trained model, the tokens seen
@@ -35,7 +36,6 @@ import itertools
 import math
 import os
 import zipfile
-from collections.abc import Mapping
 from typing import Iterable, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -155,44 +155,12 @@ class _Tables(NamedTuple):
     compact: np.ndarray
 
 
-class _ContextTable(Mapping):
-    """Read-only view of one level: the number of tokens that followed each
-    context tuple."""
-
-    def __init__(self, level: _Level, length: int, vocab_size: int):
-        self._level = level
-        self._length = length
-        self._vocab_size = vocab_size
-
-    def __getitem__(self, context):
-        key = 0
-        for token in context:
-            if not 0 <= token < self._vocab_size:
-                raise KeyError(context)
-            key = key * self._vocab_size + int(token)
-        row = self._level.find(key) if len(context) == self._length else -1
-        if row < 0:
-            raise KeyError(context)
-        return int(self._level.totals[row])
-
-    def __iter__(self):
-        for key in self._level.keys.tolist():
-            context = []
-            for _ in range(self._length):
-                key, token = divmod(key, self._vocab_size)
-                context.append(token)
-            yield tuple(reversed(context))
-
-    def __len__(self) -> int:
-        return len(self._level.keys)
-
-
 class NGramModel:
     """Add-alpha smoothed n-gram with fixed-weight interpolation to lower orders.
 
-    The counts live in ``_levels``, one per context length. The one view
-    left, ``totals[k]``, maps a length-k context tuple to the number of tokens
-    that followed it; ``totals[0][()]`` is the number trained on.
+    The counts live in ``_levels``, one per context length. ``totals[k]``, decoded
+    from them on each read, maps each length-k context tuple seen to the number
+    of tokens that followed it; ``totals[0][()]`` is the number trained on.
     """
 
     def __init__(self, order: int, alpha: float, vocab_size: int,
@@ -201,8 +169,8 @@ class NGramModel:
             raise ValueError("order must be >= 1")
         if not 0 < alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
-        if vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
+        if not 1 <= vocab_size < KEY_LIMIT:
+            raise ValueError("vocab_size must be >= 1 and below 2**63 (int64 tokens)")
         # any vocab_size >= 2 passes 2**63 by order 64: never build a larger power
         if vocab_size > 1 and (order >= 64 or vocab_size ** order > KEY_LIMIT):
             raise ValueError(
@@ -220,8 +188,17 @@ class NGramModel:
 
     def _set_levels(self, levels: list[_Level]) -> None:
         self._levels = levels
-        self.totals = [_ContextTable(lv, k, self.vocab_size) for k, lv in enumerate(levels)]
         self._tables: _Tables | None = None
+
+    @property
+    def totals(self) -> list[dict[tuple[int, ...], int]]:
+        """Per context length, each context tuple seen and its row total, in
+        ascending key order; decoded on each read from the keys, whose base
+        ``vocab_size`` digits are the tokens, the oldest the most significant."""
+        powers = self.vocab_size ** np.arange(self.order - 1, -1, -1, dtype=np.int64)
+        return [dict(zip(map(tuple, (level.keys[:, None] // powers[self.order - k:]
+                                     % self.vocab_size).tolist()), level.totals.tolist()))
+                for k, level in enumerate(self._levels)]
 
     def _build_tables(self) -> _Tables:
         alpha, vocab_size = self.alpha, self.vocab_size

@@ -196,10 +196,15 @@ def _scored_row(row: Sequence[int], codec: str,
     """A row's control code (AR for an arrival row without one, None for
     interarrival), its tokens after the code, and each token's role: 0-2 its
     triple slot (time, duration, note; every interarrival token but SEP has
-    the time slot), 3 SEP, 4 control. Raises ``TokenError`` for an arrival
-    row that is not whole triples, then for a token outside ``[0, size)``,
-    then for the first arrival triple that ``decode_arrival`` calls malformed.
+    the time slot), 3 SEP, 4 control. Raises ``TokenError`` for a predictor
+    vocabulary ``size`` that is not the codec's, then for an arrival row that
+    is not whole triples, then for a token outside ``[0, size)``, then for
+    the first arrival triple that ``decode_arrival`` calls malformed.
     """
+    vocab = CODEC_VOCABS[codec]
+    if size != vocab.SIZE:
+        raise TokenError(
+            f"predictor vocabulary {size} does not match the {codec} vocabulary ({vocab.SIZE})")
     code, tokens = _arrival_body(row) if codec == "arrival" else (None, list(row))
     array = _token_array(tokens, size)
     outside = (array < 0) | (array >= size)
@@ -208,7 +213,7 @@ def _scored_row(row: Sequence[int], codec: str,
         raise TokenError(f"token {tokens[i]} at position {i} "
                          f"outside the predictor's vocabulary of size {size}")
     if codec != "arrival":
-        return None, tokens, np.where(array == CODEC_VOCABS[codec].SEP, 3, 0)
+        return None, tokens, np.where(array == vocab.SEP, 3, 0)
     _, _, _, sep, control, _, _, malformed = _classify_triples(tokens, array)
     if malformed is not None:
         raise malformed

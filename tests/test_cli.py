@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pickle
 import subprocess
@@ -18,7 +19,7 @@ from anticipate.eventio import read_events, write_events
 from anticipate.events import EventSequence
 from anticipate.midi import parse_midi, write_midi
 from anticipate.predictor import train_ngram
-from anticipate.tokenizer import encode_arrival, read_tokens
+from anticipate.tokenizer import encode_arrival, read_tokens, write_tokens
 from anticipate.vocab import ArrivalVocab as AV, InterarrivalVocab as IV
 
 from conftest import random_events
@@ -186,6 +187,71 @@ class TestDensifyInterleave:
         assert " R" in dense.read_text()
         assert run("augment", "--factor", "10", *pack, str(dense), str(tmp_path / "out")) == 0
 
+    @pytest.mark.parametrize("densified, inserted", [(False, 9), (True, 0)])
+    def test_augment_reports_only_the_rests_it_inserts(self, tmp_path, capsys, densified,
+                                                       inserted):
+        # rests that densify wrote are the input's, not inserted by augment
+        plain, dense = tmp_path / "plain.txt", tmp_path / "dense.txt"
+        plain.write_text("0 5 60\n1000 5 62\n")
+        assert run("densify", str(plain), str(dense)) == 0
+        assert dense.read_text().count(" R\n") == 9
+        capsys.readouterr()
+        source = dense if densified else plain
+        assert run("augment", "--factor", "10", str(source), str(tmp_path / "out.tok")) == 0
+        assert capsys.readouterr().err == (
+            f"emitted 10 copies of 1 sequences; {inserted} rest events inserted\n")
+
+
+def _written(write, rows, *args) -> str:
+    f = io.StringIO()
+    write(f, rows, *args)
+    return f.getvalue()
+
+
+_TWINKLE_TEXT = _written(write_events, [golden.twinkle_events()])
+
+# The five subcommands that read ``input`` and write ``output``, each with an
+# input and its usage line (whitespace collapsed), which must not change.
+_STREAM_COMMANDS = {
+    "tokenize": (
+        _TWINKLE_TEXT,
+        "[-h] [--config CONFIG] [--codec {arrival,interarrival}] [--relativize] [--pack] "
+        "[--raw] [input] [output]"),
+    "detokenize": (
+        _written(write_tokens, [encode_arrival(golden.twinkle_events(), z=AV.AR)], "arrival"),
+        "[-h] [--config CONFIG] [--codec {arrival,interarrival}] [input] [output]"),
+    "densify": (
+        "100 10 60\n200 10 60\n500 10 60\n",
+        "[-h] [--config CONFIG] [--target-density TARGET_DENSITY] [input] [output]"),
+    "interleave": (
+        "100 10 60\n300 10 60\n500 10 60\nC 700 10 48\n",
+        "[-h] [--config CONFIG] [--delta DELTA] [input] [output]"),
+    "augment": (
+        _TWINKLE_TEXT,
+        "[-h] [--config CONFIG] [--factor FACTOR] [--seed SEED] [--delta DELTA] "
+        "[--target-density TARGET_DENSITY] [--labels LABELS] [--pack] [input] [output]"),
+}
+
+
+@pytest.mark.parametrize("command", _STREAM_COMMANDS)
+def test_streams_default_to_stdin_and_stdout(tmp_path, monkeypatch, capsys, command):
+    text = _STREAM_COMMANDS[command][0]
+    source, target = tmp_path / "in.txt", tmp_path / "out.txt"
+    source.write_text(text)
+    assert run(command, str(source), str(target)) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    capsys.readouterr()
+    assert run(command) == 0
+    out = capsys.readouterr().out
+    assert out and out == target.read_text()
+
+
+@pytest.mark.parametrize("command", _STREAM_COMMANDS)
+def test_stream_commands_keep_their_usage_line(capsys, command):
+    assert run(command, "--help") == 0
+    usage = capsys.readouterr().out.partition("\n\n")[0]
+    assert " ".join(usage.split()) == f"usage: anticipate {command} {_STREAM_COMMANDS[command][1]}"
+
 
 # Runs the CLI under a 1 GiB address-space limit, which binds this child only.
 _LIMITED_CLI = """
@@ -323,6 +389,20 @@ def test_sample_refuses_an_interarrival_model(tmp_path, twinkle_file, capsys):
         f"error: predictor vocabulary {IV.SIZE} does not match the arrival vocabulary "
         f"({AV.SIZE})\n")
     assert not out.exists()
+
+
+def test_evaluate_refuses_a_model_of_the_other_codec(tmp_path, twinkle_file, capsys):
+    arrival, interarrival = tmp_path / "twinkle.tok", tmp_path / "twinkle.itok"
+    model, report = tmp_path / "model.npz", tmp_path / "report.txt"
+    assert run("tokenize", str(twinkle_file), str(arrival)) == 0
+    assert run("tokenize", "--codec", "interarrival", str(twinkle_file), str(interarrival)) == 0
+    assert run("train-ngram", "--order", "2", str(interarrival), str(model)) == 0
+    capsys.readouterr()
+    assert run("evaluate", "--model", str(model), str(arrival), "--report", str(report)) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: row 0: predictor vocabulary {IV.SIZE} does not match the arrival vocabulary "
+        f"({AV.SIZE})\n"))
+    assert not report.exists()
 
 
 class TestConfigValues:

@@ -157,6 +157,20 @@ def test_out_of_vocabulary_token_rejected_before_its_row(codec, size, token):
     assert len(recorder.calls) == len(good)  # the bad row is never scored
 
 
+@pytest.mark.parametrize("codec, size, other", [
+    ("arrival", IV.SIZE, AV.SIZE), ("interarrival", AV.SIZE, IV.SIZE),
+])
+def test_a_predictor_of_another_codec_is_refused_before_any_call(codec, size, other):
+    # unchecked, the other codec's rows would be scored and give a plausible loss
+    encode = encode_arrival if codec == "arrival" else encode_interarrival
+    recorder = _Recorder()
+    recorder.vocab_size = size
+    with pytest.raises(TokenError, match=rf"^row 0: predictor vocabulary {size} does not "
+                                         rf"match the {codec} vocabulary \({other}\)$"):
+        cross_entropy(recorder, [encode(golden.twinkle_events())], codec)
+    assert recorder.calls == []
+
+
 @pytest.mark.parametrize("triple", [
     (0, AV.SEP, AV.ANT_NOTE_BASE + 60),  # event, SEP and control
     (0, AV.DUR_BASE, AV.SEP),  # event and SEP

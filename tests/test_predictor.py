@@ -268,6 +268,36 @@ class TestNGram:
         with pytest.raises(ValueError, match="outside vocabulary"):
             train_ngram([[1, 2**70]], order=2, alpha=0.1, vocab_size=10)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2, 3, 12, 55_028, 2**31, 3_037_000_499, 2**62, 2**63 - 1])
+           | st.integers(1, 2**63 - 1))
+    def test_totals_decode_the_keys_of_every_accepted_vocabulary(self, data, vocab_size):
+        # up to the largest order whose keys fit int64: contexts of 62 binary tokens
+        top = 8
+        if vocab_size > 1:
+            top = 1
+            while vocab_size ** (top + 1) <= 2**63:
+                top += 1
+        order = data.draw(st.integers(1, top) | st.just(top))
+        token = st.integers(0, vocab_size - 1) | st.sampled_from([0, vocab_size - 1])
+        rows = data.draw(st.lists(st.lists(token, min_size=1, max_size=order + 1),
+                                  min_size=1, max_size=4))
+        model, reference = reference_pair(rows, order, 0.1, vocab_size)
+        totals = model.totals
+        assert totals == reference.totals
+        for table in totals:
+            assert type(table) is dict and list(table) == sorted(table)
+
+    def test_vocab_size_must_fit_int64(self):
+        for vocab_size in (0, 2**63, 2**70):
+            with pytest.raises(ValueError, match=r"^vocab_size must be >= 1 and below 2\*\*63"):
+                NGramModel(order=1, alpha=0.1, vocab_size=vocab_size)
+        with pytest.raises(ValueError, match=r"^vocab_size must be"):
+            train_ngram([[2**63 - 1, 0]], order=1, alpha=0.1, vocab_size=2**63)
+        model = train_ngram([[2**63 - 2, 0, 2**63 - 2]], order=1, alpha=0.1, vocab_size=2**63 - 1)
+        assert model.totals == [{(): 3}]
+        assert model.next_distribution(None, []).probability(2**63 - 2) > 0.0
+
     def test_total_token_count(self):
         model = train_ngram([[1, 2, 3], [4, 5]], order=3, alpha=0.1, vocab_size=10)
         assert model.totals[0].get((), 0) == 5
