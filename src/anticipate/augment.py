@@ -192,7 +192,7 @@ def augment_corpus(
     sequences: Iterable[EventSequence],
     policy: AugmentationPolicy,
     seed: int,
-    config: AnticipationConfig | None = None,
+    config: AnticipationConfig = AnticipationConfig(),
 ) -> Iterator[AugmentedCopy]:
     """Yield ``factor`` interleaved copies of every sequence, copy-major.
 
@@ -200,7 +200,6 @@ def augment_corpus(
     stated composition of dataset copies. Deterministic for a given seed.
     The copies' rests share one ``MAX_ADDED_ITEMS`` budget: the copy past it raises ``ValueError``.
     """
-    config = config or AnticipationConfig()
     seqs = list(sequences)
     rests = 0
     for copy_index, pattern in enumerate(policy.copy_patterns()):

@@ -35,7 +35,7 @@ from .corpus import preprocess_corpus
 from .eventio import read_events, write_events
 from .events import EventSequence, InterleavedSequence
 from .metrics import cross_entropy, format_report, report_row, total_seconds
-from .midi import ChannelCapacityError, MidiParseError, write_midi
+from .midi import write_midi
 from .predictor import NGramModel, train_ngram
 from .sampler import SamplerConfig, generate_anticipatory, generate_autoregressive_infill
 from .tokenizer import (
@@ -58,16 +58,15 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command parser and the parser of each subcommand, by name."""
+    """The command parser and the parser of each subcommand, by name (argparse's own map)."""
     parser = argparse.ArgumentParser(
         prog="anticipate",
         description="Event/control interleaving toolkit for symbolic music.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
 
     def add(name: str, help_: str, handler, streams: bool = False) -> argparse.ArgumentParser:
-        p = commands[name] = sub.add_parser(name, help=help_)
+        p = sub.add_parser(name, help=help_)
         if streams:
             p.add_argument("input", nargs="?", default="-")
             p.add_argument("output", nargs="?", default="-")
@@ -137,7 +136,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--report", default=None, help="also write the report to this path")
 
     add("golden", "run the built-in reference checks", _cmd_golden)
-    return parser, commands
+    return parser, sub.choices
 
 
 def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
@@ -331,8 +330,10 @@ def _cmd_sample(args) -> int:
 def _cmd_evaluate(args) -> int:
     with _open(args.input) as f:
         codec, rows = read_tokens(f)
-    model = NGramModel.load(args.model)
     seconds = total_seconds(_decoded(codec, rows))
+    if seconds <= 0:
+        raise TokenError(f"{args.input}: no music to score ({len(rows)} rows of 0 seconds)")
+    model = NGramModel.load(args.model)
     report = cross_entropy(model, rows, codec)
     text = format_report(report, seconds) + "\n" + report_row(report, seconds)
     print(text)
@@ -356,13 +357,13 @@ def _cmd_golden(args) -> int:
 
 
 def cli_dispatch(argv: list[str]) -> int:
-    parser, commands = build_parser()
+    parser, subparsers = build_parser()
     try:
         # The first pass finds the subcommand and its config file. The second
         # puts the config's flags ahead of the user's, with the seed's default
         # read from the environment: a seed flag or key beats a bad variable.
         args = parser.parse_args(argv)
-        command = commands[args.command]
+        command = subparsers[args.command]
         flags = _config_flags(args.config, command) if args.config else []
         if hasattr(args, "seed") and os.environ.get(SEED_ENV):
             command.set_defaults(seed=os.environ[SEED_ENV])
@@ -371,7 +372,7 @@ def cli_dispatch(argv: list[str]) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.handler(args)
-    except (ValueError, TokenError, MidiParseError, ChannelCapacityError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every data error is a ValueError subclass
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from typing import IO
 
 from .events import UNITS_PER_SECOND, EventSequence
 from .eventio import write_events
-from .midi import MidiParseError, parse_midi
+from .midi import parse_midi
 from .tokenizer import _relativize_sequence
 
 log = logging.getLogger(__name__)
@@ -127,7 +127,7 @@ def preprocess_corpus(directory: str | Path, out_dir: str | Path) -> CorpusManif
         split = split_for_digest(md5)
         try:
             seq = _relativize_sequence(parse_midi(data))
-        except (MidiParseError, ValueError) as exc:
+        except ValueError as exc:
             log.info("failed to parse %s: %s", path, exc)
             manifest.entries.append(ManifestEntry(file_id, md5, split, 0, 0.0, 0, "unparseable"))
             continue

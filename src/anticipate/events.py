@@ -322,8 +322,10 @@ class InterleavedSequence(_Sequence):
 
     @staticmethod
     def _check(columns: np.ndarray) -> None:
-        """Raise for the first item, in sequence order, earlier than the item
-        before it in its own stream, then for the first rest control."""
+        """Raise for the first flag other than 0 or 1, then the first item
+        earlier than the item before it in its own stream, then the first rest control."""
+        if (odd := columns[3] & ~1).any():
+            raise ValueError(f"control flags must be 0 or 1 (index {int(odd.nonzero()[0][0])})")
         i = _first_drop(columns[0], columns[3])
         if i is not None:
             kind = "control" if columns[3, i] else "plain event"

@@ -36,7 +36,8 @@ import itertools
 import math
 import os
 import zipfile
-from typing import Iterable, NamedTuple, Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -46,27 +47,23 @@ BACKOFF_WEIGHT = 0.4  # mass given to the next-lower order at each level
 MODEL_FORMAT_VERSION = 1
 KEY_LIMIT = 2**63  # n-gram keys are int64, so vocab_size ** order may not exceed this
 _STORED = ("keys", "offsets", "tokens", "counts")  # per-level arrays in a model file
-_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                       (2, 0): np.lib.format.read_array_header_2_0}
 
 
 class ModelFileError(ValueError):
     """A model file that is not a valid n-gram ``.npz`` of this format version."""
 
 
+@dataclass(slots=True, eq=False)
 class Distribution:
     """A distribution over ``size`` tokens: ``values[i]`` is the probability
     of token ``support[i]`` (int64, strictly ascending, in ``[0, size)``) and
     ``background`` that of every other token. ``np.asarray`` materializes
     the full vector."""
 
-    __slots__ = ("support", "values", "background", "size")
-
-    def __init__(self, support: np.ndarray, values: np.ndarray, background: float, size: int):
-        self.support = support
-        self.values = values
-        self.background = background
-        self.size = size
+    support: np.ndarray
+    values: np.ndarray
+    background: float
+    size: int
 
     @classmethod
     def dense(cls, probabilities: np.ndarray) -> "Distribution":
@@ -86,7 +83,6 @@ class Distribution:
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
-@runtime_checkable
 class Predictor(Protocol):
     """The next-token-distribution contract.
 
@@ -298,8 +294,8 @@ class NGramModel:
 def _read_npz(f, size: int) -> dict[str, np.ndarray]:
     """The arrays of an ``.npz`` archive of ``size`` bytes, without pickles.
 
-    Members must be stored uncompressed, as ``save`` writes them. Each
-    member's ``.npy`` header is read before its array, and together the
+    Members must be stored uncompressed in ``.npy`` format 1.0, as ``save``
+    writes them. Each header is read before its array, and together the
     arrays may declare no more bytes than the archive holds, so a forged
     header cannot make the reader allocate more memory than the file's size.
     """
@@ -312,9 +308,9 @@ def _read_npz(f, size: int) -> dict[str, np.ndarray]:
                 raise ValueError(f"{name}: compressed member")
             with archive.open(info) as member:
                 version = np.lib.format.read_magic(member)
-                if version not in _NPY_HEADER_READERS:
+                if version != (1, 0):
                     raise ValueError(f"{name}: unsupported .npy format version {version}")
-                shape, _, dtype = _NPY_HEADER_READERS[version](member)
+                shape, _, dtype = np.lib.format.read_array_header_1_0(member)
                 declared += math.prod(shape) * dtype.itemsize
                 if declared > size:
                     raise ValueError(f"{name}: arrays declare more than the file's {size} bytes")

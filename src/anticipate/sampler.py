@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anticipation import _check_seconds, next_anticipated_controls
+from .anticipation import AnticipationConfig, _check_seconds, next_anticipated_controls
 from .events import EventSequence, InterleavedSequence, _tagged
 from .predictor import Distribution, Predictor
 from .tokenizer import _arrival_triples, _decode_triple, _slot_ranges
@@ -54,7 +54,7 @@ from .vocab import ArrivalVocab as AV
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    delta: float = 5.0  # seconds
+    delta: float = AnticipationConfig.delta  # seconds
     top_p: float = 0.95
     max_tokens: int = 3069  # generated event/control tokens (whole triples)
     grammar_mask: bool = True
@@ -78,10 +78,9 @@ class GenerationResult:
     truncated: bool  # hit max_tokens before sampling a separator
 
 
-def nucleus_sample(dist: Distribution | np.ndarray, p: float, rng: np.random.Generator) -> int:
+def nucleus_sample(dist: Distribution, p: float, rng: np.random.Generator) -> int:
     """Sample from the smallest probability-sorted prefix with mass >= p.
 
-    ``dist`` is a ``Distribution`` or a dense array, read as full support.
     The prefix is renormalized; ``p = 1`` samples the full distribution but
     never a zero-mass token, and a token of mass >= p is returned without a
     draw. The prefix takes whole value classes, descending, then the first
@@ -96,8 +95,6 @@ def nucleus_sample(dist: Distribution | np.ndarray, p: float, rng: np.random.Gen
     """
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
-    if not isinstance(dist, Distribution):
-        dist = Distribution.dense(np.asarray(dist, dtype=np.float64))
     support, weights, background, width = dist.support, dist.values, dist.background, dist.size
     if background == 0 and len(support) == 1 and 0 < weights[0] < math.inf:
         return int(support[0])  # a point mass is the nucleus at any p

@@ -337,10 +337,6 @@ class TrainingExample:
         if (len(self.tokens) - 1) % 3:
             raise TokenError("training example body must be whole triples")
 
-    @property
-    def z(self) -> int:
-        return self.tokens[0]
-
     def __len__(self) -> int:
         return len(self.tokens)
 

@@ -61,6 +61,13 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "FAIL" not in out and "PASS" in out
 
+    def test_golden_names_a_failing_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(golden, "SCENARIO_C_ORDER", "eeeeeu")
+        assert run("golden") == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL interleave-dense: expected 'eeeeeu', got 'eeeuee'" in lines
+        assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} golden checks passed"
+
     def test_data_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("#codec=arrival vocab=55028\n1 2\n")
@@ -161,6 +168,24 @@ class TestTokenizeDetokenize:
         path = tmp_path / "mix.txt"
         path.write_text("100 10 60\nC 700 10 48\n")
         assert run("densify", str(path), "-") == 2
+
+    def test_interarrival_files_detokenize_and_evaluate(self, twinkle_file, tmp_path, capsys):
+        tokens, back, model = tmp_path / "t.itok", tmp_path / "back.txt", tmp_path / "m.npz"
+        assert run("tokenize", "--codec", "interarrival", str(twinkle_file), str(tokens)) == 0
+        assert run("detokenize", str(tokens), str(back)) == 0
+        assert back.read_text() == twinkle_file.read_text()
+        assert run("train-ngram", "--order", "2", str(tokens), str(model)) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--model", str(model), str(tokens)) == 0
+        out = capsys.readouterr().out
+        assert "codec=interarrival" in out and "seconds=7.95" in out
+
+    def test_pack_refuses_the_interarrival_codec(self, twinkle_file, tmp_path, capsys):
+        out = tmp_path / "packed.tok"
+        assert run("tokenize", "--pack", "--codec", "interarrival", str(twinkle_file),
+                   str(out)) == 1
+        assert capsys.readouterr().err == "error: --pack requires the arrival codec\n"
+        assert not out.exists()
 
 
 class TestDensifyInterleave:
@@ -405,6 +430,16 @@ def test_evaluate_refuses_a_model_of_the_other_codec(tmp_path, twinkle_file, cap
     assert not report.exists()
 
 
+@pytest.mark.parametrize("rows", ["", "0 10000 11060\n"], ids=["no rows", "zero seconds"])
+def test_evaluate_refuses_a_file_with_no_music(tmp_path, small_model, capsys, rows):
+    tokens, report = tmp_path / "empty.tok", tmp_path / "report.txt"
+    tokens.write_text("#codec=arrival vocab=55028\n" + rows)
+    assert run("evaluate", "--model", str(small_model), str(tokens), "--report", str(report)) == 2
+    assert capsys.readouterr() == ("", f"error: {tokens}: no music to score "
+                                       f"({rows.count(chr(10))} rows of 0 seconds)\n")
+    assert not report.exists()
+
+
 class TestConfigValues:
     @pytest.fixture
     def mix_file(self, tmp_path) -> Path:
@@ -464,6 +499,24 @@ class TestSampleMidi:
         data = capsysbinary.readouterr().out
         assert data == out.read_bytes()
         parse_midi(data)
+
+    def test_baseline_mode_writes_event_text(self, tmp_path, small_model, controls, capsys):
+        out = tmp_path / "gen.txt"
+        assert run("sample", "--mode", "baseline", "--model", str(small_model), "--controls",
+                   str(controls), "--max-tokens", "60", "--seed", "3", str(out)) == 0
+        with open(out) as f:
+            (sequence,) = read_events(f)
+        with open(controls) as f:
+            (given,) = read_events(f)
+        placed = sequence.controls()
+        assert len(sequence.events()) and list(placed) == list(given.events())[: len(placed)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_zero_budget_reports_the_truncation(self, tmp_path, small_model, twinkle_file,
+                                                capsys, seed):
+        assert run("sample", "--max-tokens", "0", "--controls", str(twinkle_file), "--model",
+                   str(small_model), "--seed", str(seed), str(tmp_path / "gen.txt")) == 0
+        assert capsys.readouterr().err == "generation hit the token budget before a separator\n"
 
     def test_a_failing_midi_write_leaves_no_file(self, tmp_path, small_model, capsys):
         # sixteen melodic instruments, one more than the channels carry

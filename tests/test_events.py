@@ -193,6 +193,20 @@ class TestEventSequence:
         seq = EventSequence([Event(0, 500, 60), Event(100, 10, 61)])
         assert seq.end_time == 500
 
+    @pytest.mark.parametrize("control", [False, True])
+    def test_a_reversed_slice_keeps_the_time_order(self, control):
+        def sequence(*times):
+            if control:
+                return InterleavedSequence(TaggedEvent(Event(t, 1, 60 + i), True)
+                                           for i, t in enumerate(times))
+            return EventSequence(Event(t, 1, 60 + i) for i, t in enumerate(times))
+
+        with pytest.raises(ValueError, match="times must be non-decreasing"):
+            sequence(0, 5)[::-1]
+        reversed_ = sequence(5, 5, 5)[::-1]
+        assert type(reversed_) is type(sequence())
+        assert reversed_.times() == [5, 5, 5] and reversed_.columns[2].tolist() == [62, 61, 60]
+
 
 class TestInterleavedSequence:
     def test_streams_checked_independently(self):
@@ -213,6 +227,22 @@ class TestInterleavedSequence:
     def test_has_controls(self):
         assert not InterleavedSequence([TaggedEvent(Event(0, 1, 60))]).has_controls
         assert InterleavedSequence([TaggedEvent(Event(0, 1, 60), control=True)]).has_controls
+
+    @pytest.mark.parametrize("flag", [2, -1])
+    def test_rejects_a_control_flag_other_than_zero_or_one(self, flag):
+        # the flag is checked before the time order: index 1 is also earlier
+        # than index 0 in a stream of its own
+        items = [TaggedEvent(Event(5, 10, 60), flag), TaggedEvent(Event(1, 10, 60), flag)]
+        with pytest.raises(ValueError, match=r"^control flags must be 0 or 1 \(index 0\)$"):
+            InterleavedSequence(items)
+        with pytest.raises(ValueError, match=r"^control flags must be 0 or 1 \(index 1\)$"):
+            InterleavedSequence([TaggedEvent(Event(0, 10, 60)), TaggedEvent(Event(0, 10, 60), flag)])
+
+    @pytest.mark.parametrize("flag", [True, 1, np.int64(1), False, 0])
+    def test_accepts_flags_of_zero_or_one(self, flag):
+        seq = InterleavedSequence([TaggedEvent(Event(0, 10, 60), flag)])
+        assert seq.has_controls == bool(flag)
+        assert seq.columns[3].tolist() == [int(flag)]
 
 
 def _read_outcome(read, text):

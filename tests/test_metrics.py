@@ -107,7 +107,7 @@ class TestCrossEntropy:
             [TaggedEvent(Event(i * 10, 1, 60), control=bool(i % 2)) for i in range(340)]
         )
         example = pack_training_examples([seq]).examples[0]
-        assert example.z == AV.AAR
+        assert example.tokens[0] == AV.AAR
         report = cross_entropy(UniformPredictor(AV.SIZE), [list(example.tokens)], "arrival")
         # z excluded; SEP triple and control triples bucketed separately
         assert report.n_sep_tokens == 3

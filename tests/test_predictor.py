@@ -628,9 +628,20 @@ class TestModelFile:
         with pytest.raises(ModelFileError, match="declare more than the file"):
             NGramModel.load(path)
 
+    def test_npy_format_2_member_is_refused(self, saved):
+        # save writes format 1.0; numpy moves to 2.0 only for headers over 64 KiB
+        _, path = saved
+        path.write_bytes(_edit_header(path.read_bytes(), "keys0.npy",
+                                      write=np.lib.format.write_array_header_2_0))
+        with pytest.raises(ModelFileError, match=r"keys0\.npy: unsupported \.npy format "
+                                                 r"version \(2, 0\)"):
+            NGramModel.load(path)
 
-def _edit_header(archive: bytes, member: str, **header) -> bytes:
-    """``archive`` with one ``.npy`` header's fields replaced, its data kept."""
+
+def _edit_header(archive: bytes, member: str, write=np.lib.format.write_array_header_1_0,
+                 **header) -> bytes:
+    """``archive`` with one ``.npy`` header's fields replaced and written by
+    ``write``, its data kept."""
     out = io.BytesIO()
     with zipfile.ZipFile(io.BytesIO(archive)) as old, zipfile.ZipFile(out, "w") as new:
         for name in old.namelist():
@@ -642,7 +653,7 @@ def _edit_header(archive: bytes, member: str, **header) -> bytes:
                 fields = {"descr": np.lib.format.dtype_to_descr(dtype),
                           "fortran_order": fortran_order, "shape": shape, **header}
                 edited = io.BytesIO()
-                np.lib.format.write_array_header_1_0(edited, fields)
+                write(edited, fields)
                 data = edited.getvalue() + f.read()
             new.writestr(name, data)
     return out.getvalue()

@@ -53,10 +53,10 @@ class TestNucleus:
         dist = np.zeros(10)
         dist[7] = 1.0
         for p in (0.05, 0.5, 1.0):
-            assert nucleus_sample(dist, p, rng) == 7
+            assert nucleus_sample(Distribution.dense(dist), p, rng) == 7
 
     def test_prefix_support_and_renormalization(self, rng):
-        dist = np.array([0.5, 0.3, 0.2])
+        dist = Distribution.dense(np.array([0.5, 0.3, 0.2]))
         draws = np.array([nucleus_sample(dist, 0.7, rng) for _ in range(20_000)])
         assert set(draws.tolist()) == {0, 1}
         # renormalized prefix of mass 0.8: probabilities 0.625 / 0.375
@@ -64,18 +64,18 @@ class TestNucleus:
         assert freq == pytest.approx(0.625, abs=0.02)
 
     def test_full_sampling_at_p_one(self, rng):
-        dist = np.full(4, 0.25)
+        dist = Distribution.dense(np.full(4, 0.25))
         draws = np.array([nucleus_sample(dist, 1.0, rng) for _ in range(10_000)])
         for token in range(4):
             assert (draws == token).mean() == pytest.approx(0.25, abs=0.02)
 
     def test_degenerate_distribution(self, rng):
         with pytest.raises(ValueError):
-            nucleus_sample(np.zeros(4), 0.9, rng)
+            nucleus_sample(Distribution.dense(np.zeros(4)), 0.9, rng)
 
     def test_invalid_p(self, rng):
         with pytest.raises(ValueError):
-            nucleus_sample(np.full(4, 0.25), 0.0, rng)
+            nucleus_sample(Distribution.dense(np.full(4, 0.25)), 0.0, rng)
 
     @pytest.mark.parametrize("dist, p", [
         ([0.25, 0.25, 0.25, 0.25], 1.0),
@@ -97,9 +97,10 @@ class TestNucleus:
         ranks = support.tolist()
         exact = [Fraction(str(dist[t])) for t in ranks]
         dyadic = all(Fraction(dist[t]) == w for t, w in zip(ranks, exact))
+        compact = Distribution.dense(np.asarray(dist, dtype=np.float64))
         for draw in (0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 0.875, np.nextafter(1.0, 0.0)):
             expected = _reference_nucleus_sample(dist, p, _FixedDraws(draw))
-            token = nucleus_sample(dist, p, _FixedDraws(draw))
+            token = nucleus_sample(compact, p, _FixedDraws(draw))
             assert dist[token] > 0
             if token != expected:
                 assert not dyadic and ranks.index(token) == ranks.index(expected) + 1, draw
@@ -113,7 +114,7 @@ class TestNucleus:
         with pytest.raises(ValueError, match="Probabilities are not non-negative"):
             _reference_nucleus_sample(dist, 1.0, rng)
         with pytest.raises(ValueError, match="nucleus weights must be non-negative"):
-            nucleus_sample(dist, 1.0, rng)
+            nucleus_sample(Distribution.dense(np.asarray(dist, dtype=np.float64)), 1.0, rng)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -133,11 +134,13 @@ class TestNucleus:
             p = _class_boundary(dist, data)
         dist = dist.astype(np.float32) if form == "float32" else dist
         dist = dist.tolist() if form == "list" else dist
+        compact = Distribution.dense(np.asarray(dist, dtype=np.float64))
         rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
         outcomes = []
-        for sample, rng in zip((_reference_nucleus_sample, nucleus_sample), rngs):
+        for sample, case, rng in zip((_reference_nucleus_sample, nucleus_sample), (dist, compact),
+                                     rngs):
             try:
-                outcomes.append(sample(dist, p, rng))
+                outcomes.append(sample(case, p, rng))
             except Exception as exc:
                 outcomes.append(type(exc))
         assert outcomes[1] == outcomes[0]

@@ -308,13 +308,13 @@ class TestPacking:
         result = pack_training_examples([seq])
         assert len(result.examples) == 1
         example = result.examples[0]
-        assert example.z == AV.AAR
+        assert example.tokens[0] == AV.AAR
         assert len(example) == 1024
         assert list(example.tokens[1:4]) == [AV.SEP] * 3
 
     def test_plain_window_starts_ar(self):
         result = pack_training_examples([_triples(340)])
-        assert result.examples[0].z == AV.AR
+        assert result.examples[0].tokens[0] == AV.AR
 
     def test_event_sequences_pack_as_interleaved_ones(self, rng):
         plain = [golden.twinkle_events()] * 30 + [random_events(rng, 200) for _ in range(5)]
@@ -328,7 +328,7 @@ class TestPacking:
         second = _triples(239, control=True)
         result = pack_training_examples([first, second])
         assert len(result.examples) == 1  # 1 + 100 + 1 + 239 = 341 triples
-        assert result.examples[0].z == AV.AR
+        assert result.examples[0].tokens[0] == AV.AR
 
     def test_window_relativized_to_first_event(self):
         seq = _triples(340, start=5_000)
@@ -409,7 +409,7 @@ class TestPacking:
                 chunk = owner_flags[341 * w : 341 * (w + 1)]
                 expected_flag = next((f for f in chunk if f is not None), None)
                 expected_z = AV.AAR if expected_flag else AV.AR
-                assert example.z == expected_z
+                assert example.tokens[0] == expected_z
 
     def test_window_leading_control_relativized_by_min_time(self):
         # A sequence may open with a control whose time is ahead of the
