@@ -52,16 +52,9 @@ class AugmentationPolicy:
                     f"factor {self.factor} x weight {weight} for {pattern} is not integral"
                 )
 
-    def composition(self) -> dict[str, int]:
-        """Copies per pattern; values sum to the augmentation factor."""
-        return {p: round(w * self.factor) for p, w in zip(PATTERNS, WEIGHTS)}
-
     def copy_patterns(self) -> list[str]:
         """The pattern of each dataset copy, in copy-index order."""
-        out: list[str] = []
-        for pattern, count in self.composition().items():
-            out.extend([pattern] * count)
-        return out
+        return [p for p, w in zip(PATTERNS, WEIGHTS) for _ in range(round(w * self.factor))]
 
 
 def draw_span_starts(total_seconds: float, length: float, rng: np.random.Generator) -> list[float]:

@@ -190,14 +190,14 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_tokenize(args) -> int:
+    if args.pack and args.codec != "arrival":
+        print("error: --pack requires the arrival codec", file=sys.stderr)
+        return 1
     with _open(args.input) as f:
         sequences = read_events(f)
     if args.relativize:
         sequences = [_relativize_sequence(s) for s in sequences]
     if args.pack:
-        if args.codec != "arrival":
-            print("error: --pack requires the arrival codec", file=sys.stderr)
-            return 1
         rows = [ex.tokens for ex in pack_training_examples(sequences).examples]
     elif args.codec == "arrival":
         rows = [

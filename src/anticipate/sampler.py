@@ -11,7 +11,7 @@ looks only at what has already been generated, the loop reproduces the
 offline interleaving exactly when the predictor replays a known event
 stream. The baseline cannot look ahead (lookahead 0): it inserts the
 controls the event's time has reached before the event, writing them into
-the history as ordinary events. When generation terminates the unconsumed
+the history as ordinary events. At a separator or the budget, the unconsumed
 controls are appended so the result remains lossless for the split/sort
 inverse. Before any predictor call, a predictor whose vocabulary is not the
 arrival vocabulary is refused, then tagging the controls refuses a rest and
@@ -20,13 +20,13 @@ the triple encoder a time past the token range, naming the control's index.
 Generation works at event granularity with absolute times. Every placed
 item is written once, in placement order, into one int64 buffer with rows
 time, duration, note and control flag, doubled in width when full; the
-result is a copy of its filled columns. The token context fed to the
-predictor is the most recent whole triples that fit, led by a separator
-while the start of generation is visible. Until the window slides it grows
-by the tokens just sampled (a rest's duration token read as zero) and by
-slices of the controls' triples, encoded once per session; once the window
-slides past the start it is re-encoded from the buffer, relativized by its
-minimum time, the rule the tokenizer applies to every model context.
+result is its filled columns and the unreleased controls. The token context
+fed to the predictor is the most recent whole triples that fit, led by a
+separator while the start of generation is visible. Until the window slides
+it grows by the tokens just sampled (a rest's duration token read as zero)
+and by slices of the controls' triples, encoded once per session; once the
+window slides past the start it is re-encoded from the buffer, relativized
+by its minimum time, the rule the tokenizer applies to every model context.
 
 Each slot samples from the predictor's distribution restricted to the
 slot's token ranges, cut from its support with two ``searchsorted`` calls
@@ -56,7 +56,7 @@ from .vocab import ArrivalVocab as AV
 class SamplerConfig:
     delta: float = AnticipationConfig.delta  # seconds
     top_p: float = 0.95
-    max_tokens: int = 3069  # generated event/control tokens (whole triples)
+    max_tokens: int = 3069  # tokens of the items placed while sampling, not the controls appended
     grammar_mask: bool = True
     seed: int | None = None
 
@@ -75,7 +75,7 @@ class SamplerConfig:
 @dataclass
 class GenerationResult:
     sequence: InterleavedSequence
-    truncated: bool  # hit max_tokens before sampling a separator
+    truncated: bool  # hit max_tokens before sampling a separator; still holds every control
 
 
 def nucleus_sample(dist: Distribution, p: float, rng: np.random.Generator) -> int:
@@ -261,16 +261,13 @@ def _generate(
     tokens, offset = [AV.SEP, AV.SEP, AV.SEP], 0
     cursor = 0
     last_time: int | None = None
-    truncated = False
-    while True:
-        if 3 * (n + 1) > config.max_tokens:
-            truncated = True
-            break
+    truncated = True
+    while 3 * (n + 1) <= config.max_tokens:
         sampled_event = _sample_event(predictor, z, tokens, offset, last_time, rng, config)
         if sampled_event is None:
+            truncated = False
             break
         event, event_tokens = sampled_event
-        released = cursor
         due, cursor = next_anticipated_controls(controls, cursor, event[0], lookahead)
         k = len(due)
         while n + k + 1 > buffer.shape[1]:
@@ -282,17 +279,13 @@ def _generate(
             buffer[3, controls_at : controls_at + k] = 1
         n += k + 1
         if n < capacity:  # the window has not slid: append the new triples
-            due_tokens = control_tokens[3 * released : 3 * cursor]
+            due_tokens = control_tokens[3 * (cursor - k) : 3 * cursor]
             tokens.extend(event_tokens + due_tokens if anticipate else due_tokens + event_tokens)
         else:
             tokens, offset = _context_after(buffer, n, capacity, not anticipate)
         last_time = event[0]
-    columns = buffer[:, :n]
-    if not truncated:
-        # Terminated at a separator: append the never-released controls so
-        # the interleaving stays lossless.
-        columns = np.hstack([columns, _tagged(controls[cursor:], True)])
-    return GenerationResult(InterleavedSequence._of(columns.copy()), truncated)
+    columns = np.hstack([buffer[:, :n], _tagged(controls[cursor:], True)])  # lossless on any exit
+    return GenerationResult(InterleavedSequence._of(columns), truncated)
 
 
 def generate_anticipatory(

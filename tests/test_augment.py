@@ -40,9 +40,10 @@ def canonical(seq: EventSequence) -> EventSequence:
 
 class TestPolicy:
     def test_default_composition(self):
-        policy = AugmentationPolicy()
-        assert policy.composition() == {"none": 3, "span": 3, "instrument": 12, "random": 12}
-        assert sum(policy.composition().values()) == 30
+        patterns = AugmentationPolicy().copy_patterns()
+        assert {p: patterns.count(p) for p in PATTERNS} == {
+            "none": 3, "span": 3, "instrument": 12, "random": 12}
+        assert len(patterns) == 30
 
     def test_copy_patterns_order(self):
         patterns = AugmentationPolicy(factor=10).copy_patterns()

@@ -180,12 +180,21 @@ class TestTokenizeDetokenize:
         out = capsys.readouterr().out
         assert "codec=interarrival" in out and "seconds=7.95" in out
 
-    def test_pack_refuses_the_interarrival_codec(self, twinkle_file, tmp_path, capsys):
+    def test_pack_refuses_the_interarrival_codec(self, twinkle_file, tmp_path, monkeypatch,
+                                                 capsys):
+        # refused before the input is read, so a malformed file gives the usage error too
+        bad = tmp_path / "bad.txt"
+        bad.write_text("not an event line\n")
         out = tmp_path / "packed.tok"
-        assert run("tokenize", "--pack", "--codec", "interarrival", str(twinkle_file),
-                   str(out)) == 1
-        assert capsys.readouterr().err == "error: --pack requires the arrival codec\n"
-        assert not out.exists()
+        for source in (twinkle_file, bad):
+            assert run("tokenize", "--pack", "--codec", "interarrival", str(source),
+                       str(out)) == 1
+            assert capsys.readouterr().err == "error: --pack requires the arrival codec\n"
+            assert not out.exists()
+        stdin = io.StringIO("0 10 60\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run("tokenize", "--pack", "--codec", "interarrival", "-", str(out)) == 1
+        assert stdin.tell() == 0  # standard input is left unread
 
 
 class TestDensifyInterleave:
@@ -517,6 +526,9 @@ class TestSampleMidi:
         assert run("sample", "--max-tokens", "0", "--controls", str(twinkle_file), "--model",
                    str(small_model), "--seed", str(seed), str(tmp_path / "gen.txt")) == 0
         assert capsys.readouterr().err == "generation hit the token budget before a separator\n"
+        # the notes of every control, and no sampled event, are in the file
+        lines = (tmp_path / "gen.txt").read_text().splitlines()
+        assert len(lines) == 14 and all(line.startswith("C ") for line in lines)
 
     def test_a_failing_midi_write_leaves_no_file(self, tmp_path, small_model, capsys):
         # sixteen melodic instruments, one more than the channels carry
@@ -718,6 +730,7 @@ class TestConfigChecks:
         ("sample", "mode=anticipatry", "argument --mode: invalid choice: 'anticipatry'"),
         ("augment", "factor=x", "argument --factor: invalid int value: 'x'"),
         ("augment", "pack=maybe", "config key pack: expected a boolean, got 'maybe'"),
+        ("augment", "# a comment, then a blank line\n\nfactor 10", "run.conf:3: expected key=value"),
     ])
     def test_bad_value_is_a_usage_error(self, tmp_path, twinkle_file, model_file, capsys,
                                         command, text, message):

@@ -133,6 +133,13 @@ class TestEvent:
         with pytest.raises(ValueError):
             Event(10, 5, REST)
 
+    def test_rest_has_no_instrument_or_pitch(self):
+        rest = Event(0, 0, REST)
+        with pytest.raises(ValueError, match="^rest events have no instrument$"):
+            rest.instrument
+        with pytest.raises(ValueError, match="^rest events have no pitch$"):
+            rest.pitch
+
     def test_duration_cap(self):
         with pytest.raises(ValueError):
             Event(0, 1000, 60)
@@ -237,6 +244,10 @@ class TestInterleavedSequence:
             InterleavedSequence(items)
         with pytest.raises(ValueError, match=r"^control flags must be 0 or 1 \(index 1\)$"):
             InterleavedSequence([TaggedEvent(Event(0, 10, 60)), TaggedEvent(Event(0, 10, 60), flag)])
+
+    def test_rejects_a_flag_past_64_bits(self):
+        with pytest.raises(ValueError, match="^event fields must fit in 64 bits"):
+            InterleavedSequence([TaggedEvent(Event(0, 1, 60), 2**64)])
 
     @pytest.mark.parametrize("flag", [True, 1, np.int64(1), False, 0])
     def test_accepts_flags_of_zero_or_one(self, flag):

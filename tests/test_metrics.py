@@ -376,8 +376,18 @@ class TestBitsPerSecond:
         with pytest.raises(ValueError):
             bits_per_second(1.0, CorpusStats(10, 0.0))
 
+    def test_negative_loss_and_counts_rejected(self):
+        with pytest.raises(ValueError, match="^loss must be non-negative$"):
+            bits_per_second(-0.1, CorpusStats(10, 1.0))
+        with pytest.raises(ValueError, match="^counts must be non-negative$"):
+            CorpusStats(-1, 1.0)
+
 
 class TestCorpusStats:
+    def test_unknown_codec_rejected(self):
+        with pytest.raises(ValueError, match="^unknown codec 'midi'$"):
+            corpus_stats([golden.twinkle_events()], "midi")
+
     def test_twinkle_arrival_counts(self):
         twinkle = golden.twinkle_events()
         assert corpus_stats([twinkle], "arrival").token_count == 42

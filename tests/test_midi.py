@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from anticipate import golden
 from anticipate.corpus import (
     MANIFEST_HEADER,
+    ManifestEntry,
     check_sequence,
     preprocess_corpus,
     split_for_digest,
@@ -205,6 +206,15 @@ class TestParseErrors:
         with pytest.raises(MidiParseError, match="invalid SMPTE division") as err:
             parse_midi(smf([track([(0, note_on(0, 60)), (1, note_off(0, 60))])], division=division))
         assert err.value.offset == 12
+
+    @pytest.mark.parametrize("data, message", [
+        (b"MThd" + (5).to_bytes(4, "big") + bytes(5), "bad header length 5 (byte offset 4)"),
+        (smf([track([TEMPO_120])], division=0), "zero ticks per quarter note (byte offset 12)"),
+        (smf([track([(0, bytes([0xF1]))])]), "unsupported status byte 0xf1 (byte offset 23)"),
+    ])
+    def test_refused_header_fields_and_status_bytes(self, data, message):
+        with pytest.raises(MidiParseError, match=f"^{re.escape(message)}$"):
+            parse_midi(data)
 
     def test_data_byte_with_top_bit_set(self):
         # a corrupted note-on pitch byte (182) once escaped as a bare ValueError
@@ -709,6 +719,10 @@ class TestSplits:
         assert split_for_digest("e" + "0" * 31) == "valid"
         assert split_for_digest("f" + "0" * 31) == "test"
 
+    def test_non_hex_digest_rejected(self):
+        with pytest.raises(ValueError, match="^not a hex digest: 'zz'$"):
+            split_for_digest("zz")
+
     def test_expected_proportions(self, rng):
         import hashlib
 
@@ -807,6 +821,14 @@ class TestPreprocess:
             digest = hashlib.md5((corpus_dir / entry.file_id).read_bytes()).hexdigest()
             assert entry.md5 == digest
             assert entry.split == split_for_digest(digest)
+
+    def test_a_directory_named_like_a_midi_file_is_unreadable(self, corpus_dir, tmp_path):
+        before = preprocess_corpus(corpus_dir, tmp_path / "before")
+        (corpus_dir / "fake.mid").mkdir()
+        after = preprocess_corpus(corpus_dir, tmp_path / "after")
+        assert [e for e in after.entries if e.file_id != "fake.mid"] == before.entries
+        assert [e for e in after.entries if e.file_id == "fake.mid"] == [
+            ManifestEntry("fake.mid", "-", "-", 0, 0.0, 0, "unreadable")]
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(OSError):

@@ -637,6 +637,15 @@ class TestModelFile:
                                                  r"version \(2, 0\)"):
             NGramModel.load(path)
 
+    def test_compressed_members_are_refused(self, saved):
+        _, path = saved
+        with np.load(path) as data:
+            arrays = dict(data.items())
+        with open(path, "wb") as f:
+            np.savez_compressed(f, **arrays)
+        with pytest.raises(ModelFileError, match=r"\.npy: compressed member"):
+            NGramModel.load(path)
+
 
 def _edit_header(archive: bytes, member: str, write=np.lib.format.write_array_header_1_0,
                  **header) -> bytes:
@@ -877,6 +886,14 @@ class TestBridge:
                 with pytest.raises(PredictorProtocolError, match="exited or was stopped"):
                     model.next_distribution(None, [])
 
+    def test_a_child_that_exits_without_replying(self):
+        script = "import sys; sys.stdin.readline()"
+        with ExternalPredictor([sys.executable, "-c", script], vocab_size=8) as model:
+            with pytest.raises(PredictorProtocolError, match="closed its output stream$"):
+                model.next_distribution(None, [])
+            with pytest.raises(PredictorProtocolError, match="has exited or was stopped"):
+                model.next_distribution(None, [])
+
     def test_timeout(self):
         script = "import sys, time; sys.stdin.readline(); time.sleep(10)"
         model = ExternalPredictor([sys.executable, "-c", script], vocab_size=8, timeout=0.3)
@@ -1016,10 +1033,11 @@ class TestBridge:
                 assert model.next_distribution(AV.AR, []).probability(0) == 1
 
     def test_serve_survives_malformed_requests(self):
-        requests = io.StringIO("CTX\nCTX 5 x\nHELLO\nCTX - 1 2\n")
+        requests = io.StringIO("CTX\n\nCTX 5 x\n  \nHELLO\nCTX - 1 2\n")  # blank lines are skipped
         replies = io.StringIO()
         serve(UniformPredictor(4), requests, replies)
         lines = replies.getvalue().splitlines()
+        assert len(lines) == 4
         assert lines[:3] == ["ERR malformed request", "ERR malformed request",
                              "ERR unknown request"]
         assert np.asarray(parse_response(lines[3], vocab_size=4)).tolist() == [0.25] * 4

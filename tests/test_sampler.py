@@ -612,7 +612,7 @@ class TestStripControls:
 
 @pytest.mark.parametrize("kwargs, field", [
     ({"delta": float("inf")}, "delta"), ({"delta": float("nan")}, "delta"),
-    ({"delta": 1e17}, "delta"), ({"max_tokens": -5}, "max_tokens"),
+    ({"delta": 1e17}, "delta"), ({"max_tokens": -5}, "max_tokens"), ({"top_p": 0}, "top_p"),
 ])
 def test_config_rejects_nonfinite_huge_and_negative(kwargs, field):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -669,6 +669,25 @@ def test_predictor_outside_the_arrival_vocabulary_refused_before_any_call(genera
     with pytest.raises(ValueError, match=message):
         generate(predictor, EventSequence([Event(10, 1, 60)]), SamplerConfig(seed=0))
     assert predictor.contexts == []
+
+
+@functools.cache
+def _twinkle_ngram():
+    rows = [encode_arrival(golden.twinkle_events(), z=AV.AR)]
+    return train_ngram(rows, order=3, alpha=0.01, vocab_size=AV.SIZE)
+
+
+@pytest.mark.parametrize("generate", [generate_anticipatory, generate_autoregressive_infill])
+@pytest.mark.parametrize("max_tokens", [0, 3, 30])
+def test_every_control_is_kept_when_the_budget_runs_out(generate, max_tokens):
+    # the budget bounds the sampled items; the unreleased controls follow them
+    melody = golden.twinkle_events()
+    config = SamplerConfig(max_tokens=max_tokens, seed=0)
+    result = generate(_twinkle_ngram(), melody, config)
+    assert result.sequence.controls() == melody
+    assert len(result.sequence.events()) <= max_tokens // 3
+    if not max_tokens:
+        assert result.truncated  # no budget even for the separator's draw
 
 
 def test_unmasked_time_before_the_previous_event_fails_loudly():
@@ -765,8 +784,7 @@ def _reference_generate(predictor, controls, config, z, anticipate) -> Generatio
             items.append(item)
             context.push(item)
         last_time = event.time
-    if not truncated:
-        items.extend(TaggedEvent(c, control=True) for c in controls[cursor:])
+    items.extend(TaggedEvent(c, control=True) for c in controls[cursor:])
     return GenerationResult(unchecked_interleaved(items), truncated)
 
 

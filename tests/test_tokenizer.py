@@ -312,6 +312,11 @@ class TestPacking:
         assert len(example) == 1024
         assert list(example.tokens[1:4]) == [AV.SEP] * 3
 
+    @pytest.mark.parametrize("context_length", [1, 5])
+    def test_context_length_must_hold_whole_triples(self, context_length):
+        with pytest.raises(ValueError, match=r"^context_length must be 1 \+ a multiple of 3$"):
+            pack_training_examples([], context_length=context_length)
+
     def test_plain_window_starts_ar(self):
         result = pack_training_examples([_triples(340)])
         assert result.examples[0].tokens[0] == AV.AR
