@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .events import EventSequence, InterleavedSequence, UNITS_PER_SECOND
 from .predictor import Predictor
-from .tokenizer import TokenError, _scored_row, encode_interarrival
+from .tokenizer import TokenError, _codec_vocab, _scored_row, encode_interarrival
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,14 @@ def corpus_stats(
 ) -> CorpusStats:
     """The event tokens a codec scores in whole-sequence rows (3 per plain
     item under arrival, controls excluded), and their ``total_seconds``."""
+    _codec_vocab(codec)  # refuses a name that is not a codec
     sequences = list(sequences)
     tokens = 0
     for seq in sequences:
         if codec == "arrival":
             tokens += 3 * len(seq.events() if isinstance(seq, InterleavedSequence) else seq)
-        elif codec == "interarrival":
-            tokens += len(encode_interarrival(seq))
         else:
-            raise ValueError(f"unknown codec {codec!r}")
+            tokens += len(encode_interarrival(seq))
     return CorpusStats(tokens, total_seconds(sequences), codec)
 
 
@@ -144,9 +143,11 @@ def cross_entropy(
     out-of-slot token), raises ``TokenError`` before its row is scored, so
     every triple scored has the roles its slots give it. So does an arrival
     row that is not whole triples, and a predictor whose ``vocab_size`` is not
-    the codec's, at the first row. Positions follow any code. One tokenizer
+    the codec's, at the first row; a name that is not a codec raises
+    ``ValueError`` before any row. Positions follow any code. One tokenizer
     call per row (``tokenizer._scored_row``) gives its code, tokens and roles.
     """
+    _codec_vocab(codec)
     report = LossReport(codec)
     nats_by_role = [0.0] * 5  # by role: time, duration, note, SEP, control
     count_by_role = [0] * 5

@@ -175,6 +175,8 @@ class NGramModel:
             )
         if not math.isfinite(alpha * vocab_size):  # every denominator adds it
             raise ValueError(f"alpha * vocab_size must be finite, got {alpha} * {vocab_size}")
+        if context_length < 1:
+            raise ValueError(f"context_length must be >= 1, got {context_length}")
         self.order = order
         self.alpha = alpha
         self.vocab_size = vocab_size

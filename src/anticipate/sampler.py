@@ -32,10 +32,10 @@ Each slot samples from the predictor's distribution restricted to the
 slot's token ranges, cut from its support with two ``searchsorted`` calls
 per range. Nucleus sampling ranks the distinct probabilities as classes of
 equal tokens and draws a class, then a token in it by index, on one path
-for every distribution. The slot's floor is the last class, holding every
-token outside the support, so only support tokens above it are sorted: an
-n-gram slot is a floor under a few counted tokens. The full-width slot is
-built only for its sum, and not at all for a point mass.
+for every distribution. The classes come from the support's values and the
+background alone, whose class holds every token outside the support, so no
+array as wide as the slot is built: an n-gram slot is a background under a
+few counted tokens. Each draw is one ``Generator.random()``.
 """
 
 from __future__ import annotations
@@ -79,73 +79,50 @@ class GenerationResult:
 
 
 def nucleus_sample(dist: Distribution, p: float, rng: np.random.Generator) -> int:
-    """Sample from the smallest probability-sorted prefix with mass >= p.
+    """Sample from the smallest probability-ranked prefix with mass >= p.
 
-    The prefix is renormalized; ``p = 1`` samples the full distribution but
-    never a zero-mass token, and a token of mass >= p is returned without a
-    draw. The prefix takes whole value classes, descending, then the first
-    tokens by index of the class that reaches ``p`` of the total. One
-    ``rng.random()`` picks a class and a token in it, as a stable argsort and
-    ``Generator.choice`` over the dense vector would but for draws within
-    rounding of a boundary. The classes are those of ``np.unique`` of that
-    vector, found by sorting only the support tokens above the floor, the
-    lower of ``background`` and the least support value; the floor's tokens,
-    every token outside the support among them, are the last class. The
-    total is the dense vector's own sum, bit for bit.
+    A class is a distinct probability with its token count: each support
+    token has its value and every other token ``background``. A class's mass
+    is its value times its count; the total and the running masses sum these
+    in descending class order. With ``x = p * total`` the prefix takes whole
+    classes, then the first ``ceil((x - mass before) / value)`` tokens by
+    index, at least one and at most all, of the class that reaches ``x``. A
+    one-token prefix is returned without a draw; otherwise one
+    ``rng.random()`` times the prefix mass picks a class by the running
+    masses and a token in it by rank. So ``p = 1`` never samples a zero-mass
+    token. A negative or non-finite probability anywhere, or a zero total,
+    raises ``ValueError``.
     """
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
-    support, weights, background, width = dist.support, dist.values, dist.background, dist.size
+    support, weights, background = dist.support, dist.values, dist.background
     if background == 0 and len(support) == 1 and 0 < weights[0] < math.inf:
         return int(support[0])  # a point mass is the nucleus at any p
-    slot = np.full(width, background)  # the dense vector, built for its sum, which decides the cut
-    slot[support] = weights
-    total = slot.sum()
-    if total <= 0 or not math.isfinite(total):
-        raise ValueError("cannot sample from an all-zero or invalid distribution")
-    x = p * total
-    floor = weights.min(initial=background)
-    if floor < background:  # tokens outside the support rank above the floor
-        support, weights = np.arange(width), slot
-    is_above = weights > floor
-    above = support[is_above]
-    upper = weights[is_above]
-    if len(upper):
-        top = int(upper.argmax())
-        if upper[top] >= x:
-            return int(above[top])  # the nucleus is a single token
-    elif floor >= x:
-        return 0  # every token holds the floor
-    # The value classes, descending: the tokens above the slot's floor
-    # ranked, then one token standing for the floor's class.
-    ranked = np.concatenate((np.sort(upper)[::-1], (floor,)))
-    edges = np.flatnonzero(np.concatenate(((True,), ranked[1:] != ranked[:-1], (True,))))
-    values = ranked[edges[:-1]]
-    counts = edges[1:] - edges[:-1]
-    counts[-1] = width - len(above)
-    positive = len(values) if floor > 0 else int((values > 0).sum())
+    outside = dist.size - len(support)  # the background's tokens
+    values, counts = np.unique(np.append(weights, background) if outside else weights,
+                               return_counts=True)
+    if len(values) and (values[0] < 0 or not math.isfinite(values[-1])):
+        raise ValueError("nucleus weights must be non-negative numbers")
+    if outside:
+        counts[values.searchsorted(background)] += outside - 1
+    values, counts = values[::-1], counts[::-1]  # the classes, descending
     mass = np.concatenate(([0.0], (values * counts).cumsum()))  # before each class
-    cut = min(int(mass.searchsorted(x, "left")), positive) - 1
-    share = min((x - mass[cut]) / values[cut], counts[cut])  # the cut class's tokens
-    # A negative weight, or x within the running sum's rounding error of a
-    # token boundary with mass after it: that sum over the sorted tokens cuts.
-    near = abs(share - round(share)) * values[cut] < width * total * 2.0**-52 < mass[-1] - x
-    if floor < 0 or near:
-        ranked = np.repeat(values, counts)  # the whole slot, sorted descending
-        end = min(int(ranked.cumsum().searchsorted(x, "left")), len(ranked) - 1)
-        if ranked[end] < 0:
-            raise ValueError("nucleus weights must be non-negative numbers")
-        cut = min(int((values > ranked[end]).sum()), positive - 1)
-        share = end + 1 - counts[:cut].sum()
-    counts[cut] = min(max(math.ceil(share), 1), counts[cut])  # its tokens in the prefix
-    mass[cut + 1] = mass[cut] + counts[cut] * values[cut]
-    drawn = rng.random() * mass[cut + 1]
-    group = int(mass[1 : cut + 1].searchsorted(drawn, "right"))
-    rank = min(int((drawn - mass[group]) / values[group]), counts[group] - 1)
-    if group < len(values) - 1:
-        return int(above[upper == values[group]][rank])
-    # the floor class: its rank-th token is the rank-th index not above the floor
-    return rank + int((above - np.arange(len(above))).searchsorted(rank, "right"))
+    if not 0 < mass[-1] < math.inf:
+        raise ValueError("cannot sample from an all-zero or invalid distribution")
+    x = p * mass[-1]
+    cut = int(mass[1:].searchsorted(x))  # the class that reaches x
+    counts[cut] = max(math.ceil(min((x - mass[cut]) / values[cut], counts[cut])), 1)
+    group = rank = 0  # a one-token prefix
+    if cut or counts[0] > 1:
+        drawn = rng.random() * (mass[cut] + counts[cut] * values[cut])
+        group = int(mass[1 : cut + 1].searchsorted(drawn, "right"))
+        rank = min(int((drawn - mass[group]) / values[group]), counts[group] - 1)
+    if values[group] != background:
+        return int(support[weights == values[group]][rank])
+    # the background's class: its rank-th token is the rank-th index held by
+    # no support token of another value
+    other = support[weights != background]
+    return rank + int((other - np.arange(len(other))).searchsorted(rank, "right"))
 
 
 def _slot_distribution(dist: Distribution, ranges: tuple[tuple[int, int], ...]) -> Distribution:

@@ -411,7 +411,15 @@ _HEADER_RE = re.compile(r"#codec=(arrival|interarrival)\s+vocab=(\d+)")
 @functools.cache
 def _token_texts(codec: str) -> tuple[str, ...]:
     """``str(t)`` for every token ``t`` of the codec's vocabulary, indexed by ``t``."""
-    return tuple(str(t) for t in range(CODEC_VOCABS[codec].SIZE))
+    return tuple(str(t) for t in range(_codec_vocab(codec).SIZE))
+
+
+def _codec_vocab(codec: str):
+    """The vocabulary of ``codec``; a name that is not a codec raises ``ValueError``."""
+    try:
+        return CODEC_VOCABS[codec]
+    except KeyError:
+        raise ValueError(f"unknown codec {codec!r}") from None
 
 
 def _outside_vocabulary(where: str, row: Sequence[int], codec: str) -> TokenError:

@@ -7,6 +7,7 @@ covers structural round-trip properties with smaller examples.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -165,6 +166,38 @@ def reference_write_tokens(f, rows, codec: str) -> None:
             f.write(" ".join(map(texts.__getitem__, row)) + "\n")
         except IndexError:
             raise _outside_vocabulary(f"row {i}", row, codec) from None
+
+
+def reference_nucleus_sample(dense, p, rng) -> int:
+    """`sampler.nucleus_sample`'s rule applied literally to the dense vector:
+    the tokens ranked by a stable argsort, descending, and the value classes
+    and their counts from ``np.unique``. The prefix is the ranked tokens of
+    the whole classes before the one that reaches ``p`` of the total, then
+    the clamped ``ceil`` count of that class's; one draw over the prefix
+    mass picks a class by its running mass, then a token in it by rank."""
+    if not 0 < p <= 1:
+        raise ValueError("p must be in (0, 1]")
+    dense = np.asarray(dense, dtype=np.float64)
+    if (dense < 0).any() or not np.isfinite(dense).all():
+        raise ValueError("nucleus weights must be non-negative numbers")
+    values, counts = (a[::-1] for a in np.unique(dense, return_counts=True))
+    mass = (values * counts).cumsum()  # after each class
+    if not 0 < mass[-1] < math.inf:
+        raise ValueError("cannot sample from an all-zero or invalid distribution")
+    x = p * mass[-1]
+    cut = int(np.searchsorted(mass, x, side="left"))
+    before = mass[cut - 1] if cut else 0.0
+    take = int(np.clip(np.ceil((x - before) / values[cut]), 1, counts[cut]))
+    ranked = np.argsort(-dense, kind="stable")
+    sizes = np.append(counts[:cut], take)  # each prefix class's tokens
+    if sizes.sum() == 1:
+        return int(ranked[0])
+    ends = np.append(mass[:cut], before + take * values[cut])  # the prefix's running masses
+    drawn = rng.random() * ends[-1]
+    group = int(np.searchsorted(ends[:-1], drawn, side="right"))
+    start = ends[group - 1] if group else 0.0
+    rank = min(int((drawn - start) / values[group]), sizes[group] - 1)
+    return int(ranked[sizes[:group].sum() + rank])
 
 
 def event_sort_key(event: Event):

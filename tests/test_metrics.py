@@ -388,6 +388,14 @@ class TestCorpusStats:
         with pytest.raises(ValueError, match="^unknown codec 'midi'$"):
             corpus_stats([golden.twinkle_events()], "midi")
 
+    def test_unknown_codec_rejected_by_cross_entropy(self):
+        recorder = _Recorder()
+        recorder.vocab_size = AV.SIZE
+        for rows in ([encode_arrival(golden.twinkle_events())], []):
+            with pytest.raises(ValueError, match="^unknown codec 'midi'$"):
+                cross_entropy(recorder, rows, "midi")
+        assert recorder.calls == []
+
     def test_twinkle_arrival_counts(self):
         twinkle = golden.twinkle_events()
         assert corpus_stats([twinkle], "arrival").token_count == 42

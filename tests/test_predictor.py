@@ -7,6 +7,7 @@ import gc
 import io
 import math
 import pickle
+import re
 import sys
 import time
 import zipfile
@@ -212,6 +213,13 @@ class TestNGram:
             NGramModel(order=0, alpha=0.1, vocab_size=10)
         with pytest.raises(ValueError):
             NGramModel(order=2, alpha=0.0, vocab_size=10)
+
+    @pytest.mark.parametrize("context_length", [0, -5])
+    def test_context_length_below_one_refused(self, context_length):
+        # it would look back a negative number of tokens
+        message = f"^context_length must be >= 1, got {context_length}$"
+        with pytest.raises(ValueError, match=message):
+            NGramModel(order=2, alpha=0.1, vocab_size=10, context_length=context_length)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=0, exclude_min=True, allow_infinity=False),
@@ -567,6 +575,14 @@ class TestModelFile:
         _, path = saved  # 20 tokens: 1e307 * 20 is inf
         self.rewrite(path, alpha=np.float64(1e307))
         with pytest.raises(ModelFileError, match="alpha \\* vocab_size must be finite"):
+            NGramModel.load(path)
+
+    @pytest.mark.parametrize("context_length", [0, -5])
+    def test_context_length_below_one(self, saved, context_length):
+        _, path = saved
+        self.rewrite(path, context_length=np.int64(context_length))
+        message = f"^{re.escape(str(path))}: context_length must be >= 1"
+        with pytest.raises(ModelFileError, match=message):
             NGramModel.load(path)
 
     def test_wrong_version(self, saved):

@@ -6,7 +6,6 @@ from __future__ import annotations
 import copy
 import functools
 from collections import deque
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from anticipate.vocab import ArrivalVocab as AV, InterarrivalVocab as IV
 
 from conftest import (
     UniformPredictor, event_sort_key, random_controls, random_events, reference_event_triple,
-    unchecked_interleaved,
+    reference_nucleus_sample, unchecked_interleaved,
 )
 
 
@@ -77,44 +76,74 @@ class TestNucleus:
         with pytest.raises(ValueError):
             nucleus_sample(Distribution.dense(np.full(4, 0.25)), 0.0, rng)
 
-    @pytest.mark.parametrize("dist, p", [
-        ([0.25, 0.25, 0.25, 0.25], 1.0),
-        ([0.125, 0.5, 0.125, 0.25], 1.0),
-        ([0.1] * 10, 1.0),
-        ([0.1] * 10, 0.95),
-        ([0.3, 0.1, 0.3, 0.2, 0.1], 0.9),
-        ([0.5, 0.0, 0.5, 0.0], 1.0),
-        # 0.5 + 0.2 + 0.2 runs to 0.8999999999999999 < 0.9 = p * total, so
-        # the running sum takes the 0.1 too, where 0.5 + 2 * 0.2 would not
-        ([0.2, 0.5, 0.1, 0.2], 0.9),
+    @pytest.mark.parametrize("dist, p, nucleus", [
+        ([0.25, 0.25, 0.25, 0.25], 1.0, [0, 1, 2, 3]),
+        ([0.125, 0.5, 0.125, 0.25], 1.0, [1, 3, 0, 2]),
+        ([0.1] * 10, 1.0, list(range(10))),
+        ([0.1] * 10, 0.95, list(range(10))),
+        ([0.3, 0.1, 0.3, 0.2, 0.1], 0.9, [0, 2, 3, 1]),
+        ([0.5, 0.0, 0.5, 0.0], 1.0, [0, 2]),
+        # the classes 0.5 and 2 * 0.2 reach 0.9 = p * total, so the 0.1 is
+        # left out, where a running sum over the tokens, 0.8999999999999999
+        # after the second 0.2, took it too
+        ([0.2, 0.5, 0.1, 0.2], 0.9, [1, 0, 3]),
     ])
-    def test_draws_on_cumulative_boundaries_match_choice(self, dist, p):
+    def test_draws_on_cumulative_boundaries_match_the_reference(self, dist, p, nucleus):
         # Draws exactly on the renormalized cumulative weights, and the
-        # largest draw below 1, pick what Generator.choice picks, and never
-        # a zero-mass token. Only a draw exactly on a boundary of decimal
-        # weights that binary sums round may pick the rank past it instead.
-        support, _ = _reference_nucleus(dist, p)
-        ranks = support.tolist()
-        exact = [Fraction(str(dist[t])) for t in ranks]
-        dyadic = all(Fraction(dist[t]) == w for t, w in zip(ranks, exact))
+        # largest draw below 1, pick what the reference picks, in the nucleus
+        # (ranked descending, ties by index): the first draw its first token,
+        # the largest its last, so never a token after it.
         compact = Distribution.dense(np.asarray(dist, dtype=np.float64))
-        for draw in (0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 0.875, np.nextafter(1.0, 0.0)):
-            expected = _reference_nucleus_sample(dist, p, _FixedDraws(draw))
-            token = nucleus_sample(compact, p, _FixedDraws(draw))
-            assert dist[token] > 0
-            if token != expected:
-                assert not dyadic and ranks.index(token) == ranks.index(expected) + 1, draw
-                assert Fraction(draw) * sum(exact) == sum(exact[: ranks.index(token)]), draw
+        draws = (0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 0.875, np.nextafter(1.0, 0.0))
+        tokens = [nucleus_sample(compact, p, _FixedDraws(draw)) for draw in draws]
+        assert tokens == [reference_nucleus_sample(dist, p, _FixedDraws(draw)) for draw in draws]
+        assert tokens[0] == nucleus[0] and tokens[-1] == nucleus[-1]
+        assert set(tokens) <= set(nucleus)
 
-    def test_negative_weight_in_the_nucleus_is_rejected(self, rng):
-        # the total is positive, but the running sum of the sorted values
-        # (0.6, 1.0, 1.2, 1.4, 1.2) is not monotone, and the cut-off lands
-        # on the negative weight, which Generator.choice rejected
-        dist = [-0.2, 0.2, 0.2, 0.6, 0.4]
-        with pytest.raises(ValueError, match="Probabilities are not non-negative"):
-            _reference_nucleus_sample(dist, 1.0, rng)
-        with pytest.raises(ValueError, match="nucleus weights must be non-negative"):
-            nucleus_sample(Distribution.dense(np.asarray(dist, dtype=np.float64)), 1.0, rng)
+    @pytest.mark.parametrize("dist, p", [
+        # a negative weight in the nucleus, under a positive total
+        (Distribution.dense(np.array([-0.2, 0.2, 0.2, 0.6, 0.4])), 1.0),
+        # a weight outside the nucleus, or the background of tokens outside it
+        (Distribution.dense(np.array([0.5, 0.5, -0.1])), 0.5),
+        (Distribution.dense(np.array([0.5, 0.5, np.nan])), 0.5),
+        (Distribution.dense(np.array([0.9, 0.1, -np.inf, 0.0])), 0.5),
+        (Distribution(np.array([2]), np.array([0.9]), -1e-3, 5), 0.5),
+        (Distribution(np.array([2]), np.array([0.9]), np.nan, 5), 0.5),
+        (Distribution(np.array([1, 3]), np.array([0.9, np.inf]), 0.01, 5), 0.5),
+    ])
+    def test_negative_or_nonfinite_weight_anywhere_is_rejected(self, dist, p, rng):
+        for sample, case in ((reference_nucleus_sample, np.asarray(dist)), (nucleus_sample, dist)):
+            with pytest.raises(ValueError, match="nucleus weights must be non-negative"):
+                sample(case, p, rng)
+
+    @pytest.mark.parametrize("width", [*range(1, 41), 16_513])
+    def test_p_on_a_running_mass_stops_at_that_class(self, width):
+        # An n-gram slot's shape, a background under a few support values,
+        # from integer weights summing to a power of two and scaled by it:
+        # every class mass, running mass and the total 1 are exact, so p is
+        # exactly the running mass of each class in turn. The largest draw
+        # then picks that class's last token by index, and one step of p past
+        # it the next class's first token.
+        data = np.random.default_rng(width)
+        support = np.sort(data.choice(width, size=int(data.integers(1, min(width, 12) + 1)),
+                                      replace=False))
+        weights = data.integers(1, 7, size=len(support))  # 1 ties with the background
+        rest = width - len(support) + int(weights[1:].sum())
+        scale = 1 << rest.bit_length()  # a power of two above the rest
+        weights[0] = scale - rest
+        dist = Distribution(support, weights / scale, 1 / scale, width)
+        dense = np.asarray(dist)
+        values = np.unique(dense)[::-1]
+        last = np.nextafter(1.0, 0.0)
+        running = np.cumsum([v * (dense == v).sum() for v in values])
+        assert running[-1] == 1.0
+        for value, p, after in zip(values, running, [*values[1:], None]):
+            tokens = np.flatnonzero(dense == value)
+            for sample, case in ((nucleus_sample, dist), (reference_nucleus_sample, dense)):
+                assert sample(case, p, _FixedDraws(last)) == tokens[-1]
+                if after is not None:
+                    first = np.flatnonzero(dense == after)[0]
+                    assert sample(case, np.nextafter(p, 2.0), _FixedDraws(last)) == first
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -125,19 +154,19 @@ class TestNucleus:
         p=st.one_of(st.sampled_from([0.5, 0.9, 0.95, 1.0]), st.floats(0, 1, exclude_min=True)),
         form=st.sampled_from(["float64", "float32", "list"]),
     )
-    def test_matches_argsort_and_choice(self, seed, width, kind, p, form):
-        # the same token and the same generator state as ranking by a stable
-        # argsort and drawing with Generator.choice, or the same error type
+    def test_matches_the_reference_on_dense_cases(self, seed, width, kind, p, form):
+        # the same token and the same generator state as the rule applied
+        # to the dense vector, or the same error type
         data = np.random.default_rng(seed)
         dist = _nucleus_case(data, width, kind)
-        if kind == "ngram":  # p on a class boundary, where class sums and a running sum round
+        if kind == "ngram":  # p on a class boundary
             p = _class_boundary(dist, data)
         dist = dist.astype(np.float32) if form == "float32" else dist
         dist = dist.tolist() if form == "list" else dist
         compact = Distribution.dense(np.asarray(dist, dtype=np.float64))
         rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
         outcomes = []
-        for sample, case, rng in zip((_reference_nucleus_sample, nucleus_sample), (dist, compact),
+        for sample, case, rng in zip((reference_nucleus_sample, nucleus_sample), (dist, compact),
                                      rngs):
             try:
                 outcomes.append(sample(case, p, rng))
@@ -182,7 +211,7 @@ class TestNucleus:
         assert np.array_equal(np.asarray(dist), dense, equal_nan=True)
         rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
         outcomes = []
-        for sample, case, rng in zip((_reference_nucleus_sample, nucleus_sample), (dense, dist),
+        for sample, case, rng in zip((reference_nucleus_sample, nucleus_sample), (dense, dist),
                                      rngs):
             try:
                 outcomes.append(sample(case, p, rng))
@@ -232,12 +261,11 @@ def _class_boundary(dist: np.ndarray, rng: np.random.Generator) -> float:
     value classes, descending."""
     values, counts = (a[::-1] for a in np.unique(dist, return_counts=True))
     mass = (values * counts).cumsum()
-    return min(float(mass[rng.integers(len(mass))] / dist.sum()), 1.0)
+    return min(float(mass[rng.integers(len(mass))] / mass[-1]), 1.0)
 
 
 class _FixedDraws(np.random.Generator):
-    """A generator whose ``random()`` returns the given draws in turn;
-    ``Generator.choice`` draws through it too."""
+    """A generator whose ``random()`` returns the given draws in turn."""
 
     def __init__(self, *draws: float):
         super().__init__(np.random.PCG64(0))
@@ -245,33 +273,6 @@ class _FixedDraws(np.random.Generator):
 
     def random(self, *args, **kwargs):
         return self.draws.pop(0)
-
-
-def _reference_nucleus_sample(dist, p, rng) -> int:
-    """``nucleus_sample`` as it ranked tokens with a stable argsort and drew
-    with ``Generator.choice``."""
-    support, weights = _reference_nucleus(dist, p)
-    if len(support) == 1:
-        return int(support[0])
-    return int(support[rng.choice(len(support), p=weights / weights.sum())])
-
-
-def _reference_nucleus(dist, p) -> tuple[np.ndarray, np.ndarray]:
-    """The reference's nucleus: its tokens in rank order, and their weights."""
-    if not 0 < p <= 1:
-        raise ValueError("p must be in (0, 1]")
-    dist = np.asarray(dist, dtype=np.float64)
-    total = dist.sum()
-    if total <= 0 or not np.isfinite(total):
-        raise ValueError("cannot sample from an all-zero or invalid distribution")
-    top = int(np.argmax(dist))
-    if dist[top] >= p * total:
-        return np.array([top]), np.ones(1)
-    order = np.argsort(-dist, kind="stable")
-    cumulative = np.cumsum(dist[order])
-    cutoff = min(int(np.searchsorted(cumulative, p * total, side="left")), len(order) - 1)
-    support = order[: cutoff + 1]
-    return support, dist[support] / cumulative[cutoff]
 
 
 def _nucleus_case(rng: np.random.Generator, width: int, kind: str) -> np.ndarray:
@@ -319,11 +320,11 @@ def _nucleus_case(rng: np.random.Generator, width: int, kind: str) -> np.ndarray
     return rng.normal(rng.uniform(-0.5, 1), 1, width)  # mixed signs
 
 
-def test_augmented_ngram_sessions_match_the_choice_reference(monkeypatch):
+def test_augmented_ngram_sessions_match_the_reference(monkeypatch):
     # An order-3 n-gram trained on augmented rows gives slots of the bench's
     # shape: a few support values over one background class. Twenty seeded
-    # sessions of each mode place the same items as with the argsort and
-    # Generator.choice reference patched in.
+    # sessions of each mode place the same items as with the reference rule
+    # on the dense slot patched in.
     rng = np.random.default_rng(23)
     corpus = [random_events(rng, 80, max_gap=120, avoid_note_overlap=True) for _ in range(8)]
     copies = augment_corpus(corpus, AugmentationPolicy(factor=10), seed=1)
@@ -338,7 +339,8 @@ def test_augmented_ngram_sessions_match_the_choice_reference(monkeypatch):
                 for seed in range(20)]
 
     actual = sessions()
-    monkeypatch.setattr(sampler, "nucleus_sample", _reference_nucleus_sample)
+    monkeypatch.setattr(sampler, "nucleus_sample",
+                        lambda dist, p, rng: reference_nucleus_sample(np.asarray(dist), p, rng))
     assert sessions() == actual
     assert len({tuple(items) for items in actual}) == 40
 

@@ -490,6 +490,12 @@ class TestTokenFile:
         with pytest.raises(TypeError):
             write_tokens(io.StringIO(), [[1, 2], row], "arrival")
 
+    def test_write_refuses_an_unknown_codec(self):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="^unknown codec 'midi'$"):
+            write_tokens(buf, [[1, 2]], "midi")
+        assert buf.getvalue() == ""
+
     @pytest.mark.parametrize("empty", [[], ()])
     def test_write_refuses_empty_rows(self, empty):
         # a blank line reads as no row, so [[1], [], [2]] would read back as [[1], [2]]
