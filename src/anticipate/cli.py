@@ -13,9 +13,9 @@ optional flag of its subcommand but ``--config`` and the required ``--model``:
 the key is the flag's name (``top_p`` or ``top-p``), an on/off flag takes a
 boolean word, and each value is checked as the flag would be. An explicit flag
 beats the config file, which beats the ``ANTICIPATE_SEED`` environment variable
-(the default of ``--seed``), which beats the built-in default. Exit codes: 0
-success, 1 usage error (including a bad config or environment value), 2 data
-error.
+(the default of ``--seed``, a non-negative int from any source), which beats
+the built-in default. Exit codes: 0 success, 1 usage error (including a bad
+config or environment value), 2 data error.
 """
 
 from __future__ import annotations
@@ -74,6 +74,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.set_defaults(handler=handler)
         return p
 
+    def add_seed(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=_seed, default=0)
+
     p = add("ingest", "preprocess a directory of MIDI files into split event text", _cmd_ingest)
     p.add_argument("input_dir")
     p.add_argument("output_dir")
@@ -104,7 +107,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = add("augment", "emit interleaved training copies of an event corpus",
             _cmd_augment, streams=True)
     p.add_argument("--factor", type=int, default=AugmentationPolicy.factor)
-    p.add_argument("--seed", type=int, default=0)
+    add_seed(p)
     p.add_argument("--delta", type=float, default=AnticipationConfig.delta,
                    help="anticipation interval and span length in seconds")
     p.add_argument("--target-density", type=float, default=AnticipationConfig.target_density)
@@ -126,7 +129,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--top-p", type=float, default=SamplerConfig.top_p)
     p.add_argument("--delta", type=float, default=SamplerConfig.delta)
     p.add_argument("--max-tokens", type=int, default=SamplerConfig.max_tokens)
-    p.add_argument("--seed", type=int, default=0)
+    add_seed(p)
     p.add_argument("--out", choices=["events", "midi"], default="events")
     p.add_argument("--no-grammar-mask", dest="grammar_mask", action="store_false")
 
@@ -137,6 +140,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     add("golden", "run the built-in reference checks", _cmd_golden)
     return parser, sub.choices
+
+
+def _seed(text: str) -> int:
+    """``--seed``'s type: a non-negative int, as numpy's generators take."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
+    return int(text)
 
 
 def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
@@ -353,7 +363,6 @@ def _cmd_golden(args) -> int:
             print(f"FAIL {check.name}: {check.detail}")
     print(f"{len(checks) - failed}/{len(checks)} golden checks passed")
     return 0 if failed == 0 else 2
-
 
 
 def cli_dispatch(argv: list[str]) -> int:

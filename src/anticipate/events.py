@@ -297,7 +297,7 @@ def _tagged(seq: EventSequence, control: bool) -> np.ndarray:
     """The (4, n) columns of ``seq`` flagged ``control``; no rest may be a control."""
     if control:
         _check_rest_controls(seq.columns[2] == REST)
-    return np.vstack([seq.columns, np.full(len(seq), int(control), dtype=np.int64)])
+    return np.concatenate((seq.columns, np.full((1, len(seq)), int(control), dtype=np.int64)))
 
 
 class InterleavedSequence(_Sequence):

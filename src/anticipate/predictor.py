@@ -86,8 +86,8 @@ class Distribution:
 class Predictor(Protocol):
     """The next-token-distribution contract.
 
-    Callers pass the whole history as one ``context`` list and may extend it
-    after the call returns. ``next_distribution`` reads at most its last
+    Callers pass the whole history as one ``context`` list and may extend or
+    shorten it after the call returns. ``next_distribution`` reads at most its last
     ``context_length - 1`` tokens, copies whatever it keeps, and returns a
     ``Distribution`` of size ``vocab_size`` (non-negative, summing to one)
     that depends only on ``z`` and those tokens. Implementations may reuse

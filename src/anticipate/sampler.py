@@ -13,34 +13,36 @@ stream. The baseline cannot look ahead (lookahead 0): it inserts the
 controls the event's time has reached before the event, writing them into
 the history as ordinary events. At a separator or the budget, the unconsumed
 controls are appended so the result remains lossless for the split/sort
-inverse. Before any predictor call, a predictor whose vocabulary is not the
-arrival vocabulary is refused, then tagging the controls refuses a rest and
-the triple encoder a time past the token range, naming the control's index.
+inverse. Before any predictor call, a predictor with another vocabulary or a
+``context_length`` below 1 is refused, then tagging the controls refuses a
+rest and the triple encoder a time past the token range, naming its index.
 
 Generation works at event granularity with absolute times. Every placed
 item is written once, in placement order, into one int64 buffer with rows
 time, duration, note and control flag, doubled in width when full; the
-result is its filled columns and the unreleased controls. The token context
-fed to the predictor is the most recent whole triples that fit, led by a
-separator while the start of generation is visible. Until the window slides
-it grows by the tokens just sampled (a rest's duration token read as zero)
-and by slices of the controls' triples, encoded once per session; once the
-window slides past the start it is re-encoded from the buffer, relativized
-by its minimum time, the rule the tokenizer applies to every model context.
+result is its filled columns and the unreleased controls, tagged once per
+session. The token context fed to the predictor is the most recent whole
+triples that fit, led by a separator while the start of generation is
+visible. Until the window slides it grows by the tokens just sampled (a
+rest's duration token read as zero) and by slices of the controls' triples,
+encoded once per session; once the window slides past the start it is
+re-encoded from the buffer, relativized by its minimum time, the rule the
+tokenizer applies to every model context.
 
 Each slot samples from the predictor's distribution restricted to the
-slot's token ranges, cut from its support with two ``searchsorted`` calls
-per range. Nucleus sampling ranks the distinct probabilities as classes of
+slot's token ranges, cut from its support by one ``searchsorted`` over the
+range bounds. Nucleus sampling ranks the distinct probabilities as classes of
 equal tokens and draws a class, then a token in it by index, on one path
 for every distribution. The classes come from the support's values and the
 background alone, whose class holds every token outside the support, so no
 array as wide as the slot is built: an n-gram slot is a background under a
-few counted tokens. Each draw is one ``Generator.random()``.
+few counted tokens, classed by one sort. Each draw is one ``Generator.random()``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,23 +101,29 @@ def nucleus_sample(dist: Distribution, p: float, rng: np.random.Generator) -> in
     if background == 0 and len(support) == 1 and 0 < weights[0] < math.inf:
         return int(support[0])  # a point mass is the nucleus at any p
     outside = dist.size - len(support)  # the background's tokens
-    values, counts = np.unique(np.append(weights, background) if outside else weights,
-                               return_counts=True)
-    if len(values) and (values[0] < 0 or not math.isfinite(values[-1])):
+    # the values descending between inf and -1: each change of neighbours ends a class
+    sentinels = (math.inf, -1.0)
+    ranked = np.concatenate((weights, (background, *sentinels) if outside else sentinels))
+    ranked.sort()
+    ranked = ranked[::-1]
+    if not math.isfinite(ranked[1]) or ranked[-2] < 0:  # the largest (inf under a NaN), smallest
         raise ValueError("nucleus weights must be non-negative numbers")
+    ends = (ranked[1:] != ranked[:-1]).nonzero()[0]
+    classes, counts = ranked[ends[1:]], ends[1:] - ends[:-1]  # descending
+    values = classes.tolist()
     if outside:
-        counts[values.searchsorted(background)] += outside - 1
-    values, counts = values[::-1], counts[::-1]  # the classes, descending
-    mass = np.concatenate(([0.0], (values * counts).cumsum()))  # before each class
+        counts[values.index(float(background))] += outside - 1
+    mass = [0.0, *(classes * counts).cumsum().tolist()]  # before each class, then the total
+    counts = counts.tolist()
     if not 0 < mass[-1] < math.inf:
         raise ValueError("cannot sample from an all-zero or invalid distribution")
     x = p * mass[-1]
-    cut = int(mass[1:].searchsorted(x))  # the class that reaches x
+    cut = bisect_left(mass, x, 1) - 1  # the class that reaches x
     counts[cut] = max(math.ceil(min((x - mass[cut]) / values[cut], counts[cut])), 1)
     group = rank = 0  # a one-token prefix
     if cut or counts[0] > 1:
         drawn = rng.random() * (mass[cut] + counts[cut] * values[cut])
-        group = int(mass[1 : cut + 1].searchsorted(drawn, "right"))
+        group = bisect_right(mass, drawn, 1, cut + 1) - 1
         rank = min(int((drawn - mass[group]) / values[group]), counts[group] - 1)
     if values[group] != background:
         return int(support[weights == values[group]][rank])
@@ -130,9 +138,9 @@ def _slot_distribution(dist: Distribution, ranges: tuple[tuple[int, int], ...]) 
     token's index in the slot is its offset in its range plus the widths of
     the ranges before it."""
     support, values = dist.support, dist.values
+    cuts = support.searchsorted(sum(ranges, ())).tolist()  # each range's start and end index
     pieces, weights, width = [], [], 0
-    for lo, hi in ranges:
-        i, j = support.searchsorted(lo), support.searchsorted(hi)
+    for (lo, hi), i, j in zip(ranges, cuts[::2], cuts[1::2]):
         pieces.append(support[i:j] + (width - lo))
         weights.append(values[i:j])
         width += hi - lo
@@ -182,16 +190,17 @@ def _sample_event(
 ) -> tuple[tuple[int, int, int], list[int]] | None:
     """Sample one event: its (time, duration, note) and its triple as context
     tokens at ``offset``; None means the separator was sampled. ``tokens``
-    is the context, whose times are shifted by ``offset``."""
+    is the context, whose times are shifted by ``offset``, given back as it came."""
     # a time no earlier than the last event's keeps the events in order
     ranges = _slot_ranges(0 if last_time is None else max(last_time - offset, 0))
     time_tok = _sample_slot(predictor, z, tokens, ranges[0], rng, config)
     if time_tok == AV.SEP:
         return None
-    tokens = tokens + [time_tok]
+    tokens.append(time_tok)
     duration_tok = _sample_slot(predictor, z, tokens, ranges[1], rng, config)
     tokens.append(duration_tok)
     note_tok = _sample_slot(predictor, z, tokens, ranges[2], rng, config)
+    del tokens[-2:]
 
     triple = (time_tok, duration_tok, note_tok)
     decoded = _decode_triple(*triple, offset)
@@ -224,11 +233,14 @@ def _generate(
     if predictor.vocab_size != AV.SIZE:
         raise ValueError(f"predictor vocabulary {predictor.vocab_size} does not match the "
                          f"arrival vocabulary ({AV.SIZE})")
+    if predictor.context_length < 1:
+        raise ValueError(f"predictor context_length must be >= 1, got {predictor.context_length}")
     # every control's context triple, in the vocabulary it is placed with;
     # tagging the controls as controls and encoding them checks them
     tagged = _tagged(controls, True)
     tagged[3] = anticipate
     control_tokens = _arrival_triples(tagged).ravel().tolist()
+    tagged[3] = 1
     rng = np.random.default_rng(config.seed)
     lookahead = config.delta_units if anticipate else 0
     capacity = (predictor.context_length - 1) // 3
@@ -252,8 +264,7 @@ def _generate(
         event_at, controls_at = (n, n + 1) if anticipate else (n + k, n)
         buffer[:, event_at] = (*event, 0)
         if k:
-            buffer[:3, controls_at : controls_at + k] = due.columns
-            buffer[3, controls_at : controls_at + k] = 1
+            buffer[:, controls_at : controls_at + k] = tagged[:, cursor - k : cursor]
         n += k + 1
         if n < capacity:  # the window has not slid: append the new triples
             due_tokens = control_tokens[3 * (cursor - k) : 3 * cursor]
@@ -261,7 +272,7 @@ def _generate(
         else:
             tokens, offset = _context_after(buffer, n, capacity, not anticipate)
         last_time = event[0]
-    columns = np.hstack([buffer[:, :n], _tagged(controls[cursor:], True)])  # lossless on any exit
+    columns = np.concatenate((buffer[:, :n], tagged[:, cursor:]), axis=1)  # lossless on any exit
     return GenerationResult(InterleavedSequence._of(columns), truncated)
 
 

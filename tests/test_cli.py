@@ -769,7 +769,24 @@ class TestConfigChecks:
                                                 capsys):
         monkeypatch.setenv("ANTICIPATE_SEED", "abc")
         assert run("augment", "--factor", "10", str(twinkle_file), str(tmp_path / "a.tok")) == 1
-        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+        assert "argument --seed: expected a non-negative int, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["augment", "sample"])
+    @pytest.mark.parametrize("source", ["flag", "variable", "config"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, twinkle_file, model_file,
+                                            monkeypatch, capsys, command, source):
+        # numpy's generators take no negative seed; argparse refuses it first
+        args = ["--model", str(model_file)] if command == "sample" else [str(twinkle_file)]
+        given = {"flag": ["--seed", "-1"], "variable": [],
+                 "config": ["--config", self.conf(tmp_path, "seed=-2\n")]}[source]
+        if source == "variable":
+            monkeypatch.setenv("ANTICIPATE_SEED", "-1")
+        out = tmp_path / "out"
+        assert run(command, *given, *args, str(out)) == 1
+        negative = "-2" if source == "config" else "-1"
+        assert (f"argument --seed: expected a non-negative int, got '{negative}'"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_seed_flag_and_config_beat_bad_seed_variable(self, twinkle_file, tmp_path,
                                                          monkeypatch):

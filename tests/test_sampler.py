@@ -149,8 +149,9 @@ class TestNucleus:
     @given(
         seed=st.integers(0, 2**32 - 1),
         width=st.one_of(st.integers(1, 40), st.sampled_from([1_000, 10_000, 12_000, 16_513])),
-        kind=st.sampled_from(["random", "ties", "spikes", "point", "dirichlet", "zero",
-                              "nonfinite", "negative", "mixed-sign", "ngram"]),
+        kind=st.sampled_from(["random", "ties", "signed-zeros", "subnormal", "spikes", "point",
+                              "dirichlet", "zero", "nonfinite", "negative", "mixed-sign",
+                              "ngram"]),
         p=st.one_of(st.sampled_from([0.5, 0.9, 0.95, 1.0]), st.floats(0, 1, exclude_min=True)),
         form=st.sampled_from(["float64", "float32", "list"]),
     )
@@ -179,8 +180,9 @@ class TestNucleus:
     @given(
         seed=st.integers(0, 2**32 - 1),
         width=st.one_of(st.integers(1, 40), st.sampled_from([1_000, 10_000, 16_513])),
-        kind=st.sampled_from(["random", "ties", "spikes", "point", "dirichlet", "zero",
-                              "nonfinite", "negative", "mixed-sign", "ngram"]),
+        kind=st.sampled_from(["random", "ties", "signed-zeros", "subnormal", "spikes", "point",
+                              "dirichlet", "zero", "nonfinite", "negative", "mixed-sign",
+                              "ngram"]),
         p=st.one_of(st.sampled_from([0.5, 0.9, 0.95, 1.0]), st.floats(0, 1, exclude_min=True)),
         form=st.sampled_from(["floor", "extra", "point", "full", "empty", "two-range"]),
     )
@@ -297,6 +299,15 @@ def _nucleus_case(rng: np.random.Generator, width: int, kind: str) -> np.ndarray
         return rng.random(width) ** rng.uniform(1, 30)
     if kind == "ties":  # few distinct values, zeros among them
         return np.round(rng.random(width), int(rng.integers(0, 3)))
+    if kind == "signed-zeros":  # ties, each zero 0.0 or -0.0: one class
+        dist = np.round(rng.random(width), int(rng.integers(0, 3)))
+        dist[dist == 0] *= rng.choice([1.0, -1.0], size=int((dist == 0).sum()))
+        return dist
+    if kind == "subnormal":  # multiples of the smallest subnormals, some under a normal weight
+        dist = rng.integers(0, 4, width) * rng.choice([5e-324, 2**20 * 5e-324])
+        if rng.random() < 0.5:
+            dist[rng.integers(width)] = rng.uniform(1e-300, 1)
+        return dist
     if kind == "spikes":  # a flat floor under a few large weights
         dist = np.full(width, rng.uniform(1e-6, 1e-3))
         dist[rng.integers(0, width, size=int(rng.integers(1, 6)))] = rng.uniform(0.01, 1)
@@ -671,6 +682,38 @@ def test_predictor_outside_the_arrival_vocabulary_refused_before_any_call(genera
     with pytest.raises(ValueError, match=message):
         generate(predictor, EventSequence([Event(10, 1, 60)]), SamplerConfig(seed=0))
     assert predictor.contexts == []
+
+
+@pytest.mark.parametrize("generate", [generate_anticipatory, generate_autoregressive_infill])
+@pytest.mark.parametrize("context_length", [0, -5])
+def test_predictor_context_length_below_one_refused_before_any_call(generate, context_length):
+    # such a predictor could not be given even the empty context
+    predictor = _ScriptedPredictor([], context_length=context_length)
+    message = rf"^predictor context_length must be >= 1, got {context_length}$"
+    with pytest.raises(ValueError, match=message):
+        generate(predictor, EventSequence([Event(10, 1, 60)]), SamplerConfig(seed=0))
+    assert predictor.contexts == []
+
+
+@pytest.mark.parametrize("steps", [
+    [{AV.SEP: 1.0}],  # the separator: no event
+    [{AV.TIME_BASE + 20: 1.0}, {AV.DUR_BASE + 5: 1.0}, {AV.NOTE_BASE + 60: 1.0}],
+])
+def test_sample_event_gives_the_context_back_as_it_came(steps):
+    # the triple's first tokens extend the caller's list only while the
+    # next are sampled
+    predictor = _ScriptedPredictor(steps, context_length=1024)
+    context = [AV.SEP, AV.SEP, AV.SEP, AV.TIME_BASE + 10, AV.DUR_BASE + 5, AV.NOTE_BASE + 62]
+    before = list(context)
+    sampled = _sample_event(predictor, AV.AR, context, 0, 10, np.random.default_rng(0),
+                            SamplerConfig(seed=0))
+    assert context == before
+    assert predictor.contexts == [before + [token for step in steps[:i] for token in step]
+                                  for i in range(len(steps))]
+    if len(steps) == 1:
+        assert sampled is None
+    else:
+        assert sampled == ((20, 5, 60), [AV.TIME_BASE + 20, AV.DUR_BASE + 5, AV.NOTE_BASE + 60])
 
 
 @functools.cache
