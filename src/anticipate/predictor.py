@@ -25,9 +25,11 @@ the whole backoff recursion, unigram included, runs on a compact vector with
 one slot per support token plus one background slot for all the others, and
 that vector is the distribution returned. Each context's row is found by one
 ``searchsorted`` on its level's keys. The tables this needs (the compact
-unigram, each successor's slot in the support and the smoothed per-row
-terms) are built by the first call, at any depth, not by training, saving
-or loading.
+unigram, each successor's slot in the support, the smoothed per-row terms,
+level 1's already added to the backed-off unigram, and per depth the vector
+of a context seen at no level, which about half of accompaniment's calls
+get) are built by the first call, at any depth, not by training, saving or
+loading. They are read-only, and so is every array a call returns.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ class Predictor(Protocol):
     ``context_length - 1`` tokens, copies whatever it keeps, and returns a
     ``Distribution`` of size ``vocab_size`` (non-negative, summing to one)
     that depends only on ``z`` and those tokens. Implementations may reuse
-    its arrays between calls; callers must copy what they keep.
+    its arrays between calls; callers must copy what they keep and must not
+    write into them (the n-gram's are read-only views of its tables).
     """
 
     vocab_size: int
@@ -130,7 +133,8 @@ class _LevelTerms(NamedTuple):
     ``(1 - BACKOFF_WEIGHT) * alpha / denom`` of row ``i``, and each successor
     has its slot in the support and its ``(1 - BACKOFF_WEIGHT) * (alpha +
     count) / denom``, where ``denom`` is its row's total plus ``alpha *
-    vocab_size``."""
+    vocab_size``. At level 1, whose lower order is always the backed-off
+    unigram, ``counted`` already holds the sum with that unigram's slot."""
 
     uncounted: np.ndarray
     slots: np.ndarray
@@ -139,16 +143,24 @@ class _LevelTerms(NamedTuple):
 
 class _Tables(NamedTuple):
     """What ``next_distribution`` reads beyond the levels: the ``support``,
-    the unigram over it plus the background slot and that unigram backed
-    off, the per-level terms (index 0 unused), the term of a context never
-    seen, and the compact vector each call works in."""
+    the backed-off unigram over it plus the background slot, the per-level
+    terms (index 0 unused), the term of a context never seen, per depth the
+    vector of a context seen at no level (depth 0 the unigram), and the
+    compact vector each call with a row works in, with its values as a
+    read-only view. Every array but ``compact`` is read-only."""
 
     support: np.ndarray
-    unigram: np.ndarray
     backoff_unigram: np.ndarray
     terms: list[_LevelTerms | None]
     unseen: float
+    never_seen: list[np.ndarray]
     compact: np.ndarray
+    compact_values: np.ndarray
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class NGramModel:
@@ -207,37 +219,48 @@ class NGramModel:
         unigram = np.full(len(support) + 1, alpha, dtype=np.float64)
         unigram[support.searchsorted(first.tokens)] += first.counts
         unigram /= int(first.totals.sum()) + alpha * vocab_size
+        backoff_unigram = BACKOFF_WEIGHT * unigram
         terms: list[_LevelTerms | None] = [None]
         for level in self._levels[1:]:
             denom = level.totals + alpha * vocab_size
-            terms.append(_LevelTerms(
-                (1.0 - BACKOFF_WEIGHT) * (alpha / denom),
-                support.searchsorted(level.tokens),
-                (1.0 - BACKOFF_WEIGHT)
-                * ((alpha + level.counts) / np.repeat(denom, np.diff(level.offsets))),
-            ))
+            slots = support.searchsorted(level.tokens)
+            counted = ((1.0 - BACKOFF_WEIGHT)
+                       * ((alpha + level.counts) / np.repeat(denom, np.diff(level.offsets))))
+            if len(terms) == 1:
+                counted = backoff_unigram[slots] + counted
+            terms.append(_LevelTerms(_read_only((1.0 - BACKOFF_WEIGHT) * (alpha / denom)),
+                                     _read_only(slots), _read_only(counted)))
         unseen = (1.0 - BACKOFF_WEIGHT) * (alpha / (alpha * vocab_size))
-        return _Tables(support, unigram, BACKOFF_WEIGHT * unigram, terms, unseen,
-                       np.empty(len(support) + 1))
+        # the recursion's vector at each depth when no level has a row
+        vectors = [unigram, backoff_unigram + unseen]
+        for _ in range(2, self.order):
+            vectors.append(np.multiply(vectors[-1], BACKOFF_WEIGHT) + unseen)
+        compact = np.empty(len(support) + 1)
+        return _Tables(_read_only(support), _read_only(backoff_unigram), terms, unseen,
+                       [_read_only(v) for v in vectors[: self.order]], compact,
+                       _read_only(compact[:-1]))
 
     def next_distribution(self, z: int | None, context: Sequence[int]) -> Distribution:
-        """Interpolated distribution after ``[z, *context]``; reuses one
-        compact vector.
+        """Interpolated distribution after ``[z, *context]``, as read-only
+        views of the model's tables.
 
         Each level scales the lower orders by ``BACKOFF_WEIGHT`` and adds its
         own smoothed estimate: a constant for the tokens its context never
         preceded, then the terms of the counted tokens written in place. The
         recursion runs from the unigram over the support plus one background
-        slot, the probability of every token outside the support.
+        slot, the probability of every token outside the support. Until a
+        level has a row, the vector is that depth's precomputed one; from
+        then on the recursion runs in the one compact vector.
         """
         n = len(context)
         depth = min(self.order - 1, n + (z is not None), self.context_length - 1)
         if self._tables is None:
             self._tables = self._build_tables()
-        support, unigram, scaled, terms, unseen, compact = self._tables
+        support, backoff_unigram, terms, unseen, never_seen, compact, values = self._tables
         vocab_size = self.vocab_size
         key: int | None = 0  # key of the last k tokens; None once one is outside the vocabulary
         radix = 1
+        found = False  # whether a level so far had a row, so compact holds the vector
         for k in range(1, depth + 1):
             token = context[n - k] if k <= n else z
             if key is not None and 0 <= token < vocab_size:
@@ -247,18 +270,26 @@ class NGramModel:
                 key = None
             level = self._levels[k]
             row = -1 if key is None else level.find(key)
-            if k > 1:  # the lower orders scaled by the backoff weight
-                scaled = np.multiply(compact, BACKOFF_WEIGHT, out=compact)
             if row < 0:
-                np.add(scaled, unseen, out=compact)
+                if found:
+                    np.multiply(compact, BACKOFF_WEIGHT, out=compact)
+                    np.add(compact, unseen, out=compact)
                 continue
             span = slice(level.offsets[row], level.offsets[row + 1])
             slots = terms[k].slots[span]
-            lower = scaled[slots]
-            np.add(scaled, terms[k].uncounted[row], out=compact)
-            compact[slots] = lower + terms[k].counted[span]
-        values = compact if depth > 0 else unigram
-        return Distribution(support, values[:-1], values[-1], vocab_size)
+            if k == 1:  # the counted terms already hold the backed-off unigram's
+                np.add(backoff_unigram, terms[1].uncounted[row], out=compact)
+                compact[slots] = terms[1].counted[span]
+            else:  # the lower orders scaled by the backoff weight
+                np.multiply(compact if found else never_seen[k - 1], BACKOFF_WEIGHT, out=compact)
+                lower = compact[slots]
+                np.add(compact, terms[k].uncounted[row], out=compact)
+                compact[slots] = lower + terms[k].counted[span]
+            found = True
+        if not found:
+            vector = never_seen[depth]
+            return Distribution(support, vector[:-1], vector[-1], vocab_size)
+        return Distribution(support, values, compact[-1], vocab_size)
 
     def save(self, path) -> None:
         """Write the model to exactly ``path`` as a versioned ``.npz``."""

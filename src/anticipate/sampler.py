@@ -37,13 +37,22 @@ for every distribution. The classes come from the support's values and the
 background alone, whose class holds every token outside the support, so no
 array as wide as the slot is built: an n-gram slot is a background under a
 few counted tokens, classed by one sort. Each draw is one ``Generator.random()``.
+Accompaniment repeats its slots (about two in three calls hold the values of
+a slot seen before), so the classes are memoized, keyed by the slot's values
+and background as float64 bytes, the background's token count and ``p``, in
+a memo bounded by the bytes it holds and shared by every thread; the draw
+and the token pick, which reads the support, are made per call.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import threading
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,27 +89,19 @@ class GenerationResult:
     truncated: bool  # hit max_tokens before sampling a separator; still holds every control
 
 
-def nucleus_sample(dist: Distribution, p: float, rng: np.random.Generator) -> int:
-    """Sample from the smallest probability-ranked prefix with mass >= p.
+class _Prefix(NamedTuple):
+    """A nucleus's classes, descending: each class's value, its token count
+    (the last class's cut), the mass before it and the prefix's whole mass."""
 
-    A class is a distinct probability with its token count: each support
-    token has its value and every other token ``background``. A class's mass
-    is its value times its count; the total and the running masses sum these
-    in descending class order. With ``x = p * total`` the prefix takes whole
-    classes, then the first ``ceil((x - mass before) / value)`` tokens by
-    index, at least one and at most all, of the class that reaches ``x``. A
-    one-token prefix is returned without a draw; otherwise one
-    ``rng.random()`` times the prefix mass picks a class by the running
-    masses and a token in it by rank. So ``p = 1`` never samples a zero-mass
-    token. A negative or non-finite probability anywhere, or a zero total,
-    raises ``ValueError``.
-    """
-    if not 0 < p <= 1:
-        raise ValueError("p must be in (0, 1]")
-    support, weights, background = dist.support, dist.values, dist.background
-    if background == 0 and len(support) == 1 and 0 < weights[0] < math.inf:
-        return int(support[0])  # a point mass is the nucleus at any p
-    outside = dist.size - len(support)  # the background's tokens
+    values: tuple[float, ...]
+    counts: tuple[int, ...]
+    mass: tuple[float, ...]
+    total: float
+
+
+def _rank_classes(weights: np.ndarray, background: float, outside: int, p: float) -> _Prefix:
+    """The classes of the nucleus of ``weights`` and ``outside`` tokens of
+    ``background``; a pure function of its arguments."""
     # the values descending between inf and -1: each change of neighbours ends a class
     sentinels = (math.inf, -1.0)
     ranked = np.concatenate((weights, (background, *sentinels) if outside else sentinels))
@@ -120,10 +121,76 @@ def nucleus_sample(dist: Distribution, p: float, rng: np.random.Generator) -> in
     x = p * mass[-1]
     cut = bisect_left(mass, x, 1) - 1  # the class that reaches x
     counts[cut] = max(math.ceil(min((x - mass[cut]) / values[cut], counts[cut])), 1)
+    return _Prefix(tuple(values[: cut + 1]), tuple(counts[: cut + 1]), tuple(mass[: cut + 1]),
+                   mass[cut] + counts[cut] * values[cut])
+
+
+_MEMO_BYTES = 1 << 21  # the most the nucleus memo holds, keys and values
+_ENTRY_BYTES = 640  # an entry's fixed cost: its key and value tuples, the table's slot
+_CLASS_BYTES = 80  # a class's value and mass objects and the references to them
+
+
+class _Memo:
+    """The prefixes of the slots ranked so far, least recently used evicted
+    first, holding at most ``_MEMO_BYTES``; safe to share between threads."""
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[tuple, tuple[_Prefix, int]] = OrderedDict()
+        self.bytes = 0
+        self._lock = threading.Lock()
+
+    def prefix(self, weights: np.ndarray, background: float, outside: int, p: float) -> _Prefix:
+        key = (weights.tobytes(), struct.pack("d", background), outside, p)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
+        prefix = _rank_classes(weights, background, outside, p)
+        size = len(key[0]) + _ENTRY_BYTES + _CLASS_BYTES * len(prefix.values)
+        if size <= _MEMO_BYTES:
+            with self._lock:
+                if key not in self._entries:
+                    self._entries[key] = prefix, size
+                    self.bytes += size
+                    while self.bytes > _MEMO_BYTES:
+                        self.bytes -= self._entries.popitem(last=False)[1][1]
+        return prefix
+
+
+_memo = _Memo()
+
+
+def nucleus_sample(dist: Distribution, p: float, rng: np.random.Generator) -> int:
+    """Sample from the smallest probability-ranked prefix with mass >= p.
+
+    A class is a distinct probability with its token count: each support
+    token has its value and every other token ``background``. A class's mass
+    is its value times its count; the total and the running masses sum these
+    in descending class order. With ``x = p * total`` the prefix takes whole
+    classes, then the first ``ceil((x - mass before) / value)`` tokens by
+    index, at least one and at most all, of the class that reaches ``x``. A
+    one-token prefix is returned without a draw; otherwise one
+    ``rng.random()`` times the prefix mass picks a class by the running
+    masses and a token in it by rank. So ``p = 1`` never samples a zero-mass
+    token. A negative or non-finite probability anywhere, or a zero total,
+    raises ``ValueError``.
+
+    The classes depend only on the values, the background, its token count
+    and ``p``, so each distinct slot is ranked once and its classes kept in
+    a memo bounded by bytes; the draw and the token pick are made per call.
+    """
+    if not 0 < p <= 1:
+        raise ValueError("p must be in (0, 1]")
+    support, background = dist.support, dist.background
+    weights = np.asarray(dist.values, dtype=np.float64)
+    if background == 0 and len(support) == 1 and 0 < weights[0] < math.inf:
+        return int(support[0])  # a point mass is the nucleus at any p
+    values, counts, mass, total = _memo.prefix(weights, background, dist.size - len(support), p)
     group = rank = 0  # a one-token prefix
-    if cut or counts[0] > 1:
-        drawn = rng.random() * (mass[cut] + counts[cut] * values[cut])
-        group = bisect_right(mass, drawn, 1, cut + 1) - 1
+    if len(values) > 1 or counts[0] > 1:
+        drawn = rng.random() * total
+        group = bisect_right(mass, drawn, 1) - 1
         rank = min(int((drawn - mass[group]) / values[group]), counts[group] - 1)
     if values[group] != background:
         return int(support[weights == values[group]][rank])

@@ -485,19 +485,79 @@ class TestSupportRecursion:
             assert_valid_distribution(loaded.next_distribution(z, context), 6)
         assert loaded._tables.support.tolist() == [1, 4]
 
-    def test_every_call_reuses_one_compact_vector(self, rng):
-        # no call allocates a vector: depth 0 returns a view of the compact
-        # unigram, every deeper call a view of the one compact vector, each
-        # with the background in its last slot
-        model = train_ngram(markov_corpus(rng, 30, 10, 20), order=3, alpha=0.01, vocab_size=60)
-        dist = model.next_distribution(None, [])
+    def test_no_call_allocates_a_vector(self, rng):
+        # a context seen at no level returns a view of its depth's precomputed
+        # vector (depth 0: the unigram), any other a view of the one compact
+        # vector, each with the background in its last slot
+        rows = markov_corpus(rng, 30, 10, 20)
+        model = train_ngram(rows, order=3, alpha=0.01, vocab_size=60)
+        model.next_distribution(None, [])
         tables = model._tables
-        assert dist.values.base is tables.unigram and dist.background == tables.unigram[-1]
-        for z, context in [(None, [1, 2]), (3, []), (None, [99]), (None, [4])]:
+        never_seen = [(None, [], 0), (None, [99], 1), (None, [59], 1), (59, [], 1),
+                      (None, [99, 99], 2), (3, [-1], 2)]
+        for z, context, depth in never_seen:
             dist = model.next_distribution(z, context)
-            assert dist.support is tables.support and dist.values.base is tables.compact
+            assert dist.support is tables.support
+            assert dist.values.base is tables.never_seen[depth]
+            assert dist.background == tables.never_seen[depth][-1]
+        for z, context in [(None, rows[0][:2]), (None, [99, rows[0][0]]), (rows[0][0], [])]:
+            dist = model.next_distribution(z, context)
+            assert dist.support is tables.support and dist.values is tables.compact_values
             assert dist.background == tables.compact[-1]
             assert len(dist.values) == len(tables.support) < model.vocab_size
+
+    def test_tables_and_returned_arrays_are_read_only(self, rng):
+        # a caller writing into a returned distribution must not change the
+        # next call: the unigram of depth 0 used to be a writable view
+        rows = markov_corpus(rng, 30, 10, 20)
+        model = train_ngram(rows, order=3, alpha=0.01, vocab_size=60)
+        for z, context in [(None, []), (None, [99]), (None, [99, 99]), (None, rows[0][:2])]:
+            before = np.asarray(model.next_distribution(z, context))
+            dist = model.next_distribution(z, context)
+            with pytest.raises(ValueError, match="read-only"):
+                dist.values[:] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                dist.support[:] = 0
+            assert np.array_equal(np.asarray(model.next_distribution(z, context)), before)
+        tables = model._tables
+        kept = [tables.support, tables.backoff_unigram, tables.compact_values,
+                *tables.never_seen, *(a for terms in tables.terms[1:] for a in terms)]
+        assert not any(array.flags.writeable for array in kept)
+        assert tables.compact.flags.writeable  # the scratch vector each call writes
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_never_seen_contexts_match_the_dense_recursion_at_every_depth(self, rng, order):
+        rows = markov_corpus(rng, 30, 10, 20)
+        model = train_ngram(rows, order=order, alpha=0.01, vocab_size=60)
+        seen = rows[0]
+        for depth in range(1, order):
+            # out of the vocabulary, in it but never counted, and seen tokens
+            # under an unseen one at each position
+            for filler in (-1, 60, 59):
+                assert_bit_identical(model, None, [filler] * depth)
+                for i in range(depth):
+                    context = seen[:depth]
+                    context[i] = filler
+                    assert_bit_identical(model, None, context)
+            assert_bit_identical(model, 59, [59] * (depth - 1))  # z seen at no level
+            assert_bit_identical(model, seen[0], seen[1:depth])  # z in a counted context
+        assert_bit_identical(model, 59, [])  # a z-only context
+        assert_bit_identical(model, seen[0], [])
+
+    def test_a_longer_context_seen_where_its_suffix_is_not(self):
+        # level 2 counts context (0, 5), but level 1 never saw 5: the
+        # recursion starts from the depth-1 never-seen vector, scaled
+        def level(*arrays):  # keys, offsets, tokens, counts
+            return _Level.of(*(np.array(a, dtype=np.int64) for a in arrays))
+
+        model = NGramModel(order=4, alpha=0.5, vocab_size=6)
+        model._set_levels([level([0], [0, 2], [1, 2], [3, 1]), level([1], [0, 1], [2], [2]),
+                           level([5], [0, 2], [3, 4], [1, 4]),
+                           level([0 * 36 + 0 * 6 + 5], [0, 1], [2], [1])])
+        for z, context in [(None, [0, 5]), (None, [0, 0, 5]), (0, [0, 5]), (None, [5, 0, 5]),
+                           (None, [4, 1]), (None, [0, 0, 1]), (None, [5, 5]), (None, [0, 1])]:
+            assert_bit_identical(model, z, context)
+            assert_valid_distribution(model.next_distribution(z, context), 6)
 
     def test_train_save_and_load_build_no_tables(self, tmp_path, rng):
         model = train_ngram(markov_corpus(rng, 30, 10, 20), order=3, alpha=0.01, vocab_size=30)

@@ -5,6 +5,11 @@ from __future__ import annotations
 
 import copy
 import functools
+import os
+import sys
+import threading
+import time
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -221,6 +226,151 @@ class TestNucleus:
                 outcomes.append(type(exc))
         assert outcomes[1] == outcomes[0]
         assert rngs[1].random() == rngs[0].random()
+
+
+class TestNucleusMemo:
+    """The memo of ranked classes: keyed by a slot's values, background, the
+    background's token count and ``p``; cold or warm, the same draws."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_memo", sampler._Memo())
+
+    @staticmethod
+    def _outcome(sample, case, p, seed):
+        """The token and the generator's state after it, or the error type."""
+        rng = np.random.default_rng(seed)
+        try:
+            return sample(case, p, rng), rng.bit_generator.state
+        except ValueError as exc:
+            return type(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.one_of(st.integers(1, 40), st.sampled_from([1_000, 16_513])),
+        kind=st.sampled_from(["random", "ties", "signed-zeros", "subnormal", "spikes",
+                              "dirichlet", "ngram"]),
+        p=st.one_of(st.sampled_from([0.5, 0.9, 0.95, 1.0]), st.floats(0, 1, exclude_min=True)),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_cold_and_warm_draws_match_the_reference(self, seed, width, kind, p, sign):
+        # the background's zeros signed at random: 0.0 and -0.0 are two keys
+        data = np.random.default_rng(seed)
+        dense = _nucleus_case(data, width, kind)
+        if kind == "ngram":
+            p = _class_boundary(dense, data)
+        dist = _compact(dense, data, extra=data.random() < 0.5)
+        if dist.background == 0:
+            dist.background = sign * 0.0
+        dense = np.asarray(dist)
+        expected = self._outcome(reference_nucleus_sample, dense, p, seed)
+        sampler._memo = sampler._Memo()  # restored by the fixture's monkeypatch
+        assert self._outcome(nucleus_sample, dist, p, seed) == expected  # cold
+        assert self._outcome(nucleus_sample, dist, p, seed) == expected  # warm
+        assert len(sampler._memo._entries) <= 1
+
+    def test_signed_zero_backgrounds_are_kept_apart(self):
+        support, values = np.array([1, 4]), np.array([0.75, 0.25])
+        for background in (0.0, -0.0, 0.0):
+            dist = Distribution(support, values, background, 6)
+            for draw in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+                expected = reference_nucleus_sample(np.asarray(dist), 1.0, _FixedDraws(draw))
+                assert nucleus_sample(dist, 1.0, _FixedDraws(draw)) == expected
+        assert len(sampler._memo._entries) == 2
+
+    def test_equal_values_on_other_supports_draw_their_own_tokens(self):
+        # one memo entry, two slots: the classes are shared, the tokens not
+        values = np.array([0.3, 0.1, 0.3, 0.2])
+        tokens = set()
+        for support in (np.array([0, 2, 5, 7]), np.array([1, 3, 4, 9])):
+            dist = Distribution(support, values, 0.01, 10)
+            for draw in (0.0, 0.3, 0.6, 0.9, np.nextafter(1.0, 0.0)):
+                token = nucleus_sample(dist, 0.95, _FixedDraws(draw))
+                assert token == reference_nucleus_sample(np.asarray(dist), 0.95, _FixedDraws(draw))
+                tokens.add(token)
+        assert len(sampler._memo._entries) == 1
+        assert tokens & {0, 2, 5, 7} and tokens & {1, 3, 4, 9}
+
+    def test_each_p_ranks_its_own_nucleus(self):
+        dist = Distribution(np.array([0, 3]), np.array([0.5, 0.3]), 0.05, 6)
+        last = np.nextafter(1.0, 0.0)
+        for p in (0.5, 0.8, 1.0, 0.5):
+            expected = reference_nucleus_sample(np.asarray(dist), p, _FixedDraws(last))
+            assert nucleus_sample(dist, p, _FixedDraws(last)) == expected
+        assert len(sampler._memo._entries) == 3
+
+    @pytest.mark.parametrize("dist", [
+        Distribution.dense(np.array([0.5, 0.5, -0.1])),
+        Distribution(np.array([2]), np.array([0.9]), np.nan, 5),
+        Distribution.dense(np.zeros(4)),
+    ])
+    def test_a_refusal_raises_on_every_call(self, dist, rng):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                nucleus_sample(dist, 0.5, rng)
+        assert not sampler._memo._entries
+
+    def test_a_dense_predictor_keeps_the_memo_under_its_byte_bound(self):
+        # slots as wide as the arrival vocabulary: keys of 440 KB, few of
+        # them fit; a slot of all distinct values is ranked but not kept
+        data = np.random.default_rng(5)
+        slots = [Distribution.dense(data.integers(1, 5, AV.SIZE) / 4.0) for _ in range(8)]
+        slots.append(Distribution.dense(data.random(AV.SIZE)))
+        tracemalloc.start()
+        try:
+            for dist in [*slots, *slots[::-1]]:
+                seed = int(data.integers(2**32))
+                expected = self._outcome(reference_nucleus_sample, np.asarray(dist), 0.95, seed)
+                assert self._outcome(nucleus_sample, dist, 0.95, seed) == expected
+                assert sampler._memo._entries and sampler._memo.bytes <= sampler._MEMO_BYTES
+                held, _ = tracemalloc.get_traced_memory()
+                assert held <= sampler._MEMO_BYTES
+        finally:
+            tracemalloc.stop()
+        entries = sampler._memo._entries
+        assert 1 <= len(entries) < len(slots) - 1
+        assert sampler._memo.bytes == sum(size for _, size in entries.values())
+
+    def test_threads_sharing_the_memo_draw_as_alone(self, monkeypatch):
+        # more threads than cores, switching often, on a memo small enough
+        # to evict all the time; each draw must equal the reference's
+        data = np.random.default_rng(11)
+        cases = []
+        for i in range(60):
+            dense = _nucleus_case(data, int(data.integers(1, 200)),
+                                  ["ties", "spikes", "random"][i % 3])
+            dist = _compact(dense, data)
+            seed = int(data.integers(2**32))
+            cases.append((dist, seed, self._outcome(reference_nucleus_sample, dense, 0.9, seed)))
+        monkeypatch.setattr(sampler, "_MEMO_BYTES", 20_000)
+        failures, deadline = [], time.monotonic() + 1.0
+
+        def worker(offset):
+            k = offset
+            while time.monotonic() < deadline:
+                dist, seed, expected = cases[k % len(cases)]
+                try:
+                    if self._outcome(nucleus_sample, dist, 0.9, seed) != expected:
+                        failures.append(k % len(cases))
+                except Exception as exc:  # a thread's error would not fail the test
+                    failures.append(repr(exc))
+                k += 7
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range((os.cpu_count() or 1) + 3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        entries = sampler._memo._entries
+        assert sampler._memo.bytes == sum(size for _, size in entries.values()) <= 20_000
 
 
 def _compact(dense: np.ndarray, rng: np.random.Generator, extra: bool = False) -> Distribution:
