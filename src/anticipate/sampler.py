@@ -41,12 +41,18 @@ Accompaniment repeats its slots (about two in three calls hold the values of
 a slot seen before), so the classes are memoized, keyed by the slot's values
 and background as float64 bytes, the background's token count and ``p``, in
 a memo bounded by the bytes it holds and shared by every thread; the draw
-and the token pick, which reads the support, are made per call.
+and the token pick, which reads the support, are made per call. A slot of a
+few support values, such as a time slot holding SEP alone under a
+background whose token count moves with every start, seldom repeats; it is
+ranked in Python on every call instead, for less than a miss costs, and
+kept out of the memo.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import struct
 import threading
 from bisect import bisect_left, bisect_right
@@ -99,23 +105,38 @@ class _Prefix(NamedTuple):
     total: float
 
 
+_FEW = 8  # slots of at most this many support values are ranked in Python, faster than numpy
+
+
 def _rank_classes(weights: np.ndarray, background: float, outside: int, p: float) -> _Prefix:
     """The classes of the nucleus of ``weights`` and ``outside`` tokens of
     ``background``; a pure function of its arguments."""
-    # the values descending between inf and -1: each change of neighbours ends a class
-    sentinels = (math.inf, -1.0)
-    ranked = np.concatenate((weights, (background, *sentinels) if outside else sentinels))
-    ranked.sort()
-    ranked = ranked[::-1]
-    if not math.isfinite(ranked[1]) or ranked[-2] < 0:  # the largest (inf under a NaN), smallest
-        raise ValueError("nucleus weights must be non-negative numbers")
-    ends = (ranked[1:] != ranked[:-1]).nonzero()[0]
-    classes, counts = ranked[ends[1:]], ends[1:] - ends[:-1]  # descending
-    values = classes.tolist()
-    if outside:
-        counts[values.index(float(background))] += outside - 1
-    mass = [0.0, *(classes * counts).cumsum().tolist()]  # before each class, then the total
-    counts = counts.tolist()
+    if len(weights) <= _FEW:
+        listed = weights.tolist()
+        ranked = [*listed, background] if outside else listed
+        if not all(0 <= w < math.inf for w in ranked):
+            raise ValueError("nucleus weights must be non-negative numbers")
+        values = sorted(set(ranked), reverse=True)  # equal values, 0.0 and -0.0 too, are one
+        counts = [listed.count(v) + outside * (v == background) for v in values]
+        mass = [0.0, *itertools.accumulate(map(operator.mul, values, counts))]
+    else:
+        # the values descending between inf and -1: each change of neighbours ends a class
+        sentinels = (math.inf, -1.0)
+        ranked = np.concatenate((weights, (background, *sentinels) if outside else sentinels))
+        ranked.sort()
+        ranked = ranked[::-1]
+        # the largest value (inf under a NaN) and the smallest
+        if not math.isfinite(ranked[1]) or ranked[-2] < 0:
+            raise ValueError("nucleus weights must be non-negative numbers")
+        ends = (ranked[1:] != ranked[:-1]).nonzero()[0]
+        classes, counts = ranked[ends[1:]], ends[1:] - ends[:-1]  # descending
+        values = classes.tolist()
+        if outside:
+            counts[values.index(background)] += outside - 1
+        mass = [0.0, *(classes * counts).cumsum().tolist()]
+        counts = counts.tolist()
+    # mass holds the mass before each class, then the total: the same
+    # sequential sums on either path
     if not 0 < mass[-1] < math.inf:
         raise ValueError("cannot sample from an all-zero or invalid distribution")
     x = p * mass[-1]
@@ -140,6 +161,11 @@ class _Memo:
         self._lock = threading.Lock()
 
     def prefix(self, weights: np.ndarray, background: float, outside: int, p: float) -> _Prefix:
+        if len(weights) <= _FEW:
+            # few values rank in Python for less than a missed key costs to
+            # build and store, and they seldom repeat: most are time slots
+            # holding SEP alone, whose background count moves with every start
+            return _rank_classes(weights, background, outside, p)
         key = (weights.tobytes(), struct.pack("d", background), outside, p)
         with self._lock:
             entry = self._entries.get(key)
@@ -177,12 +203,13 @@ def nucleus_sample(dist: Distribution, p: float, rng: np.random.Generator) -> in
     raises ``ValueError``.
 
     The classes depend only on the values, the background, its token count
-    and ``p``, so each distinct slot is ranked once and its classes kept in
-    a memo bounded by bytes; the draw and the token pick are made per call.
+    and ``p``, so each distinct slot of more than ``_FEW`` support values is
+    ranked once and its classes kept in a memo bounded by bytes; the draw and
+    the token pick are made per call.
     """
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
-    support, background = dist.support, dist.background
+    support, background = dist.support, float(dist.background)
     weights = np.asarray(dist.values, dtype=np.float64)
     if background == 0 and len(support) == 1 and 0 < weights[0] < math.inf:
         return int(support[0])  # a point mass is the nucleus at any p
@@ -208,11 +235,14 @@ def _slot_distribution(dist: Distribution, ranges: tuple[tuple[int, int], ...]) 
     cuts = support.searchsorted(sum(ranges, ())).tolist()  # each range's start and end index
     pieces, weights, width = [], [], 0
     for (lo, hi), i, j in zip(ranges, cuts[::2], cuts[1::2]):
-        pieces.append(support[i:j] + (width - lo))
-        weights.append(values[i:j])
+        if i < j:  # a range without support tokens adds only its width
+            pieces.append(support[i:j] + (width - lo))
+            weights.append(values[i:j])
         width += hi - lo
     if len(pieces) == 1:
         return Distribution(pieces[0], weights[0], dist.background, width)
+    if not pieces:
+        return Distribution(support[:0], values[:0], dist.background, width)
     return Distribution(np.concatenate(pieces), np.concatenate(weights), dist.background, width)
 
 

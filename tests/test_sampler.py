@@ -271,9 +271,9 @@ class TestNucleusMemo:
         assert len(sampler._memo._entries) <= 1
 
     def test_signed_zero_backgrounds_are_kept_apart(self):
-        support, values = np.array([1, 4]), np.array([0.75, 0.25])
+        support, values = np.arange(0, 20, 2), np.linspace(0.2, 0.02, 10)
         for background in (0.0, -0.0, 0.0):
-            dist = Distribution(support, values, background, 6)
+            dist = Distribution(support, values, background, 24)
             for draw in (0.0, 0.5, np.nextafter(1.0, 0.0)):
                 expected = reference_nucleus_sample(np.asarray(dist), 1.0, _FixedDraws(draw))
                 assert nucleus_sample(dist, 1.0, _FixedDraws(draw)) == expected
@@ -281,24 +281,36 @@ class TestNucleusMemo:
 
     def test_equal_values_on_other_supports_draw_their_own_tokens(self):
         # one memo entry, two slots: the classes are shared, the tokens not
-        values = np.array([0.3, 0.1, 0.3, 0.2])
+        values = np.array([0.3, 0.1, 0.3, 0.2, 0.1, 0.05, 0.1, 0.05, 0.3, 0.2])
         tokens = set()
-        for support in (np.array([0, 2, 5, 7]), np.array([1, 3, 4, 9])):
-            dist = Distribution(support, values, 0.01, 10)
+        for support in (np.arange(0, 20, 2), np.arange(1, 21, 2)):
+            dist = Distribution(support, values, 0.01, 21)
             for draw in (0.0, 0.3, 0.6, 0.9, np.nextafter(1.0, 0.0)):
                 token = nucleus_sample(dist, 0.95, _FixedDraws(draw))
                 assert token == reference_nucleus_sample(np.asarray(dist), 0.95, _FixedDraws(draw))
                 tokens.add(token)
         assert len(sampler._memo._entries) == 1
-        assert tokens & {0, 2, 5, 7} and tokens & {1, 3, 4, 9}
+        assert tokens & set(range(0, 20, 2)) and tokens & set(range(1, 21, 2))
 
     def test_each_p_ranks_its_own_nucleus(self):
-        dist = Distribution(np.array([0, 3]), np.array([0.5, 0.3]), 0.05, 6)
+        dist = Distribution(np.arange(0, 30, 3), np.linspace(0.5, 0.05, 10), 0.01, 31)
         last = np.nextafter(1.0, 0.0)
         for p in (0.5, 0.8, 1.0, 0.5):
             expected = reference_nucleus_sample(np.asarray(dist), p, _FixedDraws(last))
             assert nucleus_sample(dist, p, _FixedDraws(last)) == expected
         assert len(sampler._memo._entries) == 3
+
+    @pytest.mark.parametrize("width", [1, 2, sampler._FEW])
+    def test_few_values_are_ranked_on_every_call_and_not_kept(self, width):
+        # a slot of at most _FEW support values, like a time slot holding
+        # only SEP, is ranked in Python as fast as it is looked up
+        data = np.random.default_rng(width)
+        support = np.sort(data.choice(40, width, replace=False))
+        dist = Distribution(support, data.random(width), 0.002, 40)
+        for seed in range(20):
+            expected = self._outcome(reference_nucleus_sample, np.asarray(dist), 0.95, seed)
+            assert self._outcome(nucleus_sample, dist, 0.95, seed) == expected
+        assert not sampler._memo._entries
 
     @pytest.mark.parametrize("dist", [
         Distribution.dense(np.array([0.5, 0.5, -0.1])),
@@ -371,6 +383,20 @@ class TestNucleusMemo:
         assert failures == []
         entries = sampler._memo._entries
         assert sampler._memo.bytes == sum(size for _, size in entries.values()) <= 20_000
+
+
+@pytest.mark.parametrize("held", [(), (0,), (1,), (0, 1)])
+def test_slot_distribution_of_ranges_without_support_tokens(held):
+    # a time slot's shape, times from a start and then SEP alone: only the
+    # ranges in ``held`` hold support tokens, the others only background
+    ranges = ((20, 30), (50, 51))
+    support = np.array([5, *((22, 27) if 0 in held else ()), *((50,) if 1 in held else ()), 60])
+    dist = Distribution(support, np.linspace(0.1, 0.3, len(support)), 0.01, 64)
+    slot = sampler._slot_distribution(dist, ranges)
+    dense = np.asarray(dist)
+    assert np.array_equal(np.asarray(slot), np.concatenate([dense[lo:hi] for lo, hi in ranges]))
+    assert slot.size == 11 and len(slot.support) == 2 * (0 in held) + (1 in held)
+    assert slot.support.dtype == np.int64 and slot.values.dtype == np.float64
 
 
 def _compact(dense: np.ndarray, rng: np.random.Generator, extra: bool = False) -> Distribution:
