@@ -7,15 +7,22 @@ it, ``evaluate`` log-loss, and ``golden`` for the built-in reference checks.
 
 Each subcommand is declared once, its parser binding its handler, and the
 ``input`` and ``output`` of the five that stream (``-``, the default, is stdin
-or stdout) once for all five; each option is declared, defaulted and checked
-once, in argparse. A flat ``key=value`` config file (``--config``) may set any
+or stdout) once for all five; each option is declared and defaulted once, in
+argparse. A flat ``key=value`` config file (``--config``) may set any
 optional flag of its subcommand but ``--config`` and the required ``--model``:
 the key is the flag's name (``top_p`` or ``top-p``), an on/off flag takes a
 boolean word, and each value is checked as the flag would be. An explicit flag
 beats the config file, which beats the ``ANTICIPATE_SEED`` environment variable
 (the default of ``--seed``, a non-negative int from any source), which beats
-the built-in default. Exit codes: 0 success, 1 usage error (including a bad
-config or environment value), 2 data error.
+the built-in default.
+
+Exit codes: 0 success, 1 usage error, 2 data error. Argparse checks each
+value's type, and ``--seed``'s range, whether it comes from a flag, a config
+line or the environment: a bad one is a usage error. The library checks the
+other ranges (``--top-p``, ``--max-tokens``, ``--delta``, ``--target-density``,
+``--factor``, ``--order``, ``--alpha``) where the value is used, so a value
+out of range exits 2 with the library's message, such as ``error: top_p must
+be in (0, 1]``.
 """
 
 from __future__ import annotations

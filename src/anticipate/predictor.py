@@ -29,7 +29,9 @@ unigram, each successor's slot in the support, the smoothed per-row terms,
 level 1's already added to the backed-off unigram, and per depth the vector
 of a context seen at no level, which about half of accompaniment's calls
 get) are built by the first call, at any depth, not by training, saving or
-loading. They are read-only, and so is every array a call returns.
+loading. They are read-only and shared by every thread, and so is every
+array a call returns; the compact vector a call with a row writes is its
+thread's own.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 import zipfile
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Protocol, Sequence
@@ -93,8 +96,9 @@ class Predictor(Protocol):
     ``context_length - 1`` tokens, copies whatever it keeps, and returns a
     ``Distribution`` of size ``vocab_size`` (non-negative, summing to one)
     that depends only on ``z`` and those tokens. Implementations may reuse
-    its arrays between calls; callers must copy what they keep and must not
-    write into them (the n-gram's are read-only views of its tables).
+    its arrays between the calls of one thread, never across threads;
+    callers must copy what they keep and must not write into them (the
+    n-gram's are read-only views of its tables).
     """
 
     vocab_size: int
@@ -145,22 +149,29 @@ class _Tables(NamedTuple):
     """What ``next_distribution`` reads beyond the levels: the ``support``,
     the backed-off unigram over it plus the background slot, the per-level
     terms (index 0 unused), the term of a context never seen, per depth the
-    vector of a context seen at no level (depth 0 the unigram), and the
-    compact vector each call with a row works in, with its values as a
-    read-only view. Every array but ``compact`` is read-only."""
+    vector of a context seen at no level (depth 0 the unigram), and each
+    thread's scratch. Every array but the scratch's ``compact`` is read-only."""
 
     support: np.ndarray
     backoff_unigram: np.ndarray
     terms: list[_LevelTerms | None]
     unseen: float
     never_seen: list[np.ndarray]
-    compact: np.ndarray
-    compact_values: np.ndarray
+    scratch: _Scratch
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+class _Scratch(threading.local):
+    """Each thread's compact vector, which its calls with a row work in, and
+    the vector's values as a read-only view; built on a thread's first read."""
+
+    def __init__(self, size: int) -> None:
+        self.compact = np.empty(size)
+        self.values = _read_only(self.compact[:-1])
 
 
 class NGramModel:
@@ -235,10 +246,8 @@ class NGramModel:
         vectors = [unigram, backoff_unigram + unseen]
         for _ in range(2, self.order):
             vectors.append(np.multiply(vectors[-1], BACKOFF_WEIGHT) + unseen)
-        compact = np.empty(len(support) + 1)
         return _Tables(_read_only(support), _read_only(backoff_unigram), terms, unseen,
-                       [_read_only(v) for v in vectors[: self.order]], compact,
-                       _read_only(compact[:-1]))
+                       [_read_only(v) for v in vectors[: self.order]], _Scratch(len(support) + 1))
 
     def next_distribution(self, z: int | None, context: Sequence[int]) -> Distribution:
         """Interpolated distribution after ``[z, *context]``, as read-only
@@ -250,13 +259,14 @@ class NGramModel:
         recursion runs from the unigram over the support plus one background
         slot, the probability of every token outside the support. Until a
         level has a row, the vector is that depth's precomputed one; from
-        then on the recursion runs in the one compact vector.
+        then on the recursion runs in the calling thread's compact vector.
         """
         n = len(context)
         depth = min(self.order - 1, n + (z is not None), self.context_length - 1)
         if self._tables is None:
             self._tables = self._build_tables()
-        support, backoff_unigram, terms, unseen, never_seen, compact, values = self._tables
+        support, backoff_unigram, terms, unseen, never_seen, scratch = self._tables
+        compact = scratch.compact
         vocab_size = self.vocab_size
         key: int | None = 0  # key of the last k tokens; None once one is outside the vocabulary
         radix = 1
@@ -289,7 +299,7 @@ class NGramModel:
         if not found:
             vector = never_seen[depth]
             return Distribution(support, vector[:-1], vector[-1], vocab_size)
-        return Distribution(support, values, compact[-1], vocab_size)
+        return Distribution(support, scratch.values, compact[-1], vocab_size)
 
     def save(self, path) -> None:
         """Write the model to exactly ``path`` as a versioned ``.npz``."""

@@ -41,18 +41,14 @@ Accompaniment repeats its slots (about two in three calls hold the values of
 a slot seen before), so the classes are memoized, keyed by the slot's values
 and background as float64 bytes, the background's token count and ``p``, in
 a memo bounded by the bytes it holds and shared by every thread; the draw
-and the token pick, which reads the support, are made per call. A slot of a
-few support values, such as a time slot holding SEP alone under a
-background whose token count moves with every start, seldom repeats; it is
-ranked in Python on every call instead, for less than a miss costs, and
-kept out of the memo.
+and the token pick, which reads the support, are made per call. Every slot,
+however few its support values, is ranked by the one rule and goes through
+the one memo.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 import struct
 import threading
 from bisect import bisect_left, bisect_right
@@ -105,38 +101,24 @@ class _Prefix(NamedTuple):
     total: float
 
 
-_FEW = 8  # slots of at most this many support values are ranked in Python, faster than numpy
-
-
 def _rank_classes(weights: np.ndarray, background: float, outside: int, p: float) -> _Prefix:
     """The classes of the nucleus of ``weights`` and ``outside`` tokens of
     ``background``; a pure function of its arguments."""
-    if len(weights) <= _FEW:
-        listed = weights.tolist()
-        ranked = [*listed, background] if outside else listed
-        if not all(0 <= w < math.inf for w in ranked):
-            raise ValueError("nucleus weights must be non-negative numbers")
-        values = sorted(set(ranked), reverse=True)  # equal values, 0.0 and -0.0 too, are one
-        counts = [listed.count(v) + outside * (v == background) for v in values]
-        mass = [0.0, *itertools.accumulate(map(operator.mul, values, counts))]
-    else:
-        # the values descending between inf and -1: each change of neighbours ends a class
-        sentinels = (math.inf, -1.0)
-        ranked = np.concatenate((weights, (background, *sentinels) if outside else sentinels))
-        ranked.sort()
-        ranked = ranked[::-1]
-        # the largest value (inf under a NaN) and the smallest
-        if not math.isfinite(ranked[1]) or ranked[-2] < 0:
-            raise ValueError("nucleus weights must be non-negative numbers")
-        ends = (ranked[1:] != ranked[:-1]).nonzero()[0]
-        classes, counts = ranked[ends[1:]], ends[1:] - ends[:-1]  # descending
-        values = classes.tolist()
-        if outside:
-            counts[values.index(background)] += outside - 1
-        mass = [0.0, *(classes * counts).cumsum().tolist()]
-        counts = counts.tolist()
-    # mass holds the mass before each class, then the total: the same
-    # sequential sums on either path
+    # the values descending between inf and -1: each change of neighbours ends a class
+    sentinels = (math.inf, -1.0)
+    ranked = np.concatenate((weights, (background, *sentinels) if outside else sentinels))
+    ranked.sort()
+    ranked = ranked[::-1]
+    # the largest value (inf under a NaN) and the smallest
+    if not math.isfinite(ranked[1]) or ranked[-2] < 0:
+        raise ValueError("nucleus weights must be non-negative numbers")
+    ends = (ranked[1:] != ranked[:-1]).nonzero()[0]
+    classes, counts = ranked[ends[1:]], ends[1:] - ends[:-1]  # descending
+    values = classes.tolist()
+    if outside:
+        counts[values.index(background)] += outside - 1
+    mass = [0.0, *(classes * counts).cumsum().tolist()]  # before each class, then the total
+    counts = counts.tolist()
     if not 0 < mass[-1] < math.inf:
         raise ValueError("cannot sample from an all-zero or invalid distribution")
     x = p * mass[-1]
@@ -161,11 +143,6 @@ class _Memo:
         self._lock = threading.Lock()
 
     def prefix(self, weights: np.ndarray, background: float, outside: int, p: float) -> _Prefix:
-        if len(weights) <= _FEW:
-            # few values rank in Python for less than a missed key costs to
-            # build and store, and they seldom repeat: most are time slots
-            # holding SEP alone, whose background count moves with every start
-            return _rank_classes(weights, background, outside, p)
         key = (weights.tobytes(), struct.pack("d", background), outside, p)
         with self._lock:
             entry = self._entries.get(key)
@@ -203,9 +180,9 @@ def nucleus_sample(dist: Distribution, p: float, rng: np.random.Generator) -> in
     raises ``ValueError``.
 
     The classes depend only on the values, the background, its token count
-    and ``p``, so each distinct slot of more than ``_FEW`` support values is
-    ranked once and its classes kept in a memo bounded by bytes; the draw and
-    the token pick are made per call.
+    and ``p``, so each distinct slot, whatever its number of support values,
+    is ranked once by one rule and its classes kept in a memo bounded by
+    bytes; the draw and the token pick are made per call.
     """
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")

@@ -9,6 +9,7 @@ import math
 import pickle
 import re
 import sys
+import threading
 import time
 import zipfile
 from collections import Counter
@@ -487,8 +488,8 @@ class TestSupportRecursion:
 
     def test_no_call_allocates_a_vector(self, rng):
         # a context seen at no level returns a view of its depth's precomputed
-        # vector (depth 0: the unigram), any other a view of the one compact
-        # vector, each with the background in its last slot
+        # vector (depth 0: the unigram), any other a view of the thread's one
+        # compact vector, each with the background in its last slot
         rows = markov_corpus(rng, 30, 10, 20)
         model = train_ngram(rows, order=3, alpha=0.01, vocab_size=60)
         model.next_distribution(None, [])
@@ -502,8 +503,8 @@ class TestSupportRecursion:
             assert dist.background == tables.never_seen[depth][-1]
         for z, context in [(None, rows[0][:2]), (None, [99, rows[0][0]]), (rows[0][0], [])]:
             dist = model.next_distribution(z, context)
-            assert dist.support is tables.support and dist.values is tables.compact_values
-            assert dist.background == tables.compact[-1]
+            assert dist.support is tables.support and dist.values is tables.scratch.values
+            assert dist.background == tables.scratch.compact[-1]
             assert len(dist.values) == len(tables.support) < model.vocab_size
 
     def test_tables_and_returned_arrays_are_read_only(self, rng):
@@ -520,10 +521,42 @@ class TestSupportRecursion:
                 dist.support[:] = 0
             assert np.array_equal(np.asarray(model.next_distribution(z, context)), before)
         tables = model._tables
-        kept = [tables.support, tables.backoff_unigram, tables.compact_values,
+        kept = [tables.support, tables.backoff_unigram, tables.scratch.values,
                 *tables.never_seen, *(a for terms in tables.terms[1:] for a in terms)]
         assert not any(array.flags.writeable for array in kept)
-        assert tables.compact.flags.writeable  # the scratch vector each call writes
+        assert tables.scratch.compact.flags.writeable  # the vector each call with a row writes
+
+    def test_a_distribution_kept_by_one_thread_survives_another_threads_call(self, rng):
+        # thread A keeps a distribution of a counted context; thread B then
+        # asks for another counted context on the same model; A's values
+        # must not change, so the vector a call writes is its thread's own
+        rows = markov_corpus(rng, 30, 10, 20)
+        model = train_ngram(rows, order=3, alpha=0.01, vocab_size=60)
+        context_a, context_b = rows[0][:2], rows[1][2:4]
+        expected_a = np.asarray(model.next_distribution(None, context_a))
+        assert not np.array_equal(np.asarray(model.next_distribution(None, context_b)),
+                                  expected_a)
+        kept, queried = threading.Event(), threading.Event()
+        outcome = {}
+
+        def thread_a():
+            dist = model.next_distribution(None, context_a)
+            kept.set()
+            if queried.wait(timeout=10):
+                outcome["a"] = np.asarray(dist)
+
+        def thread_b():
+            if kept.wait(timeout=10):
+                model.next_distribution(None, context_b)
+                queried.set()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert np.array_equal(outcome["a"], expected_a)
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_never_seen_contexts_match_the_dense_recursion_at_every_depth(self, rng, order):

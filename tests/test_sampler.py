@@ -300,17 +300,17 @@ class TestNucleusMemo:
             assert nucleus_sample(dist, p, _FixedDraws(last)) == expected
         assert len(sampler._memo._entries) == 3
 
-    @pytest.mark.parametrize("width", [1, 2, sampler._FEW])
-    def test_few_values_are_ranked_on_every_call_and_not_kept(self, width):
-        # a slot of at most _FEW support values, like a time slot holding
-        # only SEP, is ranked in Python as fast as it is looked up
+    @pytest.mark.parametrize("width", [1, 2, 8])
+    def test_few_values_are_ranked_once_and_kept(self, width):
+        # a slot of a few support values, like a time slot holding only SEP,
+        # goes through the memo like any other: one entry for every draw
         data = np.random.default_rng(width)
         support = np.sort(data.choice(40, width, replace=False))
         dist = Distribution(support, data.random(width), 0.002, 40)
         for seed in range(20):
             expected = self._outcome(reference_nucleus_sample, np.asarray(dist), 0.95, seed)
             assert self._outcome(nucleus_sample, dist, 0.95, seed) == expected
-        assert not sampler._memo._entries
+        assert len(sampler._memo._entries) == 1
 
     @pytest.mark.parametrize("dist", [
         Distribution.dense(np.array([0.5, 0.5, -0.1])),
@@ -343,6 +343,33 @@ class TestNucleusMemo:
         entries = sampler._memo._entries
         assert 1 <= len(entries) < len(slots) - 1
         assert sampler._memo.bytes == sum(size for _, size in entries.values())
+
+    @pytest.mark.parametrize("width", [1, 2, 8])
+    def test_small_slots_keep_the_memo_under_its_byte_bound(self, width):
+        # thousands of distinct slots of a few values, more than the memo
+        # holds: it evicts, counts exactly the sizes it keeps, and the memory
+        # it really holds stays within the bound
+        data = np.random.default_rng(width)
+        n = 4_000
+        tracemalloc.start()
+        try:
+            for i in range(n):
+                support = np.sort(data.choice(40, width, replace=False))
+                dist = Distribution(support, data.random(width), data.random() / 400, 40)
+                seed = int(data.integers(2**32))
+                outcome = self._outcome(nucleus_sample, dist, 0.95, seed)
+                if i % 100 == 0:
+                    held, _ = tracemalloc.get_traced_memory()
+                    assert held <= sampler._MEMO_BYTES
+                    expected = self._outcome(reference_nucleus_sample, np.asarray(dist), 0.95, seed)
+                    assert outcome == expected
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        entries = sampler._memo._entries
+        assert len(entries) < n and held <= sampler._MEMO_BYTES
+        assert sampler._memo.bytes == sum(size for _, size in entries.values())
+        assert sampler._MEMO_BYTES - 2_000 < sampler._memo.bytes <= sampler._MEMO_BYTES
 
     def test_threads_sharing_the_memo_draw_as_alone(self, monkeypatch):
         # more threads than cores, switching often, on a memo small enough
