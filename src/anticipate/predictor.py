@@ -409,11 +409,12 @@ def train_ngram(
 ) -> NGramModel:
     """Count-train an n-gram model over token rows; deterministic.
 
-    The n-grams of each order are counted at once: ``np.unique`` over the
-    mixed-radix keys of (context, token), contexts never crossing a row; the
-    unigrams by ``np.bincount`` if the vocabulary is no larger than the corpus.
-    Contexts as long as the longest row or longer were never seen; those
-    levels stay the untrained model's one shared empty level.
+    Each order is counted in place over the flat token stream: Horner's rule
+    builds the mixed-radix key of (context, token) at every window, windows
+    that start in an earlier row become -1, and one in-place sort, one
+    ``searchsorted`` past the -1s and one ``!=`` give the sorted grams and
+    their counts. Contexts as long as the longest row or longer were never
+    seen; those levels stay the untrained model's one shared empty level.
     """
     model = NGramModel(order, alpha, vocab_size)
     rows = list(corpus)
@@ -425,28 +426,28 @@ def train_ngram(
         flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=n_tokens)
     except OverflowError as exc:
         raise ValueError(f"token outside vocabulary of size {vocab_size}") from exc
-    outside = (flat < 0) | (flat >= vocab_size)
-    if outside.any():
-        raise ValueError(
-            f"token {flat[outside.argmax()]} outside vocabulary of size {vocab_size}"
-        )
-    position = np.arange(n_tokens) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    context = np.zeros(n_tokens, dtype=np.int64)  # key of the k tokens before each position
+    outside = np.flatnonzero((flat < 0) | (flat >= vocab_size))
+    if outside.size:
+        raise ValueError(f"token {flat[outside[0]]} outside vocabulary of size {vocab_size}")
+    ends = np.cumsum(lengths)
     levels = []
     for k in range(min(order, int(lengths.max()))):
-        if k:
-            context[1:] = context[:-1] * vocab_size + flat[:-1]
-        if k or vocab_size > n_tokens:  # bincount's table may not outgrow the tokens
-            counted = position >= k
-            grams, counts = np.unique(context[counted] * vocab_size + flat[counted],
-                                      return_counts=True)
-        else:  # every position counts, and each key is its token
-            counts = np.bincount(flat)
-            grams = np.flatnonzero(counts)
-            counts = counts[grams]
-        contexts, tokens = np.divmod(grams, vocab_size)
-        starts = np.flatnonzero(np.diff(contexts, prepend=-1))
-        levels.append(_Level.of(contexts[starts], np.append(starts, len(grams)), tokens, counts))
+        grams = flat[: n_tokens - k].copy()  # key of the k + 1 tokens from each position
+        for j in range(1, k + 1):
+            grams *= vocab_size
+            grams += flat[j : n_tokens - k + j]
+        crossing = (ends[:, None] - np.arange(1, k + 1)).ravel()  # the k windows before a row end
+        grams[crossing[(crossing >= 0) & (crossing < len(grams))]] = -1
+        grams.sort()
+        grams = grams[grams.searchsorted(0):]
+        starts = np.flatnonzero(np.concatenate(([True], grams[1:] != grams[:-1])))
+        counts = np.diff(starts, append=len(grams))
+        contexts = grams[starts]
+        del grams  # the window keys
+        tokens = contexts % vocab_size
+        contexts //= vocab_size
+        firsts = np.flatnonzero(np.diff(contexts, prepend=-1))
+        levels.append(_Level.of(contexts[firsts], np.append(firsts, len(starts)), tokens, counts))
     model._set_levels(levels + model._levels[len(levels):])
     return model
 

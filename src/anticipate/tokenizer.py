@@ -112,14 +112,14 @@ def encode_arrival(
 
     A control code ``z`` (AR or AAR) prepends the training-example preamble:
     ``z`` and one SEP triple. By default the raw 3-per-item token list is
-    returned.
+    returned. Its ints are the process-wide shared ones (``_shared_ints``).
     """
     tokens: list[int] = []
     if z is not None:
         if z not in (AV.AR, AV.AAR):
             raise TokenError(f"control code must be AR or AAR, got {z}")
         tokens.extend([z, AV.SEP, AV.SEP, AV.SEP])
-    tokens.extend(_arrival_triples(_as_interleaved(seq).columns).ravel().tolist())
+    tokens.extend(_shared_ints(_arrival_triples(_as_interleaved(seq).columns).ravel()))
     return tokens
 
 
@@ -262,7 +262,8 @@ def encode_interarrival(
     the note order the MIDI writer uses (:func:`anticipate.events._note_order`).
     A gap over 999 units is written as several gap tokens, so no time is
     lost; past ``MAX_ADDED_ITEMS`` extra gap tokens raise ``TokenError``.
-    Control-tagged input and rests are not supported by this codec.
+    Control-tagged input and rests are not supported by this codec. The
+    tokens are the process-wide shared ints (``_shared_ints``).
     """
     if isinstance(seq, InterleavedSequence):
         if seq.has_controls:
@@ -283,7 +284,7 @@ def encode_interarrival(
     tokens = np.full(count.sum(), IV.ONSET_BASE - 1)
     tokens[start] = codes
     tokens[(start + count - 1)[rest > 0]] = rest[rest > 0]
-    return ([IV.SEP] if leading_sep else []) + tokens.tolist()
+    return ([IV.SEP] if leading_sep else []) + _shared_ints(tokens)
 
 
 def decode_interarrival(tokens: Sequence[int]) -> EventSequence:
@@ -363,7 +364,8 @@ def pack_training_examples(
     content in the window: AAR when that sequence carries anticipated
     controls, AR otherwise. That sequence's items in the window are shifted
     by their minimum time; a window whose shifted times pass the token range
-    is discarded, the packer's one rule.
+    is discarded, the packer's one rule. The examples' tuples hold the
+    process-wide shared ints (``_shared_ints``).
     """
     if context_length < 4 or (context_length - 1) % 3:
         raise ValueError("context_length must be 1 + a multiple of 3")
@@ -401,7 +403,7 @@ def pack_training_examples(
     triples = _arrival_triples(windows[:, kept].reshape(4, -1), shift[kept].ravel())
     triples[sep[kept].ravel()] = AV.SEP
     tokens = np.column_stack([z[kept], triples.reshape(len(kept), 3 * width)])
-    result.examples = [TrainingExample(tuple(row)) for row in tokens.tolist()]
+    result.examples = [TrainingExample(tuple(row)) for row in _shared_ints(tokens)]
     return result
 
 
@@ -412,6 +414,19 @@ _HEADER_RE = re.compile(r"#codec=(arrival|interarrival)\s+vocab=(\d+)")
 def _token_texts(codec: str) -> tuple[str, ...]:
     """``str(t)`` for every token ``t`` of the codec's vocabulary, indexed by ``t``."""
     return tuple(str(t) for t in range(_codec_vocab(codec).SIZE))
+
+
+@functools.cache
+def _token_ints() -> np.ndarray:
+    """The ints ``0 … max codec SIZE - 1`` as one object array, indexed by token."""
+    return np.arange(max(vocab.SIZE for vocab in CODEC_VOCABS.values()), dtype=object)
+
+
+def _shared_ints(tokens) -> list:
+    """``tokens`` (in ``[0, max codec SIZE)``, any shape) as nested lists of
+    one shared int object per token id, so a kept row costs a pointer, not an
+    int, per token."""
+    return _token_ints()[tokens].tolist()
 
 
 def _codec_vocab(codec: str):
@@ -458,7 +473,8 @@ def _is_plain(text: str) -> bool:
 
 
 def read_tokens(f: IO[str]) -> tuple[str, list[list[int]]]:
-    """Read a token file; returns (codec, rows), each row a list of ints.
+    """Read a token file; returns (codec, rows), each row a list of the
+    process-wide shared ints (``_shared_ints``).
 
     A plain line (``_is_plain``) is parsed by one ``np.fromstring`` and kept
     when its largest token is in the vocabulary. Any other line, or a plain
@@ -487,7 +503,7 @@ def read_tokens(f: IO[str]) -> tuple[str, list[list[int]]]:
             # no sign, so no negative token: a field past int64 saturates high
             array = np.fromstring(text, np.int64, sep=" ")
             if array.max() < size:
-                rows.append(array.tolist())
+                rows.append(_shared_ints(array))
                 continue
         fields = line.split()
         if not fields:
@@ -498,5 +514,5 @@ def read_tokens(f: IO[str]) -> tuple[str, list[list[int]]]:
             raise TokenError(f"line {lineno}: {exc}") from exc
         if min(row) < 0 or max(row) >= size:
             raise _outside_vocabulary(f"line {lineno}", row, codec)
-        rows.append(row)
+        rows.append(_shared_ints(row))
     return codec, rows

@@ -11,6 +11,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import zipfile
 from collections import Counter
 
@@ -35,9 +36,10 @@ from anticipate.predictor import (
     _Level,
     train_ngram,
 )
+from anticipate.tokenizer import pack_training_examples
 from anticipate.vocab import ArrivalVocab as AV
 
-from conftest import UniformPredictor, reference_unigram_level
+from conftest import UniformPredictor, random_events, reference_unigram_level
 
 
 class DictNGram:
@@ -259,6 +261,20 @@ class TestNGram:
         level = train_ngram([[0, 2**61]], order=1, alpha=0.1, vocab_size=2**62)._levels[0]
         assert level.tokens.tolist() == [0, 2**61] and level.counts.tolist() == [1, 1]
 
+    def test_training_peak_memory_per_token(self, rng):
+        # like the bench corpus: each piece packed 30 times, so many grams repeat
+        pieces = [random_events(rng, 300, max_gap=30) for _ in range(5)]
+        rows = [e.tokens for e in pack_training_examples(pieces * 30).examples]
+        n_tokens = sum(map(len, rows))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_ngram(rows, order=3, alpha=0.01, vocab_size=AV.SIZE)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 55 * n_tokens, f"{peak / n_tokens:.1f} B per token, model included"
+
     def test_huge_order_rejected_without_building_the_power(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"not exceed 2\*\*63 .* got 55028 \*\* 100000000$"):
@@ -328,29 +344,42 @@ class TestNGram:
         assert time.perf_counter() - start < 0.5
 
 
+_LOOSE = st.integers(-1, 13)  # past every vocabulary drawn below, at both ends
+
+
 class TestNGramReference:
     """The array model against the dict-of-Counters reference: equal counts,
     bit-identical distributions."""
 
     @settings(max_examples=150, deadline=None)
     @given(
-        data=st.data(),
-        vocab_size=st.integers(1, 12),
+        case=st.integers(1, 12).flatmap(lambda vocab_size: st.tuples(st.just(vocab_size), st.lists(
+            st.lists(st.integers(0, vocab_size - 1), max_size=25), min_size=1, max_size=6)
+            .filter(lambda rows: any(rows)))),
         order=st.integers(1, 4),
         alpha=st.sampled_from([1e-3, 0.01, 0.5, 3.0]),
         context_length=st.integers(2, 7),
+        # z and a context, which runs past context_length and may hold tokens
+        # outside the vocabulary, or the index of a training row as context
+        queries=st.lists(st.tuples(st.none() | _LOOSE, st.lists(_LOOSE, max_size=10)
+                                   | st.integers(0, 5)), min_size=4, max_size=4),
     )
-    def test_matches_dict_reference(self, data, vocab_size, order, alpha, context_length):
-        token = st.integers(0, vocab_size - 1)
-        rows = data.draw(st.lists(st.lists(token, max_size=25), min_size=1, max_size=6)
-                         .filter(lambda rows: any(rows)))
+    # windows that cross a row, here past an empty one, equal real grams
+    @example(case=(6, [[5], [5, 5], [], [5, 5, 5]]), order=2, alpha=0.5, context_length=5,
+             queries=[(None, 3), (5, [5, 5])])
+    @example(case=(6, [[5], [5, 5], [], [5, 5, 5]]), order=3, alpha=0.5, context_length=5,
+             queries=[(None, 3), (5, [5, 5])])
+    @example(case=(6, [[5], [5, 5], [], [5, 5, 5]]), order=4, alpha=0.5, context_length=5,
+             queries=[(None, 3), (5, [5, 5])])
+    @example(case=(2, [[0, 1], [], [], [1, 0, 1], []]), order=4, alpha=0.01, context_length=7,
+             queries=[(None, [0, 1, 0]), (1, 0)])
+    def test_matches_dict_reference(self, case, order, alpha, context_length, queries):
+        vocab_size, rows = case
         model, reference = reference_pair(rows, order, alpha, vocab_size, context_length)
         assert_same_counts(model, reference)
-        # contexts run past context_length and may hold tokens outside the vocabulary
-        loose = st.integers(-1, vocab_size + 1)
-        for _ in range(4):
-            z = data.draw(st.none() | loose)
-            context = data.draw(st.lists(loose, max_size=10) | st.sampled_from(rows))
+        for z, context in queries:
+            if isinstance(context, int):
+                context = rows[context % len(rows)]
             expected = reference.next_distribution(z, context)
             assert np.array_equal(model.next_distribution(z, context), expected)
 

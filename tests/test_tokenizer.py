@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import io
 import logging
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -561,6 +562,52 @@ _HEADERS = st.builds(
               st.integers(1, 5_000).map(lambda n: "5" * n),
               st.text("0123456789", max_size=8)),
 )
+
+
+def assert_one_int_per_token_id(rows) -> None:
+    """Every token id in ``rows`` is held by one int object; the ids are
+    above 256, past CPython's small-int cache, which would hide a failure."""
+    tokens = [t for row in rows for t in row if t > 256]
+    assert tokens and len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens)
+
+
+class TestSharedInts:
+    """Bulk token rows hold one process-wide int object per token id."""
+
+    # two events of one note and duration at one time: every token repeats
+    events = EventSequence([Event(300, 400, 300), Event(300, 400, 300), Event(2300, 400, 300)])
+
+    def test_encoders_and_packer_share_ints(self, rng):
+        examples = pack_training_examples([random_events(rng, 400), self.events]).examples
+        assert_one_int_per_token_id([
+            encode_arrival(self.events), encode_arrival(self.events, z=AV.AAR),
+            encode_interarrival(self.events), encode_interarrival(self.events, leading_sep=True),
+            *(e.tokens for e in examples),
+        ])
+
+    def test_read_tokens_shares_ints_on_both_paths(self):
+        # the second line has a sign, so it is read field by field
+        text = "#codec=arrival vocab=55028\n300 11300 300 300\n+300 11300 300\n"
+        codec, rows = read_tokens(io.StringIO(text))
+        assert rows == [[300, 11300, 300, 300], [300, 11300, 300]]
+        assert_one_int_per_token_id(rows + [encode_arrival(self.events)])
+
+    def test_read_tokens_keeps_a_pointer_per_token(self, rng, tmp_path):
+        rows = rng.integers(257, AV.SIZE, size=(200, 1025))
+        path = tmp_path / "rows.tok"
+        with open(path, "w") as f:
+            write_tokens(f, rows.tolist(), "arrival")
+        read_tokens(io.StringIO("#codec=arrival vocab=55028\n1\n"))  # warms the shared table
+        with open(path) as f:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                _, read_back = read_tokens(f)
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert read_back == rows.tolist()
+        assert kept <= 12 * rows.size, f"{kept / rows.size:.1f} B per token"
 
 
 class TestTokenFileFuzz:
