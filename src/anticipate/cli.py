@@ -151,7 +151,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def _seed(text: str) -> int:
     """``--seed``'s type: a non-negative int, as numpy's generators take."""
-    if not text.strip().isdecimal():
+    if not text.isascii() or not text.strip().isdigit():
         raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
     return int(text)
 

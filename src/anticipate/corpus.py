@@ -35,16 +35,15 @@ MAX_SECONDS = 3600.0
 MAX_PARTS = 16
 
 
+_SPLIT_BY_DIGIT = {**dict.fromkeys("0123456789abcd", "train"), "e": "valid", "f": "test"}
+
+
 def split_for_digest(md5_hex: str) -> str:
     """Map an MD5 hex digest to its split by leading hex digit."""
-    digit = md5_hex[0].lower()
-    if digit in "0123456789abcd":
-        return "train"
-    if digit == "e":
-        return "valid"
-    if digit == "f":
-        return "test"
-    raise ValueError(f"not a hex digest: {md5_hex!r}")
+    try:
+        return _SPLIT_BY_DIGIT[md5_hex[:1].lower()]
+    except KeyError:
+        raise ValueError(f"not a hex digest: {md5_hex!r}") from None
 
 
 @dataclass

@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import logging
 import operator
-import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -407,9 +406,6 @@ def pack_training_examples(
     return result
 
 
-_HEADER_RE = re.compile(r"#codec=(arrival|interarrival)\s+vocab=(\d+)")
-
-
 @functools.cache
 def _token_texts(codec: str) -> tuple[str, ...]:
     """``str(t)`` for every token ``t`` of the codec's vocabulary, indexed by ``t``."""
@@ -437,10 +433,17 @@ def _codec_vocab(codec: str):
         raise ValueError(f"unknown codec {codec!r}") from None
 
 
-def _outside_vocabulary(where: str, row: Sequence[int], codec: str) -> TokenError:
-    low, high = min(row), max(row)
-    return TokenError(f"{where}: token {low if low < 0 else high} "
+def _outside_vocabulary(where: str, token, codec: str) -> TokenError:
+    return TokenError(f"{where}: token {token} "
                       f"outside the {codec} vocabulary of size {CODEC_VOCABS[codec].SIZE}")
+
+
+def _header(codec: str) -> str:
+    """The header line ``write_tokens`` writes for ``codec``, without its newline."""
+    return f"#codec={codec} vocab={_codec_vocab(codec).SIZE}"
+
+
+_HEADER_CODECS = {_header(codec): codec for codec in CODEC_VOCABS}
 
 
 def write_tokens(f: IO[str], rows: Iterable[Sequence[int]], codec: str) -> None:
@@ -452,17 +455,17 @@ def write_tokens(f: IO[str], rows: Iterable[Sequence[int]], codec: str) -> None:
     naming its 0-based row; the rows before it are already written.
     """
     texts = _token_texts(codec)
-    f.write(f"#codec={codec} vocab={len(texts)}\n")
+    f.write(_header(codec) + "\n")
     for i, row in enumerate(rows):
         if not len(row):
             raise TokenError(f"row {i}: an empty row cannot be written")
         try:
-            if min(row) < 0:  # a tuple reads a negative index from its end
+            if (low := min(row)) < 0:  # a tuple reads a negative index from its end
                 raise IndexError
             line = operator.itemgetter(*row)(texts)  # one index gives a bare str
             f.write((line if len(row) == 1 else " ".join(line)) + "\n")
         except IndexError:
-            raise _outside_vocabulary(f"row {i}", row, codec) from None
+            raise _outside_vocabulary(f"row {i}", low if low < 0 else max(row), codec) from None
 
 
 def _is_plain(text: str) -> bool:
@@ -476,43 +479,32 @@ def read_tokens(f: IO[str]) -> tuple[str, list[list[int]]]:
     """Read a token file; returns (codec, rows), each row a list of the
     process-wide shared ints (``_shared_ints``).
 
-    A plain line (``_is_plain``) is parsed by one ``np.fromstring`` and kept
-    when its largest token is in the vocabulary. Any other line, or a plain
-    line that fails that check, is read field by field with ``int``, so a
-    field ``fromstring`` misreads (a sign, ``_``, a non-ASCII digit, a value
-    it saturates at 2**63 - 1) reads as ``int`` reads it; blank lines are
-    skipped. A non-integer field or a token outside the header codec's
-    vocabulary raises ``TokenError`` naming the 1-based line.
+    The header must be one of the lines ``write_tokens`` writes, whitespace
+    aside. Every row comes from one ``np.fromstring`` of its line's ids, each
+    an unsigned ASCII decimal; a line with other whitespace between or around
+    its ids (tabs, CRLF, repeated spaces) is re-joined from its fields first,
+    and blank lines are skipped. Any other field, or an id outside the header
+    codec's vocabulary, raises ``TokenError`` naming the 1-based line.
     """
     header = f.readline()
-    match = _HEADER_RE.fullmatch(header.strip())
-    if not match:
-        raise TokenError(f"missing or malformed token file header: {header!r}")
-    codec, vocab = match.groups()
+    codec = _HEADER_CODECS.get(" ".join(header.split()))
+    if codec is None:
+        raise TokenError(f"missing or malformed token file header: {header[:80]!r}")
     size = CODEC_VOCABS[codec].SIZE
-    try:
-        matches = int(vocab) == size
-    except ValueError as exc:  # more digits than ``int`` converts
-        raise TokenError(f"vocab size of {len(vocab)} digits does not match codec {codec}") from exc
-    if not matches:
-        raise TokenError(f"vocab size {vocab} does not match codec {codec}")
     rows = []
     for lineno, line in enumerate(f, start=2):
         text = line.rstrip("\n")
-        if _is_plain(text):
-            # no sign, so no negative token: a field past int64 saturates high
-            array = np.fromstring(text, np.int64, sep=" ")
-            if array.max() < size:
-                rows.append(_shared_ints(array))
+        if not _is_plain(text):
+            fields = line.split()
+            if not fields:
                 continue
-        fields = line.split()
-        if not fields:
-            continue
-        try:
-            row = list(map(int, fields))
-        except ValueError as exc:
-            raise TokenError(f"line {lineno}: {exc}") from exc
-        if min(row) < 0 or max(row) >= size:
-            raise _outside_vocabulary(f"line {lineno}", row, codec)
-        rows.append(_shared_ints(row))
+            if bad := next((x for x in fields if not (x.isascii() and x.isdigit())), None):
+                raise TokenError(f"line {lineno}: {bad[:80]!r} is not an unsigned decimal id")
+            text = " ".join(fields)
+        # no sign, so no negative id: an id past int64 saturates high
+        array = np.fromstring(text, np.int64, sep=" ")
+        if array.max() >= size:
+            high = max((x.lstrip("0") or "0" for x in text.split()), key=lambda x: (len(x), x))
+            raise _outside_vocabulary(f"line {lineno}", high, codec)
+        rows.append(_shared_ints(array))
     return codec, rows

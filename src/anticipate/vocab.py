@@ -8,6 +8,9 @@ mapping a pure token-space shift.
 
 The interarrival codec encodes onset and offset tokens separated by gap
 tokens (zero gaps omitted).
+
+Each vocabulary's range tests (``is_plain_time``, ``is_gap`` …) are bindings
+of one half-open rule, ``_in_range(lo, hi)``.
 """
 
 from __future__ import annotations
@@ -15,10 +18,15 @@ from __future__ import annotations
 from .events import MAX_DURATION_UNITS, MAX_TIME_UNITS, NUM_NOTE_CODES
 
 
+def _in_range(lo: int, hi: int) -> staticmethod:
+    """The test that a token, or each token of an integer array, is in ``[lo, hi)``."""
+    return staticmethod(lambda tok: (lo <= tok) & (tok < hi))
+
+
 class ArrivalVocab:
     """Token layout for the arrival-time codec (size 55028).
 
-    The range tests take a token or an integer array of tokens.
+    Each range test takes a token or an integer array of tokens.
     """
 
     TIME_BASE = 0
@@ -37,35 +45,18 @@ class ArrivalVocab:
     AAR = SEP + 2  # 55027: global code, anticipated content present
     SIZE = AAR + 1  # 55028
 
-    @classmethod
-    def is_plain_time(cls, tok: int) -> bool:
-        return (cls.TIME_BASE <= tok) & (tok < cls.DUR_BASE)
-
-    @classmethod
-    def is_plain_duration(cls, tok: int) -> bool:
-        return (cls.DUR_BASE <= tok) & (tok < cls.NOTE_BASE)
-
-    @classmethod
-    def is_plain_note(cls, tok: int) -> bool:
-        return (cls.NOTE_BASE <= tok) & (tok < cls.REST)
-
-    @classmethod
-    def is_control_time(cls, tok: int) -> bool:
-        return (cls.ANT_TIME_BASE <= tok) & (tok < cls.ANT_DUR_BASE)
-
-    @classmethod
-    def is_control_duration(cls, tok: int) -> bool:
-        return (cls.ANT_DUR_BASE <= tok) & (tok < cls.ANT_NOTE_BASE)
-
-    @classmethod
-    def is_control_note(cls, tok: int) -> bool:
-        return (cls.ANT_NOTE_BASE <= tok) & (tok < cls.SEP)
+    is_plain_time = _in_range(TIME_BASE, DUR_BASE)
+    is_plain_duration = _in_range(DUR_BASE, NOTE_BASE)
+    is_plain_note = _in_range(NOTE_BASE, REST)
+    is_control_time = _in_range(ANT_TIME_BASE, ANT_DUR_BASE)
+    is_control_duration = _in_range(ANT_DUR_BASE, ANT_NOTE_BASE)
+    is_control_note = _in_range(ANT_NOTE_BASE, SEP)
 
 
 class InterarrivalVocab:
     """Token layout for the interarrival-time codec (size 34025).
 
-    The range tests take a token or an integer array of tokens.
+    Each range test takes a token or an integer array of tokens.
     """
 
     GAP_BASE = 0
@@ -74,17 +65,9 @@ class InterarrivalVocab:
     SEP = OFFSET_BASE + NUM_NOTE_CODES  # 34024
     SIZE = SEP + 1  # 34025
 
-    @classmethod
-    def is_gap(cls, tok: int) -> bool:
-        return (cls.GAP_BASE <= tok) & (tok < cls.ONSET_BASE)
-
-    @classmethod
-    def is_onset(cls, tok: int) -> bool:
-        return (cls.ONSET_BASE <= tok) & (tok < cls.OFFSET_BASE)
-
-    @classmethod
-    def is_offset(cls, tok: int) -> bool:
-        return (cls.OFFSET_BASE <= tok) & (tok < cls.SEP)
+    is_gap = _in_range(GAP_BASE, ONSET_BASE)
+    is_onset = _in_range(ONSET_BASE, OFFSET_BASE)
+    is_offset = _in_range(OFFSET_BASE, SEP)
 
 
 CODEC_VOCABS = {"arrival": ArrivalVocab, "interarrival": InterarrivalVocab}

@@ -165,7 +165,8 @@ def reference_write_tokens(f, rows, codec: str) -> None:
                 raise IndexError
             f.write(" ".join(map(texts.__getitem__, row)) + "\n")
         except IndexError:
-            raise _outside_vocabulary(f"row {i}", row, codec) from None
+            low = min(row)
+            raise _outside_vocabulary(f"row {i}", low if low < 0 else max(row), codec) from None
 
 
 def reference_nucleus_sample(dense, p, rng) -> int:

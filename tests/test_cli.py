@@ -243,6 +243,8 @@ def _written(write, rows, *args) -> str:
 
 
 _TWINKLE_TEXT = _written(write_events, [golden.twinkle_events()])
+_TWINKLE_TOKENS = _written(write_tokens, [encode_arrival(golden.twinkle_events(), z=AV.AR)],
+                           "arrival")
 
 # The five subcommands that read ``input`` and write ``output``, each with an
 # input and its usage line (whitespace collapsed), which must not change.
@@ -252,7 +254,7 @@ _STREAM_COMMANDS = {
         "[-h] [--config CONFIG] [--codec {arrival,interarrival}] [--relativize] [--pack] "
         "[--raw] [input] [output]"),
     "detokenize": (
-        _written(write_tokens, [encode_arrival(golden.twinkle_events(), z=AV.AR)], "arrival"),
+        _TWINKLE_TOKENS,
         "[-h] [--config CONFIG] [--codec {arrival,interarrival}] [input] [output]"),
     "densify": (
         "100 10 60\n200 10 60\n500 10 60\n",
@@ -411,6 +413,57 @@ def test_rests_of_a_whole_augment_run_share_one_budget(tmp_path, small_model, st
     assert "Traceback" not in proc.stderr
     if stage[0] == "augment":
         assert proc.stderr == "error: 1999998 rests asked for, over the budget of 1048576\n"
+
+
+_TWINKLE_HEADER, _TWINKLE_BODY = _TWINKLE_TOKENS.split("\n", 1)
+
+
+def _with_field(field: str) -> str:
+    """The twinkle token file with ``field`` in place of its row's fifth id."""
+    fields = _TWINKLE_BODY.split(" ")
+    return "\n".join([_TWINKLE_HEADER, " ".join([*fields[:4], field, *fields[5:]])])
+
+
+# Token files no writer produces: an id in another syntax, a header of another
+# spelling or size, and an id past int64.
+_HOSTILE_TOKEN_FILES = {
+    **{f"id {field}": _with_field(field) for field in ["+5", "1_000", "٣", "-1"]},
+    "vocab=055028": "#codec=arrival vocab=055028\n" + _TWINKLE_BODY,
+    "interarrival size": f"#codec=arrival vocab={IV.SIZE}\n" + _TWINKLE_BODY,
+    "5 000-digit size": "#codec=arrival vocab=" + "5" * 5_000 + "\n" + _TWINKLE_BODY,
+    "id past int64": _with_field(str(2**63)),
+}
+
+
+def _token_stage(stage: str, path: Path, out: Path, model: Path) -> list[str]:
+    """The argv of a CLI stage that reads the token file at ``path``."""
+    return {"detokenize": ["detokenize", str(path), str(out)],
+            "train-ngram": ["train-ngram", str(path), str(out)],
+            "evaluate": ["evaluate", str(path), "--model", str(model)]}[stage]
+
+
+@pytest.mark.parametrize("stage", ["detokenize", "train-ngram", "evaluate"])
+def test_hostile_token_files_through_every_stage(tmp_path, small_model, stage):
+    path, out = tmp_path / "hostile.tok", tmp_path / "out"
+    for name, text in _HOSTILE_TOKEN_FILES.items():
+        path.write_text(text)
+        proc = _limited_cli(_token_stage(stage, path, out, small_model))
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, name
+        assert not out.exists(), name
+
+
+@pytest.mark.parametrize("stage", ["detokenize", "train-ngram", "evaluate"])
+def test_crlf_and_tabs_read_as_the_canonical_token_file(tmp_path, small_model, stage):
+    path, out = tmp_path / "twinkle.tok", tmp_path / "out"
+    outcomes = []
+    for text in (_TWINKLE_TOKENS, _TWINKLE_TOKENS.replace(" ", "\t").replace("\n", "\r\n")):
+        path.write_bytes(text.encode())
+        proc = _limited_cli(_token_stage(stage, path, out, small_model))
+        outcomes.append((proc.returncode, proc.stdout, proc.stderr,
+                         out.read_bytes() if out.exists() else None))
+    assert outcomes[0][0] == 0 and outcomes[0][1:] != ("", "", None)
+    assert outcomes[1] == outcomes[0]
 
 
 def test_sample_refuses_an_interarrival_model(tmp_path, twinkle_file, capsys):
@@ -770,6 +823,19 @@ class TestConfigChecks:
         monkeypatch.setenv("ANTICIPATE_SEED", "abc")
         assert run("augment", "--factor", "10", str(twinkle_file), str(tmp_path / "a.tok")) == 1
         assert "argument --seed: expected a non-negative int, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "variable", "config"])
+    def test_non_ascii_digit_seed_is_a_usage_error(self, tmp_path, twinkle_file, monkeypatch,
+                                                   capsys, source):
+        # ``str.isdecimal`` and ``int`` take "٣" as 3; a seed, like a token id, is ASCII digits
+        given = {"flag": ["--seed", "٣"], "variable": [],
+                 "config": ["--config", self.conf(tmp_path, "seed=٣\n")]}[source]
+        if source == "variable":
+            monkeypatch.setenv("ANTICIPATE_SEED", "٣")
+        out = tmp_path / "a.tok"
+        assert run("augment", "--factor", "10", *given, str(twinkle_file), str(out)) == 1
+        assert "argument --seed: expected a non-negative int, got '٣'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["augment", "sample"])
     @pytest.mark.parametrize("source", ["flag", "variable", "config"])

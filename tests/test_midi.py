@@ -723,6 +723,11 @@ class TestSplits:
         with pytest.raises(ValueError, match="^not a hex digest: 'zz'$"):
             split_for_digest("zz")
 
+    def test_empty_digest_rejected(self):
+        # "" is a substring of any text, so a bare membership test would call it train
+        with pytest.raises(ValueError, match="^not a hex digest: ''$"):
+            split_for_digest("")
+
     def test_expected_proportions(self, rng):
         import hashlib
 
