@@ -433,6 +433,32 @@ class TestReportFormat:
         assert f"tokens=3\nseconds=1.00\nbits_per_second={expected:.4f}" in format_report(report, 1.0)
         assert report_row(report, 1.0).endswith(f"\t{expected:.4f}")
 
+    # each rendering byte for byte: the slot perplexities are in the block for
+    # the arrival codec only, and always in the row
+    @pytest.mark.parametrize("report, block, row", [
+        (LossReport("arrival", n_events=14, nats_time=30.5, nats_duration=12.25, nats_note=40.0,
+                    nats_sep=2.5, n_sep_tokens=3, nats_control=9.0, n_control_tokens=6),
+         "codec=arrival\nevents=14\nnats_per_token=1.970238\nnats_per_token_with_sep=1.894444\n"
+         "sep_tokens=3\ncontrol_tokens=6\ninfinite_losses=0\nppl_event=368.9696\n"
+         "ppl_time=8.8337\nppl_duration=2.3989\nppl_note=17.4117\ntokens=42\nseconds=7.50\n"
+         "bits_per_second=15.9177",
+         "arrival\t14\t1.970238\t368.9696\t8.8337\t2.3989\t17.4117\t15.9177"),
+        (LossReport("interarrival", n_events=55, nats_time=120.75),
+         "codec=interarrival\nevents=55\nnats_per_token=2.195455\n"
+         "nats_per_token_with_sep=2.195455\nsep_tokens=0\ncontrol_tokens=0\ninfinite_losses=0\n"
+         "tokens=55\nseconds=7.50\nbits_per_second=23.2274",
+         "interarrival\t55\t2.195455\t8.9841\t8.9841\t1.0000\t1.0000\t23.2274"),
+        (LossReport("arrival", n_events=14, nats_time=math.inf, nats_duration=12.25,
+                    nats_note=40.0, infinite_positions=[(0, 3)]),
+         "codec=arrival\nevents=14\nnats_per_token=inf\nnats_per_token_with_sep=inf\n"
+         "sep_tokens=0\ncontrol_tokens=0\ninfinite_losses=1\nppl_event=inf\nppl_time=inf\n"
+         "ppl_duration=2.3989\nppl_note=17.4117\ntokens=42\nseconds=7.50\nbits_per_second=inf",
+         "arrival\t14\tinf\tinf\tinf\t2.3989\t17.4117\tinf"),
+    ], ids=["arrival", "interarrival", "infinite-loss"])
+    def test_renderings_byte_for_byte(self, report, block, row):
+        assert format_report(report, 7.5) == block
+        assert report_row(report, 7.5) == row
+
 
 _items = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 999), st.integers(-1, 300),
                             st.booleans()), max_size=10)
