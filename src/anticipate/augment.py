@@ -60,25 +60,16 @@ class AugmentationPolicy:
 def draw_span_starts(total_seconds: float, length: float, rng: np.random.Generator) -> list[float]:
     """Span start times over [0, total_seconds]: exponential gaps at
     ``SPAN_RATE`` along the time axis, each drawn from the end of the
-    previous span. More than ``MAX_ADDED_ITEMS`` expected starts raise
-    ``ValueError`` before any draw. Gaps are drawn in blocks, so the
-    generator may be left past the last gap used; one running sum makes a
-    start-by-start loop's additions in its order."""
+    previous span, one draw per start and one for the first start past the
+    end. More than ``MAX_ADDED_ITEMS`` expected starts raise ``ValueError``
+    before any draw."""
     _check_added(total_seconds * SPAN_RATE, "expected span starts")
-    block = 1 + int(total_seconds * SPAN_RATE)
-    steps = np.full(2 * block + 1, float(length))
     starts: list[float] = []
     position = 0.0
-    while True:
-        steps[0] = position
-        steps[1::2] = rng.exponential(1.0 / SPAN_RATE, size=block)
-        sums = steps.cumsum()  # each start, then the end of its span
-        drawn = sums[1::2]
-        past = drawn > total_seconds
-        if past.any():
-            return starts + drawn[: past.argmax()].tolist()
-        starts += drawn.tolist()
-        position = sums[-1]
+    while (start := position + rng.exponential(1.0 / SPAN_RATE)) <= total_seconds:
+        starts.append(start)
+        position = start + length
+    return starts
 
 
 def span_mask(seq: EventSequence, starts: list[float], length: float) -> np.ndarray:
@@ -145,10 +136,6 @@ class AugmentedCopy:
     interleaved: InterleavedSequence
 
 
-def _rng_for(seed: int, copy_index: int, sequence_index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, copy_index, sequence_index])
-
-
 def augment_sequence(
     seq: EventSequence,
     pattern: str,
@@ -197,7 +184,7 @@ def augment_corpus(
     rests = 0
     for copy_index, pattern in enumerate(policy.copy_patterns()):
         for sequence_index, seq in enumerate(seqs):
-            rng = _rng_for(seed, copy_index, sequence_index)
+            rng = np.random.default_rng([seed, copy_index, sequence_index])
             applied, interleaved = augment_sequence(seq, pattern, config, rng)
             rests += len(interleaved) - len(seq)
             _check_added(rests, "rests")

@@ -47,6 +47,7 @@ from .predictor import NGramModel, train_ngram
 from .sampler import SamplerConfig, generate_anticipatory, generate_autoregressive_infill
 from .tokenizer import (
     TokenError,
+    _is_digits,
     _relativize_sequence,
     decode_arrival,
     decode_interarrival,
@@ -151,7 +152,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def _seed(text: str) -> int:
     """``--seed``'s type: a non-negative int, as numpy's generators take."""
-    if not text.isascii() or not text.strip().isdigit():
+    if not _is_digits(text.strip()):
         raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
     return int(text)
 

@@ -27,7 +27,7 @@ log = logging.getLogger(__name__)
 
 SPLITS = ("train", "valid", "test")
 
-MANIFEST_HEADER = "id md5 split events seconds parts reason"
+MANIFEST_HEADER = "\t".join("id md5 split events seconds parts reason".split())
 
 MIN_EVENTS = 100
 MIN_SECONDS = 10.0
@@ -57,10 +57,9 @@ class ManifestEntry:
     reason: str | None = None  # None means accepted
 
     def to_row(self) -> str:
-        reason = self.reason if self.reason is not None else "-"
-        return "\t".join(
-            [self.file_id, self.md5, self.split, str(self.events), f"{self.seconds:.2f}", str(self.parts), reason]
-        )
+        return "\t".join([self.file_id, self.md5, self.split, str(self.events),
+                          f"{self.seconds:.2f}", str(self.parts),
+                          "-" if self.reason is None else self.reason])
 
 
 @dataclass

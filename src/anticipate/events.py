@@ -159,8 +159,8 @@ class TaggedEvent:
     control: bool = False
 
 
-def _array(rows: list[tuple], width: int) -> np.ndarray:
-    """Per-item field tuples as a (width, n) int64 array."""
+def _array(rows: list, width: int) -> np.ndarray:
+    """Per-item field tuples, or their fields flat, as a (width, n) int64 array."""
     try:
         return np.array(rows, dtype=np.int64).reshape(-1, width).T.copy()
     except OverflowError as exc:

@@ -173,48 +173,40 @@ def cross_entropy(
     return report
 
 
-def _report_bits_per_second(report: LossReport, seconds: float) -> float:
+_ROW_FIELDS = ("codec", "events", "nats_per_token", "ppl_event", "ppl_time", "ppl_duration",
+               "ppl_note", "bits_per_second")
+
+
+def _report_fields(report: LossReport, seconds: float) -> dict[str, str]:
+    """The text of each reported quantity, in ``format_report``'s order."""
     stats = CorpusStats(report.n_event_tokens, seconds, report.codec)
-    return bits_per_second(report.nats_per_token, stats)
+    return {
+        "codec": report.codec,
+        "events": str(report.n_events),
+        "nats_per_token": f"{report.nats_per_token:.6f}",
+        "nats_per_token_with_sep": f"{report.nats_per_token_with_sep:.6f}",
+        "sep_tokens": str(report.n_sep_tokens),
+        "control_tokens": str(report.n_control_tokens),
+        "infinite_losses": str(len(report.infinite_positions)),
+        "ppl_event": f"{report.ppl_event:.4f}",
+        "ppl_time": f"{report.ppl_time:.4f}",
+        "ppl_duration": f"{report.ppl_duration:.4f}",
+        "ppl_note": f"{report.ppl_note:.4f}",
+        "tokens": str(report.n_event_tokens),
+        "seconds": f"{seconds:.2f}",
+        "bits_per_second": f"{bits_per_second(report.nats_per_token, stats):.4f}",
+    }
 
 
 def format_report(report: LossReport, seconds: float) -> str:
-    """Render a loss report, with the bits per second over the ``seconds``
-    of the scored music, as a flat key=value block."""
-    lines = [
-        f"codec={report.codec}",
-        f"events={report.n_events}",
-        f"nats_per_token={report.nats_per_token:.6f}",
-        f"nats_per_token_with_sep={report.nats_per_token_with_sep:.6f}",
-        f"sep_tokens={report.n_sep_tokens}",
-        f"control_tokens={report.n_control_tokens}",
-        f"infinite_losses={len(report.infinite_positions)}",
-    ]
-    if report.codec == "arrival":
-        lines += [
-            f"ppl_event={report.ppl_event:.4f}",
-            f"ppl_time={report.ppl_time:.4f}",
-            f"ppl_duration={report.ppl_duration:.4f}",
-            f"ppl_note={report.ppl_note:.4f}",
-        ]
-    lines += [
-        f"tokens={report.n_event_tokens}",
-        f"seconds={seconds:.2f}",
-        f"bits_per_second={_report_bits_per_second(report, seconds):.4f}",
-    ]
-    return "\n".join(lines)
+    """Render a loss report, with the bits per second over the ``seconds`` of
+    the scored music, as key=value lines; slot perplexities for arrival only."""
+    slots = report.codec == "arrival"
+    return "\n".join(f"{key}={text}" for key, text in _report_fields(report, seconds).items()
+                     if slots or not key.startswith("ppl_"))
 
 
 def report_row(report: LossReport, seconds: float) -> str:
-    """Render the report, bits per second last, as one machine-readable
-    tab-separated row."""
-    return "\t".join([
-        report.codec,
-        str(report.n_events),
-        f"{report.nats_per_token:.6f}",
-        f"{report.ppl_event:.4f}",
-        f"{report.ppl_time:.4f}",
-        f"{report.ppl_duration:.4f}",
-        f"{report.ppl_note:.4f}",
-        f"{_report_bits_per_second(report, seconds):.4f}",
-    ])
+    """Render the report's ``_ROW_FIELDS`` as one machine-readable tab-separated row."""
+    fields = _report_fields(report, seconds)
+    return "\t".join(fields[key] for key in _ROW_FIELDS)

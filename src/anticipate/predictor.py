@@ -12,8 +12,8 @@ the contract can be plugged into the samplers and metrics unchanged.
 
 The n-gram keeps its counts in arrays. For each context length it holds the
 sorted mixed-radix (base ``vocab_size``) int64 keys of the contexts seen and,
-per context, one row of successor tokens with their counts; ``totals`` is
-decoded from them on each read. A model file is a versioned ``.npz`` of those
+per context, one row of successor tokens with their counts, which sum to the
+row's total where it is read. A model file is a versioned ``.npz`` of those
 arrays, read with ``allow_pickle=False``, so loading one never executes code.
 Model files pickled by earlier versions are rejected with ``ModelFileError``
 and must be retrained.
@@ -51,7 +51,6 @@ from .tokenizer import CONTEXT_LENGTH
 BACKOFF_WEIGHT = 0.4  # mass given to the next-lower order at each level
 MODEL_FORMAT_VERSION = 1
 KEY_LIMIT = 2**63  # n-gram keys are int64, so vocab_size ** order may not exceed this
-_STORED = ("keys", "offsets", "tokens", "counts")  # per-level arrays in a model file
 
 
 class ModelFileError(ValueError):
@@ -108,23 +107,20 @@ class Predictor(Protocol):
 
 
 class _Level(NamedTuple):
-    """The counts after contexts of one length.
+    """The counts after contexts of one length, as a model file stores them.
 
     Context ``keys[i]`` (ascending) was followed by the ascending tokens
-    ``tokens[offsets[i]:offsets[i + 1]]``, each ``counts`` times, and by
-    ``totals[i]`` tokens in all.
+    ``tokens[offsets[i]:offsets[i + 1]]``, each ``counts`` times.
     """
 
     keys: np.ndarray
     offsets: np.ndarray
     tokens: np.ndarray
     counts: np.ndarray
-    totals: np.ndarray
 
-    @classmethod
-    def of(cls, keys, offsets, tokens, counts) -> "_Level":
-        cumulative = np.concatenate(([0], np.cumsum(counts)))
-        return cls(keys, offsets, tokens, counts, cumulative[offsets[1:]] - cumulative[offsets[:-1]])
+    def row_totals(self) -> np.ndarray:
+        """Each row's total, summed from its ``counts`` (no row is empty)."""
+        return np.add.reduceat(self.counts, self.offsets[:-1])
 
     def find(self, key: int) -> int:
         """Row of context ``key``, or -1 if it was never seen."""
@@ -205,7 +201,7 @@ class NGramModel:
         self.vocab_size = vocab_size
         self.context_length = context_length
         empty = np.zeros(0, dtype=np.int64)
-        self._set_levels([_Level.of(empty, np.zeros(1, dtype=np.int64), empty, empty)] * order)
+        self._set_levels([_Level(empty, np.zeros(1, dtype=np.int64), empty, empty)] * order)
 
     def _set_levels(self, levels: list[_Level]) -> None:
         self._levels = levels
@@ -218,7 +214,7 @@ class NGramModel:
         ``vocab_size`` digits are the tokens, the oldest the most significant."""
         powers = self.vocab_size ** np.arange(self.order - 1, -1, -1, dtype=np.int64)
         return [dict(zip(map(tuple, (level.keys[:, None] // powers[self.order - k:]
-                                     % self.vocab_size).tolist()), level.totals.tolist()))
+                                     % self.vocab_size).tolist()), level.row_totals().tolist()))
                 for k, level in enumerate(self._levels)]
 
     def _build_tables(self) -> _Tables:
@@ -229,11 +225,11 @@ class NGramModel:
         first = self._levels[0]
         unigram = np.full(len(support) + 1, alpha, dtype=np.float64)
         unigram[support.searchsorted(first.tokens)] += first.counts
-        unigram /= int(first.totals.sum()) + alpha * vocab_size
+        unigram /= int(first.counts.sum()) + alpha * vocab_size
         backoff_unigram = BACKOFF_WEIGHT * unigram
         terms: list[_LevelTerms | None] = [None]
         for level in self._levels[1:]:
-            denom = level.totals + alpha * vocab_size
+            denom = level.row_totals() + alpha * vocab_size
             slots = support.searchsorted(level.tokens)
             counted = ((1.0 - BACKOFF_WEIGHT)
                        * ((alpha + level.counts) / np.repeat(denom, np.diff(level.offsets))))
@@ -311,8 +307,7 @@ class NGramModel:
             "context_length": np.int64(self.context_length),
         }
         for k, level in enumerate(self._levels):
-            for name in _STORED:
-                arrays[f"{name}{k}"] = getattr(level, name)
+            arrays.update((f"{name}{k}", array) for name, array in level._asdict().items())
         with open(path, "wb") as f:
             np.savez(f, **arrays)
 
@@ -376,7 +371,7 @@ def _model_from_arrays(arrays: dict[str, np.ndarray], path) -> NGramModel:
             f"{path}: model format version {version}, expected {MODEL_FORMAT_VERSION}"
         )
     order = int(field("order", np.int64, 0))
-    if len(arrays) != 5 + len(_STORED) * order:
+    if len(arrays) != 5 + len(_Level._fields) * order:
         raise ModelFileError(f"{path}: {len(arrays)} arrays do not fit order {order}")
     try:
         model = NGramModel(order, float(field("alpha", np.float64, 0)),
@@ -387,7 +382,7 @@ def _model_from_arrays(arrays: dict[str, np.ndarray], path) -> NGramModel:
     vocab_size = model.vocab_size
     levels = []
     for k in range(order):
-        keys, offsets, tokens, counts = (field(f"{name}{k}", np.int64, 1) for name in _STORED)
+        keys, offsets, tokens, counts = (field(f"{n}{k}", np.int64, 1) for n in _Level._fields)
         sizes = np.diff(offsets)
         valid = (
             len(offsets) == len(keys) + 1 and offsets[0] == 0
@@ -399,7 +394,7 @@ def _model_from_arrays(arrays: dict[str, np.ndarray], path) -> NGramModel:
         )
         if not valid:
             raise ModelFileError(f"{path}: inconsistent counts for context length {k}")
-        levels.append(_Level.of(keys, offsets, tokens, counts))
+        levels.append(_Level(keys, offsets, tokens, counts))
     model._set_levels(levels)
     return model
 
@@ -447,7 +442,7 @@ def train_ngram(
         tokens = contexts % vocab_size
         contexts //= vocab_size
         firsts = np.flatnonzero(np.diff(contexts, prepend=-1))
-        levels.append(_Level.of(contexts[firsts], np.append(firsts, len(starts)), tokens, counts))
+        levels.append(_Level(contexts[firsts], np.append(firsts, len(starts)), tokens, counts))
     model._set_levels(levels + model._levels[len(levels):])
     return model
 

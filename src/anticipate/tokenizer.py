@@ -468,6 +468,11 @@ def write_tokens(f: IO[str], rows: Iterable[Sequence[int]], codec: str) -> None:
             raise _outside_vocabulary(f"row {i}", low if low < 0 else max(row), codec) from None
 
 
+def _is_digits(text: str) -> bool:
+    """Whether ``text`` is an unsigned ASCII decimal, as every writer writes a number."""
+    return text.isascii() and text.isdigit()
+
+
 def _is_plain(text: str) -> bool:
     """Whether ``text`` is ASCII digits separated by single spaces, with no
     space at either end."""
@@ -498,7 +503,7 @@ def read_tokens(f: IO[str]) -> tuple[str, list[list[int]]]:
             fields = line.split()
             if not fields:
                 continue
-            if bad := next((x for x in fields if not (x.isascii() and x.isdigit())), None):
+            if bad := next((x for x in fields if not _is_digits(x)), None):
                 raise TokenError(f"line {lineno}: {bad[:80]!r} is not an unsigned decimal id")
             text = " ".join(fields)
         # no sign, so no negative id: an id past int64 saturates high

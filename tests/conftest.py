@@ -218,6 +218,11 @@ def _reference_parse_line(line: str) -> TaggedEvent:
         fields = fields[1:]
     if len(fields) != 3:
         raise ValueError(f"malformed event line: {line!r}")
+    # each field is the digits write_events writes, or R for a rest's note;
+    # int alone would also take a sign, "_" and other scripts' digits
+    for name, text in zip(("time", "duration", "note"), fields):
+        if not (set(text) <= set("0123456789") and text) and (name, text) != ("note", "R"):
+            raise ValueError(f"{name} {text[:80]!r} is not an unsigned decimal")
     time, duration = int(fields[0]), int(fields[1])
     note = REST if fields[2] == "R" else int(fields[2])
     return TaggedEvent(Event(time, duration, note), control=control)

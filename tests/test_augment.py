@@ -120,7 +120,8 @@ class TestSpanControls:
 
 
 def _reference_draw_span_starts(total_seconds, length, rng) -> list[float]:
-    """The one-draw-per-start loop ``draw_span_starts`` replaced."""
+    """One exponential draw per start, the rule ``draw_span_starts`` states;
+    kept apart from it as the reference its starts must equal."""
     starts = []
     position = 0.0
     while True:
@@ -170,7 +171,7 @@ class TestSpanArraysMatchLoops:
         assert span_mask(seq, starts, length).tolist() == expected.tolist()
 
     def test_a_span_copy_draws_nothing_after_its_starts(self, rng, monkeypatch):
-        # blocks of gaps leave the generator past the last gap used, so a
+        # the starts leave the generator one draw past the last start, so a
         # span copy must not draw from it again after its starts
         seq = random_events(rng, 300, max_gap=40)
 

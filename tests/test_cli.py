@@ -387,6 +387,27 @@ def test_hostile_event_files_through_every_stage(tmp_path, small_model, stage, w
         assert "Traceback" not in proc.stderr
 
 
+# Event lines whose fields int() takes but write_events never writes, and the
+# field each error names.
+_HOSTILE_EVENT_LINES = {"+5 10 60": "time '+5'", "1_000 10 60": "time '1_000'",
+                        "٣ 10 60": "time '٣'", "-0 0 60": "time '-0'",
+                        "C 5 10 ٦٠": "note '٦٠'"}
+
+
+@pytest.mark.parametrize("stage", [["tokenize"], ["densify"], ["interleave"],
+                                   ["augment", "--factor", "10"], ["sample", "--controls"]],
+                         ids=" ".join)
+def test_hostile_event_fields_through_every_stage(tmp_path, small_model, capsys, stage):
+    path, out = tmp_path / "hostile.txt", tmp_path / "out"
+    for line, field in _HOSTILE_EVENT_LINES.items():
+        path.write_text(f"0 10 60\n{line}\n", encoding="utf-8")
+        argv = ([*stage, str(path), "--model", str(small_model), str(out)]
+                if stage[0] == "sample" else [*stage, str(path), str(out)])
+        assert run(*argv) == 2, line
+        assert capsys.readouterr().err == f"error: line 2: {field} is not an unsigned decimal\n"
+        assert not out.exists(), line
+
+
 # Ten events near 0 and ten near 10**8 units: each masked augment copy adds
 # 999 999 rests, within one call's budget, but two copies pass it.
 _FAR_APART = [f"{t + 10 * i} 5 60\n" for t in (0, 10**8) for i in range(10)]

@@ -327,6 +327,45 @@ class TestEventText:
         buf.seek(0)
         assert read_events(buf) == [seq, seq]
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 40), min_size=1,
+                                                          max_size=4),
+           start=st.sampled_from([0, 10**12, 2**63 - 10**6]))
+    def test_every_written_file_reads_back_equal(self, seed, sizes, start):
+        # plain events, rests and controls, times up to near 2**63 - 1
+        rng = np.random.default_rng(seed)
+        sequences = []
+        for n in sizes:
+            control = rng.random(n) < 0.3
+            rest = ~control & (rng.random(n) < 0.2)
+            items = sorted(
+                (TaggedEvent(Event(start + int(t), 0 if r else int(d), REST if r else int(note)),
+                             bool(c))
+                 for t, d, note, r, c in zip(rng.integers(0, 10**5, n), rng.integers(0, 999, n),
+                                             rng.integers(0, NUM_NOTE_CODES, n), rest, control)),
+                key=lambda x: x.event.time)
+            sequences.append(InterleavedSequence(items))
+        buf = io.StringIO()
+        write_events(buf, sequences)
+        assert read_events(io.StringIO(buf.getvalue())) == sequences
+
+    @pytest.mark.parametrize("line, field", [
+        ("+5 10 60", "time '+5'"), ("1_000 10 60", "time '1_000'"), ("٣ 10 60", "time '٣'"),
+        ("-0 0 60", "time '-0'"), ("C 5 10 ٦٠", "note '٦٠'"), ("5 +1 60", "duration '+1'"),
+        ("5 0 R", None), ("5 R 60", "duration 'R'"), ("R 0 60", "time 'R'"),
+        ("C C 0 60", "time 'C'"), ("5 1 0x1", "note '0x1'"),
+        pytest.param("5 1 " + "٣" * 100, "note '" + "٣" * 80 + "'", id="long note cut short"),
+    ])
+    def test_fields_are_unsigned_ascii_decimals(self, line, field):
+        # what write_events writes, and nothing else that int() would take
+        text = f"0 1 60\n{line}\n"
+        if field is None:
+            assert read_events(io.StringIO(text))[0].columns[:, 1].tolist() == [5, 0, REST, 0]
+        else:
+            with pytest.raises(TokenError) as caught:
+                read_events(io.StringIO(text))
+            assert str(caught.value) == f"line 2: {field} is not an unsigned decimal"
+
     def test_format(self):
         buf = io.StringIO()
         write_events(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -808,11 +809,13 @@ class TestPreprocess:
     def test_manifest_roundtrip(self, corpus_dir, tmp_path):
         out = tmp_path / "out"
         manifest = preprocess_corpus(corpus_dir, out)
-        header, *rows = (out / "manifest.tsv").read_text().splitlines()
-        assert header == MANIFEST_HEADER == "id md5 split events seconds parts reason"
-        assert [row.split("\t") for row in rows] == [
-            [e.file_id, e.md5, e.split, str(e.events), f"{e.seconds:.2f}", str(e.parts),
-             "-" if e.reason is None else e.reason]
+        assert MANIFEST_HEADER == "id\tmd5\tsplit\tevents\tseconds\tparts\treason"
+        with open(out / "manifest.tsv", newline="") as f:
+            rows = list(csv.DictReader(f, delimiter="\t"))
+        assert rows == [
+            {"id": e.file_id, "md5": e.md5, "split": e.split, "events": str(e.events),
+             "seconds": f"{e.seconds:.2f}", "parts": str(e.parts),
+             "reason": "-" if e.reason is None else e.reason}
             for e in manifest.entries
         ]
 

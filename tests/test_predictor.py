@@ -416,7 +416,7 @@ def dense_next_distribution(model, z, context):
     first = model._levels[0]
     unigram = np.full(vocab_size, alpha, dtype=np.float64)
     unigram[first.tokens] += first.counts
-    unigram /= int(first.totals.sum()) + alpha * vocab_size
+    unigram /= int(first.counts.sum()) + alpha * vocab_size
     n = len(context)
     depth = min(model.order - 1, n + (z is not None), model.context_length - 1)
     out = unigram.copy()
@@ -434,7 +434,8 @@ def dense_next_distribution(model, z, context):
             key = None
         level = model._levels[k]
         row = -1 if key is None else level.find(key)
-        denom = (0 if row < 0 else int(level.totals[row])) + alpha * vocab_size
+        total = 0 if row < 0 else int(level.counts[level.offsets[row]:level.offsets[row + 1]].sum())
+        denom = total + alpha * vocab_size
         scaled = backoff_unigram if k == 1 else np.multiply(out, BACKOFF_WEIGHT, out=out)
         if row >= 0:
             span = slice(level.offsets[row], level.offsets[row + 1])
@@ -504,7 +505,7 @@ class TestSupportRecursion:
         # a file that load accepts in which level 1 counts token 4 after 1,
         # but level 0 counts only token 1: the support must hold both
         def level(*arrays):  # keys, offsets, tokens, counts
-            return _Level.of(*(np.array(a, dtype=np.int64) for a in arrays))
+            return _Level(*(np.array(a, dtype=np.int64) for a in arrays))
 
         model = NGramModel(order=2, alpha=0.5, vocab_size=6)
         model._set_levels([level([0], [0, 1], [1], [3]), level([1], [0, 1], [4], [2])])
@@ -610,7 +611,7 @@ class TestSupportRecursion:
         # level 2 counts context (0, 5), but level 1 never saw 5: the
         # recursion starts from the depth-1 never-seen vector, scaled
         def level(*arrays):  # keys, offsets, tokens, counts
-            return _Level.of(*(np.array(a, dtype=np.int64) for a in arrays))
+            return _Level(*(np.array(a, dtype=np.int64) for a in arrays))
 
         model = NGramModel(order=4, alpha=0.5, vocab_size=6)
         model._set_levels([level([0], [0, 2], [1, 2], [3, 1]), level([1], [0, 1], [2], [2]),
