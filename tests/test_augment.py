@@ -170,6 +170,21 @@ class TestSpanArraysMatchLoops:
         expected = _reference_span_mask(seq, starts, length)
         assert span_mask(seq, starts, length).tolist() == expected.tolist()
 
+    @pytest.mark.parametrize("total", [0.0, 60.0, 3600.0])
+    def test_one_scalar_draw_per_start_and_one_past_the_end(self, total):
+        class Counting:
+            def __init__(self, inner):
+                self.inner, self.calls = inner, []
+
+            def exponential(self, *args, **kwargs):
+                self.calls.append((args, kwargs))
+                return self.inner.exponential(*args, **kwargs)
+
+        counting = Counting(np.random.default_rng(3))
+        starts = draw_span_starts(total, 5.0, counting)
+        assert len(counting.calls) == len(starts) + 1
+        assert all(len(args) == 1 and not kwargs for args, kwargs in counting.calls)
+
     def test_a_span_copy_draws_nothing_after_its_starts(self, rng, monkeypatch):
         # the starts leave the generator one draw past the last start, so a
         # span copy must not draw from it again after its starts
